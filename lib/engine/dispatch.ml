@@ -153,17 +153,35 @@ let committed_value t ~key = Participant.committed_value t.participant ~key
 
 let committed_keys t = Participant.committed_keys t.participant
 
-let committed_history t ~iid =
-  let prefix = Printf.sprintf "wf:%s:h:" iid in
-  let rows =
-    List.filter_map
-      (fun key ->
-        if String.starts_with ~prefix key then
-          Option.map Wstate.decode_history (committed_value t ~key)
-        else None)
-      (committed_keys t)
+(* Prefix slices of one committed-key read. Correctness rests on
+   [Kvstore.keys] returning keys in [String.compare] order: every key
+   carrying a prefix then sits in one contiguous run starting at the
+   prefix's lower bound, found by binary search and ended by a forward
+   walk — O(log n + slice) per instance instead of a whole-store filter.
+   An instance's rows share the prefix [wf:<iid>:]; [Engine.launch]
+   refuses ids containing ':' so that no instance's prefix covers
+   another instance's keys ([wf:a:] would match every key of [a:t:x]),
+   and the id "dir", whose prefix is the directory's [wf:dir:]. *)
+let committed_key_array t = Array.of_list (committed_keys t)
+
+let key_slice keys ~prefix =
+  let n = Array.length keys in
+  let rec lower lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if String.compare keys.(mid) prefix < 0 then lower (mid + 1) hi else lower lo mid
   in
-  List.sort compare rows
+  let first = lower 0 n in
+  let rec stop i = if i < n && String.starts_with ~prefix keys.(i) then stop (i + 1) else i in
+  Array.to_list (Array.sub keys first (stop first - first))
+
+let history_in t keys ~iid =
+  key_slice keys ~prefix:(Wstate.task_prefix iid ^ "h:")
+  |> List.filter_map (fun key -> Option.map Wstate.decode_history (committed_value t ~key))
+  |> List.sort compare
+
+let committed_history t ~iid = history_in t (committed_key_array t) ~iid
 
 let on_apply t f = Participant.on_apply t.participant f
 

@@ -64,6 +64,19 @@ val committed_value : t -> key:string -> string option
 (** Read the engine node's committed store outside any transaction. *)
 
 val committed_keys : t -> string list
+(** Every committed key, in [String.compare] order. *)
+
+val committed_key_array : t -> string array
+(** {!committed_keys} as an array: one read that serves many
+    {!key_slice} calls. *)
+
+val key_slice : string array -> prefix:string -> string list
+(** The keys of a sorted array that start with [prefix], in order — the
+    same list a [String.starts_with] filter returns, found by binary
+    search in O(log n + slice). *)
+
+val history_in : t -> string array -> iid:string -> (Sim.time * string * string) list
+(** {!committed_history} over an already-read {!committed_key_array}. *)
 
 val committed_history : t -> iid:string -> (Sim.time * string * string) list
 (** An instance's persistent audit rows (at, kind, detail) from the

@@ -613,9 +613,39 @@ let handle_report t ~is_mark ~src:_ body =
     | _ -> ()));
   "ack"
 
+(* --- schema cache --- *)
+
+(* Launching the same script text repeatedly (the capacity bench does it
+   100k times) re-parses an identical source each time: cache the
+   compiled schema by (root, script). Recovery goes through the same
+   cache, so replaying n instances of one script compiles it once.
+   Instances never mutate the shared tree — reconfigure swaps in a
+   freshly compiled one — so sharing is safe. Naive mode compiles every
+   launch and every recovered instance, the historical cost model.
+
+   Domain-safety invariant: the cache is engine-scoped, not global, and
+   an engine (with its whole sim stack) is confined to the domain that
+   built it — parallel exploration gives each schedule's run a fresh
+   stack (DESIGN.md §13), so this table is only ever touched from one
+   domain and needs no lock. Any future cross-domain schema sharing must
+   either keep per-domain caches or add a mutex here. *)
+let compile_cached t ~script ~root =
+  if not t.config.incremental then Frontend.compile script ~root
+  else begin
+    let key = root ^ "\x00" ^ script in
+    match Hashtbl.find_opt t.compiled key with
+    | Some schema -> Ok schema
+    | None ->
+      let compiled = Frontend.compile script ~root in
+      Result.iter (Hashtbl.replace t.compiled key) compiled;
+      compiled
+  end
+
 (* --- recovery --- *)
 
-let rebuild_instance t iid =
+(* [keys] holds (a superset of) the instance's committed keys in sorted
+   order; [load_committed] keeps those under the instance's prefix. *)
+let rebuild_instance t ~keys iid =
   let read key = Dispatch.committed_value t.disp ~key in
   match read (Wstate.key_meta iid) with
   | None -> ()
@@ -624,51 +654,50 @@ let rebuild_instance t iid =
     let script_text =
       match read (Wstate.key_reconf iid) with Some s -> s | None -> meta.Wstate.m_script
     in
-    match Frontend.load script_text with
+    match compile_cached t ~script:script_text ~root:meta.Wstate.m_root with
+    | Error { Frontend.stage = "resolve"; msg; _ } ->
+      emit t (Event.Recovery_error { detail = Printf.sprintf "%s: %s" iid msg })
     | Error _ -> emit t (Event.Recovery_error { detail = iid ^ ": stored script no longer parses" })
-    | Ok ast -> (
-      match Schema.of_script ast ~root:meta.Wstate.m_root with
-      | Error msg -> emit t (Event.Recovery_error { detail = Printf.sprintf "%s: %s" iid msg })
-      | Ok schema ->
-        let inst =
-          Instate.create ~iid ~script_text ~schema ~status:meta.Wstate.m_status
-            ~external_inputs:meta.Wstate.m_inputs
-        in
-        Instate.load_committed inst ~read ~keys:(Dispatch.committed_keys t.disp);
-        Hashtbl.replace t.insts iid inst;
-        (* honour persisted deadlines: executions orphaned by the crash
-           are re-dispatched as soon as they expire *)
-        List.iter
-          (fun (path, task, attempt, deadline) ->
-            let remaining = max 0 (deadline - Sim.now t.sim) + Sim.ms 1 in
-            schedule_watchdog ~delay:remaining t inst ~path ~task ~attempt)
-          (Instate.running_leaves inst ~effective:(effective_body t));
-        (* pending policy backoffs: resume the remaining wait against the
-           persisted attempt counter, then redispatch that same attempt —
-           the budget carries over, it is never reset *)
-        List.iter
-          (fun (path, attempt, fire_at) ->
-            match (find_task_node t inst path, Instate.get_state inst path) with
-            | Some task, Some (Wstate.Running { attempt = a; set; _ }) when a = attempt -> (
-              match effective_body t task with
-              | Sched.E_fn code ->
-                let inputs =
-                  match Instate.get_chosen inst path with
-                  | Some c -> c.Wstate.c_inputs
-                  | None -> []
-                in
-                let epoch = t.epoch in
-                ignore
-                  (Sim.schedule t.sim ~delay:(max 0 (fire_at - Sim.now t.sim)) (fun () ->
-                       if t.epoch = epoch && Node.up t.node && task_live t inst path then
-                         match Instate.get_state inst path with
-                         | Some (Wstate.Running { attempt = a2; _ }) when a2 = attempt ->
-                           dispatch t inst ~path ~task ~code ~set ~inputs ~attempt
-                         | _ -> ()))
-              | Sched.E_compound _ | Sched.E_missing _ -> ())
-            | _ -> ())
-          (Instate.pending_backoffs inst);
-        if inst.Instate.status = Wstate.Wf_running then mark_dirty t inst))
+    | Ok schema ->
+      let inst =
+        Instate.create ~iid ~script_text ~schema ~status:meta.Wstate.m_status
+          ~external_inputs:meta.Wstate.m_inputs
+      in
+      Instate.load_committed inst ~read ~keys;
+      Hashtbl.replace t.insts iid inst;
+      (* honour persisted deadlines: executions orphaned by the crash
+         are re-dispatched as soon as they expire *)
+      List.iter
+        (fun (path, task, attempt, deadline) ->
+          let remaining = max 0 (deadline - Sim.now t.sim) + Sim.ms 1 in
+          schedule_watchdog ~delay:remaining t inst ~path ~task ~attempt)
+        (Instate.running_leaves inst ~effective:(effective_body t));
+      (* pending policy backoffs: resume the remaining wait against the
+         persisted attempt counter, then redispatch that same attempt —
+         the budget carries over, it is never reset *)
+      List.iter
+        (fun (path, attempt, fire_at) ->
+          match (find_task_node t inst path, Instate.get_state inst path) with
+          | Some task, Some (Wstate.Running { attempt = a; set; _ }) when a = attempt -> (
+            match effective_body t task with
+            | Sched.E_fn code ->
+              let inputs =
+                match Instate.get_chosen inst path with
+                | Some c -> c.Wstate.c_inputs
+                | None -> []
+              in
+              let epoch = t.epoch in
+              ignore
+                (Sim.schedule t.sim ~delay:(max 0 (fire_at - Sim.now t.sim)) (fun () ->
+                     if t.epoch = epoch && Node.up t.node && task_live t inst path then
+                       match Instate.get_state inst path with
+                       | Some (Wstate.Running { attempt = a2; _ }) when a2 = attempt ->
+                         dispatch t inst ~path ~task ~code ~set ~inputs ~attempt
+                       | _ -> ()))
+            | Sched.E_compound _ | Sched.E_missing _ -> ())
+          | _ -> ())
+        (Instate.pending_backoffs inst);
+      if inst.Instate.status = Wstate.Wf_running then mark_dirty t inst)
 
 let dir_iid_of_key key =
   String.sub key (String.length Wstate.dir_prefix) (String.length key - String.length Wstate.dir_prefix)
@@ -680,7 +709,7 @@ let dir_iid_of_key key =
    legacy roster list forces an O(instances) decode per commit. *)
 let reconcile_one t iid =
   if not (Hashtbl.mem t.insts iid) then begin
-    rebuild_instance t iid;
+    rebuild_instance t ~keys:(Dispatch.committed_keys t.disp) iid;
     if Hashtbl.mem t.insts iid && not (List.mem iid t.inst_rev) then
       t.inst_rev <- iid :: t.inst_rev
   end
@@ -734,29 +763,28 @@ let relaunch_orphan t (orphan : Instate.t) =
 let recover t () =
   t.epoch <- t.epoch + 1;
   Hashtbl.reset t.insts;
-  (if t.config.incremental then begin
-     (* per-instance directory rows carry the launch sequence number so
-        the replay order matches the original launch order *)
-     let entries =
-       List.filter_map
-         (fun key ->
-           if String.starts_with ~prefix:Wstate.dir_prefix key then
+  (* one sorted key read serves the whole replay: the directory rows and
+     each instance's rows are contiguous slices of it *)
+  let keys = Dispatch.committed_key_array t.disp in
+  let iids =
+    if t.config.incremental then
+      (* per-instance directory rows carry the launch sequence number so
+         the replay order matches the original launch order *)
+      Dispatch.key_slice keys ~prefix:Wstate.dir_prefix
+      |> List.filter_map (fun key ->
              Option.bind (Dispatch.committed_value t.disp ~key) (fun raw ->
-                 Option.map (fun seq -> (seq, dir_iid_of_key key)) (Wstate.decode_dir_seq raw))
-           else None)
-         (Dispatch.committed_keys t.disp)
-     in
-     let ordered = List.map snd (List.sort compare entries) in
-     t.inst_rev <- List.rev ordered;
-     List.iter (rebuild_instance t) ordered
-   end
-   else
-     match Dispatch.committed_value t.disp ~key:Wstate.key_insts with
-     | None -> t.inst_rev <- []
-     | Some raw ->
-       let iids = Wstate.decode_insts raw in
-       t.inst_rev <- List.rev iids;
-       List.iter (rebuild_instance t) iids);
+                 Option.map (fun seq -> (seq, dir_iid_of_key key)) (Wstate.decode_dir_seq raw)))
+      |> List.sort compare |> List.map snd
+    else
+      match Dispatch.committed_value t.disp ~key:Wstate.key_insts with
+      | None -> []
+      | Some raw -> Wstate.decode_insts raw
+  in
+  t.inst_rev <- List.rev iids;
+  List.iter
+    (fun iid ->
+      rebuild_instance t iid ~keys:(Dispatch.key_slice keys ~prefix:(Wstate.task_prefix iid)))
+    iids;
   t.orphans <- List.filter (fun (o : Instate.t) -> not (Hashtbl.mem t.insts o.Instate.iid)) t.orphans;
   List.iter (relaunch_orphan t) t.orphans;
   emit t (Event.Recovery_replayed { instances = List.length t.inst_rev })
@@ -852,38 +880,20 @@ let create ?(config = default_config) ~rpc ~node ~mgr ~participant ~registry:reg
 
 let attach_host t node = attach_host_on t node
 
-(* Launching the same script text repeatedly (the capacity bench does it
-   100k times) re-parses an identical source each time: cache the
-   compiled schema by (root, script). Instances never mutate the shared
-   tree — reconfigure swaps in a freshly compiled one — so sharing is
-   safe. Naive mode compiles every launch, the historical cost model.
-
-   Domain-safety invariant: the cache is engine-scoped, not global, and
-   an engine (with its whole sim stack) is confined to the domain that
-   built it — parallel exploration gives each schedule's run a fresh
-   stack (DESIGN.md §13), so this table is only ever touched from one
-   domain and needs no lock. Any future cross-domain schema sharing must
-   either keep per-domain caches or add a mutex here. *)
-let compile_cached t ~script ~root =
-  if not t.config.incremental then
-    Result.map_error Frontend.error_to_string (Frontend.compile script ~root)
-  else begin
-    let key = root ^ "\x00" ^ script in
-    match Hashtbl.find_opt t.compiled key with
-    | Some schema -> Ok schema
-    | None -> (
-      match Frontend.compile script ~root with
-      | Error e -> Error (Frontend.error_to_string e)
-      | Ok schema ->
-        Hashtbl.replace t.compiled key schema;
-        Ok schema)
-  end
+(* An instance owns every store key under [wf:<iid>:] (gc deletes them,
+   recovery slices them out), so an id must not make that prefix cover
+   keys it does not own: a ':' would nest it over another instance's
+   rows ([wf:a:] covers [wf:a:t:x:meta]), and ["dir"] over the
+   directory rows ([wf:dir:]). *)
+let reserved_iid i = String.contains i ':' || String.equal i "dir"
 
 let launch ?iid t ~script ~root ~inputs =
   match compile_cached t ~script ~root with
-  | Error e -> Error e
+  | Error e -> Error (Frontend.error_to_string e)
   | Ok _ when (match iid with Some i -> Hashtbl.mem t.insts i | None -> false) ->
     Error ("duplicate instance id " ^ Option.get iid)
+  | Ok _ when (match iid with Some i -> reserved_iid i | None -> false) ->
+    Error ("reserved instance id " ^ Option.get iid ^ " (ids may not contain ':' or be \"dir\")")
   | Ok schema ->
     t.seq <- t.seq + 1;
     let iid =
@@ -982,6 +992,10 @@ let marks_of t iid ~path =
   match Hashtbl.find_opt t.insts iid with None -> [] | Some inst -> Instate.get_marks inst path
 
 let history t iid = Dispatch.committed_history t.disp ~iid
+
+let histories t =
+  let keys = Dispatch.committed_key_array t.disp in
+  List.map (fun iid -> (iid, Dispatch.history_in t.disp keys ~iid)) (instances t)
 
 let quiescent t iid =
   match Hashtbl.find_opt t.insts iid with

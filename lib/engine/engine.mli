@@ -122,7 +122,10 @@ val launch :
     and start it. Returns the instance id. The run proceeds as the
     simulation advances. [iid] overrides the engine-generated instance
     id — the cluster layer uses this to route by hash-of-iid and to keep
-    ids unique across engines; a duplicate id is refused. *)
+    ids unique across engines; a duplicate id is refused, and so is an
+    id containing [':'] or equal to ["dir"] (its store-key prefix
+    [wf:<iid>:] would cover another instance's or the directory's
+    rows). *)
 
 val status : t -> string -> Wstate.status option
 
@@ -164,6 +167,11 @@ val history : t -> string -> (Sim.time * string * string) list
     {!trace}, it survives engine crashes and is what the monitoring side
     of Fig 4's administrative tools reads. Collected with the instance
     by {!gc}. *)
+
+val histories : t -> (string * (Sim.time * string * string) list) list
+(** {!history} of every instance, in {!instances} order, from one read
+    of the committed key set — O(store + instances · log store) where
+    per-instance {!history} calls cost O(instances · store). *)
 
 val quiescent : t -> string -> bool
 (** No task of the instance is running and the instance is not done:

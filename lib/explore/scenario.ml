@@ -43,11 +43,7 @@ let engine_obs engines =
       (fun (_, e) -> List.map (fun iid -> (iid, status_string e iid)) (Engine.instances e))
       engines
   in
-  let histories =
-    List.concat_map
-      (fun (_, e) -> List.map (fun iid -> (iid, Engine.history e iid)) (Engine.instances e))
-      engines
-  in
+  let histories = List.concat_map (fun (_, e) -> Engine.histories e) engines in
   (statuses, histories)
 
 let chain =

@@ -808,6 +808,43 @@ let test_gc_refuses_running () =
   check "instance finished normally afterwards" true
     (match Engine.status tb.Testbed.engine iid with Some (Wstate.Wf_done _) -> true | _ -> false)
 
+(* An instance owns the store keys under [wf:<iid>:]. An id with ':'
+   would nest that prefix over another instance's rows ([wf:a:] covers
+   every key of [a:t:x]), so such ids are refused; gc of [a] must leave
+   its textual neighbour [ab] untouched, durably. *)
+let test_gc_spares_iid_neighbour () =
+  let tb = Testbed.make () in
+  Impls.register_process_order ~scenario:Impls.order_ok tb.Testbed.registry;
+  let e = tb.Testbed.engine in
+  let launch iid =
+    Engine.launch e ~iid ~script:Paper_scripts.process_order
+      ~root:Paper_scripts.process_order_root ~inputs:order_input
+  in
+  check "colon id refused" true (Result.is_error (launch "a:t:x"));
+  check "directory id refused" true (Result.is_error (launch "dir"));
+  check "refused ids never listed" true (Engine.instances e = []);
+  check "a launched" true (launch "a" = Ok "a");
+  check "ab launched" true (launch "ab" = Ok "ab");
+  Testbed.run tb;
+  let ab_rows () =
+    List.filter
+      (String.starts_with ~prefix:"wf:ab:")
+      (Participant.committed_keys (Testbed.participant tb "n0"))
+  in
+  let before = ab_rows () in
+  let result = ref None in
+  Engine.gc e "a" (fun r -> result := Some r);
+  Testbed.run tb;
+  check "gc of a succeeded" true (!result = Some (Ok ()));
+  check "ab's rows intact" true (before <> [] && ab_rows () = before);
+  Testbed.crash tb "n0";
+  Testbed.recover tb "n0";
+  Testbed.run tb;
+  check "only ab recovers" true (Engine.instances e = [ "ab" ]);
+  match Engine.status e "ab" with
+  | Some status -> ignore (expect_done ~output:"orderCompleted" status)
+  | None -> Alcotest.fail "ab lost after recovery"
+
 (* The paper (§3): administrative applications — here, a reconfiguration
    agent — can themselves be workflows. A workflow task's implementation
    observes another running instance and reconfigures it. *)
@@ -944,6 +981,63 @@ let test_many_concurrent_instances () =
     iids;
   check_int "forty instances listed" 40 (List.length (Engine.instances tb.Testbed.engine));
   check_int "4 dispatches each" (40 * 4) (Engine.dispatches_total tb.Testbed.engine)
+
+(* Recovery rebuilds each instance from its own slice of one sorted key
+   read and compiles each distinct script once. At scale — two scripts,
+   staggered launches, textually neighbouring ids (wf-c1, wf-c10,
+   wf-c100) — it must restore exactly the durable state every instance
+   had at the crash, then let every instance conclude. *)
+let test_recovery_equivalence_at_scale () =
+  let tb = Testbed.make ~engine_config:fast_engine () in
+  Impls.register_process_order ~work:(Sim.ms 20) ~scenario:Impls.order_ok tb.Testbed.registry;
+  Impls.register_quickstart ~work:(Sim.ms 20) tb.Testbed.registry;
+  let e = tb.Testbed.engine in
+  let replayed = ref [] in
+  Event.subscribe (Sim.events tb.Testbed.sim) (fun ~at:_ ~src:_ -> function
+    | Event.Recovery_replayed { instances } -> replayed := instances :: !replayed
+    | _ -> ());
+  let expected =
+    List.init 100 (fun i ->
+        let iid = Printf.sprintf "wf-c%d" (i + 1) in
+        let script, root, inputs, output =
+          if i mod 2 = 0 then
+            ( Paper_scripts.process_order,
+              Paper_scripts.process_order_root,
+              order_input,
+              "orderCompleted" )
+          else (Paper_scripts.quickstart, Paper_scripts.quickstart_root, seed_input i, "finished")
+        in
+        ignore
+          (Sim.schedule tb.Testbed.sim ~delay:(i * Sim.ms 1) (fun () ->
+               match Engine.launch e ~iid ~script ~root ~inputs with
+               | Ok _ -> ()
+               | Error msg -> Alcotest.failf "launch %s: %s" iid msg));
+        (iid, output))
+  in
+  let durable () =
+    List.map
+      (fun (iid, _) ->
+        (iid, Engine.status e iid, Engine.task_states e iid, Engine.policy_budgets e iid))
+      expected
+  in
+  Testbed.run ~until:(Sim.ms 110) tb;
+  let at_crash = durable () in
+  let listed = List.length (Engine.instances e) in
+  check_int "every instance launched before the crash" 100 listed;
+  check "crash lands mid-run" true
+    (List.exists (fun (_, s, _, _) -> s = Some Wstate.Wf_running) at_crash
+    && List.exists (fun (_, s, _, _) -> s <> Some Wstate.Wf_running) at_crash);
+  Testbed.crash tb "n0";
+  Testbed.recover tb "n0";
+  check "recovered state equals the state at the crash" true (durable () = at_crash);
+  check "replay counted every instance" true (!replayed = [ listed ]);
+  Testbed.run tb;
+  List.iter
+    (fun (iid, output) ->
+      match Engine.status e iid with
+      | Some status -> ignore (expect_done ~output status)
+      | None -> Alcotest.failf "%s lost by recovery" iid)
+    expected
 
 
 let test_compact_bounds_storage () =
@@ -1441,6 +1535,8 @@ let () =
           Alcotest.test_case "crash during launch commit" `Quick test_crash_during_launch_commit;
           Alcotest.test_case "partition engine/host" `Quick test_partition_between_engine_and_host;
           Alcotest.test_case "forty concurrent instances" `Quick test_many_concurrent_instances;
+          Alcotest.test_case "recovery equivalence at scale" `Quick
+            test_recovery_equivalence_at_scale;
         ] );
       ( "dataflow",
         [
@@ -1476,6 +1572,7 @@ let () =
         [
           Alcotest.test_case "collect finished" `Quick test_gc_finished_instance;
           Alcotest.test_case "refuse running" `Quick test_gc_refuses_running;
+          Alcotest.test_case "spares iid neighbour" `Quick test_gc_spares_iid_neighbour;
           Alcotest.test_case "compaction bounds storage" `Quick test_compact_bounds_storage;
           Alcotest.test_case "long-haul soak (2 simulated hours)" `Quick test_long_haul_soak;
         ] );
