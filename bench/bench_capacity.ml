@@ -1,28 +1,29 @@
 (* Capacity bench: open-loop instance arrivals against a 4-engine
-   cluster, sized from 1k (CI smoke) through 10k/20k (default) to 100k
-   (--full), measuring what the incremental-scheduling refactor is for:
+   cluster, sized from 1k/2k (CI smoke) through 10k/20k (default) to
+   100k (--full), measuring:
 
    - dispatches/sec of real wall-clock across the whole run;
    - p99 task latency in virtual time (dispatch queueing included);
    - resident words per instance (Obj.reachable_words over the live
      mirrors), peak and end-of-run;
-   - the same workload under the naive pre-refactor cost model
-     (full rescan per pass, whole-roster directory rewrite per launch,
-     one placement RPC per launch, no schema cache, mirrors retained
-     forever) for the speedup gates.
+   - minor-heap words allocated per dispatch while the cluster runs.
 
    The workload is capacity-shaped: short chains (3 tasks, 1ms work
    each) arriving 10/ms, so per-instance launch/track/conclude overhead
-   dominates. The naive roster rewrite is O(n^2) total, so its deficit
-   grows with size — the speedup floor is tiered per size (1.5x at 1k,
-   2.5x at 10k, 5x at 20k) rather than one number.
+   dominates. If that overhead grew with the number of instances seen
+   so far (a rescan of every task, a whole-directory rewrite per launch,
+   a compile per launch), the words allocated per dispatch would grow
+   with the run's size. Allocation is deterministic, so the scaling
+   gate compares two sizes of the same process exactly rather than a
+   wall-clock ratio: words per dispatch at the largest size may exceed
+   the smallest size's by at most 5%.
 
    Each timed run starts from Gc.compact () so results are independent
    of run order (a grown major heap makes later runs measurably
-   faster). Writes BENCH_capacity.json (schema rdal-capacity/1) and
-   exits non-zero if a hard gate fails: any speedup below its floor,
-   residency above cap, an instance that never completed, or same-seed
-   non-determinism. *)
+   faster). Writes BENCH_capacity.json (schema rdal-capacity/2) and
+   exits non-zero if a hard gate fails: allocation per dispatch growing
+   with size, residency above cap, an instance that never completed, or
+   same-seed non-determinism. *)
 
 let engines = [ "e1"; "e2"; "e3"; "e4" ]
 
@@ -36,16 +37,15 @@ let burst = 10 (* arrivals per burst; bursts 1ms apart = 10k launches/s *)
 
 let burst_gap = Sim.ms 1
 
-let engine_config ~incremental =
+let engine_config =
   {
     Engine.default_config with
     dispatch_overhead;
-    incremental;
-    (* the refactored mode releases concluded mirrors (bounded memory);
-       naive keeps the historical retain-everything behaviour *)
-    retain_concluded = not incremental;
-    (* both modes: rendering and retaining a human-readable trace line
-       per event is measurement overhead, not scheduling cost *)
+    (* release concluded mirrors: resident memory bounded by the live
+       instance count *)
+    retain_concluded = false;
+    (* rendering and retaining a human-readable trace line per event is
+       measurement overhead, not scheduling cost *)
     trace = false;
   }
 
@@ -57,6 +57,7 @@ type stats = {
   s_peak_words : int;
   s_end_words : int;
   s_words_per_inst : float;
+  s_words_per_dispatch : float;
   s_completed : int;
   s_assign_batches : int;
   s_counters : (string * int) list;
@@ -64,16 +65,12 @@ type stats = {
 
 let pct sorted n p = if n = 0 then 0 else List.nth sorted (p * (n - 1) / 100)
 
-let run ~incremental ~instances =
+let run ~instances =
   (* heap left over from a previous run changes GC pacing (a grown major
      heap makes later runs measurably faster); compact to a canonical
-     state so sizes and modes are comparable and order-independent *)
+     state so sizes are comparable and order-independent *)
   Gc.compact ();
-  let c =
-    Cluster.make
-      ~engine_config:(engine_config ~incremental)
-      ~policy:Cluster.Hash_iid ~engines ()
-  in
+  let c = Cluster.make ~engine_config ~policy:Cluster.Hash_iid ~engines () in
   Workloads.register ~work (Cluster.registry c);
   let script, root = Workloads.chain ~n:chain_tasks in
   let sim = Cluster.sim c in
@@ -101,34 +98,19 @@ let run ~incremental ~instances =
   done;
   (* residency sampled on a fixed virtual-time grid through the run *)
   let horizon = (bursts * burst_gap) + Sim.sec 2 in
-  let debug = Sys.getenv_opt "CAPACITY_DEBUG" <> None in
-  let wall0 = Sys.time () in
   let rec arm_sampler at =
     if at <= horizon then
       ignore
         (Sim.at sim ~time:at (fun () ->
              ignore (sample_residency ());
-             if debug then begin
-               let g = Gc.quick_stat () in
-               let locks =
-                 List.fold_left (fun a (_, p) -> a + Participant.locks_held p) 0
-                   (Cluster.participants c)
-               in
-               Printf.eprintf
-                 "  t=%dms wall=%.2fs completed=%d minor=%.0fM major=%.0fM majcol=%d live=%.0fM \
-                  pending=%d locks=%d\n\
-                  %!"
-                 (at / 1000) (Sys.time () -. wall0) !completed (g.Gc.minor_words /. 1e6)
-                 (g.Gc.major_words /. 1e6) g.Gc.major_collections
-                 (float_of_int g.Gc.live_words /. 1e6)
-                 (Sim.pending sim) locks
-             end;
              arm_sampler (at + Sim.ms 250)))
   in
   arm_sampler (Sim.ms 250);
+  let words0 = Gc.minor_words () in
   let t0 = Sys.time () in
   Cluster.run c;
   let wall = Sys.time () -. t0 in
+  let words = Gc.minor_words () -. words0 in
   let end_words = sample_residency () in
   let m = Cluster.metrics c in
   let dispatches = Metrics.value m "engine.dispatches" in
@@ -142,117 +124,79 @@ let run ~incremental ~instances =
     s_peak_words = !peak;
     s_end_words = end_words;
     s_words_per_inst = float_of_int !peak /. float_of_int instances;
+    s_words_per_dispatch = (if dispatches > 0 then words /. float_of_int dispatches else 0.);
     s_completed = !completed;
     s_assign_batches = Metrics.value m "cluster.assign_batches";
     s_counters = Metrics.counters m;
   }
 
-let stats_json label s =
+let size_json n s =
   Printf.sprintf
-    "      \"%s\": { \"wall_s\": %.3f, \"dispatches\": %d, \"dispatches_per_sec\": %.0f, \
+    "    { \"instances\": %d, \"wall_s\": %.3f, \"dispatches\": %d, \"dispatches_per_sec\": %.0f, \
      \"p99_task_us\": %d, \"peak_resident_words\": %d, \"end_resident_words\": %d, \
-     \"resident_words_per_instance\": %.1f, \"completed\": %d, \"assign_batches\": %d }"
-    label s.s_wall s.s_dispatches s.s_dps s.s_p99_us s.s_peak_words s.s_end_words
-    s.s_words_per_inst s.s_completed s.s_assign_batches
+     \"resident_words_per_instance\": %.1f, \"words_per_dispatch\": %.1f, \"completed\": %d, \
+     \"assign_batches\": %d }"
+    n s.s_wall s.s_dispatches s.s_dps s.s_p99_us s.s_peak_words s.s_end_words s.s_words_per_inst
+    s.s_words_per_dispatch s.s_completed s.s_assign_batches
 
 let () =
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
   let full = Array.exists (( = ) "--full") Sys.argv in
   let sizes =
-    if smoke then [ 1_000 ]
+    if smoke then [ 1_000; 2_000 ]
     else if full then [ 10_000; 20_000; 50_000; 100_000 ]
     else [ 10_000; 20_000 ]
   in
   let gate_size = List.hd sizes in
-  (* the naive mode's whole-roster rewrites are O(n^2): measured up to
-     20k, skipped above that where it only proves patience *)
-  let naive_cap = 20_000 in
-  (* tiered floors: the naive deficit grows with n (its directory churn
-     is quadratic), so small sizes gate loosely and 20k gates at 5x *)
-  let speedup_min n = if n >= 20_000 then 5.0 else if n >= 10_000 then 2.5 else 1.5 in
   Printf.printf "capacity bench: %d engines, chain of %d, bursts of %d per ms\n%!"
     (List.length engines) chain_tasks burst;
   let results =
     List.map
       (fun n ->
-        Printf.printf "  %6d instances (incremental)...%!" n;
-        let inc = run ~incremental:true ~instances:n in
-        Printf.printf " %.0f dispatches/s, p99 %dus, peak %.1f words/inst\n%!" inc.s_dps
-          inc.s_p99_us inc.s_words_per_inst;
-        let naive =
-          if n <= naive_cap then begin
-            Printf.printf "  %6d instances (naive)...%!" n;
-            let nv = run ~incremental:false ~instances:n in
-            Printf.printf " %.0f dispatches/s (%.1fx slower)\n%!" nv.s_dps (inc.s_dps /. nv.s_dps);
-            Some nv
-          end
-          else None
-        in
-        (n, inc, naive))
+        Printf.printf "  %6d instances...%!" n;
+        let s = run ~instances:n in
+        Printf.printf " %.0f dispatches/s, p99 %dus, peak %.1f words/inst, %.1f words/dispatch\n%!"
+          s.s_dps s.s_p99_us s.s_words_per_inst s.s_words_per_dispatch;
+        (n, s))
       sizes
   in
   (* same-seed determinism: the smallest size re-run must reproduce the
      cluster-wide event counters exactly *)
-  let base = run ~incremental:true ~instances:gate_size in
-  let again = run ~incremental:true ~instances:gate_size in
+  let base = run ~instances:gate_size in
+  let again = run ~instances:gate_size in
   let deterministic = base.s_counters = again.s_counters in
-  let speedups =
-    List.filter_map
-      (fun (n, inc, naive) ->
-        match naive with
-        | Some nv when nv.s_dps > 0. -> Some (n, inc.s_dps /. nv.s_dps, speedup_min n)
-        | _ -> None)
-      results
+  (* allocation scaling: per-dispatch cost must not grow with history *)
+  let growth_max = 1.05 in
+  let words_at (_, s) = s.s_words_per_dispatch in
+  let growth =
+    words_at (List.nth results (List.length results - 1)) /. words_at (List.hd results)
   in
   let words_cap = 3_000. in
-  let max_words =
-    List.fold_left (fun acc (_, inc, _) -> max acc inc.s_words_per_inst) 0. results
-  in
-  let all_completed =
-    List.for_all
-      (fun (n, inc, naive) ->
-        inc.s_completed = n && match naive with Some nv -> nv.s_completed = n | None -> true)
-      results
-  in
-  let size_json (n, inc, naive) =
-    Printf.sprintf "    { \"instances\": %d,\n%s%s\n    }" n
-      (stats_json "incremental" inc)
-      (match naive with
-      | None -> ""
-      | Some nv ->
-        Printf.sprintf ",\n%s,\n      \"speedup\": %.2f, \"speedup_min\": %.1f"
-          (stats_json "naive" nv) (inc.s_dps /. nv.s_dps) (speedup_min n))
-  in
-  let speedups_json =
-    String.concat ", "
-      (List.map
-         (fun (n, s, m) ->
-           Printf.sprintf "{ \"instances\": %d, \"speedup\": %.2f, \"min\": %.1f }" n s m)
-         speedups)
-  in
+  let max_words = List.fold_left (fun acc (_, s) -> max acc s.s_words_per_inst) 0. results in
+  let all_completed = List.for_all (fun (n, s) -> s.s_completed = n) results in
   let json =
     Printf.sprintf
       "{\n\
-      \  \"schema\": \"rdal-capacity/1\",\n\
+      \  \"schema\": \"rdal-capacity/2\",\n\
       \  \"engines\": %d,\n\
       \  \"workload\": { \"family\": \"chain\", \"tasks\": %d, \"work_ms\": %d, \"burst\": %d, \
        \"burst_gap_ms\": %d, \"dispatch_overhead_us\": %d },\n\
       \  \"sizes\": [\n%s\n  ],\n\
-      \  \"gates\": { \"speedups\": [ %s ],\n\
+      \  \"gates\": { \"words_per_dispatch_growth\": %.4f, \
+       \"words_per_dispatch_growth_max\": %.2f,\n\
       \             \"words_per_instance\": %.1f, \"words_per_instance_max\": %.0f, \
        \"all_completed\": %b, \"deterministic\": %b }\n\
        }\n"
       (List.length engines) chain_tasks (work / 1000) burst (burst_gap / 1000) dispatch_overhead
-      (String.concat ",\n" (List.map size_json results))
-      speedups_json max_words words_cap all_completed deterministic
+      (String.concat ",\n" (List.map (fun (n, s) -> size_json n s) results))
+      growth growth_max max_words words_cap all_completed deterministic
   in
   let oc = open_out "BENCH_capacity.json" in
   output_string oc json;
   close_out oc;
-  Printf.printf "wrote BENCH_capacity.json (%s, %.1f words/inst, deterministic %b)\n"
-    (String.concat ", "
-       (List.map (fun (n, s, _) -> Printf.sprintf "%.2fx at %d" s n) speedups))
-    max_words deterministic;
+  Printf.printf
+    "wrote BENCH_capacity.json (words/dispatch growth %.4fx, %.1f words/inst, deterministic %b)\n"
+    growth max_words deterministic;
   let fail = ref false in
   let gate name ok detail =
     if not ok then begin
@@ -260,11 +204,9 @@ let () =
       Printf.eprintf "GATE FAILED: %s (%s)\n" name detail
     end
   in
-  List.iter
-    (fun (n, s, m) ->
-      gate (Printf.sprintf "speedup@%d" n) (s >= m)
-        (Printf.sprintf "%.2fx < %.1fx at %d instances" s m n))
-    speedups;
+  gate "allocation scaling" (growth <= growth_max)
+    (Printf.sprintf "words/dispatch grew %.4fx from %d to %d instances (max %.2fx)" growth
+       gate_size (fst (List.nth results (List.length results - 1))) growth_max);
   gate "residency" (max_words <= words_cap)
     (Printf.sprintf "%.1f words/instance > %.0f" max_words words_cap);
   gate "completion" all_completed "an instance never reached a final status";

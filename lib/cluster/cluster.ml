@@ -33,9 +33,6 @@ type t = {
          first — every launch of one poll instant rides one
          repo.assign_batch RPC per engine instead of one RPC each *)
   mutable assign_armed : bool;
-  batch_assigns : bool;
-      (* follows the engines' [incremental] config: the naive
-         pre-refactor mode pushes one repo.assign RPC per launch *)
 }
 
 (* How long to wait before re-trying a placement write that exhausted
@@ -84,21 +81,9 @@ and arm_assigns t =
     ignore (Sim.schedule t.tb.Testbed.sim ~delay:0 (fun () -> flush_assigns t))
   end
 
-(* The pre-refactor path: one assignment, one RPC, its own retry loop. *)
-let rec assign_direct t ~iid ~eid =
-  Repo_client.assign (List.assoc eid t.clients) ~iid ~engine:eid (function
-    | Ok () -> ()
-    | Error _ ->
-      ignore
-        (Sim.schedule t.tb.Testbed.sim ~delay:assign_retry_period (fun () ->
-             if Hashtbl.find_opt t.directory iid = Some eid then assign_direct t ~iid ~eid)))
-
 let ensure_assigned t ~iid ~eid =
-  if t.batch_assigns then begin
-    t.pending_assigns <- (iid, eid) :: t.pending_assigns;
-    arm_assigns t
-  end
-  else assign_direct t ~iid ~eid
+  t.pending_assigns <- (iid, eid) :: t.pending_assigns;
+  arm_assigns t
 
 let make ?config ?engine_config ?seed ?(policy = Round_robin) ?(hosts = [])
     ?(repo_node = "repo") ?(repo_replicas = 1) ~engines () =
@@ -134,9 +119,7 @@ let make ?config ?engine_config ?seed ?(policy = Round_robin) ?(hosts = [])
   let clients = List.map (fun (eid, _) -> (eid, client_for eid)) tb.Testbed.engines in
   let t =
     { tb; repo; repo_ids; policy; metrics; directory = Hashtbl.create 32; clients;
-      owner_clients = Hashtbl.create 4; seq = 0; pending_assigns = []; assign_armed = false;
-      batch_assigns =
-        (match engine_config with Some c -> c.Engine.incremental | None -> true) }
+      owner_clients = Hashtbl.create 4; seq = 0; pending_assigns = []; assign_armed = false }
   in
   (* every engine answers wf.admin.* on its own node, so consoles (and
      the routed policy-budget query below) can reach any shard *)

@@ -10,7 +10,6 @@ type t = {
          thread: each costs [overhead] of engine time, so concurrent
          dispatch demand queues here (what the cluster bench measures) *)
   mutable incarnation : int;
-  batch : bool;
   mutable pending : ((string * string option) list * (unit -> unit)) list;
       (* queued persist requests awaiting the flush event, newest first *)
   mutable flush_armed : bool;
@@ -21,7 +20,7 @@ type t = {
   mutable draining : bool;
 }
 
-let create ?(overhead = 0) ?(batch = true) ~rpc ~node ~mgr ~participant () =
+let create ?(overhead = 0) ~rpc ~node ~mgr ~participant () =
   let t =
     {
       rpc;
@@ -32,7 +31,6 @@ let create ?(overhead = 0) ?(batch = true) ~rpc ~node ~mgr ~participant () =
       overhead;
       busy_until = 0;
       incarnation = 0;
-      batch;
       pending = [];
       flush_armed = false;
       ready = Queue.create ();
@@ -87,19 +85,16 @@ let flush t =
     persist_now t writes (fun () -> List.iter (fun (_, k) -> k ()) requests)
 
 let persist t writes k =
-  if not t.batch then persist_now t writes k
-  else begin
-    t.pending <- (writes, k) :: t.pending;
-    if not t.flush_armed then begin
-      t.flush_armed <- true;
-      let inc = t.incarnation in
-      ignore
-        (Sim.schedule t.sim ~delay:0 (fun () ->
-             (* a crash in between cleared the queue and bumped the
-                incarnation; this stale flush must not touch the queue
-                refilled after recovery *)
-             if t.incarnation = inc then flush t))
-    end
+  t.pending <- (writes, k) :: t.pending;
+  if not t.flush_armed then begin
+    t.flush_armed <- true;
+    let inc = t.incarnation in
+    ignore
+      (Sim.schedule t.sim ~delay:0 (fun () ->
+           (* a crash in between cleared the queue and bumped the
+              incarnation; this stale flush must not touch the queue
+              refilled after recovery *)
+           if t.incarnation = inc then flush t))
   end
 
 (* The intrusive ready deque: enqueues are O(1); one drain event is in
@@ -151,8 +146,6 @@ let ready_len t = Queue.length t.ready
 
 let committed_value t ~key = Participant.committed_value t.participant ~key
 
-let committed_keys t = Participant.committed_keys t.participant
-
 (* Prefix slices of one committed-key read. Correctness rests on
    [Kvstore.keys] returning keys in [String.compare] order: every key
    carrying a prefix then sits in one contiguous run starting at the
@@ -162,7 +155,7 @@ let committed_keys t = Participant.committed_keys t.participant
    refuses ids containing ':' so that no instance's prefix covers
    another instance's keys ([wf:a:] would match every key of [a:t:x]),
    and the id "dir", whose prefix is the directory's [wf:dir:]. *)
-let committed_key_array t = Array.of_list (committed_keys t)
+let committed_key_array t = Array.of_list (Participant.committed_keys t.participant)
 
 let key_slice keys ~prefix =
   let n = Array.length keys in

@@ -11,7 +11,6 @@ type t
 
 val create :
   ?overhead:Sim.time ->
-  ?batch:bool ->
   rpc:Rpc.t ->
   node:Node.t ->
   mgr:Txn.manager ->
@@ -22,13 +21,7 @@ val create :
     dispatches are serialised through a busy cursor, each occupying the
     engine for [overhead] virtual time before its RPC leaves the node.
     Default 0 (dispatch is free, the historical behaviour); the cluster
-    scaling bench sets it to expose the single-engine bottleneck.
-
-    [batch] (default true) coalesces all {!persist} calls issued within
-    one simulation timestep into a single transaction (one commit); a
-    flush combining two or more requests emits [Persist_batched]. Set
-    false to commit each persist individually (the historical
-    behaviour). *)
+    scaling bench sets it to expose the single-engine bottleneck. *)
 
 val sim : t -> Sim.t
 
@@ -41,11 +34,13 @@ val persist : t -> (string * string option) list -> (unit -> unit) -> unit
     emits [Txn_failed] and drops the continuation — the evaluation pump
     re-derives the actions on its next pass.
 
-    With batching on, the write set joins the current timestep's batch
-    and commits with it on the deferred flush; a crash before the flush
-    drops the whole batch (no partial commit), and the queued
-    continuations die with it, exactly like an individual persist that
-    never reached its commit. *)
+    Persists are batched: every write set issued within one simulation
+    timestep joins that timestep's batch and commits with it as one
+    transaction on the deferred flush (later writes to a key win); a
+    flush combining two or more requests emits [Persist_batched]. A
+    crash before the flush drops the whole batch (no partial commit),
+    and the queued continuations die with it, exactly like an
+    individual persist that never reached its commit. *)
 
 val send_exec : t -> host:string -> retries:int -> Wfmsg.exec_req -> ((string, string) result -> unit) -> unit
 (** Dispatch one implementation execution to a task host (emits
@@ -63,12 +58,9 @@ val ready_len : t -> int
 val committed_value : t -> key:string -> string option
 (** Read the engine node's committed store outside any transaction. *)
 
-val committed_keys : t -> string list
-(** Every committed key, in [String.compare] order. *)
-
 val committed_key_array : t -> string array
-(** {!committed_keys} as an array: one read that serves many
-    {!key_slice} calls. *)
+(** Every committed key, in [String.compare] order: one read that
+    serves many {!key_slice} calls. *)
 
 val key_slice : string array -> prefix:string -> string list
 (** The keys of a sorted array that start with [prefix], in order — the

@@ -14,8 +14,6 @@ type config = {
   system_max_attempts : int;
   default_timeout : Sim.time;
   dispatch_overhead : Sim.time;
-  batch_persists : bool;
-  incremental : bool;
   retain_concluded : bool;
   trace : bool;
 }
@@ -39,8 +37,6 @@ let default_config =
     system_max_attempts = 10;
     default_timeout = Sim.sec 10;
     dispatch_overhead = 0;
-    batch_persists = true;
-    incremental = true;
     retain_concluded = true;
     trace = true;
   }
@@ -245,26 +241,13 @@ let instance_index t inst =
     inst.Instate.index <- Some idx;
     idx
 
-(* the store path one effectful action mutates — what the next pass's
-   incremental scan must treat as dirty *)
-let action_path = function
-  | Sched.Start { a_path; _ }
-  | Sched.Fire_mark { a_path; _ }
-  | Sched.Do_repeat { a_path; _ }
-  | Sched.Complete { a_path; _ }
-  | Sched.Fail_task { a_path; _ }
-  | Sched.Arm_timer { a_path; _ } -> a_path
-
 (* [paths] scopes the next pass to the records just changed (push-based
    propagation through the instance's reverse-dependency index); [None]
-   forces a full pass — launch, recovery, reconfiguration. In naive
-   (pre-refactor) mode every pass is a full rescan and [paths] is
-   irrelevant. *)
+   forces a full pass — launch, recovery, reconfiguration. *)
 let rec mark_dirty ?paths t inst =
-  (if t.config.incremental then
-     match paths with
-     | None -> inst.Instate.pending <- Sched.All
-     | Some ps -> inst.Instate.pending <- Sched.add_dirty inst.Instate.pending ps);
+  (match paths with
+  | None -> inst.Instate.pending <- Sched.All
+  | Some ps -> inst.Instate.pending <- Sched.add_dirty inst.Instate.pending ps);
   inst.Instate.dirty <- true;
   if not inst.Instate.inflight then begin
     inst.Instate.inflight <- true;
@@ -279,13 +262,10 @@ and pump t inst =
   inst.Instate.dirty <- false;
   if inst.Instate.status <> Wstate.Wf_running then inst.Instate.inflight <- false
   else begin
+    let dirty = inst.Instate.pending in
+    inst.Instate.pending <- Sched.no_dirty;
     let actions =
-      if t.config.incremental then begin
-        let dirty = inst.Instate.pending in
-        inst.Instate.pending <- Sched.no_dirty;
-        Sched.scan_from (instance_index t inst) (iview t inst) ~root:inst.Instate.schema ~dirty
-      end
-      else Sched.scan (iview t inst) ~root:inst.Instate.schema
+      Sched.scan_from (instance_index t inst) (iview t inst) ~root:inst.Instate.schema ~dirty
     in
     let actions =
       List.filter
@@ -312,7 +292,7 @@ and pump t inst =
           List.iter (action_side_effects t inst) effectful;
           inst.Instate.inflight <- false;
           finalize t inst;
-          mark_dirty ~paths:(List.map action_path effectful) t inst)
+          mark_dirty ~paths:(List.map Sched.action_path effectful) t inst)
     end
   end
 
@@ -538,7 +518,7 @@ and fail_policy t inst ~path ~task ~reason =
   let action = Sched.fail_action task ~path ~attempt ~reason in
   persist t (action_payload t inst action) (fun () ->
       apply_and_announce t inst action;
-      mark_dirty ~paths:[ action_path action ] t inst)
+      mark_dirty ~paths:[ Sched.action_path action ] t inst)
 
 and finalize t inst =
   if inst.Instate.status = Wstate.Wf_running && not inst.Instate.concluding then begin
@@ -579,7 +559,7 @@ and finalize t inst =
 let apply_one t inst action =
   persist t (action_payload t inst action) (fun () ->
       apply_and_announce t inst action;
-      mark_dirty ~paths:[ action_path action ] t inst)
+      mark_dirty ~paths:[ Sched.action_path action ] t inst)
 
 let process_report t inst ~task ~attempt ~is_mark (r : Wfmsg.report) =
   let path = r.Wfmsg.r_path in
@@ -620,8 +600,7 @@ let handle_report t ~is_mark ~src:_ body =
    compiled schema by (root, script). Recovery goes through the same
    cache, so replaying n instances of one script compiles it once.
    Instances never mutate the shared tree — reconfigure swaps in a
-   freshly compiled one — so sharing is safe. Naive mode compiles every
-   launch and every recovered instance, the historical cost model.
+   freshly compiled one — so sharing is safe.
 
    Domain-safety invariant: the cache is engine-scoped, not global, and
    an engine (with its whole sim stack) is confined to the domain that
@@ -630,21 +609,23 @@ let handle_report t ~is_mark ~src:_ body =
    domain and needs no lock. Any future cross-domain schema sharing must
    either keep per-domain caches or add a mutex here. *)
 let compile_cached t ~script ~root =
-  if not t.config.incremental then Frontend.compile script ~root
-  else begin
-    let key = root ^ "\x00" ^ script in
-    match Hashtbl.find_opt t.compiled key with
-    | Some schema -> Ok schema
-    | None ->
-      let compiled = Frontend.compile script ~root in
-      Result.iter (Hashtbl.replace t.compiled key) compiled;
-      compiled
-  end
+  let key = root ^ "\x00" ^ script in
+  match Hashtbl.find_opt t.compiled key with
+  | Some schema -> Ok schema
+  | None ->
+    let compiled = Frontend.compile script ~root in
+    Result.iter (Hashtbl.replace t.compiled key) compiled;
+    compiled
 
 (* --- recovery --- *)
 
-(* [keys] holds (a superset of) the instance's committed keys in sorted
-   order; [load_committed] keeps those under the instance's prefix. *)
+(* The one owner of "an instance's keys": its rows in a sorted
+   committed-key array, in order (recovery replays them, gc deletes
+   them). *)
+let instance_keys keys iid = Dispatch.key_slice keys ~prefix:(Wstate.task_prefix iid)
+
+(* [keys] is the instance's slice of the committed keys, in sorted
+   order (see {!instance_keys}). *)
 let rebuild_instance t ~keys iid =
   let read key = Dispatch.committed_value t.disp ~key in
   match read (Wstate.key_meta iid) with
@@ -704,20 +685,13 @@ let dir_iid_of_key key =
 
 (* A commit finished by the recovery termination protocol can add an
    instance to the store after [recover] already scanned it: reconcile
-   whenever such a commit lands. Incremental mode reconciles exactly the
-   iids named by the commit's directory rows — O(writes), where the
-   legacy roster list forces an O(instances) decode per commit. *)
+   exactly the iids named by the commit's directory rows, O(writes). *)
 let reconcile_one t iid =
   if not (Hashtbl.mem t.insts iid) then begin
-    rebuild_instance t ~keys:(Dispatch.committed_keys t.disp) iid;
+    rebuild_instance t ~keys:(instance_keys (Dispatch.committed_key_array t.disp) iid) iid;
     if Hashtbl.mem t.insts iid && not (List.mem iid t.inst_rev) then
       t.inst_rev <- iid :: t.inst_rev
   end
-
-let reconcile_roster t =
-  match Dispatch.committed_value t.disp ~key:Wstate.key_insts with
-  | None -> ()
-  | Some raw -> List.iter (reconcile_one t) (Wstate.decode_insts raw)
 
 (* Re-persist an instance whose launch transaction was lost to a crash
    before its decision. A committed-but-unapplied launch is instead
@@ -746,15 +720,12 @@ let relaunch_orphan t (orphan : Instate.t) =
           t.inst_rev <- inst.Instate.iid :: t.inst_rev;
         Hashtbl.replace t.insts inst.Instate.iid inst;
         emit t (Event.Wf_relaunched { iid = inst.Instate.iid });
-        let dir_write =
-          if t.config.incremental then begin
-            t.seq <- t.seq + 1;
-            (Wstate.key_dir inst.Instate.iid, Some (Wstate.encode_dir_seq t.seq))
-          end
-          else (Wstate.key_insts, Some (Wstate.encode_insts (List.rev t.inst_rev)))
-        in
+        t.seq <- t.seq + 1;
         persist t
-          [ dir_write; (Wstate.key_meta inst.Instate.iid, Some (Wstate.encode_meta meta)) ]
+          [
+            (Wstate.key_dir inst.Instate.iid, Some (Wstate.encode_dir_seq t.seq));
+            (Wstate.key_meta inst.Instate.iid, Some (Wstate.encode_meta meta));
+          ]
           (fun () -> mark_dirty t inst)
       end
   in
@@ -766,25 +737,17 @@ let recover t () =
   (* one sorted key read serves the whole replay: the directory rows and
      each instance's rows are contiguous slices of it *)
   let keys = Dispatch.committed_key_array t.disp in
+  (* per-instance directory rows carry the launch sequence number so the
+     replay order matches the original launch order *)
   let iids =
-    if t.config.incremental then
-      (* per-instance directory rows carry the launch sequence number so
-         the replay order matches the original launch order *)
-      Dispatch.key_slice keys ~prefix:Wstate.dir_prefix
-      |> List.filter_map (fun key ->
-             Option.bind (Dispatch.committed_value t.disp ~key) (fun raw ->
-                 Option.map (fun seq -> (seq, dir_iid_of_key key)) (Wstate.decode_dir_seq raw)))
-      |> List.sort compare |> List.map snd
-    else
-      match Dispatch.committed_value t.disp ~key:Wstate.key_insts with
-      | None -> []
-      | Some raw -> Wstate.decode_insts raw
+    Dispatch.key_slice keys ~prefix:Wstate.dir_prefix
+    |> List.filter_map (fun key ->
+           Option.bind (Dispatch.committed_value t.disp ~key) (fun raw ->
+               Option.map (fun seq -> (seq, dir_iid_of_key key)) (Wstate.decode_dir_seq raw)))
+    |> List.sort compare |> List.map snd
   in
   t.inst_rev <- List.rev iids;
-  List.iter
-    (fun iid ->
-      rebuild_instance t iid ~keys:(Dispatch.key_slice keys ~prefix:(Wstate.task_prefix iid)))
-    iids;
+  List.iter (fun iid -> rebuild_instance t iid ~keys:(instance_keys keys iid)) iids;
   t.orphans <- List.filter (fun (o : Instate.t) -> not (Hashtbl.mem t.insts o.Instate.iid)) t.orphans;
   List.iter (relaunch_orphan t) t.orphans;
   emit t (Event.Recovery_replayed { instances = List.length t.inst_rev })
@@ -817,9 +780,7 @@ let create ?(config = default_config) ~rpc ~node ~mgr ~participant ~registry:reg
       sim;
       rpc;
       node;
-      disp =
-        Dispatch.create ~overhead:config.dispatch_overhead ~batch:config.batch_persists ~rpc
-          ~node ~mgr ~participant ();
+      disp = Dispatch.create ~overhead:config.dispatch_overhead ~rpc ~node ~mgr ~participant ();
       reg;
       config;
       default_policy =
@@ -856,24 +817,17 @@ let create ?(config = default_config) ~rpc ~node ~mgr ~participant ~registry:reg
   Node.on_recover node (recover t);
   Dispatch.on_apply t.disp (fun writes ->
       let dir_iids =
-        if config.incremental then
-          List.filter_map
-            (fun (key, _) ->
-              if String.starts_with ~prefix:Wstate.dir_prefix key then Some (dir_iid_of_key key)
-              else None)
-            writes
-        else []
+        List.filter_map
+          (fun (key, _) ->
+            if String.starts_with ~prefix:Wstate.dir_prefix key then Some (dir_iid_of_key key)
+            else None)
+          writes
       in
-      let roster =
-        (not config.incremental) && List.exists (fun (key, _) -> key = Wstate.key_insts) writes
-      in
-      if dir_iids <> [] || roster then begin
+      if dir_iids <> [] then begin
         let epoch = t.epoch in
         ignore
           (Sim.schedule sim ~delay:0 (fun () ->
-               if t.epoch = epoch && Node.up node then
-                 if config.incremental then List.iter (reconcile_one t) dir_iids
-                 else reconcile_roster t))
+               if t.epoch = epoch && Node.up node then List.iter (reconcile_one t) dir_iids))
       end);
   ignore (attach_host_on t node);
   t
@@ -909,15 +863,9 @@ let launch ?iid t ~script ~root ~inputs =
     t.inst_rev <- iid :: t.inst_rev;
     Hashtbl.replace t.insts iid inst;
     emit t (Event.Wf_launched { iid; root });
-    let dir_write =
-      (* one O(1) row per instance instead of rewriting the whole
-         roster list (O(n) WAL bytes per launch, O(n²) over a run) *)
-      if t.config.incremental then (Wstate.key_dir iid, Some (Wstate.encode_dir_seq t.seq))
-      else (Wstate.key_insts, Some (Wstate.encode_insts (List.rev t.inst_rev)))
-    in
     persist t
       [
-        dir_write;
+        (Wstate.key_dir iid, Some (Wstate.encode_dir_seq t.seq));
         (Wstate.key_meta iid, Some (Wstate.encode_meta meta));
         Instate.history_write inst ~now:(Sim.now t.sim) ~kind:"launch" ~detail:("root=" ^ root);
       ]
@@ -1043,18 +991,10 @@ let gc t iid k =
   | Some inst when inst.Instate.status = Wstate.Wf_running ->
     k (Error ("instance " ^ iid ^ " is still running"))
   | Some _ ->
-    let prefix = Wstate.task_prefix iid in
-    let doomed =
-      List.filter (fun key -> String.starts_with ~prefix key) (Dispatch.committed_keys t.disp)
-    in
-    let rev = List.filter (fun i -> i <> iid) t.inst_rev in
-    let dir_write =
-      if t.config.incremental then (Wstate.key_dir iid, None)
-      else (Wstate.key_insts, Some (Wstate.encode_insts (List.rev rev)))
-    in
-    let writes = dir_write :: List.map (fun key -> (key, None)) doomed in
+    let doomed = instance_keys (Dispatch.committed_key_array t.disp) iid in
+    let writes = (Wstate.key_dir iid, None) :: List.map (fun key -> (key, None)) doomed in
     persist t writes (fun () ->
-        t.inst_rev <- rev;
+        t.inst_rev <- List.filter (fun i -> i <> iid) t.inst_rev;
         Hashtbl.remove t.insts iid;
         emit t (Event.Wf_collected { iid });
         k (Ok ()))

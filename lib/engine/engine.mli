@@ -33,20 +33,6 @@ type config = {
       (** engine CPU cost per dispatch, serialised per engine (0 =
           free); models the coordinator as a contended resource so a
           cluster of engines can out-dispatch a single one *)
-  batch_persists : bool;
-      (** coalesce all persists of one evaluation pass into a single
-          transaction (default true); false restores one commit per
-          persist *)
-  incremental : bool;
-      (** push-based incremental scheduling (default true): each pass
-          re-evaluates only the tasks reachable from the just-changed
-          records through the instance's reverse-dependency index, the
-          instance directory is one O(1) durable row per instance, and
-          identical scripts share one compiled schema. [false] restores
-          the pre-refactor cost model — a full rescan of every task on
-          every pass and a whole-roster directory rewrite per launch —
-          and is what the capacity bench's speedup gate compares
-          against. Scheduling decisions are identical in both modes. *)
   retain_concluded : bool;
       (** keep a concluded instance's task-state mirror in memory for
           post-hoc inspection (default true, the historical behaviour;

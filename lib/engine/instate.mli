@@ -137,5 +137,6 @@ val release : t -> unit
 (** {1 Recovery} *)
 
 val load_committed : t -> read:(string -> string option) -> keys:string list -> unit
-(** Fill the mirror tables from the committed store: [keys] is the full
-    committed key list, [read] fetches one committed value. *)
+(** Fill the mirror tables from the committed store: [keys] are the
+    instance's committed keys in sorted order (keys of other instances
+    are ignored), [read] fetches one committed value. *)

@@ -492,6 +492,14 @@ let impl_abort_retries (task : Schema.task) =
   | Some n -> ( match int_of_string_opt n with Some n -> n | None -> 0)
   | None -> 0
 
+let action_path = function
+  | Start { a_path; _ }
+  | Fire_mark { a_path; _ }
+  | Do_repeat { a_path; _ }
+  | Complete { a_path; _ }
+  | Fail_task { a_path; _ }
+  | Arm_timer { a_path; _ } -> a_path
+
 (* Dispatch higher-priority starts first (stable for equal priority);
    non-start actions keep their scan order and commit in the same
    transaction regardless. *)

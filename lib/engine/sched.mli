@@ -87,7 +87,10 @@ type action =
 
 val scan : view -> root:Schema.task -> action list
 (** One full evaluation pass over the instance tree; actions come back
-    in declaration order. Pure: same view, same actions. *)
+    in declaration order. Pure: same view, same actions. The engine
+    runs {!scan_from}; this full rescan is the reference that the tests
+    check {!scan_from} against on every pass and that the benchmark's
+    scan probe times. *)
 
 (** {1 Incremental propagation}
 
@@ -124,6 +127,10 @@ val scan_from : index -> view -> root:Schema.task -> dirty:dirty -> action list
     [scan v ~root]; with [dirty:(Paths ps)] it returns the same actions
     the full scan would, provided every store change since the previous
     pass is covered by [ps]. *)
+
+val action_path : action -> Wstate.path
+(** The store path an action mutates — what the next {!scan_from} pass
+    must find in its dirty set. *)
 
 val prioritise : action list -> action list
 (** Reorder a pass's actions for dispatch: non-starts first in scan

@@ -27,12 +27,9 @@ type meta = {
 
 let path_to_string path = String.concat "/" path
 
-let key_insts = "wf:insts"
-
 (* O(1)-per-launch durable directory: one key per instance, valued with
    the engine's launch sequence number (recovery sorts by it to rebuild
-   launch order). [key_insts] remains for the legacy whole-list schema
-   (naive mode re-encodes the full list on every launch). *)
+   launch order). *)
 let dir_prefix = "wf:dir:"
 
 let key_dir iid = dir_prefix ^ iid
@@ -197,10 +194,6 @@ let decode_history s =
       let detail = Wire.d_string d in
       (at, kind, detail))
     s
-
-let encode_insts = Wire.(list string)
-
-let decode_insts = Wire.(decode (d_list d_string))
 
 let pp_task_state ppf = function
   | Waiting { attempt } -> Format.fprintf ppf "waiting(attempt %d)" attempt

@@ -5,7 +5,8 @@
     an engine-node crash is written (under transactions) to the engine
     node's object store using these keys:
 
-    - [wf:insts] — list of instance ids
+    - [wf:dir:I] — directory row of instance [I]: its launch sequence
+      number (one O(1) row per instance)
     - [wf:I:meta] — script text, root name, external inputs, status
     - [wf:I:reconf] — current script text after dynamic reconfiguration
     - [wf:I:t:P] — state of the task at path [P]
@@ -16,6 +17,7 @@
     - [wf:I:timerarm:P:S] — deadline of the armed timer of input set [S]
     - [wf:I:b:P] — pending recovery-policy backoff of the task at [P]
     - [wf:I:comp:P] — the abort of [P] has been compensated (one-shot)
+    - [wf:I:h:N] — the [N]-th persistent history (audit) row
 
     A path [P] is the [/]-joined chain of task names from the root. *)
 
@@ -47,11 +49,6 @@ type meta = {
 }
 
 val path_to_string : path -> string
-
-val key_insts : string
-(** Legacy whole-list instance directory (naive mode re-encodes the full
-    list on every launch). The incremental engine uses one {!key_dir}
-    record per instance instead — O(1) WAL bytes per launch. *)
 
 val dir_prefix : string
 
@@ -127,10 +124,6 @@ val decode_marks : string -> (string * (string * Value.obj) list) list
 val encode_repeat : string * (string * Value.obj) list -> string
 
 val decode_repeat : string -> string * (string * Value.obj) list
-
-val encode_insts : string list -> string
-
-val decode_insts : string -> string list
 
 val pp_task_state : Format.formatter -> task_state -> unit
 

@@ -1,5 +1,6 @@
-(* Shared scaffolding for substrate tests: a small simulated cluster with
-   a transaction participant and coordinator on every node. *)
+(* Shared scaffolding for tests: a small simulated cluster with a
+   transaction participant and coordinator on every node, and a view of
+   engine task states that crash-equivalence checks compare. *)
 
 type cluster = {
   sim : Sim.t;
@@ -58,3 +59,14 @@ let exec_ok c io =
   match exec c io with
   | Ok v -> v
   | Error e -> Alcotest.failf "transaction failed: %s" (Txn.error_to_string e)
+
+(* Each task's final output name and objects, attempt counters aside: a
+   crash may cost re-dispatches, never a different result. *)
+let task_outcomes states =
+  List.map
+    (fun (path, st) ->
+      match st with
+      | Wstate.Done { output; objects; _ } -> (path, Ok (output, objects))
+      | Wstate.Failed reason -> (path, Error reason)
+      | Wstate.Waiting _ | Wstate.Running _ -> (path, Error "unfinished"))
+    states

@@ -1404,29 +1404,28 @@ let test_metrics_mirror_counter_accessors () =
 
 (* --- commit fast lanes & batched persistence --- *)
 
-let crash_recovery_run ~batch =
-  let engine_config = { fast_engine with Engine.batch_persists = batch } in
-  let tb = Testbed.make ~engine_config () in
+let process_order_run ?faults () =
+  let tb = Testbed.make ~engine_config:fast_engine () in
   Impls.register_process_order ~work:(Sim.ms 20) ~scenario:Impls.order_ok tb.Testbed.registry;
-  ignore (Sim.schedule tb.Testbed.sim ~delay:(Sim.ms 10) (fun () -> Testbed.crash tb "n0"));
-  ignore (Sim.schedule tb.Testbed.sim ~delay:(Sim.ms 200) (fun () -> Testbed.recover tb "n0"));
+  Option.iter (Testbed.apply_faults tb) faults;
   match
     Testbed.launch_and_run tb ~script:Paper_scripts.process_order
       ~root:Paper_scripts.process_order_root ~inputs:order_input
   with
   | Ok (iid, status) ->
     ignore (expect_done ~output:"orderCompleted" status);
-    (status, List.sort compare (Engine.task_states tb.Testbed.engine iid))
+    (status, Harness.task_outcomes (Engine.task_states tb.Testbed.engine iid))
   | Error e -> Alcotest.failf "launch: %s" e
 
 let test_batched_persistence_crash_equivalence () =
   (* coalescing a poll pass's persists into one transaction must not
      change what survives a crash: the batch commits or aborts as a
-     whole, so recovery replays the same prefix either way *)
-  let s_batched, t_batched = crash_recovery_run ~batch:true in
-  let s_plain, t_plain = crash_recovery_run ~batch:false in
-  check "same final status" true (s_batched = s_plain);
-  check "same task states after recovery" true (t_batched = t_plain)
+     whole, so the crashed run reaches the fault-free run's result *)
+  let faults = Fault.crash_restart ~node:"n0" ~at:(Sim.ms 10) ~down_for:(Sim.ms 190) in
+  let s_crashed, o_crashed = process_order_run ~faults () in
+  let s_clean, o_clean = process_order_run () in
+  check "same final status" true (s_crashed = s_clean);
+  check "same task outputs after recovery" true (o_crashed = o_clean)
 
 let test_persist_batching_counted () =
   (* two launches arriving in the same poll pass persist in one

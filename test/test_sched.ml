@@ -1,65 +1,160 @@
 (* The incremental scheduler against the reference full rescan.
 
-   The pre-refactor scheduler re-evaluated every task of every instance
-   on every pass; that logic is still in the library as [Sched.scan]
-   (what [Engine.config.incremental = false] runs) and serves as the
-   oracle here. The push-based path ([Sched.scan_from] through the
-   reverse-dependency index) must make {e identical} decisions:
+   The full rescan [Sched.scan] re-evaluates every task of an instance;
+   it is the reference the push-based path ([Sched.scan_from] through
+   the reverse-dependency index) must agree with:
 
-   - pointwise: on any reachable view, a scan from [All] equals the full
+   - pointwise: on a fresh instance, a scan from [All] equals the full
      scan, and a scan from an empty dirty set is empty;
-   - end-to-end: driving a whole workflow incrementally produces the
-     same decision sequence (dispatches, completions, marks, failures,
-     in order) and the same final task states as the full-rescan drive,
-     on randomized workflow DAGs and under crash/recovery. *)
+   - on every pass: a shadow pump drives an instance with no engine, no
+     store and no simulator, and on each pass asserts that both scans
+     yield the same effectful actions in the same dispatch order. Which
+     running leaf completes next, and whether it completes before the
+     pending pass runs, is drawn from a seed, so the dirty sets cover
+     many interleavings;
+   - end to end: the fault-free engine and the independent [Baseline]
+     interpreter reach the same final status on random DAGs, and an
+     engine crash mid-run still reaches the fault-free result. *)
 
 let check = Alcotest.(check bool)
 
 let check_int = Alcotest.(check int)
 
-(* --- observing decision sequences from the event bus --- *)
+let pkey = Wstate.path_to_string
 
-let decision_log sim =
-  let log = ref [] in
-  Event.subscribe (Sim.events sim) (fun ~at:_ ~src:_ ev ->
-      let d =
-        match ev with
-        | Event.Task_dispatched { path; code; host; attempt } ->
-          Some (Printf.sprintf "dispatch %s %s@%s #%d" path code host attempt)
-        | Event.Task_completed { path; output; aborted; _ } ->
-          Some (Printf.sprintf "complete %s %s%s" path output (if aborted then " aborted" else ""))
-        | Event.Task_marked { path; mark } -> Some (Printf.sprintf "mark %s %s" path mark)
-        | Event.Task_repeated { path; output; attempt } ->
-          Some (Printf.sprintf "repeat %s %s #%d" path output attempt)
-        | Event.Task_failed { path; reason } -> Some (Printf.sprintf "fail %s %s" path reason)
-        | _ -> None
+(* --- the shadow pump --- *)
+
+(* The final outcome of a leaf's bound implementation run on its chosen
+   inputs (the generated workloads release no marks). *)
+let leaf_outcome reg inst ~code ~path ~attempt =
+  match (Registry.find reg ~code, Instate.get_chosen inst path) with
+  | Some (Registry.Fn fn), Some c ->
+    let ctx =
+      {
+        Registry.attempt;
+        input_set = c.Wstate.c_set;
+        inputs = c.Wstate.c_inputs;
+        rng = Rng.create 1L;
+      }
+    in
+    (fn ctx).Registry.finish
+  | _ -> Alcotest.failf "cannot run %s at %s" code (pkey path)
+
+(* Drive one instance of [script] to conclusion. Each step either runs
+   the pending pass — checking [scan_from] over exactly the paths
+   touched since the previous pass against the full [scan] — or
+   completes one live running leaf through [Sched.report_decision];
+   [rand] picks the step and the leaf. *)
+let shadow_pump ~rand (script, root) =
+  let schema =
+    match Frontend.compile script ~root with
+    | Ok schema -> schema
+    | Error e -> Alcotest.failf "compile failed: %s" (Frontend.error_to_string e)
+  in
+  let reg = Registry.create () in
+  Workloads.register reg;
+  let effective = Registry.effective reg in
+  let inst =
+    Instate.create ~iid:"sp" ~script_text:script ~schema ~status:Wstate.Wf_running
+      ~external_inputs:Workloads.seed_inputs
+  in
+  let idx = Sched.build_index ~effective schema in
+  let pending = ref Sched.All in
+  (* tracked apart from [pending], so a dirty set that lost a change
+     still triggers the pass that exposes it *)
+  let changed = ref true in
+  let passes = ref 0 in
+  let apply action =
+    Instate.apply_action_mirror inst ~now:0 ~deadline_of:(fun _ -> 0) action;
+    pending := Sched.add_dirty !pending [ Sched.action_path action ];
+    changed := true
+  in
+  (* as in the engine: timers already armed for their attempt are
+     dropped, the rest get armed, and the effectful actions are applied
+     in dispatch order *)
+  let armed = inst.Instate.timers_armed in
+  let split actions =
+    let arms, rest = List.partition (function Sched.Arm_timer _ -> true | _ -> false) actions in
+    let fresh =
+      List.filter_map
+        (function
+          | Sched.Arm_timer { a_path; a_set; a_attempt; _ } ->
+            let key = pkey a_path ^ "|" ^ a_set in
+            if Hashtbl.find_opt armed key = Some a_attempt then None else Some (key, a_attempt)
+          | _ -> None)
+        arms
+    in
+    (List.sort compare fresh, Sched.prioritise rest)
+  in
+  let pass () =
+    incr passes;
+    let v = Instate.view inst ~effective in
+    let arms, actions = split (Sched.scan v ~root:schema) in
+    let arms', actions' = split (Sched.scan_from idx v ~root:schema ~dirty:!pending) in
+    pending := Sched.no_dirty;
+    changed := false;
+    if actions' <> actions || arms' <> arms then
+      Alcotest.failf "pass %d: scan_from disagrees with scan (%d vs %d actions)" !passes
+        (List.length actions') (List.length actions);
+    List.iter (fun (key, attempt) -> Hashtbl.replace armed key attempt) arms;
+    List.iter apply actions
+  in
+  let complete (path, task, attempt, _) =
+    let code = match effective task with Sched.E_fn code -> code | _ -> assert false in
+    let r = leaf_outcome reg inst ~code ~path ~attempt in
+    match
+      Sched.report_decision (Instate.view inst ~effective) ~task ~path ~attempt ~is_mark:false
+        ~output:r.Registry.output ~objects:r.Registry.objects
+    with
+    | Sched.D_apply action -> apply action
+    | Sched.D_fail reason -> apply (Sched.fail_action task ~path ~attempt ~reason)
+    | Sched.D_retry | Sched.D_auto_restart | Sched.D_ignore ->
+      Alcotest.failf "unexpected report decision for %s" (pkey path)
+  in
+  let rec loop () =
+    if !passes > 10_000 then Alcotest.fail "shadow pump did not conclude";
+    match Instate.get_state inst [ schema.Schema.name ] with
+    | Some (Wstate.Done _ | Wstate.Failed _) -> ()
+    | _ -> (
+      let v = Instate.view inst ~effective in
+      let leaves =
+        Instate.running_leaves inst ~effective
+        |> List.filter (fun (path, _, _, _) -> Sched.task_live v path)
+        |> List.sort compare
       in
-      match d with Some d -> log := d :: !log | None -> ());
-  fun () -> List.rev !log
+      match (!changed, leaves) with
+      | false, [] -> Alcotest.fail "shadow pump stalled before the root concluded"
+      | true, _ when leaves = [] || Random.State.bool rand -> pass (); loop ()
+      | _ -> complete (List.nth leaves (Random.State.int rand (List.length leaves))); loop ())
+  in
+  loop ()
 
-let config_of ~incremental =
-  { Engine.default_config with incremental; retain_concluded = true }
+(* --- end to end: engine vs the baseline interpreter --- *)
 
-(* One full run of [script] in the given mode: decision sequence, final
-   status, final task states. *)
-let drive ~incremental ?faults (script, root) =
-  let tb = Testbed.make ~engine_config:(config_of ~incremental) () in
+(* One engine run of [script]: final status and final task states. *)
+let engine_run ?faults (script, root) =
+  let tb = Testbed.make () in
   Workloads.register tb.Testbed.registry;
-  let decisions = decision_log tb.Testbed.sim in
   Option.iter (Testbed.apply_faults tb) faults;
-  match Testbed.launch_and_run ~until:(Sim.sec 120) tb ~script ~root ~inputs:Workloads.seed_inputs with
+  match
+    Testbed.launch_and_run ~until:(Sim.sec 120) tb ~script ~root ~inputs:Workloads.seed_inputs
+  with
   | Error e -> Alcotest.failf "launch failed: %s" e
-  | Ok (iid, status) ->
-    (decisions (), status, Engine.task_states tb.Testbed.engine iid)
+  | Ok (iid, status) -> (status, Engine.task_states tb.Testbed.engine iid)
 
-let modes_agree ?faults workload =
-  let d_inc, s_inc, st_inc = drive ~incremental:true ?faults workload in
-  let d_ref, s_ref, st_ref = drive ~incremental:false ?faults workload in
-  if d_inc <> d_ref then
-    Alcotest.failf "decision sequences diverge:\nincremental: %s\nreference:   %s"
-      (String.concat " | " d_inc) (String.concat " | " d_ref);
-  check "same final status" true (s_inc = s_ref);
-  check "same final task states" true (st_inc = st_ref)
+let baseline_status (script, root) =
+  let sim = Sim.create () in
+  let node = Network.add_node (Network.create sim) ~id:"b0" in
+  let registry = Registry.create () in
+  Workloads.register registry;
+  let b = Baseline.create ~sim ~node ~registry in
+  match Baseline.launch b ~script ~root ~inputs:Workloads.seed_inputs with
+  | Error e -> Alcotest.failf "baseline launch failed: %s" e
+  | Ok iid ->
+    Sim.run ~until:(Sim.sec 120) sim;
+    Baseline.status b iid
+
+let status_string s = Format.asprintf "%a" Wstate.pp_status s
 
 (* --- randomized workflow DAGs --- *)
 
@@ -171,28 +266,46 @@ let gen_dag =
 
 let prop_random_dags =
   QCheck.Test.make ~name:"incremental = full rescan on random DAGs" ~count:40
-    (QCheck.make gen_dag ~print:(fun nodes -> fst (dag_script nodes)))
-    (fun nodes ->
-      modes_agree (dag_script nodes);
+    (QCheck.make
+       QCheck.Gen.(pair gen_dag (int_bound 1_000_000))
+       ~print:(fun (nodes, seed) -> Printf.sprintf "seed %d\n%s" seed (fst (dag_script nodes))))
+    (fun (nodes, seed) ->
+      let workload = dag_script nodes in
+      shadow_pump ~rand:(Random.State.make [| seed |]) workload;
+      let engine, _ = engine_run workload in
+      (match baseline_status workload with
+      | Some baseline when baseline = engine -> ()
+      | Some baseline ->
+        Alcotest.failf "engine %s, baseline %s" (status_string engine) (status_string baseline)
+      | None -> Alcotest.fail "baseline lost the instance");
       true)
 
-(* --- the structured workload families, including under faults --- *)
+(* --- the structured workload families --- *)
 
 let test_families () =
-  modes_agree (Workloads.chain ~n:12);
-  modes_agree (Workloads.fanout ~width:6);
-  modes_agree (Workloads.nested ~depth:5);
-  modes_agree (Workloads.alternatives ~k:4 ~alive:3)
+  List.iter
+    (fun workload ->
+      for seed = 1 to 8 do
+        shadow_pump ~rand:(Random.State.make [| seed |]) workload
+      done)
+    [
+      Workloads.chain ~n:12;
+      Workloads.fanout ~width:6;
+      Workloads.nested ~depth:5;
+      Workloads.alternatives ~k:4 ~alive:3;
+    ]
 
 let test_crash_recovery () =
-  (* an engine crash mid-run exercises recovery's full replay in both
-     modes (per-instance directory rows vs the legacy roster list) *)
-  let faults = Fault.crash_restart ~node:"n0" ~at:(Sim.ms 30) ~down_for:(Sim.ms 50) in
-  let d_inc, s_inc, st_inc = drive ~incremental:true ~faults (Workloads.chain ~n:10) in
-  let d_ref, s_ref, st_ref = drive ~incremental:false ~faults (Workloads.chain ~n:10) in
-  ignore (d_inc, d_ref);
-  check "crash/recovery: same final status" true (s_inc = s_ref);
-  check "crash/recovery: same final task states" true (st_inc = st_ref)
+  (* an engine crash mid-run (the fault-free chain concludes at 10ms)
+     replays the instance from the store, re-dispatches the orphaned
+     task and still reaches the fault-free result; attempts may differ *)
+  let workload = Workloads.chain ~n:10 in
+  let faults = Fault.crash_restart ~node:"n0" ~at:(Sim.ms 5) ~down_for:(Sim.ms 50) in
+  let status, states = engine_run ~faults workload in
+  let clean_status, clean_states = engine_run workload in
+  check "crash/recovery: fault-free final status" true (status = clean_status);
+  check "crash/recovery: fault-free task outputs" true
+    (Harness.task_outcomes states = Harness.task_outcomes clean_states)
 
 (* --- pointwise: scan_from against scan on a fresh instance --- *)
 
