@@ -371,7 +371,7 @@ let start_election t =
 let handle_replicate t ~src:_ body =
   let (rterm, leader, prev), (prev_term, batch, lcommit) = dec_replicate body in
   let nack () = Wire.(triple int bool int) (t.term, false, t.loglen) in
-  if rterm < t.term then nack ()
+  if rterm < t.term || prev < 0 then nack ()
   else begin
     if rterm > t.term then step_down t rterm;
     t.role <- Follower;
@@ -446,12 +446,17 @@ let handle_append t ~src:_ body ~reply =
       | Error e -> reply (Ok (tagged "err" e))))
   | Candidate -> reply (Ok (tagged "electing" ""))
   | Follower -> (
-    match t.leader_hint with
+    (* A voter with no hint yet presumes its candidate leads: the
+       winner's first replicate may simply not have arrived. Campaigning
+       here instead would depose each new leader the moment it won. *)
+    let presumed = match t.leader_hint with None -> t.voted_for | hint -> hint in
+    match presumed with
     | Some l when l <> t.self && not urgent -> reply (Ok (tagged "redirect" l))
     | Some l when l <> t.self ->
       (* the client could not reach the leader we believe in — probe it
          before campaigning, so a client-side partition does not depose
-         a perfectly healthy leader *)
+         a perfectly healthy leader, and a dead candidate cannot wedge
+         the group *)
       let epoch = t.epoch in
       Rpc.call t.rpc ~src:t.self ~dst:l ~service:service_ping ~body:(Wire.string t.self)
         ~timeout:probe_timeout ~retries:1 (fun res ->

@@ -13,9 +13,12 @@
       on election);
     - elections are {e demand-driven}: a replica campaigns when a
       client that failed to reach the leader nudges it (and, at
-      bootstrap, the lowest-ranked replica campaigns once). There are
-      no standing heartbeat timers — every timer the module schedules
-      is bounded, so a quiescent group drains the simulator;
+      bootstrap, the lowest-ranked replica campaigns once). A follower
+      that granted its vote this term and knows no leader yet defers
+      to that candidate instead: it probes it, redirects the client
+      there, and campaigns only if the probe fails. There are no
+      standing heartbeat timers — every timer the module schedules is
+      bounded, so a quiescent group drains the simulator;
     - rejoining replicas catch up through the ordinary replication
       stream: a recovery ping tells the leader to resume pushing, and
       log conflicts are resolved by suffix truncation.

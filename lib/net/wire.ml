@@ -127,8 +127,8 @@ let rec scan_colon input i limit =
   else scan_colon input (i + 1) limit
 
 (* Accumulates decimal digits in [first, stop). Caller guarantees the
-   digit count cannot overflow (length headers are bounded by the input
-   size; int payloads are capped at 17 digits before calling). *)
+   digit count cannot overflow (length headers and int payloads are
+   capped at 18 and 17 digits before calling). *)
 let rec scan_digits input i stop acc =
   if i >= stop then acc
   else begin
@@ -148,6 +148,9 @@ let d_header d =
   let colon = scan_colon input d.pos n in
   if colon < 0 then fail d "missing length separator";
   if colon = d.pos then fail d "bad length";
+  (* 19+ digits can wrap the accumulator to a huge positive length whose
+     bounds check then overflows too; no real frame is that long *)
+  if colon - d.pos > 18 then fail d "bad length";
   let len = scan_digits input d.pos colon 0 in
   if len < 0 then fail d "bad length";
   if colon + 1 + len > n then fail d "truncated payload";

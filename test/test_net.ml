@@ -32,6 +32,11 @@ let test_wire_rejects_extreme_lengths () =
   check "negative length" true (attempt "-3:abc");
   check "length far past the buffer" true (attempt "999999999:ab");
   check "length overflowing int parsing" true (attempt "99999999999999999999:ab");
+  check "length wrapping to max_int" true (attempt "4611686018427387903:ab");
+  check "wrapped int length" true
+    (match Wire.(decode d_int) "4611686018427387890:1" with
+    | exception Wire.Malformed _ -> true
+    | _ -> false);
   check "empty input" true (attempt "");
   check "negative list count" true
     (match Wire.(decode (d_list d_int)) (Wire.int (-1)) with
