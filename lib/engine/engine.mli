@@ -86,8 +86,7 @@ val trace : t -> Trace.t
 
 val metrics : t -> Metrics.t
 (** The engine's metrics registry: counters and histograms accumulated
-    from the typed event bus (see {!Event} and {!Metrics.attach}). Dump
-    with {!Metrics.to_json}. *)
+    from the typed event bus (see {!Event} and {!Metrics.attach}). *)
 
 val registry : t -> Registry.t
 

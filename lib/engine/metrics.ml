@@ -1,8 +1,6 @@
-type hist = { mutable count : int; mutable sum : int; mutable rev_samples : int list }
-
 type t = {
   counters : (string, int ref) Hashtbl.t;
-  histograms : (string, hist) Hashtbl.t;
+  histograms : (string, int list ref) Hashtbl.t;  (* samples, newest first *)
   gauges : (string, int ref) Hashtbl.t;
   event_names : (string, int ref) Hashtbl.t;  (* Event.name -> "events."-prefixed counter *)
 }
@@ -21,17 +19,9 @@ let incr ?(by = 1) t name =
   | None -> Hashtbl.replace t.counters name (ref by)
 
 let observe t name v =
-  let h =
-    match Hashtbl.find_opt t.histograms name with
-    | Some h -> h
-    | None ->
-      let h = { count = 0; sum = 0; rev_samples = [] } in
-      Hashtbl.replace t.histograms name h;
-      h
-  in
-  h.count <- h.count + 1;
-  h.sum <- h.sum + v;
-  h.rev_samples <- v :: h.rev_samples
+  match Hashtbl.find_opt t.histograms name with
+  | Some samples -> samples := v :: !samples
+  | None -> Hashtbl.replace t.histograms name (ref [ v ])
 
 let value t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
@@ -55,7 +45,7 @@ let counters t =
 
 let samples t name =
   match Hashtbl.find_opt t.histograms name with
-  | Some h -> List.rev h.rev_samples
+  | Some samples -> List.rev !samples
   | None -> []
 
 (* Engine-level counters keep their own stable names (they back the
@@ -125,59 +115,3 @@ let attach_labelled t bus =
         | Event.Wf_concluded _ -> incr t (Printf.sprintf "cluster.%s.concluded" src)
         | Event.Recovery_replayed _ -> incr t (Printf.sprintf "cluster.%s.recoveries" src)
         | _ -> ())
-
-let pct sorted n p =
-  if n = 0 then 0
-  else
-    let rank = (p * (n - 1)) / 100 in
-    List.nth sorted rank
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let to_json t =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\"counters\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (json_escape name) v))
-    (counters t);
-  Buffer.add_string buf "},\"histograms\":{";
-  let hists =
-    Hashtbl.fold (fun name h acc -> (name, h) :: acc) t.histograms []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  List.iteri
-    (fun i (name, h) ->
-      if i > 0 then Buffer.add_char buf ',';
-      let sorted = List.sort compare h.rev_samples in
-      let mean = if h.count = 0 then 0. else float_of_int h.sum /. float_of_int h.count in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\"%s\":{\"count\":%d,\"min\":%d,\"max\":%d,\"mean\":%.1f,\"p50\":%d,\"p95\":%d,\"p99\":%d}"
-           (json_escape name) h.count
-           (pct sorted h.count 0)
-           (pct sorted h.count 100)
-           mean
-           (pct sorted h.count 50)
-           (pct sorted h.count 95)
-           (pct sorted h.count 99)))
-    hists;
-  Buffer.add_string buf "},\"gauges\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (json_escape name) v))
-    (gauges t);
-  Buffer.add_string buf "}}";
-  Buffer.contents buf

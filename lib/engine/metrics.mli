@@ -5,8 +5,7 @@
     {!attach} subscribes the registry to a bus; every {!Event.t} bumps a
     generic [events.<tag>] counter, and engine-relevant events also bump
     the stable [engine.*] counters backing the [Engine.*_total]
-    accessors. {!to_json} renders everything for machine consumption
-    (the bench harness writes it to [BENCH_engine.json]). *)
+    accessors. *)
 
 type t
 
@@ -49,6 +48,3 @@ val gauges : t -> (string * int) list
 
 val samples : t -> string -> int list
 (** Raw histogram samples in recording order; [] if unknown. *)
-
-val to_json : t -> string
-(** [{"counters":{...},"histograms":{name:{count,min,max,mean,p50,p95,p99}},"gauges":{...}}] *)

@@ -207,30 +207,57 @@ let cmd_assign_batch ~cid ~pairs =
   Wire.(run (b_pair b_string (b_pair b_string (b_list (b_pair b_string b_string)))))
     ("assign_batch", (cid, pairs))
 
+type command =
+  | C_store of (string * string)
+  | C_assign of (string * string)
+  | C_assign_batch of (string * string) list
+  | C_unknown of string
+
+(* Decode the whole command before touching the store: the log carries
+   whatever bytes a client appended, and a payload that raised here
+   would raise again on every replica and on every replay. *)
+let decode_command cmd =
+  let body tag d =
+    match tag with
+    | "store" -> C_store (Wire.(d_pair d_string d_string) d)
+    | "assign" -> C_assign (Wire.(d_pair d_string d_string) d)
+    | "assign_batch" -> C_assign_batch (Wire.(d_list (d_pair d_string d_string)) d)
+    | other -> C_unknown other
+  in
+  match
+    Wire.decode
+      (fun d ->
+        let tag = Wire.d_string d in
+        let cid = Wire.d_string d in
+        (cid, body tag d))
+      cmd
+  with
+  | decoded -> Ok decoded
+  | exception Wire.Malformed reason -> Error reason
+
 let apply_command t cmd =
-  let d = Wire.decoder cmd in
-  let tag = Wire.d_string d in
-  let cid = Wire.d_string d in
-  match Kvstore.get t.store (key_cid cid) with
-  | Some cached -> cached
-  | None ->
-    let reply =
-      match tag with
-      | "store" ->
-        let name, source = Wire.(d_pair d_string d_string) d in
-        enc_result Wire.int (store t ~name ~source)
-      | "assign" ->
-        let iid, engine = Wire.(d_pair d_string d_string) d in
-        assign t ~iid ~engine;
-        Wire.bool true
-      | "assign_batch" ->
-        let pairs = Wire.(d_list (d_pair d_string d_string)) d in
-        assign_many t ~pairs;
-        Wire.int (List.length pairs)
-      | other -> enc_result Wire.int (Error ("unknown repository command: " ^ other))
-    in
-    Kvstore.put t.store (key_cid cid) reply;
-    reply
+  match decode_command cmd with
+  | Error reason ->
+    (* the reply depends on the bytes alone, so every replica answers
+       alike; nothing is written, not even the dedup row *)
+    enc_result Wire.int (Error ("malformed repository command: " ^ reason))
+  | Ok (cid, command) -> (
+    match Kvstore.get t.store (key_cid cid) with
+    | Some cached -> cached
+    | None ->
+      let reply =
+        match command with
+        | C_store (name, source) -> enc_result Wire.int (store t ~name ~source)
+        | C_assign (iid, engine) ->
+          assign t ~iid ~engine;
+          Wire.bool true
+        | C_assign_batch pairs ->
+          assign_many t ~pairs;
+          Wire.int (List.length pairs)
+        | C_unknown other -> enc_result Wire.int (Error ("unknown repository command: " ^ other))
+      in
+      Kvstore.put t.store (key_cid cid) reply;
+      reply)
 
 let install_read_services t =
   let node = t.node in

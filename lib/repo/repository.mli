@@ -34,7 +34,10 @@ val apply_command : t -> string -> string
 (** Execute one replicated command ({!cmd_store} & co.) and return the
     wire-encoded reply. Deterministic, and deduplicated by the client
     id embedded in the command: re-applying a command whose id was
-    already applied returns the original reply without re-executing. *)
+    already applied returns the original reply without re-executing.
+    Never raises on the command's bytes: one that does not decode gets
+    an error reply that depends only on those bytes, and leaves the
+    store untouched. *)
 
 val cmd_store : cid:string -> name:string -> source:string -> string
 

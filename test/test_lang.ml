@@ -160,6 +160,56 @@ let test_paper_scripts_parse () =
       | Error (msg, loc) -> Alcotest.failf "%s: %s (%s)" name msg (Loc.to_string loc))
     Paper_scripts.all
 
+(* --- untrusted script bytes --- *)
+
+(* The four paper applications with a byte flipped, cut short, spliced
+   onto another script or given a stray punctuation mark: the front end
+   answers Ok or Error and never raises. *)
+let fuzz_scripts =
+  [|
+    (Paper_scripts.quickstart, Paper_scripts.quickstart_root);
+    (Paper_scripts.service_impact, Paper_scripts.service_impact_root);
+    (Paper_scripts.process_order, Paper_scripts.process_order_root);
+    (Paper_scripts.business_trip, Paper_scripts.business_trip_root);
+  |]
+
+let punctuation = "{}();,:\".\\"
+
+let mutate_script ((which, other), (pos, arg, kind)) =
+  let pick i = fuzz_scripts.(i mod Array.length fuzz_scripts) in
+  let src, root = pick which in
+  let n = String.length src in
+  let at = pos mod (n + 1) in
+  let mutated =
+    match kind mod 4 with
+    | 0 -> String.sub src 0 at
+    | 1 when at < n ->
+      let b = Bytes.of_string src in
+      Bytes.set b at (Char.chr (Char.code src.[at] lxor (1 lsl (arg mod 8))));
+      Bytes.to_string b
+    | 1 -> src
+    | 2 ->
+      let donor, _ = pick other in
+      let from = arg mod String.length donor in
+      String.sub src 0 at ^ String.sub donor from (String.length donor - from)
+    | _ ->
+      String.sub src 0 at
+      ^ String.make 1 punctuation.[arg mod String.length punctuation]
+      ^ String.sub src at (n - at)
+  in
+  (mutated, root)
+
+let mutated_script_qcheck =
+  QCheck.Test.make ~name:"mutated script bytes never raise" ~count:1000
+    QCheck.(
+      map mutate_script
+        (pair (pair small_nat small_nat)
+           (triple (int_bound 1_000_000) (int_bound 1_000_000) small_nat)))
+    (fun (src, root) ->
+      match Frontend.compile src ~root with
+      | Ok _ | Error _ -> true
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 (* --- pretty-printer round trip --- *)
 
 let strip_locs_decl d = ignore d
@@ -964,6 +1014,7 @@ let () =
           Alcotest.test_case "templates" `Quick test_parse_template_and_instantiation;
           Alcotest.test_case "error position" `Quick test_parse_error_reports_position;
           Alcotest.test_case "paper scripts parse" `Quick test_paper_scripts_parse;
+          QCheck_alcotest.to_alcotest mutated_script_qcheck;
         ] );
       ("pretty", [ Alcotest.test_case "round trip" `Quick test_roundtrip_paper_scripts ]);
       ( "recovery",

@@ -241,6 +241,97 @@ let test_replicated_redirect_loop_bounded () =
   Testbed.run tb;
   check "read served by the survivor" true (!owner = Some (Ok None))
 
+(* --- undecodable replicated commands --- *)
+
+(* [Some msg] when a repository reply is the error arm of a result *)
+let reply_error reply =
+  let d = Wire.decoder reply in
+  match Wire.d_bool d with
+  | false -> Some (Wire.d_string d)
+  | true -> None
+  | exception Wire.Malformed _ -> None
+
+let is_malformed_reply reply =
+  match reply_error reply with
+  | Some e -> String.starts_with ~prefix:"malformed repository command" e
+  | None -> false
+
+let store_rows repo =
+  Kvstore.fold (Repository.internal_store repo) ~init:[] ~f:(fun acc k v -> (k, v) :: acc)
+  |> List.sort compare
+
+let test_replicated_malformed_command () =
+  (* any client can append any bytes to the log: an undecodable command
+     must commit as a deterministic error reply on every replica, not
+     raise out of the simulator and wedge the group on every replay *)
+  let tb, group, _ = make_replicated () in
+  let rc = Rlog_client.create ~rpc:tb.Testbed.rpc ~src:"n0" ~replicas:[ "r1"; "r2"; "r3" ] () in
+  let garbage = ref None in
+  Rlog_client.append rc ~payload:"garbage" (fun r -> garbage := Some r);
+  Testbed.run tb;
+  (match !garbage with
+  | Some (Ok reply) -> check "garbage answered with an error" true (is_malformed_reply reply)
+  | Some (Error e) -> Alcotest.failf "append failed: %s" e
+  | None -> Alcotest.fail "garbage append never answered");
+  let rows id = store_rows (Repo_group.replica group id) in
+  List.iter
+    (fun id -> check ("garbage wrote nothing on " ^ id) true (rows id = []))
+    (Repo_group.nodes group);
+  (* the log keeps going: a valid command after it commits and applies *)
+  let assigned = ref None in
+  Rlog_client.append rc
+    ~payload:(Repository.cmd_assign ~cid:"c1" ~iid:"wf-1" ~engine:"e1")
+    (fun r -> assigned := Some r);
+  Testbed.run tb;
+  check "valid command applied" true (!assigned = Some (Ok (Wire.bool true)));
+  List.iter
+    (fun id ->
+      check ("owner on " ^ id) true
+        (Repository.owner (Repo_group.replica group id) ~iid:"wf-1" = Some "e1");
+      check ("replica " ^ id ^ " matches r1") true (rows id = rows "r1"))
+    (Repo_group.nodes group)
+
+(* Truncations, bit flips and splices of well-formed commands: whatever
+   the bytes, [apply_command] returns a reply, and a command it cannot
+   decode leaves the store exactly as it was. *)
+let commands =
+  [|
+    Repository.cmd_store ~cid:"c1" ~name:"quick" ~source:Paper_scripts.quickstart;
+    Repository.cmd_assign ~cid:"c2" ~iid:"wf-1" ~engine:"e1";
+    Repository.cmd_assign_batch ~cid:"c3" ~pairs:[ ("wf-2", "e1"); ("wf-3", "e2") ];
+  |]
+
+let mutate ((which, other), (pos, arg, kind)) =
+  let pick i = commands.(i mod Array.length commands) in
+  let cmd = pick which in
+  let n = String.length cmd in
+  let at = pos mod (n + 1) in
+  match kind mod 3 with
+  | 0 -> String.sub cmd 0 at
+  | 1 when at < n ->
+    let b = Bytes.of_string cmd in
+    Bytes.set b at (Char.chr (Char.code cmd.[at] lxor (1 lsl (arg mod 8))));
+    Bytes.to_string b
+  | 1 -> cmd
+  | _ ->
+    let donor = pick other in
+    let from = arg mod String.length donor in
+    String.sub cmd 0 at ^ String.sub donor from (String.length donor - from)
+
+let mutated_command_qcheck =
+  QCheck.Test.make ~name:"mutated replicated commands never raise" ~count:500
+    QCheck.(
+      map mutate
+        (pair (pair small_nat small_nat)
+           (triple (int_bound 1_000_000) (int_bound 1_000_000) small_nat)))
+    (fun cmd ->
+      let repo = Repository.create_backing ~node:(Node.create ~id:"repo") in
+      Repository.assign repo ~iid:"wf-0" ~engine:"e0";
+      let before = store_rows repo in
+      match Repository.apply_command repo cmd with
+      | reply -> (not (is_malformed_reply reply)) || store_rows repo = before
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 let () =
   Alcotest.run "repo"
     [
@@ -270,5 +361,8 @@ let () =
             test_replicated_corrupt_head_fails_loudly;
           Alcotest.test_case "redirect loop bounded without quorum" `Quick
             test_replicated_redirect_loop_bounded;
+          Alcotest.test_case "malformed command answered, not raised" `Quick
+            test_replicated_malformed_command;
+          QCheck_alcotest.to_alcotest mutated_command_qcheck;
         ] );
     ]
