@@ -52,9 +52,16 @@ let status_output = function
 (* Instance completion time in virtual us, read from the engine trace —
    Sim.now after a full drain includes harmless 30s watchdog no-ops. *)
 let completion_at tb =
-  match Trace.find (Engine.trace tb.Testbed.engine) ~kind:"instance" with
-  | e :: _ -> e.Trace.at
-  | [] -> -1
+  match
+    List.find_opt
+      (function _, Event.Wf_concluded _ -> true | _ -> false)
+      (Engine.trace tb.Testbed.engine)
+  with
+  | Some (at, _) -> at
+  | None -> -1
+
+let count_events tb p =
+  List.length (List.filter (fun (_, ev) -> p ev) (Engine.trace tb.Testbed.engine))
 
 (* ==================================================================== *)
 (* Part 1: figure regeneration                                          *)
@@ -67,9 +74,6 @@ let fig1 () =
   header "F1 (Fig 1): inter-task dependencies — t2,t3 after t1; t4 after both";
   let tb = Testbed.make () in
   Impls.register_quickstart ?work:None tb.Testbed.registry;
-  (* the Gantt rows come straight off the typed event bus *)
-  let recorder = Gantt.recorder () in
-  Gantt.attach recorder (Sim.events tb.Testbed.sim);
   let _, status =
     must
       (Testbed.launch_and_run tb ~script:Paper_scripts.quickstart
@@ -77,14 +81,17 @@ let fig1 () =
   in
   Printf.printf "outcome: %s\n" (status_output status);
   let trace = Engine.trace tb.Testbed.engine in
-  let interesting (e : Trace.entry) = e.Trace.kind = "start" || e.Trace.kind = "complete" in
   List.iter
-    (fun (e : Trace.entry) ->
-      if interesting e then
-        Printf.printf "  %8d us  %-8s  %s\n" e.Trace.at e.Trace.kind e.Trace.detail)
-    (Trace.entries trace);
+    (fun (at, ev) ->
+      match ev with
+      | Event.Task_started { path; attempt } ->
+        Printf.printf "  %8d us  %-8s  %s (attempt %d)\n" at "start" path attempt
+      | Event.Task_completed { path; output; _ } ->
+        Printf.printf "  %8d us  %-8s  %s -> %s\n" at "complete" path output
+      | _ -> ())
+    trace;
   print_endline "";
-  print_string (Gantt.render_events recorder)
+  print_string (Gantt.render trace)
 
 let fig2 () =
   header "F2 (Fig 2): input sets and ordered alternative sources";
@@ -114,9 +121,8 @@ let fig3 () =
       ~script:Paper_scripts.business_trip ~root:Paper_scripts.business_trip_root
       ~inputs:user_inputs ()
   in
-  let trace = Engine.trace tb.Testbed.engine in
   Printf.printf "hotelReservation used its repeat outcome %d time(s); final outcome: %s\n"
-    (List.length (Trace.find trace ~kind:"repeat"))
+    (count_events tb (function Event.Task_repeated _ -> true | _ -> false))
     (status_output status)
 
 let fig4 () =
@@ -199,9 +205,8 @@ let fig8_9 () =
           ~script:Paper_scripts.business_trip ~root:Paper_scripts.business_trip_root
           ~inputs:user_inputs ()
       in
-      let trace = Engine.trace tb.Testbed.engine in
-      let marks = List.length (Trace.find trace ~kind:"mark") in
-      let repeats = List.length (Trace.find trace ~kind:"repeat") in
+      let marks = count_events tb (function Event.Task_marked _ -> true | _ -> false) in
+      let repeats = count_events tb (function Event.Task_repeated _ -> true | _ -> false) in
       Printf.printf "  %-34s -> %-10s (marks: %d, repeats: %d)\n" label (status_output status)
         marks repeats)
     [

@@ -212,7 +212,10 @@ let cmd_run path root inputs forced seed show_trace show_gantt until_ms =
     prerr_endline e;
     exit 1
   | Ok (iid, status) ->
-    if show_trace then Trace.dump Format.std_formatter (Engine.trace tb.Testbed.engine);
+    if show_trace then
+      List.iter
+        (fun (at, ev) -> Format.printf "[%8d us] %a@." at Event.pp ev)
+        (Engine.trace tb.Testbed.engine);
     if show_gantt then print_string (Gantt.render (Engine.trace tb.Testbed.engine));
     Format.printf "instance %s: %a@." iid Wstate.pp_status status;
     List.iter
@@ -262,7 +265,7 @@ let run_cmd =
            ~doc:"Make the generic implementation bound to $(i,code) finish in $(i,output).")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Simulation seed.") in
-  let trace = Arg.(value & flag & info [ "trace" ] ~doc:"Dump the execution trace.") in
+  let trace = Arg.(value & flag & info [ "trace" ] ~doc:"Print the engine's typed event log.") in
   let gantt = Arg.(value & flag & info [ "gantt" ] ~doc:"Draw an ASCII Gantt chart of the run.") in
   let until =
     Arg.(value & opt (some int) None & info [ "until" ] ~docv:"MS" ~doc:"Stop after MS simulated milliseconds.")

@@ -10,14 +10,14 @@
 let user = [ ("user", Value.obj ~cls:"User" (Value.Str "fred")) ]
 
 let narrate trace =
-  let interesting (e : Trace.entry) =
-    match e.Trace.kind with
-    | "start" | "complete" | "mark" | "repeat" | "instance" -> true
-    | _ -> false
-  in
   List.iter
-    (fun (e : Trace.entry) -> if interesting e then Format.printf "  %a@." Trace.pp_entry e)
-    (Trace.entries trace)
+    (fun (at, ev) ->
+      match ev with
+      | Event.Task_started _ | Event.Task_completed _ | Event.Task_marked _
+      | Event.Task_repeated _ | Event.Wf_concluded _ ->
+        Format.printf "  [%8d us] %a@." at Event.pp ev
+      | _ -> ())
+    trace
 
 let run label scenario =
   Format.printf "@.%s@.%s@." label (String.make (String.length label) '-');

@@ -29,7 +29,9 @@ let () =
   (* The trace regenerates Fig 1's ordering: t2/t3 released together
      after t1, t4 after both. *)
   print_endline "\nexecution trace:";
-  Trace.dump Format.std_formatter (Engine.trace tb.Testbed.engine);
+  List.iter
+    (fun (at, ev) -> Format.printf "[%8d us] %a@." at Event.pp ev)
+    (Engine.trace tb.Testbed.engine);
 
   print_endline "\ntimeline (the paper's Fig 1, as a Gantt chart):";
   print_string (Gantt.render (Engine.trace tb.Testbed.engine));

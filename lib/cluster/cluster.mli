@@ -7,8 +7,9 @@
     placement directory so any node can resolve ownership; status and
     admin queries route through the same directory. Engines coexist
     without knowing of each other: completion/mark/exec services are
-    namespaced per engine node ({!Wfmsg}), and every engine scopes its
-    trace and metrics to its own event-source label. *)
+    namespaced per engine node ({!Wfmsg}); every engine keeps only the
+    events it published itself in its trace, and scopes its metrics to
+    its own event-source label. *)
 
 type policy =
   | Round_robin  (** k-th launch goes to engine [k mod n] *)
@@ -86,7 +87,9 @@ val launch :
 (** Route a launch through the placement policy. Returns
     [(iid, engine_node)]. The assignment is recorded in the local
     directory cache immediately and persisted through the repository
-    service asynchronously. *)
+    service asynchronously. When the placed engine refuses the launch
+    (for instance [Error "engine <id> is down"]) nothing is recorded and
+    the next launch reuses the same instance id and placement slot. *)
 
 val owner : t -> string -> string option
 (** Which engine owns this instance (router's directory cache)? *)

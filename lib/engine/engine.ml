@@ -3,7 +3,7 @@
    - Sched    — pure scheduling core (readiness, selection, Fig 3 rules)
    - Instate  — per-instance mirrors + action -> writes translation
    - Dispatch — effects: transactions, RPC dispatch, committed reads
-   - Event/Metrics/Trace — typed observability spine (Sim.events)
+   - Event/Metrics — typed observability spine (Sim.events)
 
    This module orchestrates: it runs the evaluation pump, owns epochs
    and watchdogs, and wires crash/recovery. *)
@@ -16,18 +16,6 @@ type config = {
   dispatch_overhead : Sim.time;
   retain_concluded : bool;
   trace : bool;
-}
-
-(* The config-seeded default recovery policy: the single source of truth
-   for what a task with no [recovery { ... }] section gets. The config
-   fields [default_deadline], [dispatch_rpc_retries] and
-   [system_max_attempts] are aliases that seed this record once at
-   engine creation; everything at dispatch/retry time reads the policy,
-   never the config. *)
-type default_policy = {
-  dp_deadline : Sim.time;  (* per-attempt watchdog deadline *)
-  dp_rpc_retries : int;  (* RPC send budget per dispatch *)
-  dp_max_attempts : int;  (* total execution attempts per task *)
 }
 
 let default_config =
@@ -48,10 +36,10 @@ type t = {
   disp : Dispatch.t;
   reg : Registry.t;
   config : config;
-  default_policy : default_policy;
-  tracer : Trace.t;
+  mutable log : (Sim.time * Event.t) list;
+      (* this engine's own events, newest first; kept only with
+         [config.trace] *)
   metrics : Metrics.t;
-  rng : Rng.t;  (* split once at creation to keep downstream seeds stable *)
   jitter_salt : string;
       (* engine-stable, seed-derived salt for backoff jitter: drawn once
          at creation so the spread is a pure function of (seed, engine,
@@ -72,16 +60,17 @@ type t = {
 
 let node_id t = Node.id t.node
 let node t = t.node
-let default_policy t = t.default_policy
 let rpc t = t.rpc
-let trace t = t.tracer
+let trace t = List.rev t.log
 let metrics t = t.metrics
 let registry t = t.reg
 let pkey = Wstate.path_to_string
 
 (* every engine event carries the engine's node id as its source, so
    observers can keep the streams of co-hosted engines apart *)
-let emit t ev = Sim.emit t.sim ~src:(Node.id t.node) ev
+let emit t ev =
+  if t.config.trace then t.log <- (Sim.now t.sim, ev) :: t.log;
+  Sim.emit t.sim ~src:(Node.id t.node) ev
 
 (* --- schema navigation (through dynamically bound sub-workflows) --- *)
 
@@ -93,20 +82,21 @@ let task_live t inst path = Sched.task_live (iview t inst) path
 (* --- spans from the policy, implementation kvs + config --- *)
 
 (* A declared [timeout N then ...] clause is the per-attempt watchdog
-   deadline; otherwise the legacy "deadline" kv, then the config-seeded
-   default policy. *)
+   deadline; otherwise the legacy "deadline" kv, then the config
+   default. *)
 let deadline_span t task =
   match task.Schema.policy.Schema.p_timeout_ms with
   | Some n -> Sim.ms n
   | None -> (
     match Sched.impl_ms task ~key:"deadline" with
     | Some n -> Sim.ms n
-    | None -> t.default_policy.dp_deadline)
+    | None -> t.config.default_deadline)
 
-(* The task's compiled policy resolved against the default policy;
-   [primary] is the registry-effective implementation code. *)
+(* The task's compiled policy resolved against the config's default
+   attempt budget; [primary] is the registry-effective implementation
+   code. *)
 let task_rpolicy t task ~primary =
-  Sched.resolve_policy task ~primary ~default_max_attempts:t.default_policy.dp_max_attempts
+  Sched.resolve_policy task ~primary ~default_max_attempts:t.config.system_max_attempts
 
 let rpolicy_of t task =
   let primary = match effective_body t task with Sched.E_fn code -> code | _ -> "" in
@@ -170,7 +160,7 @@ let run_compensation t inst compensation =
     let host =
       match Ast.impl_location handler.Schema.impl with Some n -> n | None -> node_id t
     in
-    Dispatch.send_exec t.disp ~host ~retries:t.default_policy.dp_rpc_retries
+    Dispatch.send_exec t.disp ~host ~retries:t.config.dispatch_rpc_retries
       {
         Wfmsg.x_iid = inst.Instate.iid;
         x_path = tpath;
@@ -183,8 +173,7 @@ let run_compensation t inst compensation =
 
 (* --- applying scheduler actions --- *)
 
-(* Mirror update + the matching typed event, per action, in pass order
-   (the trace subscriber turns the events into the legacy log). *)
+(* Mirror update + the matching typed event, per action, in pass order. *)
 let apply_and_announce t inst action =
   let now = Sim.now t.sim in
   let duration =
@@ -347,7 +336,7 @@ and dispatch t inst ~path ~task ~code ~set ~inputs ~attempt =
   let code = Sched.policy_code rp ~attempt in
   let host = match Ast.impl_location task.Schema.impl with Some n -> n | None -> node_id t in
   let epoch = t.epoch in
-  Dispatch.send_exec t.disp ~host ~retries:t.default_policy.dp_rpc_retries
+  Dispatch.send_exec t.disp ~host ~retries:t.config.dispatch_rpc_retries
     { Wfmsg.x_iid = inst.Instate.iid; x_path = path; x_attempt = attempt; x_code = code;
       x_set = set; x_inputs = inputs }
     (function
@@ -522,37 +511,39 @@ and fail_policy t inst ~path ~task ~reason =
 
 and finalize t inst =
   if inst.Instate.status = Wstate.Wf_running && not inst.Instate.concluding then begin
-    let rpath = [ inst.Instate.schema.Schema.name ] in
-    let conclude status =
-      inst.Instate.concluding <- true;
-      let meta = Instate.meta inst ~status in
-      persist t
-        [
-          (Wstate.key_meta inst.Instate.iid, Some (Wstate.encode_meta meta));
-          Instate.history_write inst ~now:(Sim.now t.sim) ~kind:"instance"
-            ~detail:(Format.asprintf "%a" Wstate.pp_status status);
-        ]
-        (fun () ->
-          inst.Instate.status <- status;
-          emit t
-            (Event.Wf_concluded
-               {
-                 iid = inst.Instate.iid;
-                 status = Format.asprintf "%a" Wstate.pp_status status;
-               });
-          let callbacks = inst.Instate.callbacks in
-          inst.Instate.callbacks <- [];
-          List.iter (fun cb -> cb status) callbacks;
-          (* bound resident memory: pump-only state always goes; with
-             [retain_concluded = false] the whole mirror goes too *)
-          if t.config.retain_concluded then Instate.trim_concluded inst
-          else Instate.release inst)
+    let concluded status =
+      conclude t inst status
+        (Event.Wf_concluded
+           { iid = inst.Instate.iid; status = Format.asprintf "%a" Wstate.pp_status status })
+        ignore
     in
-    match Instate.get_state inst rpath with
-    | Some (Wstate.Done { output; objects; _ }) -> conclude (Wstate.Wf_done { output; objects })
-    | Some (Wstate.Failed reason) -> conclude (Wstate.Wf_failed reason)
+    match Instate.get_state inst [ inst.Instate.schema.Schema.name ] with
+    | Some (Wstate.Done { output; objects; _ }) -> concluded (Wstate.Wf_done { output; objects })
+    | Some (Wstate.Failed reason) -> concluded (Wstate.Wf_failed reason)
     | None | Some (Wstate.Waiting _ | Wstate.Running _) -> ()
   end
+
+(* The one way an instance stops running (its root finished, or a user
+   cancelled it): persist the final meta and the [instance] history row,
+   then announce [ev], fire the completion callbacks and bound resident
+   memory — pump-only state always goes; with [retain_concluded = false]
+   the whole mirror goes too. *)
+and conclude t inst status ev k =
+  inst.Instate.concluding <- true;
+  persist t
+    [
+      (Wstate.key_meta inst.Instate.iid, Some (Wstate.encode_meta (Instate.meta inst ~status)));
+      Instate.history_write inst ~now:(Sim.now t.sim) ~kind:"instance"
+        ~detail:(Format.asprintf "%a" Wstate.pp_status status);
+    ]
+    (fun () ->
+      inst.Instate.status <- status;
+      emit t ev;
+      let callbacks = inst.Instate.callbacks in
+      inst.Instate.callbacks <- [];
+      List.iter (fun cb -> cb status) callbacks;
+      if t.config.retain_concluded then Instate.trim_concluded inst else Instate.release inst;
+      k ())
 
 (* --- reports from task hosts --- *)
 
@@ -759,21 +750,14 @@ let attach_host_on t node =
 
 let create ?(config = default_config) ~rpc ~node ~mgr ~participant ~registry:reg () =
   let sim = Network.sim (Rpc.network rpc) in
-  let tracer = Trace.create () in
   let metrics = Metrics.create () in
-  (* the legacy trace is now a bus subscriber; engine-originated events
-     render to their historical kind/detail strings, the rest to None.
-     Both the trace and the metrics registry are scoped to this engine's
-     source label — in a multi-engine cluster each engine only observes
-     its own stream (cluster-wide views subscribe unfiltered). *)
+  (* the metrics registry is scoped to this engine's source label — in a
+     multi-engine cluster each engine only observes its own stream
+     (cluster-wide views subscribe unfiltered) *)
   let own = Node.id node in
-  if config.trace then
-    Event.subscribe (Sim.events sim) (fun ~at ~src ev ->
-        if src = own then
-          match Event.to_trace ev with
-          | Some (kind, detail) -> Trace.record tracer ~at ~kind detail
-          | None -> ());
   Metrics.attach metrics ~src:own (Sim.events sim);
+  (* the split advances the root rng: components created after this
+     engine draw their seeds from where it leaves off *)
   let rng = Rng.split (Sim.rng sim) in
   let t =
     {
@@ -783,15 +767,8 @@ let create ?(config = default_config) ~rpc ~node ~mgr ~participant ~registry:reg
       disp = Dispatch.create ~overhead:config.dispatch_overhead ~rpc ~node ~mgr ~participant ();
       reg;
       config;
-      default_policy =
-        {
-          dp_deadline = config.default_deadline;
-          dp_rpc_retries = config.dispatch_rpc_retries;
-          dp_max_attempts = config.system_max_attempts;
-        };
-      tracer;
+      log = [];
       metrics;
-      rng;
       (* a copy, not another split: the root rng must advance exactly as
          before so downstream components keep their seed streams *)
       jitter_salt = own ^ "#" ^ Int64.to_string (Rng.next_int64 (Rng.copy rng));
@@ -841,36 +818,42 @@ let attach_host t node = attach_host_on t node
    directory rows ([wf:dir:]). *)
 let reserved_iid i = String.contains i ':' || String.equal i "dir"
 
+(* A crashed engine refuses client operations before they write
+   anything; the client retries once the engine has recovered. *)
+let down_error t = Error ("engine " ^ node_id t ^ " is down")
+
 let launch ?iid t ~script ~root ~inputs =
-  match compile_cached t ~script ~root with
-  | Error e -> Error (Frontend.error_to_string e)
-  | Ok _ when (match iid with Some i -> Hashtbl.mem t.insts i | None -> false) ->
-    Error ("duplicate instance id " ^ Option.get iid)
-  | Ok _ when (match iid with Some i -> reserved_iid i | None -> false) ->
-    Error ("reserved instance id " ^ Option.get iid ^ " (ids may not contain ':' or be \"dir\")")
-  | Ok schema ->
-    t.seq <- t.seq + 1;
-    let iid =
-      match iid with Some i -> i | None -> Printf.sprintf "wf-%d-%d" t.epoch t.seq
-    in
-    let inst =
-      Instate.create ~iid ~script_text:script ~schema ~status:Wstate.Wf_running
-        ~external_inputs:inputs
-    in
-    let meta = Instate.meta inst ~status:Wstate.Wf_running in
-    (* visible immediately: callers can attach on_complete before the
-       launch transaction commits; scheduling starts once durable *)
-    t.inst_rev <- iid :: t.inst_rev;
-    Hashtbl.replace t.insts iid inst;
-    emit t (Event.Wf_launched { iid; root });
-    persist t
-      [
-        (Wstate.key_dir iid, Some (Wstate.encode_dir_seq t.seq));
-        (Wstate.key_meta iid, Some (Wstate.encode_meta meta));
-        Instate.history_write inst ~now:(Sim.now t.sim) ~kind:"launch" ~detail:("root=" ^ root);
-      ]
-      (fun () -> mark_dirty t inst);
-    Ok iid
+  if not (Node.up t.node) then down_error t
+  else
+    match compile_cached t ~script ~root with
+    | Error e -> Error (Frontend.error_to_string e)
+    | Ok _ when (match iid with Some i -> Hashtbl.mem t.insts i | None -> false) ->
+      Error ("duplicate instance id " ^ Option.get iid)
+    | Ok _ when (match iid with Some i -> reserved_iid i | None -> false) ->
+      Error ("reserved instance id " ^ Option.get iid ^ " (ids may not contain ':' or be \"dir\")")
+    | Ok schema ->
+      t.seq <- t.seq + 1;
+      let iid =
+        match iid with Some i -> i | None -> Printf.sprintf "wf-%d-%d" t.epoch t.seq
+      in
+      let inst =
+        Instate.create ~iid ~script_text:script ~schema ~status:Wstate.Wf_running
+          ~external_inputs:inputs
+      in
+      let meta = Instate.meta inst ~status:Wstate.Wf_running in
+      (* visible immediately: callers can attach on_complete before the
+         launch transaction commits; scheduling starts once durable *)
+      t.inst_rev <- iid :: t.inst_rev;
+      Hashtbl.replace t.insts iid inst;
+      emit t (Event.Wf_launched { iid; root });
+      persist t
+        [
+          (Wstate.key_dir iid, Some (Wstate.encode_dir_seq t.seq));
+          (Wstate.key_meta iid, Some (Wstate.encode_meta meta));
+          Instate.history_write inst ~now:(Sim.now t.sim) ~kind:"launch" ~detail:("root=" ^ root);
+        ]
+        (fun () -> mark_dirty t inst);
+      Ok iid
 
 let status t iid =
   Option.map (fun (inst : Instate.t) -> inst.Instate.status) (Hashtbl.find_opt t.insts iid)
@@ -954,25 +937,19 @@ let quiescent t iid =
 
 let cancel t iid ~reason k =
   match Hashtbl.find_opt t.insts iid with
+  | _ when not (Node.up t.node) -> k (down_error t)
   | None -> k (Error ("no such instance " ^ iid))
   | Some inst when inst.Instate.status <> Wstate.Wf_running ->
     k (Error ("instance " ^ iid ^ " already finished"))
   | Some inst ->
-    let status = Wstate.Wf_failed ("cancelled: " ^ reason) in
-    let meta = Instate.meta inst ~status in
-    inst.Instate.concluding <- true;
-    persist t
-      [ (Wstate.key_meta iid, Some (Wstate.encode_meta meta)) ]
-      (fun () ->
-        inst.Instate.status <- status;
-        emit t (Event.Wf_cancelled { iid; reason });
-        let callbacks = inst.Instate.callbacks in
-        inst.Instate.callbacks <- [];
-        List.iter (fun cb -> cb status) callbacks;
-        k (Ok ()))
+    conclude t inst
+      (Wstate.Wf_failed ("cancelled: " ^ reason))
+      (Event.Wf_cancelled { iid; reason })
+      (fun () -> k (Ok ()))
 
 let abort_task t iid ~path k =
   match Hashtbl.find_opt t.insts iid with
+  | _ when not (Node.up t.node) -> k (down_error t)
   | None -> k (Error ("no such instance " ^ iid))
   | Some inst -> (
     match (Instate.get_state inst path, find_task_node t inst path) with
@@ -987,6 +964,7 @@ let compact t = Dispatch.compact t.disp
 
 let gc t iid k =
   match Hashtbl.find_opt t.insts iid with
+  | _ when not (Node.up t.node) -> k (down_error t)
   | None -> k (Error ("no such instance " ^ iid))
   | Some inst when inst.Instate.status = Wstate.Wf_running ->
     k (Error ("instance " ^ iid ^ " is still running"))
@@ -1001,6 +979,7 @@ let gc t iid k =
 
 let reconfigure t iid ~transform k =
   match Hashtbl.find_opt t.insts iid with
+  | _ when not (Node.up t.node) -> k (down_error t)
   | None -> k (Error ("no such instance " ^ iid))
   | Some inst -> (
     match

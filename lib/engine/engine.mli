@@ -19,15 +19,13 @@
 
 type config = {
   default_deadline : Sim.time;
-      (** dispatch-to-completion watchdog. Alias: seeds
-          {!default_policy.dp_deadline} at engine creation — tasks with a
-          declared [recovery] section override it per task. *)
-  dispatch_rpc_retries : int;
-      (** Alias: seeds {!default_policy.dp_rpc_retries}. *)
+      (** dispatch-to-completion watchdog of a task without a declared
+          [timeout]; a declared [recovery] section overrides it per task. *)
+  dispatch_rpc_retries : int;  (** RPC send budget per dispatch *)
   system_max_attempts : int;
-      (** re-dispatches before the task fails. Alias: seeds
-          {!default_policy.dp_max_attempts}; a declared [retry n] clause
-          overrides the budget per task (per implementation code). *)
+      (** total execution attempts before the task fails; a declared
+          [retry n] clause overrides the budget per task (per
+          implementation code). *)
   default_timeout : Sim.time;  (** timer input sets without a ["timeout"] kv *)
   dispatch_overhead : Sim.time;
       (** engine CPU cost per dispatch, serialised per engine (0 =
@@ -41,27 +39,16 @@ type config = {
           the {e live} instance count — capacity runs want this. Durable
           records are unaffected either way ({!gc} removes those). *)
   trace : bool;
-      (** subscribe the legacy human-readable trace to the event bus
-          (default true). Trace lines are rendered and retained for
-          every engine-originated event, so high-volume capacity runs
-          turn this off; {!trace} then returns an empty trace. *)
+      (** keep every event this engine publishes, with its time, for
+          {!trace} (default true). The log grows with every engine
+          event, so high-volume capacity runs turn this off; {!trace}
+          then returns [[]]. Metrics and the durable history do not
+          depend on it. *)
 }
 
 val default_config : config
 
-(** The config-seeded default recovery policy — what a task without a
-    [recovery { ... }] section executes under. Compiled once at engine
-    creation from the three config aliases above; dispatch, watchdog and
-    retry paths consult policy records only, never the raw config. *)
-type default_policy = {
-  dp_deadline : Sim.time;  (** per-attempt watchdog deadline *)
-  dp_rpc_retries : int;  (** RPC send budget per dispatch *)
-  dp_max_attempts : int;  (** total execution attempts per task *)
-}
-
 type t
-
-val default_policy : t -> default_policy
 
 val create :
   ?config:config ->
@@ -82,7 +69,15 @@ val node : t -> Node.t
 
 val rpc : t -> Rpc.t
 
-val trace : t -> Trace.t
+val trace : t -> (Sim.time * Event.t) list
+(** The events this engine published itself, stamped with their virtual
+    time, in emission order; [[]] when [config.trace] is off. That is
+    every [Wf_*], task transition, watchdog, timer, policy and recovery
+    event; [Task_dispatched], [Persist_batched] and [Txn_failed] come
+    from the dispatch layer and, like RPC and transaction events, are on
+    the {!Sim.events} bus only. Volatile: a crash does not clear it, and
+    it is not persisted either — {!history} is the durable record.
+    {!Gantt.render} draws the run's timeline from it. *)
 
 val metrics : t -> Metrics.t
 (** The engine's metrics registry: counters and histograms accumulated
@@ -94,7 +89,11 @@ val attach_host : t -> Node.t -> Exec_host.t
 (** Make another node able to execute task implementations (scripts
     place tasks with [implementation { "location" is "node" }]). *)
 
-(** {1 Instances} *)
+(** {1 Instances}
+
+    The client operations {!launch}, {!cancel}, {!abort_task}, {!gc} and
+    {!reconfigure} refuse to run on a crashed engine: they answer
+    [Error "engine <id> is down"] and write nothing. *)
 
 val launch :
   ?iid:string ->
@@ -165,8 +164,11 @@ val quiescent : t -> string -> bool
 val cancel : t -> string -> reason:string -> ((unit, string) result -> unit) -> unit
 (** User-forced abort of a whole running instance (Fig 3 names the user
     forcing an abort as a legal transition): the instance completes with
-    [Wf_failed reason]; running constituents are abandoned (their scopes
-    are closed, so watchdogs and late reports are ignored). *)
+    [Wf_failed ("cancelled: " ^ reason)]; running constituents are
+    abandoned (their scopes are closed, so watchdogs and late reports are
+    ignored). It concludes exactly like a finished instance: an
+    [instance] history row, the completion callbacks, and the
+    [retain_concluded] memory bound. *)
 
 val abort_task : t -> string -> path:string list -> ((unit, string) result -> unit) -> unit
 (** User-forced abort of one waiting or running task: it terminates in

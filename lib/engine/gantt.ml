@@ -6,55 +6,6 @@ type row = {
   mutable marks : Sim.time list;
 }
 
-(* "diamond/t1 (attempt 1)" -> "diamond/t1" *)
-let strip_suffix detail =
-  match String.index_opt detail ' ' with
-  | Some i -> String.sub detail 0 i
-  | None -> detail
-
-(* "diamond/t1 -> produced" -> ("diamond/t1", "produced") *)
-let split_arrow detail =
-  let marker = " -> " in
-  let ml = String.length marker in
-  let rec find i =
-    if i + ml > String.length detail then None
-    else if String.sub detail i ml = marker then Some i
-    else find (i + 1)
-  in
-  match find 0 with
-  | Some i ->
-    (String.sub detail 0 i, String.sub detail (i + ml) (String.length detail - i - ml))
-  | None -> (detail, "")
-
-let collect trace =
-  let rows : (string, row) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  let row_for path at =
-    match Hashtbl.find_opt rows path with
-    | Some r -> r
-    | None ->
-      let r = { path; started = at; finished = None; outcome = ""; marks = [] } in
-      Hashtbl.replace rows path r;
-      order := path :: !order;
-      r
-  in
-  let visit (e : Trace.entry) =
-    match e.Trace.kind with
-    | "start" | "scope-open" -> ignore (row_for (strip_suffix e.Trace.detail) e.Trace.at)
-    | "complete" ->
-      let path, outcome = split_arrow e.Trace.detail in
-      let r = row_for path e.Trace.at in
-      r.finished <- Some e.Trace.at;
-      r.outcome <- outcome
-    | "mark" ->
-      let path = strip_suffix e.Trace.detail in
-      let r = row_for path e.Trace.at in
-      r.marks <- e.Trace.at :: r.marks
-    | _ -> ()
-  in
-  List.iter visit (Trace.entries trace);
-  List.rev_map (Hashtbl.find rows) !order
-
 let render_rows ~width rows =
   match rows with
   | [] -> ""
@@ -92,37 +43,29 @@ let render_rows ~width rows =
     List.iter render_row rows;
     Buffer.contents buf
 
-let render ?(width = 60) trace = render_rows ~width (collect trace)
-
-(* --- typed recorder: same chart, fed by the event bus --- *)
-
-type recorder = { rows : (string, row) Hashtbl.t; mutable order : string list }
-
-let recorder () = { rows = Hashtbl.create 16; order = [] }
-
-let attach ?src:only r bus =
+let render ?(width = 60) events =
+  let rows : (string, row) Hashtbl.t = Hashtbl.create 16 in
+  let order = ref [] in
   let row_for path at =
-    match Hashtbl.find_opt r.rows path with
-    | Some row -> row
+    match Hashtbl.find_opt rows path with
+    | Some r -> r
     | None ->
-      let row = { path; started = at; finished = None; outcome = ""; marks = [] } in
-      Hashtbl.replace r.rows path row;
-      r.order <- path :: r.order;
-      row
+      let r = { path; started = at; finished = None; outcome = ""; marks = [] } in
+      Hashtbl.replace rows path r;
+      order := path :: !order;
+      r
   in
-  Event.subscribe bus (fun ~at ~src ev ->
-      match ev with
-      | _ when (match only with Some s -> s <> src | None -> false) -> ()
-      | Event.Task_started { path; _ } | Event.Scope_opened { path } ->
-        ignore (row_for path at)
-      | Event.Task_completed { path; output; _ } ->
-        let row = row_for path at in
-        row.finished <- Some at;
-        row.outcome <- output
-      | Event.Task_marked { path; _ } ->
-        let row = row_for path at in
-        row.marks <- at :: row.marks
-      | _ -> ())
-
-let render_events ?(width = 60) r =
-  render_rows ~width (List.rev_map (Hashtbl.find r.rows) r.order)
+  let visit (at, ev) =
+    match ev with
+    | Event.Task_started { path; _ } | Event.Scope_opened { path } -> ignore (row_for path at)
+    | Event.Task_completed { path; output; _ } ->
+      let r = row_for path at in
+      r.finished <- Some at;
+      r.outcome <- output
+    | Event.Task_marked { path; _ } ->
+      let r = row_for path at in
+      r.marks <- at :: r.marks
+    | _ -> ()
+  in
+  List.iter visit events;
+  render_rows ~width (List.rev_map (Hashtbl.find rows) !order)

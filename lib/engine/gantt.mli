@@ -1,30 +1,14 @@
-(** ASCII Gantt chart of a workflow run, reconstructed from the engine
-    trace — regenerates the paper's Fig 1 timeline ("t2 and t3 start
-    once t1 finishes and t4 starts after both") as text.
+(** ASCII Gantt chart of a workflow run, reconstructed from an engine's
+    typed event log ({!Engine.trace}) — regenerates the paper's Fig 1
+    timeline ("t2 and t3 start once t1 finishes and t4 starts after
+    both") as text.
 
-    One row per task execution interval (first [start]/[scope-open] to
-    the matching [complete]), drawn over a scaled time axis; marks are
-    drawn as [*] at their release instant. *)
+    One row per task execution interval (first [Task_started] or
+    [Scope_opened] to the matching [Task_completed]), drawn over a scaled
+    time axis; [Task_marked] events are drawn as [*] at their release
+    instant. *)
 
-val render : ?width:int -> Trace.t -> string
-(** [width] is the number of columns of the bar area (default 60). An
-    empty trace renders an empty string. *)
-
-(** {1 Typed recorder}
-
-    The same chart fed directly from the typed event bus instead of the
-    legacy trace: subscribe a recorder before the run, render after. *)
-
-type recorder
-
-val recorder : unit -> recorder
-
-val attach : ?src:string -> recorder -> Event.bus -> unit
-(** Subscribe to [Task_started]/[Scope_opened], [Task_completed] and
-    [Task_marked] events. With [src], only events from that source
-    (engine node id) are recorded — needed when several engines share
-    the bus and task paths could collide across instances. *)
-
-val render_events : ?width:int -> recorder -> string
-(** Render what the recorder saw; identical output to {!render} over
-    the legacy trace of the same run. *)
+val render : ?width:int -> (Sim.time * Event.t) list -> string
+(** [width] is the number of columns of the bar area (default 60). Rows
+    appear in order of first event; events that are not task
+    transitions are ignored. An empty log renders an empty string. *)

@@ -86,42 +86,63 @@ let name = function
   | Cons_committed _ -> "cons-committed"
   | Cons_caught_up _ -> "cons-caught-up"
 
-(* The legacy trace vocabulary predates the typed events; tests, the
-   Gantt reconstruction and the CLI all read it, so the mapping must
-   reproduce the historical kind/detail strings byte for byte. Event
-   types introduced after the migration map to [None]. *)
-let to_trace = function
-  | Wf_launched { iid; root } -> Some ("launch", Printf.sprintf "%s root=%s" iid root)
-  | Wf_concluded { iid; status } -> Some ("instance", Printf.sprintf "%s %s" iid status)
-  | Wf_cancelled { iid; reason } -> Some ("cancel", Printf.sprintf "%s: %s" iid reason)
-  | Wf_relaunched { iid } -> Some ("relaunch", iid)
-  | Wf_reconfigured { iid } -> Some ("reconfigure", iid)
-  | Wf_collected { iid } -> Some ("gc", iid)
-  | Scope_opened { path } -> Some ("scope-open", path)
-  | Task_started { path; attempt } ->
-    Some ("start", Printf.sprintf "%s (attempt %d)" path attempt)
-  | Task_dispatched _ -> None
-  | Task_retried { path; attempt } ->
-    Some ("retry", Printf.sprintf "%s (attempt %d)" path attempt)
-  | Task_auto_restarted { path } -> Some ("auto-restart", path)
-  | Task_marked { path; mark } -> Some ("mark", Printf.sprintf "%s %s" path mark)
-  | Task_repeated { path; output; attempt } ->
-    Some ("repeat", Printf.sprintf "%s %s (attempt %d)" path output attempt)
-  | Task_completed { path; output; _ } -> Some ("complete", path ^ " -> " ^ output)
-  | Task_failed { path; reason } -> Some ("task-failed", path ^ ": " ^ reason)
-  | Impl_completed _ -> None
-  | Watchdog_fired { path } -> Some ("watchdog", path)
-  | Timer_fired { path; set } -> Some ("timeout", Printf.sprintf "%s input %s" path set)
-  | User_aborted { path } -> Some ("user-abort", path)
-  | Recovery_replayed { instances } ->
-    Some ("recovery", Printf.sprintf "%d instance(s)" instances)
-  | Recovery_error { detail } -> Some ("recovery-error", detail)
-  | Txn_failed { detail } -> Some ("txn-failed", detail)
-  | Policy_retry _ | Policy_substituted _ | Policy_compensated _ | Txn_resolved _
-  | Txn_one_phase _ | Txn_readonly_elided _ | Rpc_sent _ | Rpc_retried _ | Rpc_timed_out _
-  | Rpc_reply_evicted _ | Rpc_loopback _ | Persist_batched _ | Cons_election_started _
-  | Cons_leader_elected _ | Cons_stepped_down _ | Cons_committed _ | Cons_caught_up _ ->
-    None
+let pp ppf ev =
+  let i = string_of_int and b = string_of_bool in
+  let fields =
+    match ev with
+    | Wf_launched { iid; root } -> [ ("iid", iid); ("root", root) ]
+    | Wf_concluded { iid; status } -> [ ("iid", iid); ("status", status) ]
+    | Wf_cancelled { iid; reason } -> [ ("iid", iid); ("reason", reason) ]
+    | Wf_relaunched { iid } | Wf_reconfigured { iid } | Wf_collected { iid } -> [ ("iid", iid) ]
+    | Scope_opened { path }
+    | Task_auto_restarted { path }
+    | Watchdog_fired { path }
+    | User_aborted { path } ->
+      [ ("path", path) ]
+    | Task_started { path; attempt } | Task_retried { path; attempt } ->
+      [ ("path", path); ("attempt", i attempt) ]
+    | Task_dispatched { path; code; host; attempt } ->
+      [ ("path", path); ("code", code); ("host", host); ("attempt", i attempt) ]
+    | Task_marked { path; mark } -> [ ("path", path); ("mark", mark) ]
+    | Task_repeated { path; output; attempt } ->
+      [ ("path", path); ("output", output); ("attempt", i attempt) ]
+    | Task_completed { path; output; aborted; duration; scope } ->
+      [
+        ("path", path);
+        ("output", output);
+        ("aborted", b aborted);
+        ("duration", i duration);
+        ("scope", b scope);
+      ]
+    | Task_failed { path; reason } -> [ ("path", path); ("reason", reason) ]
+    | Impl_completed { path; output } -> [ ("path", path); ("output", output) ]
+    | Timer_fired { path; set } -> [ ("path", path); ("set", set) ]
+    | Policy_retry { path; attempt; delay_ms } ->
+      [ ("path", path); ("attempt", i attempt); ("delay_ms", i delay_ms) ]
+    | Policy_substituted { path; code } -> [ ("path", path); ("code", code) ]
+    | Policy_compensated { path; task } -> [ ("path", path); ("task", task) ]
+    | Recovery_replayed { instances } -> [ ("instances", i instances) ]
+    | Recovery_error { detail } | Txn_failed { detail } -> [ ("detail", detail) ]
+    | Txn_resolved { txid; committed } -> [ ("txid", txid); ("committed", b committed) ]
+    | Txn_one_phase { txid; local } -> [ ("txid", txid); ("local", b local) ]
+    | Txn_readonly_elided { txid; node } -> [ ("txid", txid); ("node", node) ]
+    | Rpc_sent { src; dst; service }
+    | Rpc_retried { src; dst; service }
+    | Rpc_timed_out { src; dst; service } ->
+      [ ("src", src); ("dst", dst); ("service", service) ]
+    | Rpc_reply_evicted { node } -> [ ("node", node) ]
+    | Rpc_loopback { node; service } -> [ ("node", node); ("service", service) ]
+    | Persist_batched { requests; writes } -> [ ("requests", i requests); ("writes", i writes) ]
+    | Cons_election_started { node; term }
+    | Cons_leader_elected { node; term }
+    | Cons_stepped_down { node; term } ->
+      [ ("node", node); ("term", i term) ]
+    | Cons_committed { node; index; term } ->
+      [ ("node", node); ("index", i index); ("term", i term) ]
+    | Cons_caught_up { node; upto } -> [ ("node", node); ("upto", i upto) ]
+  in
+  Format.pp_print_string ppf (name ev);
+  List.iter (fun (k, v) -> Format.fprintf ppf " %s=%s" k v) fields
 
 type subscriber = at:int -> src:string -> t -> unit
 

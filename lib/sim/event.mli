@@ -4,9 +4,10 @@
     transitions (engine), RPC attempts (net), transaction resolutions
     (tx) and recovery replay. Producers publish onto the {!bus} owned by
     the simulator ({!Sim.events}); subscribers fan the stream out to the
-    legacy string {!Trace}, the {!section-"metrics"} registry, Gantt
-    reconstruction, or anything else — producers never know who is
-    listening.
+    metrics registry, the fault explorer's decision points, or anything
+    else — producers never know who is listening. An engine also keeps
+    the events it published itself, in order, when its [trace] config
+    is on; [Gantt] renders the paper's timelines from that log.
 
     Times are plain [int]s (virtual microseconds, {!Sim.time}); the
     module sits below [Sim] so the simulator itself can own a bus. *)
@@ -101,10 +102,9 @@ type t =
 val name : t -> string
 (** Stable kebab-case tag of the constructor (metrics counter keys). *)
 
-val to_trace : t -> (string * string) option
-(** Legacy [(kind, detail)] rendering, byte-identical to the historical
-    [Trace.record] strings; [None] for event types that never had a
-    trace representation (dispatches, RPC attempts, 2PC resolutions). *)
+val pp : Format.formatter -> t -> unit
+(** {!name} followed by every field as [key=value], e.g.
+    [task-started path=diamond/t1 attempt=1]. *)
 
 (** {1 Bus} *)
 

@@ -30,8 +30,8 @@ val rng : t -> Rng.t
 
 val events : t -> Event.bus
 (** The run's observability bus. Every layer (engine, RPC, transactions)
-    publishes typed {!Event.t}s here; subscribers (trace, metrics, Gantt
-    recorders) attach once at setup. *)
+    publishes typed {!Event.t}s here; subscribers (metrics, the fault
+    explorer) attach once at setup. *)
 
 val emit : t -> ?src:string -> Event.t -> unit
 (** [emit t ~src ev] publishes [ev] on {!events} stamped with {!now}.

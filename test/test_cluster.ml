@@ -153,6 +153,30 @@ let test_shared_host_serves_both_engines () =
 
 (* --- fault tolerance: one shard crashes, the others never notice --- *)
 
+let test_launch_into_down_engine_refused () =
+  (* a crashed engine must refuse a launch and write nothing: the
+     client's retry after recovery is then the only launch, committed
+     once and dispatched once per task *)
+  let c = make_cluster ~engines:[ "e1"; "e2" ] () in
+  let e1 = Cluster.engine c "e1" in
+  Cluster.crash c "e1";
+  (match Cluster.launch c ~script:chain_script ~root:chain_root ~inputs:Workloads.seed_inputs with
+  | Ok (_, eid) -> Alcotest.failf "launch into crashed e1 accepted (placed on %s)" eid
+  | Error e -> check_str "refusal names the engine" "engine e1 is down" e);
+  Cluster.run c;
+  Cluster.recover c "e1";
+  Cluster.run c;
+  check "refused launch left no instance" true (Engine.histories e1 = []);
+  let iid, eid = launch_chain c in
+  check_str "retry placed on the recovered engine" "e1" eid;
+  Cluster.run c;
+  check "retry completed" true (is_done (Cluster.status c iid));
+  let launches =
+    List.filter (fun (_, kind, _) -> kind = "launch") (Engine.history e1 iid)
+  in
+  check_int "one launch row" 1 (List.length launches);
+  check_int "one dispatch per task" 4 (Engine.dispatches_total e1)
+
 let test_shard_crash_recovery_isolated () =
   let c =
     make_cluster ~work:(Sim.ms 25) ~engines:[ "e1"; "e2"; "e3" ]
@@ -273,6 +297,8 @@ let () =
         [
           Alcotest.test_case "shard crash recovery isolated" `Quick
             test_shard_crash_recovery_isolated;
+          Alcotest.test_case "launch into down engine refused" `Quick
+            test_launch_into_down_engine_refused;
           Alcotest.test_case "supply chain sharded" `Quick test_supply_chain_on_cluster;
         ] );
       ( "replicated",

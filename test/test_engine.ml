@@ -31,6 +31,25 @@ let obj_str objects name =
   | Some { Value.payload = v; _ } -> Format.asprintf "%a" Value.pp v
   | None -> Alcotest.failf "no object %s" name
 
+(* Virtual time of the first event in the engine's log satisfying [p]. *)
+let first_at tb what p =
+  match List.find_opt (fun (_, ev) -> p ev) (Engine.trace tb.Testbed.engine) with
+  | Some (at, _) -> at
+  | None -> Alcotest.failf "no %s in the engine trace" what
+
+let started_at tb path =
+  first_at tb ("start of " ^ path) (function
+    | Event.Task_started { path = p; attempt = 1 } -> p = path
+    | _ -> false)
+
+let completed_at tb path output =
+  first_at tb (path ^ " -> " ^ output) (function
+    | Event.Task_completed { path = p; output = o; _ } -> p = path && o = output
+    | _ -> false)
+
+let count_events tb p =
+  List.length (List.filter (fun (_, ev) -> p ev) (Engine.trace tb.Testbed.engine))
+
 (* --- Fig 1: quickstart diamond --- *)
 
 let seed_input n = [ ("seed", Value.obj ~cls:"Data" (Value.Int n)) ]
@@ -50,18 +69,12 @@ let test_quickstart_ordering_matches_fig1 () =
       ~script:Paper_scripts.quickstart ~root:Paper_scripts.quickstart_root
       ~inputs:(seed_input 1) ()
   in
-  let trace = Engine.trace tb.Testbed.engine in
-  let at kind detail =
-    match Trace.first trace ~kind ~detail with
-    | Some e -> e.Trace.at
-    | None -> Alcotest.failf "no trace entry %s %s" kind detail
-  in
-  let t1_done = at "complete" "diamond/t1 -> produced" in
-  let t2_start = at "start" "diamond/t2 (attempt 1)" in
-  let t3_start = at "start" "diamond/t3 (attempt 1)" in
-  let t2_done = at "complete" "diamond/t2 -> transformed" in
-  let t3_done = at "complete" "diamond/t3 -> transformed" in
-  let t4_start = at "start" "diamond/t4 (attempt 1)" in
+  let t1_done = completed_at tb "diamond/t1" "produced" in
+  let t2_start = started_at tb "diamond/t2" in
+  let t3_start = started_at tb "diamond/t3" in
+  let t2_done = completed_at tb "diamond/t2" "transformed" in
+  let t3_done = completed_at tb "diamond/t3" "transformed" in
+  let t4_start = started_at tb "diamond/t4" in
   check "t2 after t1" true (t2_start >= t1_done);
   check "t3 after t1" true (t3_start >= t1_done);
   check "t2, t3 concurrent (same release time)" true (t2_start = t3_start);
@@ -122,15 +135,9 @@ let test_order_completes () =
 
 let test_order_concurrent_auth_and_stock () =
   let tb, _, _ = run_order Impls.order_ok in
-  let trace = Engine.trace tb.Testbed.engine in
-  let at detail =
-    match Trace.first trace ~kind:"start" ~detail with
-    | Some e -> e.Trace.at
-    | None -> Alcotest.failf "no start for %s" detail
-  in
   check "auth and stock released together" true
-    (at "processOrderApplication/paymentAuthorisation (attempt 1)"
-    = at "processOrderApplication/checkStock (attempt 1)")
+    (started_at tb "processOrderApplication/paymentAuthorisation"
+    = started_at tb "processOrderApplication/checkStock")
 
 let test_order_cancelled_not_authorised () =
   let _, _, status = run_order { Impls.order_ok with Impls.authorised = false } in
@@ -183,30 +190,27 @@ let test_trip_smooth () =
 
 let test_trip_mark_before_completion () =
   let tb, _, _ = run_trip Impls.trip_smooth in
-  let trace = Engine.trace tb.Testbed.engine in
   let mark_at =
-    match Trace.first trace ~kind:"mark" ~detail:"tripReservation toPay" with
-    | Some e -> e.Trace.at
-    | None -> Alcotest.fail "no toPay mark in trace"
+    first_at tb "toPay mark" (function
+      | Event.Task_marked { path = "tripReservation"; mark = "toPay" } -> true
+      | _ -> false)
   in
-  let done_at =
-    match Trace.find trace ~kind:"instance" with
-    | [ e ] -> e.Trace.at
-    | _ -> Alcotest.fail "expected exactly one instance completion"
-  in
+  let concluded = function Event.Wf_concluded _ -> true | _ -> false in
+  check_int "exactly one instance completion" 1 (count_events tb concluded);
+  let done_at = first_at tb "instance completion" concluded in
   check "mark released before the instance completed" true (mark_at <= done_at)
 
 let test_trip_compensation_and_retry_loop () =
   let scenario = { Impls.trip_smooth with Impls.hotel_fails_rounds = 2 } in
   let tb, iid, status = run_trip scenario in
   ignore (expect_done ~output:"done" status);
-  let trace = Engine.trace tb.Testbed.engine in
-  let completions detail = List.length (List.filter (fun (e : Trace.entry) -> e.Trace.detail = detail) (Trace.find trace ~kind:"complete")) in
-  check_int "flightCancellation compensated twice"
-    2
-    (completions "tripReservation/businessReservation/flightCancellation -> cancelled");
-  let repeats = Trace.find trace ~kind:"repeat" in
-  check_int "businessReservation retried twice" 2 (List.length repeats);
+  check_int "flightCancellation compensated twice" 2
+    (count_events tb (function
+      | Event.Task_completed { path; output = "cancelled"; _ } ->
+        path = "tripReservation/businessReservation/flightCancellation"
+      | _ -> false));
+  check_int "businessReservation retried twice" 2
+    (count_events tb (function Event.Task_repeated _ -> true | _ -> false));
   (* final incarnation recorded attempt 3 *)
   match Engine.task_state tb.Testbed.engine iid ~path:[ "tripReservation"; "businessReservation" ] with
   | Some (Wstate.Done { attempt; output; _ }) ->
@@ -220,24 +224,10 @@ let test_trip_inner_hotel_repeats () =
   let scenario = { Impls.trip_smooth with Impls.hotel_inner_retries = 2 } in
   let tb, _, status = run_trip scenario in
   ignore (expect_done ~output:"done" status);
-  let trace = Engine.trace tb.Testbed.engine in
-  let hotel_repeats =
-    List.filter
-      (fun (e : Trace.entry) ->
-        e.Trace.kind = "repeat"
-        && e.Trace.detail <> ""
-        && String.length e.Trace.detail >= 5
-        &&
-        let has_hotel =
-          let needle = "hotelReservation" in
-          let n = String.length needle and h = String.length e.Trace.detail in
-          let rec at i = i + n <= h && (String.sub e.Trace.detail i n = needle || at (i + 1)) in
-          at 0
-        in
-        has_hotel)
-      (Trace.entries trace)
-  in
-  check_int "hotel repeated twice within the round" 2 (List.length hotel_repeats)
+  check_int "hotel repeated twice within the round" 2
+    (count_events tb (function
+      | Event.Task_repeated { path; _ } -> String.ends_with ~suffix:"/hotelReservation" path
+      | _ -> false))
 
 let test_trip_no_flight_cancelled () =
   let scenario = { Impls.trip_smooth with Impls.flights_found = (false, false, false) } in
@@ -548,9 +538,7 @@ compoundtask root of taskclass Root {
   with
   | Ok (iid, status) ->
     ignore (expect_done ~output:"done" status);
-    let trace = Engine.trace tb.Testbed.engine in
-    check "eager completed off the mark" true
-      (Trace.first trace ~kind:"complete" ~detail:"root/eager -> got" <> None);
+    check "eager completed off the mark" true (completed_at tb "root/eager" "got" >= 0);
     (* the compound reached its outcome while the producer was still
        executing: the producer is abandoned, exactly the early-release
        point of Fig 2/3 *)
@@ -1098,6 +1086,34 @@ let test_user_cancel_instance () =
   check "cancellation durable" true
     (match Engine.status tb.Testbed.engine iid with Some (Wstate.Wf_failed _) -> true | _ -> false)
 
+let test_cancel_concludes_like_finalize () =
+  (* a cancelled instance takes the conclusion path of a finished one:
+     its mirror is released under [retain_concluded = false] and its
+     history ends with the [instance] row *)
+  let engine_config = { Engine.default_config with Engine.retain_concluded = false } in
+  let tb = Testbed.make ~engine_config () in
+  Impls.register_process_order ~work:(Sim.ms 100) ~scenario:Impls.order_ok tb.Testbed.registry;
+  let iid =
+    match
+      Engine.launch tb.Testbed.engine ~script:Paper_scripts.process_order
+        ~root:Paper_scripts.process_order_root ~inputs:order_input
+    with
+    | Ok iid -> iid
+    | Error e -> Alcotest.failf "launch: %s" e
+  in
+  Sim.run ~until:(Sim.ms 20) tb.Testbed.sim;
+  check "mirror resident while running" true (Engine.task_states tb.Testbed.engine iid <> []);
+  let result = ref None in
+  Engine.cancel tb.Testbed.engine iid ~reason:"operator request" (fun r -> result := Some r);
+  Testbed.run tb;
+  check "cancel accepted" true (!result = Some (Ok ()));
+  check "mirror released" true (Engine.task_states tb.Testbed.engine iid = []);
+  match List.rev (Engine.history tb.Testbed.engine iid) with
+  | (_, kind, detail) :: _ ->
+    check_str "last history row" "instance failed(cancelled: operator request)"
+      (kind ^ " " ^ detail)
+  | [] -> Alcotest.fail "no history"
+
 let test_user_abort_task_feeds_fan_in () =
   (* forcing dispatch to abort while waiting/running must produce its
      declared abort outcome, driving the orderCancelled fan-in (Fig 3's
@@ -1203,13 +1219,8 @@ compoundtask root of taskclass Root {
     let objects = expect_done ~output:"done" status in
     check_str "observer forwarded the worker's received input" "payload"
       (obj_str objects "a");
-    let tr = Engine.trace tb.Testbed.engine in
-    let observer_done =
-      match Trace.first tr ~kind:"complete" ~detail:"root/observer -> saw" with
-      | Some e -> e.Trace.at
-      | None -> Alcotest.fail "observer never completed"
-    in
-    check "observer finished while the worker still ran" true (observer_done < Sim.ms 500)
+    check "observer finished while the worker still ran" true
+      (completed_at tb "root/observer" "saw" < Sim.ms 500)
   | Error e -> Alcotest.failf "launch: %s" e
 
 let test_launch_rejects_invalid_script () =
@@ -1364,23 +1375,24 @@ let test_history_over_admin_rpc () =
 
 (* --- observability spine --- *)
 
-let test_gantt_recorder_matches_trace_render () =
-  (* the typed event recorder and the legacy trace must reconstruct the
-     same chart for the same run *)
-  let tb = Testbed.make () in
-  Impls.register_quickstart ~work:(Sim.ms 20) tb.Testbed.registry;
-  let recorder = Gantt.recorder () in
-  Gantt.attach recorder (Sim.events tb.Testbed.sim);
-  (match
-     Testbed.launch_and_run tb ~script:Paper_scripts.quickstart
-       ~root:Paper_scripts.quickstart_root ~inputs:(seed_input 1)
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "launch: %s" e);
-  let from_trace = Gantt.render (Engine.trace tb.Testbed.engine) in
-  check "chart non-empty" true (from_trace <> "");
-  check_str "typed recorder renders the same chart" from_trace
-    (Gantt.render_events recorder)
+let test_trace_toggle_observes_only () =
+  (* [trace = false] drops the engine's event log and changes nothing
+     else: same counters, same durable history, same seed *)
+  let run trace =
+    let tb, _, status =
+      run_trip
+        ~engine_config:{ Engine.default_config with Engine.trace }
+        { Impls.trip_smooth with Impls.hotel_fails_rounds = 1 }
+    in
+    ignore (expect_done ~output:"done" status);
+    tb.Testbed.engine
+  in
+  let on = run true and off = run false in
+  check "log kept when on" true (Engine.trace on <> []);
+  check "no log when off" true (Engine.trace off = []);
+  check "same counters" true
+    (Metrics.counters (Engine.metrics on) = Metrics.counters (Engine.metrics off));
+  check "same histories" true (Engine.histories on = Engine.histories off)
 
 let test_metrics_mirror_counter_accessors () =
   let tb, _, status =
@@ -1476,9 +1488,7 @@ let test_scope_and_task_histograms_split () =
 let test_same_seed_same_trace () =
   let run () =
     let tb, _, status = run_trip { Impls.trip_smooth with Impls.hotel_fails_rounds = 1 } in
-    let trace = Engine.trace tb.Testbed.engine in
-    ( status,
-      List.map (fun (e : Trace.entry) -> (e.Trace.at, e.Trace.kind, e.Trace.detail)) (Trace.entries trace) )
+    (status, Engine.trace tb.Testbed.engine)
   in
   let s1, t1 = run () in
   let s2, t2 = run () in
@@ -1564,6 +1574,8 @@ let () =
           Alcotest.test_case "persistent history" `Quick test_history_survives_crash_and_gc;
           Alcotest.test_case "history over rpc" `Quick test_history_over_admin_rpc;
           Alcotest.test_case "cancel instance" `Quick test_user_cancel_instance;
+          Alcotest.test_case "cancel concludes like finalize" `Quick
+            test_cancel_concludes_like_finalize;
           Alcotest.test_case "user abort drives fan-in" `Quick test_user_abort_task_feeds_fan_in;
           Alcotest.test_case "admin client over rpc" `Quick test_admin_client_over_rpc;
         ] );
@@ -1577,8 +1589,7 @@ let () =
         ] );
       ( "observability",
         [
-          Alcotest.test_case "typed gantt matches trace render" `Quick
-            test_gantt_recorder_matches_trace_render;
+          Alcotest.test_case "trace toggle observes only" `Quick test_trace_toggle_observes_only;
           Alcotest.test_case "metrics mirror counters" `Quick
             test_metrics_mirror_counter_accessors;
         ] );

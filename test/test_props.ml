@@ -484,7 +484,7 @@ let test_gantt_renders_fig1 () =
        lines)
 
 let test_gantt_empty_trace () =
-  Alcotest.(check string) "empty" "" (Gantt.render (Trace.create ()))
+  Alcotest.(check string) "empty" "" (Gantt.render [])
 
 
 let test_gantt_shows_running_tasks () =

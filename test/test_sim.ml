@@ -212,19 +212,25 @@ let test_sim_step () =
   check "second step" true (Sim.step sim);
   check "empty afterwards" false (Sim.step sim)
 
-(* --- Trace --- *)
+(* --- Event rendering --- *)
 
-let test_trace_records_in_order () =
-  let sim = Sim.create () in
-  let trace = Trace.create () in
-  ignore (Sim.schedule sim ~delay:5 (fun () -> Trace.record trace ~at:(Sim.now sim) ~kind:"start" "t1"));
-  ignore (Sim.schedule sim ~delay:9 (fun () -> Trace.record trace ~at:(Sim.now sim) ~kind:"finish" "t1"));
-  Sim.run sim;
-  let entries = Trace.entries trace in
-  check_int "two entries" 2 (List.length entries);
-  check "find by kind" true (List.length (Trace.find trace ~kind:"start") = 1);
-  check "first lookup" true (Trace.first trace ~kind:"finish" ~detail:"t1" <> None);
-  check "missing lookup" true (Trace.first trace ~kind:"finish" ~detail:"t2" = None)
+let test_event_pp () =
+  let show ev = Format.asprintf "%a" Event.pp ev in
+  Alcotest.(check string)
+    "task completed"
+    "task-completed path=diamond/t1 output=produced aborted=false duration=2000 scope=false"
+    (show
+       (Event.Task_completed
+          {
+            path = "diamond/t1";
+            output = "produced";
+            aborted = false;
+            duration = 2000;
+            scope = false;
+          }));
+  Alcotest.(check string)
+    "lower-layer event" "rpc-sent src=n0 dst=n1 service=wf.exec"
+    (show (Event.Rpc_sent { src = "n0"; dst = "n1"; service = "wf.exec" }))
 
 (* --- Fault plans --- *)
 
@@ -307,8 +313,7 @@ let () =
           Alcotest.test_case "negative delay" `Quick test_sim_negative_delay_clamped;
           Alcotest.test_case "step" `Quick test_sim_step;
         ] );
-      ( "trace",
-        [ Alcotest.test_case "records in order" `Quick test_trace_records_in_order ] );
+      ("event", [ Alcotest.test_case "pp names every field" `Quick test_event_pp ]);
       ( "fault",
         [
           Alcotest.test_case "plan applies in order" `Quick test_fault_plan_applies_in_order;

@@ -55,12 +55,10 @@ let test_priority_orders_dispatch () =
   (* ship (priority 10) and invoice (priority 1) become ready in the same
      scheduling round after the reservation; ship must dispatch first *)
   let tb, _, _ = run Supply_chain.smooth in
-  let trace = Engine.trace tb.Testbed.engine in
   let starts =
     List.filter_map
-      (fun (e : Trace.entry) ->
-        if e.Trace.kind = "start" then Some e.Trace.detail else None)
-      (Trace.entries trace)
+      (function _, Event.Task_started { path; _ } -> Some path | _ -> None)
+      (Engine.trace tb.Testbed.engine)
   in
   let index_of prefix =
     let rec find i = function

@@ -33,15 +33,13 @@ let test_fanout_dispatch_count () =
 
 let test_fanout_parallelism () =
   let tb, _, _ = run_workload (Workloads.fanout ~width:5) in
-  let trace = Engine.trace tb.Testbed.engine in
   let starts =
     List.filter_map
-      (fun (e : Trace.entry) ->
-        if e.Trace.kind = "start" && String.length e.Trace.detail > 8
-           && String.sub e.Trace.detail 0 8 = "fanout/w"
-        then Some e.Trace.at
-        else None)
-      (Trace.entries trace)
+      (function
+        | at, Event.Task_started { path; _ } when String.starts_with ~prefix:"fanout/w" path ->
+          Some at
+        | _ -> None)
+      (Engine.trace tb.Testbed.engine)
   in
   check_int "five workers started" 5 (List.length starts);
   check "all released at the same instant" true
@@ -113,9 +111,7 @@ let prop_deterministic_runs =
     (fun n ->
       let run () =
         let tb, _, _ = run_workload (Workloads.chain ~n) in
-        List.map
-          (fun (e : Trace.entry) -> (e.Trace.at, e.Trace.kind, e.Trace.detail))
-          (Trace.entries (Engine.trace tb.Testbed.engine))
+        Engine.trace tb.Testbed.engine
       in
       run () = run ())
 
