@@ -388,6 +388,104 @@ let test_policy_backoff_survives_crash () =
     | (_, 1) :: (at2, 2) :: _ -> check "attempt 2 waited out the recovery" true (at2 >= Sim.ms 150)
     | _ -> Alcotest.fail "expected attempt 1 then attempt 2")
 
+(* --- declared timeout actions: the watchdog branches --- *)
+
+(* [work] runs [t.hang], which computes far past the declared timeout,
+   so only the watchdog can move it on; [t.alt] answers at once. *)
+let watchdog_script ~recovery =
+  Printf.sprintf
+    {|
+class Data;
+taskclass Step {
+    inputs { input main { data of class Data } };
+    outputs { outcome done { data of class Data } }
+};
+taskclass Flow {
+    inputs { input main { data of class Data } };
+    outputs { outcome finished { data of class Data } }
+};
+compoundtask flow of taskclass Flow {
+    task work of taskclass Step {
+        implementation { "code" is "t.hang" };
+        recovery { %s };
+        inputs { input main { inputobject data from { data of task flow if input main } } }
+    };
+    outputs { outcome finished { outputobject data from { data of task work if output done } } }
+}
+|}
+    recovery
+
+let run_watchdog ~recovery =
+  let tb = Testbed.make ~engine_config:fast_engine () in
+  let answer work _ctx = Registry.finish ~work "done" [ ("data", Value.Str "ok") ] in
+  Registry.bind tb.Testbed.registry ~code:"t.hang" (answer (Sim.ms 200));
+  Registry.bind tb.Testbed.registry ~code:"t.alt" (answer (Sim.ms 5));
+  match
+    Testbed.launch_and_run tb ~script:(watchdog_script ~recovery) ~root:"flow"
+      ~inputs:Workloads.seed_inputs
+  with
+  | Error e -> Alcotest.failf "launch: %s" e
+  | Ok (iid, status) ->
+    let rows =
+      List.map (fun (_, kind, detail) -> (kind, detail)) (Engine.history tb.Testbed.engine iid)
+    in
+    (tb, iid, status, rows)
+
+let check_rows what expected rows =
+  Alcotest.(check (list (pair string string))) what expected rows
+
+let test_timeout_then_alternative () =
+  let _, _, status, rows =
+    run_watchdog ~recovery:{|retry 1; timeout 50 then alternative; alternative "t.alt"|}
+  in
+  ignore (expect_done ~output:"finished" status);
+  (* a jump to the alternative's band start: no policy-retry row *)
+  check_rows "history"
+    [
+      ("launch", "root=flow");
+      ("start", "flow (attempt 1)");
+      ("start", "flow/work (attempt 1)");
+      ("policy-substitute", "flow/work -> t.alt (timeout)");
+      ("complete", "flow -> finished");
+      ("complete", "flow/work -> done");
+      ("instance", "done(finished)");
+    ]
+    rows
+
+let test_timeout_then_abort () =
+  let tb, iid, _, rows = run_watchdog ~recovery:"timeout 50 then abort" in
+  (* Step declares no abort outcome, so the task fails outright *)
+  check "work failed with the timeout reason" true
+    (Engine.task_state tb.Testbed.engine iid ~path:[ "flow"; "work" ]
+    = Some (Wstate.Failed "recovery timeout"));
+  check_rows "history"
+    [
+      ("launch", "root=flow");
+      ("start", "flow (attempt 1)");
+      ("start", "flow/work (attempt 1)");
+      ("task-failed", "flow/work: recovery timeout");
+    ]
+    rows
+
+let test_timeout_alternatives_exhausted () =
+  let tb, iid, _, rows =
+    run_watchdog ~recovery:{|retry 0; timeout 50 then alternative; alternative "t.hang"|}
+  in
+  (* attempt 1 jumps to the alternative's band; attempt 2 times out in
+     the last base band, which has no band after it *)
+  check "work failed: alternatives exhausted" true
+    (Engine.task_state tb.Testbed.engine iid ~path:[ "flow"; "work" ]
+    = Some (Wstate.Failed "recovery alternatives exhausted"));
+  check_rows "history"
+    [
+      ("launch", "root=flow");
+      ("start", "flow (attempt 1)");
+      ("start", "flow/work (attempt 1)");
+      ("policy-substitute", "flow/work -> t.hang (timeout)");
+      ("task-failed", "flow/work: recovery alternatives exhausted");
+    ]
+    rows
+
 let test_lossy_network_still_completes () =
   let config = { Network.default_config with Network.loss = 0.25 } in
   let tb = Testbed.make ~config ~engine_config:fast_engine ~seed:7L ~nodes:[ "n0"; "n1" ] () in
@@ -1546,6 +1644,13 @@ let () =
           Alcotest.test_case "forty concurrent instances" `Quick test_many_concurrent_instances;
           Alcotest.test_case "recovery equivalence at scale" `Quick
             test_recovery_equivalence_at_scale;
+        ] );
+      ( "recovery",
+        [
+          Alcotest.test_case "timeout then alternative" `Quick test_timeout_then_alternative;
+          Alcotest.test_case "timeout then abort" `Quick test_timeout_then_abort;
+          Alcotest.test_case "timeout alternatives exhausted" `Quick
+            test_timeout_alternatives_exhausted;
         ] );
       ( "dataflow",
         [
