@@ -1,18 +1,18 @@
 (* The execution service, layered:
 
    - Sched    — pure scheduling core (readiness, selection, Fig 3 rules)
+   - Policy   — pure recovery decisions (attempt bands, backoff, timeouts)
    - Instate  — per-instance mirrors + action -> writes translation
    - Dispatch — effects: transactions, RPC dispatch, committed reads
    - Event/Metrics — typed observability spine (Sim.events)
 
    This module orchestrates: it runs the evaluation pump, owns epochs
-   and watchdogs, and wires crash/recovery. *)
+   and watchdogs, executes policy decisions ([advance]), and wires
+   crash/recovery. *)
 
 type config = {
   default_deadline : Sim.time;
-  dispatch_rpc_retries : int;
   system_max_attempts : int;
-  default_timeout : Sim.time;
   dispatch_overhead : Sim.time;
   retain_concluded : bool;
   trace : bool;
@@ -21,13 +21,17 @@ type config = {
 let default_config =
   {
     default_deadline = Sim.sec 30;
-    dispatch_rpc_retries = 8;
     system_max_attempts = 10;
-    default_timeout = Sim.sec 10;
     dispatch_overhead = 0;
     retain_concluded = true;
     trace = true;
   }
+
+(* RPC send budget of one dispatch to a task host *)
+let dispatch_rpc_retries = 8
+
+(* wait of a timer input set that declares no "timeout" kv *)
+let default_timeout = Sim.sec 10
 
 type t = {
   sim : Sim.t;
@@ -63,7 +67,6 @@ let node t = t.node
 let rpc t = t.rpc
 let trace t = List.rev t.log
 let metrics t = t.metrics
-let registry t = t.reg
 let pkey = Wstate.path_to_string
 
 (* every engine event carries the engine's node id as its source, so
@@ -93,19 +96,14 @@ let deadline_span t task =
     | None -> t.config.default_deadline)
 
 (* The task's compiled policy resolved against the config's default
-   attempt budget; [primary] is the registry-effective implementation
-   code. *)
-let task_rpolicy t task ~primary =
-  Sched.resolve_policy task ~primary ~default_max_attempts:t.config.system_max_attempts
+   attempt budget. *)
+let rpolicy t task = Policy.resolve task ~default_max_attempts:t.config.system_max_attempts
 
-let rpolicy_of t task =
-  let primary = match effective_body t task with Sched.E_fn code -> code | _ -> "" in
-  task_rpolicy t task ~primary
+let timeout_span task =
+  match Sched.impl_ms task ~key:"timeout" with Some n -> Sim.ms n | None -> default_timeout
 
-let timeout_span t task =
-  match Sched.impl_ms task ~key:"timeout" with
-  | Some n -> Sim.ms n
-  | None -> t.config.default_timeout
+let chosen_inputs inst path =
+  match Instate.get_chosen inst path with Some c -> c.Wstate.c_inputs | None -> []
 
 let persist t writes k = Dispatch.persist t.disp writes k
 
@@ -154,20 +152,17 @@ let run_compensation t inst compensation =
   | Some (a_path, target, tpath, handler, code) ->
     Instate.mark_compensated inst a_path;
     emit t (Event.Policy_compensated { path = pkey a_path; task = target });
-    let inputs =
-      match Instate.get_chosen inst a_path with Some c -> c.Wstate.c_inputs | None -> []
-    in
     let host =
       match Ast.impl_location handler.Schema.impl with Some n -> n | None -> node_id t
     in
-    Dispatch.send_exec t.disp ~host ~retries:t.config.dispatch_rpc_retries
+    Dispatch.send_exec t.disp ~host ~retries:dispatch_rpc_retries
       {
         Wfmsg.x_iid = inst.Instate.iid;
         x_path = tpath;
         x_attempt = 1;
         x_code = code;
         x_set = "compensate";
-        x_inputs = inputs;
+        x_inputs = chosen_inputs inst a_path;
       }
       (fun _ -> ())
 
@@ -307,7 +302,7 @@ and arm_timer_action t inst = function
     (match Hashtbl.find_opt inst.Instate.timer_arms key with
     | Some deadline -> ignore (Sim.schedule t.sim ~delay:(max 0 (deadline - Sim.now t.sim)) fire)
     | None ->
-      let deadline = Sim.now t.sim + timeout_span t a_task in
+      let deadline = Sim.now t.sim + timeout_span a_task in
       persist t
         [ (Wstate.key_timer_arm inst.Instate.iid a_path ~set:a_set, Some (string_of_int deadline)) ]
         (fun () ->
@@ -320,23 +315,21 @@ and action_side_effects t inst = function
   | Sched.Start { a_path; a_task; a_set; a_inputs; a_attempt } -> (
     match effective_body t a_task with
     | Sched.E_compound _ -> emit t (Event.Scope_opened { path = pkey a_path })
-    | Sched.E_fn code ->
+    | Sched.E_fn _ ->
       emit t (Event.Task_started { path = pkey a_path; attempt = a_attempt });
-      dispatch t inst ~path:a_path ~task:a_task ~code ~set:a_set ~inputs:a_inputs
-        ~attempt:a_attempt
+      dispatch t inst ~path:a_path ~task:a_task ~set:a_set ~inputs:a_inputs ~attempt:a_attempt
     | Sched.E_missing reason -> fail_policy t inst ~path:a_path ~task:a_task ~reason)
   | Sched.Arm_timer _ | Sched.Fire_mark _ | Sched.Do_repeat _ | Sched.Complete _
   | Sched.Fail_task _ -> ()
 
-and dispatch t inst ~path ~task ~code ~set ~inputs ~attempt =
-  (* [code] is the registry-effective primary; a declared policy maps
-     the durable attempt counter onto its ranked code list, so a
-     recovered engine redispatches the same alternative it was on *)
-  let rp = task_rpolicy t task ~primary:code in
-  let code = Sched.policy_code rp ~attempt in
+and dispatch t inst ~path ~task ~set ~inputs ~attempt =
+  (* a declared policy maps the durable attempt counter onto its ranked
+     code list, so a recovered engine redispatches the same alternative
+     it was on *)
+  let code = Policy.code (rpolicy t task) ~attempt in
   let host = match Ast.impl_location task.Schema.impl with Some n -> n | None -> node_id t in
   let epoch = t.epoch in
-  Dispatch.send_exec t.disp ~host ~retries:t.config.dispatch_rpc_retries
+  Dispatch.send_exec t.disp ~host ~retries:dispatch_rpc_retries
     { Wfmsg.x_iid = inst.Instate.iid; x_path = path; x_attempt = attempt; x_code = code;
       x_set = set; x_inputs = inputs }
     (function
@@ -344,8 +337,21 @@ and dispatch t inst ~path ~task ~code ~set ~inputs ~attempt =
       | Ok _ ->
         if t.epoch = epoch then
           fail_policy t inst ~path ~task ~reason:("host has no implementation for " ^ code)
-      | Error _ -> if t.epoch = epoch then retry_task t inst ~path ~task);
+      | Error _ -> if t.epoch = epoch then advance t inst ~path ~task Policy.after_failure);
   schedule_watchdog t inst ~path ~task ~attempt
+
+(* Dispatch [attempt] after [delay] — a policy backoff — unless by then
+   the engine has crashed, the task's scope has closed or the attempt
+   has moved on. *)
+and dispatch_after t inst ~path ~task ~set ~inputs ~attempt delay =
+  let epoch = t.epoch in
+  ignore
+    (Sim.schedule t.sim ~delay (fun () ->
+         if t.epoch = epoch && Node.up t.node && task_live t inst path then
+           match Instate.get_state inst path with
+           | Some (Wstate.Running { attempt = a; _ }) when a = attempt ->
+             dispatch t inst ~path ~task ~set ~inputs ~attempt
+           | _ -> ()))
 
 and schedule_watchdog ?delay t inst ~path ~task ~attempt =
   let epoch = t.epoch in
@@ -355,152 +361,69 @@ and schedule_watchdog ?delay t inst ~path ~task ~attempt =
       match Instate.get_state inst path with
       | Some (Wstate.Running { attempt = a; _ }) when a = attempt ->
         emit t (Event.Watchdog_fired { path = pkey path });
-        handle_expiry t inst ~path ~task
+        advance t inst ~path ~task Policy.after_timeout
       | _ -> ()
   in
   ignore (Sim.schedule t.sim ~delay:span check)
 
-(* The watchdog tripped: a declared [timeout ... then ...] clause decides
-   what happens; without one (or without a declared policy at all) the
-   legacy path retries against the attempt budget. *)
-and handle_expiry t inst ~path ~task =
-  let rp = rpolicy_of t task in
-  match rp.Sched.rp_timeout_ms with
-  | None -> retry_task t inst ~path ~task
-  | Some _ -> (
-    match rp.Sched.rp_on_timeout with
-    | Ast.Ta_abort -> fail_policy t inst ~path ~task ~reason:"recovery timeout"
-    | Ast.Ta_alternative | Ast.Ta_substitute _ -> (
-      match Instate.get_state inst path with
-      | Some (Wstate.Running { attempt; set; _ }) -> (
-        let target =
-          match rp.Sched.rp_on_timeout with
-          | Ast.Ta_substitute _ -> Sched.policy_substitute_start rp
-          | Ast.Ta_alternative | Ast.Ta_abort ->
-            let next = Sched.policy_next_band_start rp ~attempt in
-            if next <= rp.Sched.rp_base_total then Some next else None
-        in
-        match target with
-        | Some target when target > attempt ->
-          jump_to_attempt t inst ~path ~task ~set ~rp ~attempt:target
-        | Some _ ->
-          (* already in the target band (e.g. the substitute itself timed
-             out): a bounded retry within it, not a forward jump *)
-          retry_task t inst ~path ~task
-        | None -> fail_policy t inst ~path ~task ~reason:"recovery alternatives exhausted")
-      | _ -> ()))
-
-(* Timeout-driven substitution: skip the attempt counter to the first
-   attempt of the target code's band. The bump is persisted like any
-   retry, so the substitution itself survives a crash — recovery derives
-   the active code from the counter alone. *)
-and jump_to_attempt t inst ~path ~task ~set ~rp ~attempt =
-  let now = Sim.now t.sim in
-  let code = Sched.policy_code rp ~attempt in
-  let running =
-    Wstate.Running { attempt; set; started = now; deadline = now + deadline_span t task }
-  in
-  let inputs =
-    match Instate.get_chosen inst path with Some c -> c.Wstate.c_inputs | None -> []
-  in
-  persist t
-    [
-      (Wstate.key_task inst.Instate.iid path, Some (Wstate.encode_task_state running));
-      Instate.history_write inst ~now ~kind:"policy-substitute"
-        ~detail:(pkey path ^ " -> " ^ code ^ " (timeout)");
-    ]
-    (fun () ->
-      Hashtbl.replace inst.Instate.states (pkey path) running;
-      emit t (Event.Task_retried { path = pkey path; attempt });
-      emit t (Event.Policy_substituted { path = pkey path; code });
-      match effective_body t task with
-      | Sched.E_fn primary -> dispatch t inst ~path ~task ~code:primary ~set ~inputs ~attempt
-      | Sched.E_compound _ | Sched.E_missing _ -> mark_dirty ~paths:[ path ] t inst)
-
-and retry_task t inst ~path ~task =
-  if not (task_live t inst path) then ()
-  else
-    match Instate.get_state inst path with
-    | Some (Wstate.Running { attempt; set; _ }) ->
-      let rp = rpolicy_of t task in
-      if Sched.policy_exhausted rp ~attempt then
-        fail_policy t inst ~path ~task ~reason:(Printf.sprintf "gave up after %d attempts" attempt)
-      else begin
-        let now = Sim.now t.sim in
-        let next = attempt + 1 in
-        let delay =
-          Sim.ms
-            (Sched.policy_backoff_jittered_ms rp ~salt:t.jitter_salt
-               ~iid:inst.Instate.iid ~path ~attempt:next)
-        in
-        let fire_at = now + delay in
-        let running =
-          Wstate.Running
-            { attempt = next; set; started = now; deadline = fire_at + deadline_span t task }
-        in
-        let inputs =
-          match Instate.get_chosen inst path with Some c -> c.Wstate.c_inputs | None -> []
-        in
-        (* a failure-driven advance into the next band switches code *)
-        let substituted =
-          rp.Sched.rp_declared
-          && Sched.policy_band rp ~attempt:next > Sched.policy_band rp ~attempt
-        in
-        let writes =
-          ((Wstate.key_task inst.Instate.iid path, Some (Wstate.encode_task_state running))
-          ::
-          (if delay > 0 then
-             (* same transaction as the attempt bump: a crash mid-backoff
-                recovers the remaining budget and the remaining wait *)
-             [
-               ( Wstate.key_backoff inst.Instate.iid path,
-                 Some (Wstate.encode_backoff (next, fire_at)) );
-             ]
-           else []))
-          @ (if rp.Sched.rp_declared then
+(* The one attempt transition of a running task: [decide] is the
+   policy's answer to a failure or to an expired watchdog. A retry bumps
+   the durable attempt counter with its backoff and audit rows in one
+   transaction — a crash mid-backoff recovers the remaining budget and
+   the remaining wait, and recovery derives the active code from the
+   counter alone — then dispatches the new attempt. *)
+and advance t inst ~path ~task decide =
+  match Instate.get_state inst path with
+  | Some (Wstate.Running { attempt; set; _ }) when task_live t inst path -> (
+    let rp = rpolicy t task in
+    match decide rp ~salt:t.jitter_salt ~iid:inst.Instate.iid ~path ~attempt with
+    | Policy.Give_up reason -> fail_policy t inst ~path ~task ~reason
+    | Policy.Retry { attempt; delay_ms; code; substituted; cause } ->
+      let now = Sim.now t.sim in
+      let delay = Sim.ms delay_ms in
+      let fire_at = now + delay in
+      let running =
+        Wstate.Running { attempt; set; started = now; deadline = fire_at + deadline_span t task }
+      in
+      let inputs = chosen_inputs inst path in
+      let retried = Policy.declared rp && cause = Policy.Failure in
+      let history kind detail = Instate.history_write inst ~now ~kind ~detail in
+      let writes =
+        List.concat
+          [
+            [ (Wstate.key_task inst.Instate.iid path, Some (Wstate.encode_task_state running)) ];
+            (if delay > 0 then
                [
-                 Instate.history_write inst ~now ~kind:"policy-retry"
-                   ~detail:
-                     (Printf.sprintf "%s (attempt %d, backoff %dms)" (pkey path) next
-                        (delay / Sim.ms 1));
+                 ( Wstate.key_backoff inst.Instate.iid path,
+                   Some (Wstate.encode_backoff (attempt, fire_at)) );
                ]
-             else [])
-          @
-          if substituted then
-            [
-              Instate.history_write inst ~now ~kind:"policy-substitute"
-                ~detail:(pkey path ^ " -> " ^ Sched.policy_code rp ~attempt:next ^ " (failure)");
-            ]
-          else []
-        in
-        persist t writes (fun () ->
-            Hashtbl.replace inst.Instate.states (pkey path) running;
-            if delay > 0 then Instate.set_backoff inst path ~attempt:next ~fire_at;
-            emit t (Event.Task_retried { path = pkey path; attempt = next });
-            if rp.Sched.rp_declared then
-              emit t
-                (Event.Policy_retry
-                   { path = pkey path; attempt = next; delay_ms = delay / Sim.ms 1 });
-            if substituted then
-              emit t
-                (Event.Policy_substituted
-                   { path = pkey path; code = Sched.policy_code rp ~attempt:next });
-            match effective_body t task with
-            | Sched.E_fn code ->
-              if delay = 0 then dispatch t inst ~path ~task ~code ~set ~inputs ~attempt:next
-              else begin
-                let epoch = t.epoch in
-                ignore
-                  (Sim.schedule t.sim ~delay (fun () ->
-                       if t.epoch = epoch && Node.up t.node && task_live t inst path then
-                         match Instate.get_state inst path with
-                         | Some (Wstate.Running { attempt = a; _ }) when a = next ->
-                           dispatch t inst ~path ~task ~code ~set ~inputs ~attempt:next
-                         | _ -> ()))
-              end
-            | Sched.E_compound _ | Sched.E_missing _ -> mark_dirty ~paths:[ path ] t inst)
-      end
-    | _ -> ()
+             else []);
+            (if retried then
+               [
+                 history "policy-retry"
+                   (Printf.sprintf "%s (attempt %d, backoff %dms)" (pkey path) attempt delay_ms);
+               ]
+             else []);
+            (if substituted then
+               [
+                 history "policy-substitute"
+                   (Printf.sprintf "%s -> %s (%s)" (pkey path) code
+                      (match cause with Policy.Failure -> "failure" | Policy.Timeout -> "timeout"));
+               ]
+             else []);
+          ]
+      in
+      persist t writes (fun () ->
+          Hashtbl.replace inst.Instate.states (pkey path) running;
+          if delay > 0 then Instate.set_backoff inst path ~attempt ~fire_at;
+          emit t (Event.Task_retried { path = pkey path; attempt });
+          if retried then emit t (Event.Policy_retry { path = pkey path; attempt; delay_ms });
+          if substituted then emit t (Event.Policy_substituted { path = pkey path; code });
+          match effective_body t task with
+          | Sched.E_fn _ when delay = 0 -> dispatch t inst ~path ~task ~set ~inputs ~attempt
+          | Sched.E_fn _ -> dispatch_after t inst ~path ~task ~set ~inputs ~attempt delay
+          | Sched.E_compound _ | Sched.E_missing _ -> mark_dirty ~paths:[ path ] t inst))
+  | _ -> ()
 
 and fail_policy t inst ~path ~task ~reason =
   let attempt = Sched.running_attempt (iview t inst) path in
@@ -558,10 +481,10 @@ let process_report t inst ~task ~attempt ~is_mark (r : Wfmsg.report) =
     Sched.report_decision (iview t inst) ~task ~path ~attempt ~is_mark ~output:r.Wfmsg.r_output
       ~objects:r.Wfmsg.r_objects
   with
-  | Sched.D_retry -> retry_task t inst ~path ~task
+  | Sched.D_retry -> advance t inst ~path ~task Policy.after_failure
   | Sched.D_auto_restart ->
     emit t (Event.Task_auto_restarted { path = pkey path });
-    retry_task t inst ~path ~task
+    advance t inst ~path ~task Policy.after_failure
   | Sched.D_fail reason -> fail_policy t inst ~path ~task ~reason
   | Sched.D_ignore -> ()
   | Sched.D_apply (Sched.Complete { a_name; _ } as action) ->
@@ -652,20 +575,9 @@ let rebuild_instance t ~keys iid =
           match (find_task_node t inst path, Instate.get_state inst path) with
           | Some task, Some (Wstate.Running { attempt = a; set; _ }) when a = attempt -> (
             match effective_body t task with
-            | Sched.E_fn code ->
-              let inputs =
-                match Instate.get_chosen inst path with
-                | Some c -> c.Wstate.c_inputs
-                | None -> []
-              in
-              let epoch = t.epoch in
-              ignore
-                (Sim.schedule t.sim ~delay:(max 0 (fire_at - Sim.now t.sim)) (fun () ->
-                     if t.epoch = epoch && Node.up t.node && task_live t inst path then
-                       match Instate.get_state inst path with
-                       | Some (Wstate.Running { attempt = a2; _ }) when a2 = attempt ->
-                         dispatch t inst ~path ~task ~code ~set ~inputs ~attempt
-                       | _ -> ()))
+            | Sched.E_fn _ ->
+              dispatch_after t inst ~path ~task ~set ~inputs:(chosen_inputs inst path) ~attempt
+                (max 0 (fire_at - Sim.now t.sim))
             | Sched.E_compound _ | Sched.E_missing _ -> ())
           | _ -> ())
         (Instate.pending_backoffs inst);
@@ -1005,10 +917,7 @@ let reconfigure t iid ~transform k =
 let dispatches_total t = Metrics.value t.metrics "engine.dispatches"
 let completions_total t = Metrics.value t.metrics "engine.completions"
 let system_retries_total t = Metrics.value t.metrics "engine.system_retries"
-let marks_total t = Metrics.value t.metrics "engine.marks"
 let policy_retries_total t = Metrics.value t.metrics "engine.policy_retries"
-let policy_substitutions_total t = Metrics.value t.metrics "engine.policy_substitutions"
-let policy_compensations_total t = Metrics.value t.metrics "engine.policy_compensations"
 let reconfigs_total t = Metrics.value t.metrics "engine.reconfigs"
 let recoveries_total t = Metrics.value t.metrics "engine.recoveries"
 

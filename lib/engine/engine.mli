@@ -20,13 +20,13 @@
 type config = {
   default_deadline : Sim.time;
       (** dispatch-to-completion watchdog of a task without a declared
-          [timeout]; a declared [recovery] section overrides it per task. *)
-  dispatch_rpc_retries : int;  (** RPC send budget per dispatch *)
+          [timeout]; a declared [recovery] section overrides it per task.
+          A dispatch's RPC send budget (8 sends) and the wait of a timer
+          input set without a ["timeout"] kv (10 s) are fixed. *)
   system_max_attempts : int;
       (** total execution attempts before the task fails; a declared
           [retry n] clause overrides the budget per task (per
-          implementation code). *)
-  default_timeout : Sim.time;  (** timer input sets without a ["timeout"] kv *)
+          implementation code, see {!Policy}). *)
   dispatch_overhead : Sim.time;
       (** engine CPU cost per dispatch, serialised per engine (0 =
           free); models the coordinator as a contended resource so a
@@ -82,8 +82,6 @@ val trace : t -> (Sim.time * Event.t) list
 val metrics : t -> Metrics.t
 (** The engine's metrics registry: counters and histograms accumulated
     from the typed event bus (see {!Event} and {!Metrics.attach}). *)
-
-val registry : t -> Registry.t
 
 val attach_host : t -> Node.t -> Exec_host.t
 (** Make another node able to execute task implementations (scripts
@@ -209,17 +207,9 @@ val completions_total : t -> int
 
 val system_retries_total : t -> int
 
-val marks_total : t -> int
-
 val policy_retries_total : t -> int
 (** Retries scheduled by {e declared} recovery policies (the default
     policy's retries count only in {!system_retries_total}). *)
-
-val policy_substitutions_total : t -> int
-(** Switches to a ranked alternative or timeout substitute. *)
-
-val policy_compensations_total : t -> int
-(** Compensation handlers launched after abort outcomes. *)
 
 val reconfigs_total : t -> int
 

@@ -516,126 +516,6 @@ let prioritise actions =
   in
   rest @ starts
 
-(* --- resolved recovery policy --- *)
-
-(* The compiled Schema.policy merged with the engine's config-seeded
-   defaults into one executable record. Attempt numbering is the durable
-   per-path counter already persisted in [Wstate.Running]: the ranked
-   implementation codes partition the attempt axis into bands of
-   [rp_per_code] attempts each, so the code for any attempt — and hence
-   which alternative a recovered engine must dispatch — is a pure
-   function of the persisted counter. *)
-type rpolicy = {
-  rp_codes : string list;  (* ranked codes: primary, alternatives, substitute *)
-  rp_per_code : int;  (* attempts allowed per code = 1 + retry count *)
-  rp_base_total : int;  (* failure-driven ceiling: primary + alternatives *)
-  rp_grand_total : int;  (* absolute ceiling, incl. the substitute band *)
-  rp_backoff_ms : int;
-  rp_jitter_ms : int;
-  rp_backoff_max_ms : int option;
-  rp_timeout_ms : int option;
-  rp_on_timeout : Ast.timeout_action;
-  rp_compensate : string option;
-  rp_declared : bool;
-}
-
-let resolve_policy (task : Schema.task) ~primary ~default_max_attempts =
-  let p = task.Schema.policy in
-  if not p.Schema.p_declared then
-    {
-      rp_codes = [ primary ];
-      rp_per_code = default_max_attempts;
-      rp_base_total = default_max_attempts;
-      rp_grand_total = default_max_attempts;
-      rp_backoff_ms = 0;
-      rp_jitter_ms = 0;
-      rp_backoff_max_ms = None;
-      rp_timeout_ms = None;
-      rp_on_timeout = Ast.Ta_abort;
-      rp_compensate = None;
-      rp_declared = false;
-    }
-  else begin
-    let substitute =
-      match p.Schema.p_on_timeout with Ast.Ta_substitute c -> [ c ] | _ -> []
-    in
-    let base = primary :: p.Schema.p_alternatives in
-    let per = match p.Schema.p_retry with Some n -> 1 + n | None -> default_max_attempts in
-    {
-      rp_codes = base @ substitute;
-      rp_per_code = per;
-      rp_base_total = per * List.length base;
-      rp_grand_total = per * (List.length base + List.length substitute);
-      rp_backoff_ms = p.Schema.p_backoff_ms;
-      rp_jitter_ms = p.Schema.p_jitter_ms;
-      rp_backoff_max_ms = p.Schema.p_backoff_max_ms;
-      rp_timeout_ms = p.Schema.p_timeout_ms;
-      rp_on_timeout = p.Schema.p_on_timeout;
-      rp_compensate = p.Schema.p_compensate;
-      rp_declared = true;
-    }
-  end
-
-let policy_band rp ~attempt = (attempt - 1) / rp.rp_per_code
-
-let policy_code rp ~attempt =
-  let band = min (policy_band rp ~attempt) (List.length rp.rp_codes - 1) in
-  List.nth rp.rp_codes band
-
-(* [attempt] is the attempt that just failed. The substitute band lies
-   beyond [rp_base_total] and is only entered by a timeout jump, so the
-   failure-driven ceiling depends on which side the counter is on. *)
-let policy_exhausted rp ~attempt =
-  if attempt > rp.rp_base_total then attempt >= rp.rp_grand_total
-  else attempt >= rp.rp_base_total
-
-(* Delay before dispatching [attempt]: the first attempt of every band
-   is immediate; the k-th retry within a band waits base * 2^(k-1),
-   capped. The shift is clamped so huge retry counts cannot overflow. *)
-let policy_backoff_ms rp ~attempt =
-  let pos = ((attempt - 1) mod rp.rp_per_code) + 1 in
-  if pos <= 1 || rp.rp_backoff_ms <= 0 then 0
-  else begin
-    let d = rp.rp_backoff_ms * (1 lsl min 20 (pos - 2)) in
-    match rp.rp_backoff_max_ms with Some m -> min m d | None -> d
-  end
-
-(* The jitter is a pure hash of the identifying coordinates, NOT a draw
-   from a runtime rng: rng draws would depend on scheduling interleaving
-   and break same-seed reproducibility across schedules. [salt] is the
-   engine-stable seed component, so distinct engines (and distinct
-   seeds) spread differently while one run always reproduces itself. *)
-let policy_jitter_ms rp ~salt ~iid ~path ~attempt =
-  if rp.rp_jitter_ms <= 0 then 0
-  else begin
-    let h = ref 5381 in
-    let mix s = String.iter (fun c -> h := ((!h * 33) + Char.code c) land 0x3FFFFFFF) s in
-    mix salt;
-    mix "\x00";
-    mix iid;
-    mix "\x00";
-    List.iter (fun seg -> mix seg; mix "/") path;
-    mix (string_of_int attempt);
-    !h mod rp.rp_jitter_ms
-  end
-
-(* Backoff plus its deterministic spread; the first attempt of a band is
-   still immediate (no delay to spread). *)
-let policy_backoff_jittered_ms rp ~salt ~iid ~path ~attempt =
-  match policy_backoff_ms rp ~attempt with
-  | 0 -> 0
-  | base -> base + policy_jitter_ms rp ~salt ~iid ~path ~attempt
-
-(* First attempt of the band after [attempt]'s (a timeout-alternative
-   jump target); the caller checks it against [rp_base_total]. *)
-let policy_next_band_start rp ~attempt = ((policy_band rp ~attempt + 1) * rp.rp_per_code) + 1
-
-(* First attempt of the trailing substitute band, when one exists. *)
-let policy_substitute_start rp =
-  match rp.rp_on_timeout with
-  | Ast.Ta_substitute _ when rp.rp_declared -> Some (rp.rp_base_total + 1)
-  | _ -> None
-
 (* --- failure mapping (Fig 3) --- *)
 
 (* A system failure maps onto an abort outcome when the taskclass

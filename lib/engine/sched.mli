@@ -153,67 +153,7 @@ val impl_priority : Schema.task -> int
 val impl_abort_retries : Schema.task -> int
 (** ["retries"] kv: spontaneous abort outcomes absorbed by restarting. *)
 
-(** {1 Resolved recovery policy}
-
-    The compiled {!Schema.policy} of a task merged with the engine's
-    config-seeded defaults. The durable per-path attempt counter drives
-    everything: the ranked implementation codes partition the attempt
-    axis into bands of [rp_per_code] attempts, so code selection — and
-    therefore which alternative a recovered engine redispatches — is a
-    pure function of the counter that {!Wstate.Running} already
-    persists. With [rp_declared = false] the record reproduces the
-    legacy global-knob behaviour exactly (one code,
-    [default_max_attempts] attempts, no backoff). *)
-type rpolicy = {
-  rp_codes : string list;  (** ranked codes: primary, alternatives, substitute *)
-  rp_per_code : int;  (** attempts allowed per code = 1 + retry count *)
-  rp_base_total : int;  (** failure-driven ceiling: primary + alternatives *)
-  rp_grand_total : int;  (** absolute ceiling, incl. the substitute band *)
-  rp_backoff_ms : int;
-  rp_jitter_ms : int;
-  rp_backoff_max_ms : int option;
-  rp_timeout_ms : int option;
-  rp_on_timeout : Ast.timeout_action;
-  rp_compensate : string option;
-  rp_declared : bool;
-}
-
-val resolve_policy : Schema.task -> primary:string -> default_max_attempts:int -> rpolicy
-
-val policy_band : rpolicy -> attempt:int -> int
-(** 0-based index into [rp_codes] of the band [attempt] falls in. *)
-
-val policy_code : rpolicy -> attempt:int -> string
-(** The implementation code [attempt] must dispatch (last band is
-    sticky for out-of-range attempts). *)
-
-val policy_exhausted : rpolicy -> attempt:int -> bool
-(** [attempt] just failed — is the budget spent? Reproduces the legacy
-    [attempt >= system_max_attempts] check when undeclared. *)
-
-val policy_backoff_ms : rpolicy -> attempt:int -> int
-(** Delay in ms before dispatching [attempt]: 0 for the first attempt
-    of a band, else [min cap (base * 2^(k-1))] for the k-th retry. *)
-
-val policy_jitter_ms :
-  rpolicy -> salt:string -> iid:string -> path:string list -> attempt:int -> int
-(** Deterministic jitter in [0, rp_jitter_ms): a pure hash of
-    (salt, iid, path, attempt), never a runtime rng draw — so the same
-    seed reproduces the same spread regardless of scheduling
-    interleaving. 0 when the policy declares no [jitter]. *)
-
-val policy_backoff_jittered_ms :
-  rpolicy -> salt:string -> iid:string -> path:string list -> attempt:int -> int
-(** {!policy_backoff_ms} plus {!policy_jitter_ms}; immediate attempts
-    (backoff 0) stay immediate — there is no delay to spread. *)
-
-val policy_next_band_start : rpolicy -> attempt:int -> int
-(** First attempt of the band after [attempt]'s — the jump target of
-    [timeout ... then alternative]. *)
-
-val policy_substitute_start : rpolicy -> int option
-(** First attempt of the trailing substitute band, when the policy
-    declares [timeout ... then substitute]. *)
+(** {1 Failure mapping} *)
 
 val fail_action : Schema.task -> path:Wstate.path -> attempt:int -> reason:string -> action
 (** Fig 3's system-failure rule: an abort outcome when the taskclass
@@ -226,7 +166,7 @@ val impl_error_prefix : string
 
 (** How the effect layer must react to a task host's report. *)
 type decision =
-  | D_retry  (** system failure: re-dispatch (bounded by the engine) *)
+  | D_retry  (** system failure: re-dispatch (bounded by {!Policy.after_failure}) *)
   | D_auto_restart  (** abort outcome absorbed by the ["retries"] kv *)
   | D_fail of string  (** protocol violation: map through {!fail_action} *)
   | D_apply of action  (** persist and apply *)

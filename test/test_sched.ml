@@ -336,62 +336,162 @@ let test_pointwise () =
   pointwise (Workloads.nested ~depth:4);
   pointwise (Workloads.alternatives ~k:3 ~alive:2)
 
+(* --- recovery-policy decisions --- *)
+
+(* The policy of [w/step], compiled from a script whose step declares
+   [recovery { <recovery> }]; [""] declares no recovery section. *)
+let policy ?(default_max_attempts = 3) recovery =
+  let section = if recovery = "" then "" else Printf.sprintf "recovery { %s };" recovery in
+  let script =
+    Printf.sprintf
+      {|
+class Data;
+taskclass Step {
+    inputs { input main { data of class Data } };
+    outputs { outcome done { data of class Data } }
+};
+compoundtask w of taskclass Step {
+    task step of taskclass Step {
+        implementation { "code" is "w.step" };
+        %s
+        inputs { input main { inputobject data from { data of task w if input main } } }
+    };
+    outputs { outcome done { outputobject data from { data of task step if output done } } }
+}
+|}
+      section
+  in
+  match Frontend.compile script ~root:"w" with
+  | Error e -> Alcotest.failf "compile: %s" (Frontend.error_to_string e)
+  | Ok root -> (
+    match Schema.find_child root "step" with
+    | Some task -> Policy.resolve task ~default_max_attempts
+    | None -> Alcotest.fail "no step")
+
+let pp_decision ppf = function
+  | Policy.Retry { attempt; delay_ms; code; substituted; cause } ->
+    Format.fprintf ppf "Retry {attempt %d; delay %dms; code %s; substituted %b; cause %s}" attempt
+      delay_ms code substituted
+      (match cause with Policy.Failure -> "failure" | Policy.Timeout -> "timeout")
+  | Policy.Give_up reason -> Format.fprintf ppf "Give_up %S" reason
+
+let decision = Alcotest.testable pp_decision ( = )
+
+let retry ?(delay_ms = 0) ?(substituted = false) ?(cause = Policy.Failure) attempt code =
+  Policy.Retry { attempt; delay_ms; code; substituted; cause }
+
+let after_failure rp ~attempt =
+  Policy.after_failure rp ~salt:"s" ~iid:"wf-1" ~path:[ "w"; "step" ] ~attempt
+
+let after_timeout rp ~attempt =
+  Policy.after_timeout rp ~salt:"s" ~iid:"wf-1" ~path:[ "w"; "step" ] ~attempt
+
+(* One case per branch of the two decisions: (what, decision, expected). *)
+let test_policy_decisions () =
+  let backoff = policy "retry 2 backoff 10" in
+  let alternative = policy {|retry 1; alternative "w.alt"|} in
+  let substitute = policy {|retry 1; timeout 50 then substitute "w.sub"|} in
+  let abort = policy "timeout 50 then abort" in
+  let jump = policy {|retry 1; timeout 50 then alternative; alternative "w.alt"|} in
+  let single = policy {|retry 0; timeout 50 then alternative; alternative "w.alt"|} in
+  let undeclared = policy "" in
+  List.iter
+    (fun (what, got, expected) -> Alcotest.check decision what expected got)
+    [
+      ("in-band retry with backoff", after_failure backoff ~attempt:1, retry ~delay_ms:10 2 "w.step");
+      ("backoff doubles", after_failure backoff ~attempt:2, retry ~delay_ms:20 3 "w.step");
+      ( "band advance substitutes at once",
+        after_failure alternative ~attempt:2,
+        retry ~substituted:true 3 "w.alt" );
+      ("base ceiling", after_failure alternative ~attempt:4, Give_up "gave up after 4 attempts");
+      ( "failures never enter the substitute band",
+        after_failure substitute ~attempt:2,
+        Give_up "gave up after 2 attempts" );
+      ( "substitute band's grand ceiling",
+        after_failure substitute ~attempt:4,
+        Give_up "gave up after 4 attempts" );
+      ( "undeclared timeout is a failure",
+        after_timeout undeclared ~attempt:1,
+        after_failure undeclared ~attempt:1 );
+      ("undeclared budget", after_timeout undeclared ~attempt:3, Give_up "gave up after 3 attempts");
+      ( "timeout without a timeout clause is a failure",
+        after_timeout backoff ~attempt:1,
+        retry ~delay_ms:10 2 "w.step" );
+      ("abort", after_timeout abort ~attempt:1, Give_up "recovery timeout");
+      ( "alternative jump",
+        after_timeout jump ~attempt:1,
+        retry ~substituted:true ~cause:Policy.Timeout 3 "w.alt" );
+      ( "substitute jump",
+        after_timeout substitute ~attempt:1,
+        retry ~substituted:true ~cause:Policy.Timeout 3 "w.sub" );
+      ( "stalled substitute retries within its band",
+        after_timeout substitute ~attempt:3,
+        retry 4 "w.sub" );
+      ( "stalled substitute at the grand ceiling",
+        after_timeout substitute ~attempt:4,
+        Give_up "gave up after 4 attempts" );
+      ( "alternatives exhausted",
+        after_timeout jump ~attempt:3,
+        Give_up "recovery alternatives exhausted" );
+      ( "jump into the last base band",
+        after_timeout single ~attempt:1,
+        retry ~substituted:true ~cause:Policy.Timeout 2 "w.alt" );
+    ];
+  check "undeclared" false (Policy.declared undeclared);
+  check "declared" true (Policy.declared backoff);
+  Alcotest.(check (list string))
+    "codes by attempt" [ "w.step"; "w.step"; "w.sub"; "w.sub"; "w.sub" ]
+    (List.map (fun attempt -> Policy.code substitute ~attempt) [ 1; 2; 3; 4; 5 ])
+
 (* --- deterministic backoff jitter --- *)
 
-let jitter_policy =
-  {
-    Sched.rp_codes = [ "w.step" ];
-    rp_per_code = 8;
-    rp_base_total = 8;
-    rp_grand_total = 8;
-    rp_backoff_ms = 5;
-    rp_jitter_ms = 4;
-    rp_backoff_max_ms = Some 40;
-    rp_timeout_ms = None;
-    rp_on_timeout = Ast.Ta_abort;
-    rp_compensate = None;
-    rp_declared = true;
-  }
+(* One band of 8 attempts: retries 2..8 back off 5, 10, 20, 40, 40, 40,
+   40 ms (capped), plus a jitter in [0, 4) when declared. *)
+let jittered = policy "retry 7 backoff 5 jitter 4 max 40"
+
+let plain = policy "retry 7 backoff 5 max 40"
+
+let delay rp ~salt ~iid ~attempt =
+  match Policy.after_failure rp ~salt ~iid ~path:[ "w"; "step" ] ~attempt:(attempt - 1) with
+  | Policy.Retry { delay_ms; _ } -> delay_ms
+  | Policy.Give_up reason -> Alcotest.failf "attempt %d: %s" attempt reason
+
+let retries = [ 2; 3; 4; 5; 6; 7; 8 ]
 
 let test_jitter_deterministic_and_bounded () =
+  (* the jitter of retry [attempt]: its delay over the plain backoff *)
   let j ~salt ~iid ~attempt =
-    Sched.policy_jitter_ms jitter_policy ~salt ~iid ~path:[ "w"; "step" ] ~attempt
+    delay jittered ~salt ~iid ~attempt - delay plain ~salt ~iid ~attempt
   in
   (* pure: the same coordinates always hash to the same offset *)
   check "same inputs, same jitter" true
     (List.for_all (fun a -> j ~salt:"s" ~iid:"wf-1" ~attempt:a = j ~salt:"s" ~iid:"wf-1" ~attempt:a)
-       [ 1; 2; 3; 7 ]);
+       [ 2; 3; 4; 8 ]);
   (* bounded strictly below the declared jitter width *)
   List.iter
     (fun a ->
       let v = j ~salt:"s" ~iid:"wf-1" ~attempt:a in
       check (Printf.sprintf "attempt %d in [0, 4)" a) true (v >= 0 && v < 4))
-    [ 1; 2; 3; 4; 5; 6; 7 ];
+    retries;
   (* the salt actually spreads: two engines (different salts) don't all
      collide on the same offsets across a few attempts *)
-  let offsets salt = List.map (fun a -> j ~salt ~iid:"wf-1" ~attempt:a) [ 1; 2; 3; 4; 5; 6; 7 ] in
+  let offsets salt = List.map (fun a -> j ~salt ~iid:"wf-1" ~attempt:a) retries in
   check "different salts give different spreads" true (offsets "s1" <> offsets "s2");
   (* immediate attempts stay immediate: no jitter without a backoff *)
+  let banded = policy {|retry 7 backoff 5 jitter 4 max 40; alternative "w.alt"|} in
   check "first attempt of a band has no delay" true
-    (Sched.policy_backoff_jittered_ms jitter_policy ~salt:"s" ~iid:"wf-1"
-       ~path:[ "w"; "step" ] ~attempt:1
-    = 0);
+    (after_failure banded ~attempt:8 = retry ~substituted:true 9 "w.alt");
   (* a delayed retry lands in [base, base + jitter) *)
-  let d =
-    Sched.policy_backoff_jittered_ms jitter_policy ~salt:"s" ~iid:"wf-1"
-      ~path:[ "w"; "step" ] ~attempt:2
-  in
+  let d = delay jittered ~salt:"s" ~iid:"wf-1" ~attempt:2 in
   check "second attempt in [5, 9)" true (d >= 5 && d < 9);
   (* jitter off -> plain exponential backoff, bit for bit *)
-  let plain = { jitter_policy with Sched.rp_jitter_ms = 0 } in
-  List.iter
-    (fun a ->
+  List.iter2
+    (fun a expected ->
       check_int
         (Printf.sprintf "no jitter = plain backoff (attempt %d)" a)
-        (Sched.policy_backoff_ms plain ~attempt:a)
-        (Sched.policy_backoff_jittered_ms plain ~salt:"s" ~iid:"wf-1" ~path:[ "w"; "step" ]
-           ~attempt:a))
-    [ 1; 2; 3; 4 ]
+        expected
+        (delay plain ~salt:"s" ~iid:"wf-1" ~attempt:a))
+    retries [ 5; 10; 20; 40; 40; 40; 40 ]
 
 let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_random_dags ]
 
@@ -404,6 +504,7 @@ let () =
           Alcotest.test_case "crash recovery" `Quick test_crash_recovery;
           Alcotest.test_case "pointwise scan_from" `Quick test_pointwise;
         ] );
+      ("policy", [ Alcotest.test_case "decisions" `Quick test_policy_decisions ]);
       ( "jitter",
         [
           Alcotest.test_case "deterministic and bounded" `Quick
