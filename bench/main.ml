@@ -654,6 +654,50 @@ let capacity_gates ~sizes =
     holds "capacity.deterministic" ((capacity_run ~instances:first_n).counters = first.counters);
   ]
 
+(* --- fan-out: per-completion cost against join width --- *)
+
+(* 20 fan-out instances launched together on one engine, every worker
+   on the remote task host h1 so network jitter spreads the completions
+   that feed each join. If a completion re-evaluated the whole join, or
+   walked anything else as wide as its scope, the words allocated per
+   dispatch would grow with the width. Allocation is deterministic, so
+   the gate compares two widths exactly. *)
+let fanout_words_per_dispatch ~width =
+  Gc.compact ();
+  let instances = 20 in
+  let c =
+    Cluster.make
+      ~engine_config:{ Engine.default_config with trace = false }
+      ~hosts:[ "h1" ] ~engines:[ "e1" ] ()
+  in
+  Workloads.register ~work:(Sim.ms 1) (Cluster.registry c);
+  let script, root = Workloads.fanout_remote ~width ~host:"h1" in
+  let completed = ref 0 in
+  ignore
+    (Sim.schedule (Cluster.sim c) ~delay:0 (fun () ->
+         for _ = 1 to instances do
+           let iid, _ = must (Cluster.launch c ~script ~root ~inputs:Workloads.seed_inputs) in
+           Cluster.on_complete c iid (function
+             | Wstate.Wf_done _ -> incr completed
+             | Wstate.Wf_running | Wstate.Wf_failed _ ->
+               failwith ("fanout gate: " ^ iid ^ " did not complete"))
+         done));
+  let w0 = Gc.minor_words () in
+  Cluster.run c;
+  let words = Gc.minor_words () -. w0 in
+  if !completed <> instances then failwith "fanout gate: instances missing";
+  words /. float_of_int (Cluster.dispatches_total c)
+
+let fanout_gates ~widths:(narrow, wide) =
+  header
+    (Printf.sprintf "GATES: fan-out — 20 instances, widths %d and %d, workers on h1" narrow wide);
+  let at_narrow = fanout_words_per_dispatch ~width:narrow in
+  let at_wide = fanout_words_per_dispatch ~width:wide in
+  Printf.printf "%8d wide: %.1f words/dispatch\n%8d wide: %.1f words/dispatch\n" narrow at_narrow
+    wide at_wide;
+  (* per-completion cost must not grow with the width of the join *)
+  [ at_most "fanout.words_per_dispatch_growth" (at_wide /. at_narrow) 1.05 ]
+
 (* --- hot path: steady-state allocation per operation --- *)
 
 let bytes_per_op ~ops f =
@@ -752,11 +796,12 @@ let write_gates ~mode gates =
     (String.concat ",\n" (List.map row gates));
   close_out oc
 
-let run_gates ~mode ~capacity_sizes ~hotpath_scale =
+let run_gates ~mode ~capacity_sizes ~fanout_widths ~hotpath_scale =
   let engine = engine_gates () in
   let cluster = cluster_gates () in
   let capacity = capacity_gates ~sizes:capacity_sizes in
-  let gates = engine @ cluster @ capacity @ hotpath_gates ~scale:hotpath_scale in
+  let fanout = fanout_gates ~widths:fanout_widths in
+  let gates = engine @ cluster @ capacity @ fanout @ hotpath_gates ~scale:hotpath_scale in
   header "GATES";
   List.iter
     (fun g ->
@@ -789,13 +834,16 @@ let () =
   match List.tl (Array.to_list Sys.argv) with
   | [ "--smoke" ] ->
     print_endline "RDAL benchmark harness — smoke mode (gates only)";
-    run_gates ~mode:"smoke" ~capacity_sizes:[ 1_000; 2_000 ] ~hotpath_scale:1
+    run_gates ~mode:"smoke" ~capacity_sizes:[ 1_000; 2_000 ] ~fanout_widths:(8, 64)
+      ~hotpath_scale:1
   | [] ->
     figures ();
-    run_gates ~mode:"default" ~capacity_sizes:[ 10_000; 20_000 ] ~hotpath_scale:4
+    run_gates ~mode:"default" ~capacity_sizes:[ 10_000; 20_000 ] ~fanout_widths:(8, 128)
+      ~hotpath_scale:4
   | [ "--full" ] ->
     figures ();
-    run_gates ~mode:"full" ~capacity_sizes:[ 10_000; 20_000; 50_000; 100_000 ] ~hotpath_scale:4
+    run_gates ~mode:"full" ~capacity_sizes:[ 10_000; 20_000; 50_000; 100_000 ]
+      ~fanout_widths:(8, 128) ~hotpath_scale:4
   | _ ->
     prerr_endline "usage: main.exe [--smoke | --full]";
     exit 2

@@ -217,14 +217,6 @@ let action_payload t inst action =
 
 (* --- the evaluation pump, dispatch, watchdog, failure handling --- *)
 
-let instance_index t inst =
-  match inst.Instate.index with
-  | Some idx -> idx
-  | None ->
-    let idx = Sched.build_index ~effective:(effective_body t) inst.Instate.schema in
-    inst.Instate.index <- Some idx;
-    idx
-
 (* [paths] scopes the next pass to the records just changed (push-based
    propagation through the instance's reverse-dependency index); [None]
    forces a full pass — launch, recovery, reconfiguration. *)
@@ -249,7 +241,9 @@ and pump t inst =
     let dirty = inst.Instate.pending in
     inst.Instate.pending <- Sched.no_dirty;
     let actions =
-      Sched.scan_from (instance_index t inst) (iview t inst) ~root:inst.Instate.schema ~dirty
+      Sched.scan_from
+        (Instate.index inst ~effective:(effective_body t))
+        (iview t inst) ~root:inst.Instate.schema ~dirty
     in
     let actions =
       List.filter
@@ -581,7 +575,10 @@ let rebuild_instance t ~keys iid =
             | Sched.E_compound _ | Sched.E_missing _ -> ())
           | _ -> ())
         (Instate.pending_backoffs inst);
-      if inst.Instate.status = Wstate.Wf_running then mark_dirty t inst)
+      (* as at conclusion, a concluded instance keeps no pump-only state
+         (the lookups above built its index) *)
+      if inst.Instate.status = Wstate.Wf_running then mark_dirty t inst
+      else Instate.trim_concluded inst)
 
 let dir_iid_of_key key =
   String.sub key (String.length Wstate.dir_prefix) (String.length key - String.length Wstate.dir_prefix)
@@ -864,13 +861,17 @@ let abort_task t iid ~path k =
   | _ when not (Node.up t.node) -> k (down_error t)
   | None -> k (Error ("no such instance " ^ iid))
   | Some inst -> (
-    match (Instate.get_state inst path, find_task_node t inst path) with
-    | (None | Some (Wstate.Waiting _ | Wstate.Running _)), Some task ->
-      emit t (Event.User_aborted { path = pkey path });
-      fail_policy t inst ~path ~task ~reason:"aborted by user";
-      k (Ok ())
-    | Some (Wstate.Done _ | Wstate.Failed _), _ -> k (Error (pkey path ^ " already finished"))
-    | _, None -> k (Error ("no task at path " ^ pkey path)))
+    (* the state first: a finished task needs no lookup, which would
+       rebuild a concluded instance's index *)
+    match Instate.get_state inst path with
+    | Some (Wstate.Done _ | Wstate.Failed _) -> k (Error (pkey path ^ " already finished"))
+    | None | Some (Wstate.Waiting _ | Wstate.Running _) -> (
+      match find_task_node t inst path with
+      | Some task ->
+        emit t (Event.User_aborted { path = pkey path });
+        fail_policy t inst ~path ~task ~reason:"aborted by user";
+        k (Ok ())
+      | None -> k (Error ("no task at path " ^ pkey path))))
 
 let compact t = Dispatch.compact t.disp
 

@@ -112,11 +112,15 @@ let meta inst ~status =
     m_status = status;
   }
 
-let find_node inst ~effective path =
-  match path with
-  | root :: rest when root = inst.schema.Schema.name ->
-    Sched.find_node ~effective inst.schema rest
-  | _ -> None
+let index inst ~effective =
+  match inst.index with
+  | Some idx -> idx
+  | None ->
+    let idx = Sched.build_index ~effective inst.schema in
+    inst.index <- Some idx;
+    idx
+
+let find_node inst ~effective path = Sched.find_task (index inst ~effective) path
 
 (* Running leaf executions (tasks bound to an implementation function),
    with their persisted attempt and watchdog deadline. Recovery re-arms

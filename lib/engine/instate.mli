@@ -84,9 +84,13 @@ val view : t -> effective:(Schema.task -> Sched.effective) -> Sched.view
 val meta : t -> status:Wstate.status -> Wstate.meta
 (** The instance's durable meta record at the given status. *)
 
+val index : t -> effective:(Schema.task -> Sched.effective) -> Sched.index
+(** The instance's reverse-dependency index, built on first use. *)
+
 val find_node : t -> effective:(Schema.task -> Sched.effective) -> Wstate.path -> Schema.task option
 (** The schema node at an absolute path (rooted at the instance's
-    top-level task), descending through bound sub-workflows. *)
+    top-level task), descending through bound sub-workflows: a lookup in
+    {!index}. *)
 
 val running_leaves :
   t ->

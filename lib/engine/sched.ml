@@ -50,63 +50,181 @@ let rec scope_open v path =
 
 let task_live v path = v.v_running && scope_open v path
 
-(* --- schema navigation (through dynamically bound sub-workflows) --- *)
+(* --- the reverse-dependency index --- *)
 
-let rec find_node ~effective (task : Schema.task) = function
-  | [] -> Some task
-  | name :: rest -> (
+(* Built once per instance from the (expanded) schema: one node per
+   task, holding its children by name and the nodes whose readiness a
+   change to its records can affect. Edges, for a compound scope P with
+   children C and output bindings B:
+   - P -> P/c for every child c: starting, repeating or re-choosing the
+     scope re-evaluates every constituent (this also covers enclosing
+     [C_input] references, which read the scope's chosen record);
+   - P/s -> P/c whenever child c's input sets name sibling s as an
+     object or notification source;
+   - P/s -> P whenever a binding in B names sibling s.
+   Dirty paths are always candidates themselves, so no self edges.
+
+   An incremental pass stamps its candidates with the pass number, and
+   every candidate and every ancestor of one enters its parent's visit
+   list. A scope then visits exactly those children, so the pass costs
+   what changed, not the width of the scopes it crosses. *)
+type node = {
+  n_task : Schema.task;
+  n_pos : int;  (* declaration position among its siblings *)
+  n_parent : node option;
+  n_kids : (string, node) Hashtbl.t;  (* children by name *)
+  mutable n_deps : node list;
+  mutable n_cand : int;  (* the last pass this node was a candidate in *)
+  mutable n_listed : int;  (* the last pass it entered its parent's visit list *)
+  mutable n_visit : node list;  (* children to visit in pass [n_visit_pass] *)
+  mutable n_visit_pass : int;
+}
+
+type index = { idx_root : node; mutable idx_pass : int }
+
+(* Shared by every node without children; never written. *)
+let no_kids : (string, node) Hashtbl.t = Hashtbl.create 1
+
+let build_index ~effective (root : Schema.task) =
+  let make ~parent ~pos task kids =
+    {
+      n_task = task;
+      n_pos = pos;
+      n_parent = parent;
+      n_kids = kids;
+      n_deps = [];
+      n_cand = 0;
+      n_listed = 0;
+      n_visit = [];
+      n_visit_pass = 0;
+    }
+  in
+  let rec node ~parent ~pos (task : Schema.task) =
     match effective task with
-    | E_compound { children; _ } -> (
-      match List.find_opt (fun (c : Schema.task) -> c.Schema.name = name) children with
-      | Some child -> find_node ~effective child rest
-      | None -> None)
-    | E_fn _ | E_missing _ -> None)
+    | E_fn _ | E_missing _ | E_compound { children = []; _ } -> make ~parent ~pos task no_kids
+    | E_compound { children; bindings; _ } ->
+      let p = make ~parent ~pos task (Hashtbl.create (List.length children)) in
+      (* a repeated name resolves to its first declaration, as a list
+         search would *)
+      List.iteri
+        (fun pos (c : Schema.task) ->
+          if not (Hashtbl.mem p.n_kids c.Schema.name) then
+            Hashtbl.add p.n_kids c.Schema.name (node ~parent:(Some p) ~pos c))
+        children;
+      (* duplicate edges are harmless: stamping is idempotent *)
+      let src_edge dst name =
+        match Hashtbl.find_opt p.n_kids name with
+        | Some s -> s.n_deps <- dst :: s.n_deps
+        | None -> ()
+      in
+      List.iter
+        (fun (c : Schema.task) ->
+          let cn = Hashtbl.find p.n_kids c.Schema.name in
+          p.n_deps <- cn :: p.n_deps;
+          List.iter
+            (fun (s : Schema.input_set) ->
+              List.iter
+                (fun (io : Schema.input_object) ->
+                  List.iter
+                    (fun (os : Schema.obj_source) -> src_edge cn os.Schema.s_task)
+                    io.Schema.io_sources)
+                s.Schema.is_objects;
+              List.iter
+                (List.iter (fun (ns : Schema.notif_source) -> src_edge cn ns.Schema.n_task))
+                s.Schema.is_notifications)
+            c.Schema.inputs)
+        children;
+      List.iter
+        (fun (b : Schema.binding) ->
+          List.iter
+            (fun ((_, sources) : string * Schema.obj_source list) ->
+              List.iter (fun (os : Schema.obj_source) -> src_edge p os.Schema.s_task) sources)
+            b.Schema.b_objects;
+          List.iter
+            (List.iter (fun (ns : Schema.notif_source) -> src_edge p ns.Schema.n_task))
+            b.Schema.b_notifications)
+        bindings;
+      p
+  in
+  { idx_root = node ~parent:None ~pos:0 root; idx_pass = 0 }
 
-(* --- candidate selection (push-based incremental scans) --- *)
+(* The node at an absolute path (root task first): one table probe per
+   segment, whatever the width of the scopes on the way. *)
+let node_at idx path =
+  let rec go n = function
+    | [] -> Some n
+    | name :: rest -> (
+      match Hashtbl.find_opt n.n_kids name with Some k -> go k rest | None -> None)
+  in
+  match path with
+  | name :: rest when name = idx.idx_root.n_task.Schema.name -> go idx.idx_root rest
+  | _ -> None
 
-(* A scan pass visits the whole tree; [sel] decides which nodes are
-   actually (re-)evaluated. [sel_cand path] — this node's readiness may
-   have changed since the last pass, evaluate it. [sel_desc path] — some
-   strict descendant is a candidate, so descend through this Running
-   scope even if the scope itself is not a candidate. The full scan uses
-   the constant-true selector. *)
-type sel = { sel_cand : string -> bool; sel_desc : string -> bool }
+let find_task idx path = Option.map (fun n -> n.n_task) (node_at idx path)
 
-let sel_all = { sel_cand = (fun _ -> true); sel_desc = (fun _ -> true) }
+(* [n] and each of its ancestors enter their parent's visit list for
+   [pass], once. *)
+let rec enlist pass n =
+  if n.n_listed <> pass then begin
+    n.n_listed <- pass;
+    match n.n_parent with
+    | None -> ()
+    | Some p ->
+      if p.n_visit_pass = pass then p.n_visit <- n :: p.n_visit
+      else begin
+        p.n_visit_pass <- pass;
+        p.n_visit <- [ n ]
+      end;
+      enlist pass p
+  end
+
+let stamp pass n =
+  if n.n_cand <> pass then begin
+    n.n_cand <- pass;
+    enlist pass n
+  end
+
+(* The children of [n] to visit in [pass], in declaration order. *)
+let visits n ~pass =
+  if n.n_visit_pass <> pass then []
+  else
+    match n.n_visit with
+    | ([] | [ _ ]) as one -> one
+    | many -> List.sort (fun a b -> Int.compare a.n_pos b.n_pos) many
 
 (* --- availability --- *)
 
 type ctx = {
   c_view : view;
-  c_sel : sel;
+  c_pass : int;  (* the incremental pass; unused by the full scan *)
   c_scope : Wstate.path;
-  c_scope_key : string;  (* path_to_string c_scope, threaded to avoid re-concat *)
   c_enclosing : string option;
   c_scope_set : string option;
   c_scope_inputs : (string * Value.obj) list;
-  c_siblings : Schema.task list;
+  c_sibling : string -> bool;  (* names a child of [c_scope] *)
 }
 
-(* [path_to_string (scope @ [name])] in one allocation; the scan pass
-   computes this once per visited node, so it must not build the
-   intermediate path list or concat chain. *)
-let child_key parent name =
-  if parent = "" then name
-  else begin
-    let lp = String.length parent and ln = String.length name in
-    let b = Bytes.create (lp + 1 + ln) in
-    Bytes.blit_string parent 0 b 0 lp;
-    Bytes.set b lp '/';
-    Bytes.blit_string name 0 b (lp + 1) ln;
-    Bytes.unsafe_to_string b
-  end
+let in_list children name = List.exists (fun (s : Schema.task) -> s.Schema.name = name) children
 
-let is_sibling ctx name = List.exists (fun (s : Schema.task) -> s.Schema.name = name) ctx.c_siblings
+let make_ctx v ~pass ~scope ~alias ~sibling =
+  let chosen = v.v_chosen scope in
+  {
+    c_view = v;
+    c_pass = pass;
+    c_scope = scope;
+    c_enclosing = Some alias;
+    c_scope_set = Option.map (fun c -> c.Wstate.c_set) chosen;
+    c_scope_inputs = (match chosen with Some c -> c.Wstate.c_inputs | None -> []);
+    c_sibling = sibling;
+  }
+
+let scope_ctx v ~scope ~alias ~children =
+  make_ctx v ~pass:0 ~scope ~alias ~sibling:(in_list children)
 
 let mark_objects ctx path oc = List.assoc_opt oc (ctx.c_view.v_marks path)
 
 let obj_source_value ctx (os : Schema.obj_source) =
-  let sibling = is_sibling ctx os.Schema.s_task in
+  let sibling = ctx.c_sibling os.Schema.s_task in
   if (not sibling) && ctx.c_enclosing = Some os.Schema.s_task then
     match os.Schema.s_cond with
     | Schema.C_input set when ctx.c_scope_set = Some set ->
@@ -145,7 +263,7 @@ let obj_source_value ctx (os : Schema.obj_source) =
   end
 
 let notif_satisfied ctx (ns : Schema.notif_source) =
-  let sibling = is_sibling ctx ns.Schema.n_task in
+  let sibling = ctx.c_sibling ns.Schema.n_task in
   if (not sibling) && ctx.c_enclosing = Some ns.Schema.n_task then
     match ns.Schema.n_cond with
     | Schema.C_input set -> ctx.c_scope_set = Some set
@@ -175,33 +293,36 @@ let notif_groups_satisfied ctx groups =
 
 let timer_class = "Timer"
 
+let is_timer (io : Schema.input_object) =
+  io.Schema.io_sources = [] && io.Schema.io_class = timer_class
+
+let resolve_input ctx ~path ~set (io : Schema.input_object) =
+  match io.Schema.io_sources with
+  | [] ->
+    if io.Schema.io_class = timer_class then
+      if ctx.c_view.v_timer_fired path ~set then Some (Value.obj ~cls:timer_class Value.Unit)
+      else None
+    else if ctx.c_enclosing = None then ctx.c_view.v_external io.Schema.io_name
+    else None
+  | sources -> List.find_map (obj_source_value ctx) sources
+
+(* §3: a set is available once every one of its objects is, so the
+   first missing object settles the verdict. All that is left to learn
+   then is whether an unfired source-less timer (the missing object
+   itself, or one declared after it) must be armed. *)
 let try_input_set ctx ~path (s : Schema.input_set) =
   if not (notif_groups_satisfied ctx s.Schema.is_notifications) then `No
   else begin
-    let resolve (io : Schema.input_object) =
-      match io.Schema.io_sources with
-      | [] ->
-        if io.Schema.io_class = timer_class then
-          if ctx.c_view.v_timer_fired path ~set:s.Schema.is_name then
-            Some (io.Schema.io_name, Value.obj ~cls:timer_class Value.Unit)
-          else None
-        else if ctx.c_enclosing = None then
-          Option.map (fun v -> (io.Schema.io_name, v)) (ctx.c_view.v_external io.Schema.io_name)
-        else None
-      | sources ->
-        Option.map (fun v -> (io.Schema.io_name, v)) (List.find_map (obj_source_value ctx) sources)
+    let set = s.Schema.is_name in
+    let unfired io = is_timer io && resolve_input ctx ~path ~set io = None in
+    let rec resolve acc = function
+      | [] -> `Yes (set, List.rev acc)
+      | (io : Schema.input_object) :: rest -> (
+        match resolve_input ctx ~path ~set io with
+        | Some v -> resolve ((io.Schema.io_name, v) :: acc) rest
+        | None -> if is_timer io || List.exists unfired rest then `Arm_timer set else `No)
     in
-    let resolved = List.map resolve s.Schema.is_objects in
-    if List.for_all Option.is_some resolved then `Yes (s.Schema.is_name, List.map Option.get resolved)
-    else begin
-      let pending_timer =
-        List.exists2
-          (fun (io : Schema.input_object) r ->
-            r = None && io.Schema.io_sources = [] && io.Schema.io_class = timer_class)
-          s.Schema.is_objects resolved
-      in
-      if pending_timer then `Arm_timer s.Schema.is_name else `No
-    end
+    resolve [] s.Schema.is_objects
   end
 
 (* --- actions --- *)
@@ -231,39 +352,38 @@ type action =
   | Fail_task of { a_path : Wstate.path; a_reason : string }
   | Arm_timer of { a_path : Wstate.path; a_set : string; a_task : Schema.task; a_attempt : int }
 
+(* Like an input set, a binding stops at its first missing object. *)
 let binding_ready ctx (b : Schema.binding) =
   if not (notif_groups_satisfied ctx b.Schema.b_notifications) then None
   else begin
-    let resolve (name, sources) =
-      Option.map (fun v -> (name, v)) (List.find_map (obj_source_value ctx) sources)
+    let rec resolve acc = function
+      | [] -> Some (List.rev acc)
+      | (name, sources) :: rest -> (
+        match List.find_map (obj_source_value ctx) sources with
+        | Some v -> resolve ((name, v) :: acc) rest
+        | None -> None)
     in
-    let resolved = List.map resolve b.Schema.b_objects in
-    if List.for_all Option.is_some resolved then Some (List.map Option.get resolved) else None
+    resolve [] b.Schema.b_objects
   end
 
-(* One scan pass; actions come back in declaration order. Nodes that are
-   not candidates per [ctx.c_sel] are skipped — sound because a
-   non-candidate's readiness cannot have changed since the previous
-   pass, when it was either acted upon or found unready. *)
-let rec scan_task ~ctx (task : Schema.task) acc =
-  let key = child_key ctx.c_scope_key task.Schema.name in
-  (* Selector check before any state lookup: a node that is neither a
-     candidate nor an ancestor of one is skipped in O(1) regardless of
-     its state, so wide clean scopes cost two table probes per child. *)
-  if not (ctx.c_sel.sel_cand key || ctx.c_sel.sel_desc key) then acc
-  else begin
-    let v = ctx.c_view in
-    let path = ctx.c_scope @ [ task.Schema.name ] in
-    match v.v_state path with
-    | Some (Wstate.Done _ | Wstate.Failed _) -> acc
-    | None | Some (Wstate.Waiting _) ->
-      if ctx.c_sel.sel_cand key then scan_waiting ~ctx task path acc else acc
-    | Some (Wstate.Running _) -> (
-      match v.v_effective task with
-      | E_compound { children; bindings; alias } ->
-        scan_scope ~v ~sel:ctx.c_sel ~path ~key ~children ~bindings ~alias acc
-      | E_fn _ | E_missing _ -> acc)
-  end
+(* One scan pass; actions come back in declaration order. [at] is the
+   task's index node in an incremental pass and [None] in the full
+   scan, which visits every node. An incremental pass visits only the
+   stamped candidates and their ancestors, and evaluates only the
+   candidates ([cand]) — sound because a non-candidate's readiness
+   cannot have changed since the previous pass, when it was either
+   acted upon or found unready. *)
+let rec scan_task ~ctx ~cand ~at (task : Schema.task) acc =
+  let v = ctx.c_view in
+  let path = ctx.c_scope @ [ task.Schema.name ] in
+  match v.v_state path with
+  | Some (Wstate.Done _ | Wstate.Failed _) -> acc
+  | None | Some (Wstate.Waiting _) -> if cand then scan_waiting ~ctx task path acc else acc
+  | Some (Wstate.Running _) -> (
+    match v.v_effective task with
+    | E_compound { children; bindings; alias } ->
+      scan_scope ~v ~pass:ctx.c_pass ~at ~self:cand ~path ~children ~bindings ~alias acc
+    | E_fn _ | E_missing _ -> acc)
 
 and scan_waiting ~ctx task path acc =
   match waiting_attempt ctx.c_view path with
@@ -287,26 +407,14 @@ and scan_waiting ~ctx task path acc =
         (fun acc set -> Arm_timer { a_path = path; a_set = set; a_task = task; a_attempt = attempt } :: acc)
         acc timers)
 
-and scan_scope ~v ~sel ~path ~key ~children ~bindings ~alias acc =
-  let chosen = v.v_chosen path in
-  let ctx =
-    {
-      c_view = v;
-      c_sel = sel;
-      c_scope = path;
-      c_scope_key = key;
-      c_enclosing = Some alias;
-      c_scope_set = Option.map (fun c -> c.Wstate.c_set) chosen;
-      c_scope_inputs = (match chosen with Some c -> c.Wstate.c_inputs | None -> []);
-      c_siblings = children;
-    }
-  in
+and scan_scope ~v ~pass ~at ~self ~path ~children ~bindings ~alias acc =
+  let sibling = match at with None -> in_list children | Some n -> Hashtbl.mem n.n_kids in
+  let ctx = make_ctx v ~pass ~scope:path ~alias ~sibling in
   let attempt = running_attempt v path in
   (* binding evaluation only when the scope itself is a candidate: if it
      is not, no binding input changed since the last pass, so none can
      have become ready (and none was ready then, or it would have fired
      and closed the scope) *)
-  let self = sel.sel_cand key in
   let ready kinds =
     if not self then None
     else
@@ -327,7 +435,7 @@ and scan_scope ~v ~sel ~path ~key ~children ~bindings ~alias acc =
     | Some (b, objects) ->
       Do_repeat { a_path = path; a_name = b.Schema.b_name; a_objects = objects; a_attempt = attempt + 1 }
       :: acc
-    | None ->
+    | None -> (
       let acc =
         if not self then acc
         else begin
@@ -343,89 +451,32 @@ and scan_scope ~v ~sel ~path ~key ~children ~bindings ~alias acc =
             acc bindings
         end
       in
-      List.fold_left (fun acc child -> scan_task ~ctx child acc) acc children)
+      match at with
+      | None ->
+        List.fold_left (fun acc child -> scan_task ~ctx ~cand:true ~at child acc) acc children
+      | Some n -> scan_visits ~ctx n acc))
 
-let scan_sel sel v ~root =
-  let root_ctx =
-    {
-      c_view = v;
-      c_sel = sel;
-      c_scope = [];
-      c_scope_key = "";
-      c_enclosing = None;
-      c_scope_set = None;
-      c_scope_inputs = [];
-      c_siblings = [ root ];
-    }
-  in
-  List.rev (scan_task ~ctx:root_ctx root [])
+(* The children of [n] that incremental pass [ctx.c_pass] visits. *)
+and scan_visits ~ctx n acc =
+  let pass = ctx.c_pass in
+  List.fold_left
+    (fun acc k -> scan_task ~ctx ~cand:(k.n_cand = pass) ~at:(Some k) k.n_task acc)
+    acc (visits n ~pass)
 
-let scan v ~root = scan_sel sel_all v ~root
+(* The context above the root: no enclosing scope, the root its only
+   sibling. *)
+let top_ctx v ~pass (root : Schema.task) =
+  {
+    c_view = v;
+    c_pass = pass;
+    c_scope = [];
+    c_enclosing = None;
+    c_scope_set = None;
+    c_scope_inputs = [];
+    c_sibling = (fun name -> name = root.Schema.name);
+  }
 
-(* --- the reverse-dependency index --- *)
-
-(* Built once per instance from the (expanded) schema: for every store
-   path whose records can change, the set of paths whose readiness that
-   change can affect. Edges, for a compound scope P with children C and
-   output bindings B:
-   - P -> P/c for every child c: starting, repeating or re-choosing the
-     scope re-evaluates every constituent (this also covers enclosing
-     [C_input] references, which read the scope's chosen record);
-   - P/s -> P/c whenever child c's input sets name sibling s as an
-     object or notification source;
-   - P/s -> P whenever a binding in B names sibling s.
-   Dirty paths are always candidates themselves, so no self edges. *)
-type index = { idx_dependents : (string, Wstate.path list) Hashtbl.t }
-
-let build_index ~effective (root : Schema.task) =
-  let tbl : (string, Wstate.path list ref) Hashtbl.t = Hashtbl.create 64 in
-  let add_edge src dst =
-    let key = Wstate.path_to_string src in
-    match Hashtbl.find_opt tbl key with
-    | Some deps -> if not (List.mem dst !deps) then deps := dst :: !deps
-    | None -> Hashtbl.add tbl key (ref [ dst ])
-  in
-  let rec walk path (task : Schema.task) =
-    match effective task with
-    | E_fn _ | E_missing _ -> ()
-    | E_compound { children; bindings; _ } ->
-      let sibling name =
-        List.exists (fun (c : Schema.task) -> c.Schema.name = name) children
-      in
-      let src_edge dst name = if sibling name then add_edge (path @ [ name ]) dst in
-      List.iter
-        (fun (c : Schema.task) ->
-          let cpath = path @ [ c.Schema.name ] in
-          add_edge path cpath;
-          List.iter
-            (fun (s : Schema.input_set) ->
-              List.iter
-                (fun (io : Schema.input_object) ->
-                  List.iter
-                    (fun (os : Schema.obj_source) -> src_edge cpath os.Schema.s_task)
-                    io.Schema.io_sources)
-                s.Schema.is_objects;
-              List.iter
-                (List.iter (fun (ns : Schema.notif_source) -> src_edge cpath ns.Schema.n_task))
-                s.Schema.is_notifications)
-            c.Schema.inputs;
-          walk cpath c)
-        children;
-      List.iter
-        (fun (b : Schema.binding) ->
-          List.iter
-            (fun ((_, sources) : string * Schema.obj_source list) ->
-              List.iter (fun (os : Schema.obj_source) -> src_edge path os.Schema.s_task) sources)
-            b.Schema.b_objects;
-          List.iter
-            (List.iter (fun (ns : Schema.notif_source) -> src_edge path ns.Schema.n_task))
-            b.Schema.b_notifications)
-        bindings
-  in
-  walk [ root.Schema.name ] root;
-  let idx_dependents = Hashtbl.create (Hashtbl.length tbl) in
-  Hashtbl.iter (fun key deps -> Hashtbl.add idx_dependents key !deps) tbl;
-  { idx_dependents }
+let scan v ~root = List.rev (scan_task ~ctx:(top_ctx v ~pass:0 root) ~cand:true ~at:None root [])
 
 (* --- dirty sets --- *)
 
@@ -442,26 +493,26 @@ let scan_from idx v ~root ~dirty =
   | All -> scan v ~root
   | Paths [] -> []
   | Paths ps ->
-    (* candidates: the dirty paths plus their indexed dependents; the
-       walker descends into a Running scope only when the scope itself
-       is a candidate or a strict ancestor of one *)
-    let cand = Hashtbl.create 16 in
-    List.iter
-      (fun p ->
-        let key = Wstate.path_to_string p in
-        Hashtbl.replace cand key ();
-        match Hashtbl.find_opt idx.idx_dependents key with
-        | Some deps ->
-          List.iter (fun d -> Hashtbl.replace cand (Wstate.path_to_string d) ()) deps
-        | None -> ())
-      ps;
-    let within = Hashtbl.create 16 in
-    Hashtbl.iter
-      (fun key () ->
-        String.iteri (fun i c -> if c = '/' then Hashtbl.replace within (String.sub key 0 i) ()) key)
-      cand;
-    let sel = { sel_cand = Hashtbl.mem cand; sel_desc = Hashtbl.mem within } in
-    scan_sel sel v ~root
+    (* candidates: the dirty paths plus their indexed dependents. A path
+       the index does not know (a binding changed since it was built)
+       falls back to the full scan. *)
+    idx.idx_pass <- idx.idx_pass + 1;
+    let pass = idx.idx_pass in
+    let indexed p =
+      match node_at idx p with
+      | Some n ->
+        stamp pass n;
+        List.iter (stamp pass) n.n_deps;
+        true
+      | None -> false
+    in
+    if not (List.for_all indexed ps) then scan v ~root
+    else begin
+      (* every stamp enlisted the root *)
+      let r = idx.idx_root in
+      let ctx = top_ctx v ~pass root in
+      List.rev (scan_task ~ctx ~cand:(r.n_cand = pass) ~at:(Some r) r.n_task [])
+    end
 
 (* --- output shaping and implementation kv helpers --- *)
 

@@ -51,11 +51,6 @@ val task_live : view -> Wstate.path -> bool
 (** {!scope_open} and the instance itself is running — the fence every
     watchdog, retry and late report must pass. *)
 
-val find_node :
-  effective:(Schema.task -> effective) -> Schema.task -> string list -> Schema.task option
-(** Navigate a schema along a path of task names, expanding dynamically
-    bound sub-workflows. The first path element is a child of [task]. *)
-
 (** {1 Decisions} *)
 
 (** One scheduling decision. [Arm_timer] is volatile (the effect layer
@@ -85,6 +80,47 @@ type action =
   | Fail_task of { a_path : Wstate.path; a_reason : string }
   | Arm_timer of { a_path : Wstate.path; a_set : string; a_task : Schema.task; a_attempt : int }
 
+(** {1 Readiness}
+
+    The §3 availability rules for the children of one running compound
+    scope. Both verdicts stop at the first missing object. The scans
+    below use these; they are exposed for the tests' resolve-everything
+    reference. *)
+
+type ctx
+(** The context in which the children of one running scope are
+    evaluated: its chosen inputs and which names are siblings. *)
+
+val scope_ctx : view -> scope:Wstate.path -> alias:string -> children:Schema.task list -> ctx
+(** The context of the running compound at [scope], whose children are
+    [children] and whose own name in sources is [alias]. *)
+
+val resolve_input :
+  ctx -> path:Wstate.path -> set:string -> Schema.input_object -> Value.obj option
+(** One input object of input set [set] of the task at [path]. A
+    source-less [Timer] object is available once that set's timer
+    fired. *)
+
+val obj_source_value : ctx -> Schema.obj_source -> Value.obj option
+
+val notif_groups_satisfied : ctx -> Schema.notif_source list list -> bool
+
+val try_input_set :
+  ctx ->
+  path:Wstate.path ->
+  Schema.input_set ->
+  [ `Yes of string * (string * Value.obj) list | `Arm_timer of string | `No ]
+(** [`Yes] with the resolved objects in declaration order when the
+    notifications hold and every object resolves; otherwise
+    [`Arm_timer] when some source-less timer of the set is unfired, and
+    [`No] if none is. *)
+
+val binding_ready : ctx -> Schema.binding -> (string * Value.obj) list option
+(** The objects of an output binding, when its notifications hold and
+    every object resolves. *)
+
+(** {1 Scans} *)
+
 val scan : view -> root:Schema.task -> action list
 (** One full evaluation pass over the instance tree; actions come back
     in declaration order. Pure: same view, same actions. The engine
@@ -106,9 +142,16 @@ type index
 (** Reverse-dependency index over one (expanded) schema: producer path
     → the paths whose input sets or output bindings read it, plus each
     compound scope → its constituents (a scope start, repeat or chosen
-    change re-evaluates every child). Rebuild after reconfiguration. *)
+    change re-evaluates every child). It also holds every scope's
+    children by name. One index serves one instance: {!scan_from}
+    stamps it. Rebuild after reconfiguration. *)
 
 val build_index : effective:(Schema.task -> effective) -> Schema.task -> index
+
+val find_task : index -> Wstate.path -> Schema.task option
+(** The task at an absolute path (root task first), descending through
+    bound sub-workflows as they were when the index was built. One table
+    probe per path segment. *)
 
 (** The accumulated change set between two evaluation passes. *)
 type dirty = All | Paths of Wstate.path list
@@ -126,7 +169,9 @@ val scan_from : index -> view -> root:Schema.task -> dirty:dirty -> action list
     indexed dependents. [scan_from idx v ~root ~dirty:All] is exactly
     [scan v ~root]; with [dirty:(Paths ps)] it returns the same actions
     the full scan would, provided every store change since the previous
-    pass is covered by [ps]. *)
+    pass is covered by [ps]. A scope visits only the children that are
+    candidates or lie above one, so the cost of a pass does not grow
+    with the width of the scopes it crosses. *)
 
 val action_path : action -> Wstate.path
 (** The store path an action mutates — what the next {!scan_from} pass

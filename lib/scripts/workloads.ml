@@ -61,7 +61,7 @@ let chain ~n = chain_build n
 
 let chain_remote ~n ~host = chain_build ~location:host n
 
-let fanout ~width =
+let fanout_build ?location width =
   if width < 1 then invalid_arg "Workloads.fanout: width must be >= 1";
   let b = Buffer.create 1024 in
   buf_add b preamble;
@@ -75,7 +75,7 @@ let fanout ~width =
   buf_add b "compoundtask fanout of taskclass Fanout {\n";
   step_task b ~name:"src" ~code:"w.step" ~source:"data of task fanout if input main";
   for i = 1 to width do
-    step_task b ~name:(Printf.sprintf "w%d" i) ~code:"w.step"
+    step_task ?location b ~name:(Printf.sprintf "w%d" i) ~code:"w.step"
       ~source:"data of task src if output done"
   done;
   buf_add b "    task join of taskclass Join {\n        implementation { \"code\" is \"w.join\" };\n";
@@ -91,6 +91,10 @@ let fanout ~width =
 }
 |};
   (Buffer.contents b, "fanout")
+
+let fanout ~width = fanout_build width
+
+let fanout_remote ~width ~host = fanout_build ~location:host width
 
 let nested ~depth =
   if depth < 1 then invalid_arg "Workloads.nested: depth must be >= 1";

@@ -18,6 +18,10 @@ val fanout : width:int -> string * string
 (** One producer, [width] parallel workers, one join consuming all of
     them (Fig 1's diamond generalised). Codes: [w.step], [w.join]. *)
 
+val fanout_remote : width:int -> host:string -> string * string
+(** {!fanout} with every worker pinned to the task-host node [host], so
+    network jitter spreads the completions that feed the join. *)
+
 val nested : depth:int -> string * string
 (** Compound tasks nested [depth] deep, one worker at the bottom
     (Fig 5 / Fig 9's hierarchy, deepened). Code: [w.step]. *)

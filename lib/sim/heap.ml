@@ -1,10 +1,15 @@
+(* With a [filler], every slot at or beyond [size] holds it, so the heap
+   never keeps a popped element reachable. *)
 type 'a t = {
   cmp : 'a -> 'a -> int;
+  filler : 'a option;
   mutable data : 'a array;
   mutable size : int;
 }
 
-let create ~cmp = { cmp; data = [||]; size = 0 }
+let create ~cmp = { cmp; filler = None; data = [||]; size = 0 }
+
+let create_filled ~cmp ~filler = { cmp; filler = Some filler; data = [||]; size = 0 }
 
 let length t = t.size
 
@@ -14,7 +19,7 @@ let grow t x =
   let capacity = Array.length t.data in
   if t.size = capacity then begin
     let next = max 16 (2 * capacity) in
-    let data = Array.make next x in
+    let data = Array.make next (Option.value t.filler ~default:x) in
     Array.blit t.data 0 data 0 t.size;
     t.data <- data
   end
@@ -80,7 +85,9 @@ let pop_exn t =
   let top = Array.unsafe_get data 0 in
   let last = t.size - 1 in
   t.size <- last;
-  if last > 0 then sift_down t 0 (Array.unsafe_get data last);
+  let moved = Array.unsafe_get data last in
+  (match t.filler with Some f -> Array.unsafe_set data last f | None -> ());
+  if last > 0 then sift_down t 0 moved;
   top
 
 let pop t = if t.size = 0 then None else Some (pop_exn t)

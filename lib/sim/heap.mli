@@ -6,6 +6,13 @@
 type 'a t
 
 val create : cmp:('a -> 'a -> int) -> 'a t
+(** An empty heap. A slot it vacates keeps its old element until a later
+    push overwrites it, which only matters for elements that hold heap
+    blocks; prefer {!create_filled} for those. *)
+
+val create_filled : cmp:('a -> 'a -> int) -> filler:'a -> 'a t
+(** An empty heap that overwrites every slot it vacates with [filler],
+    so a popped element is no longer reachable from the heap. *)
 
 val length : 'a t -> int
 

@@ -24,11 +24,15 @@ let sec n = n * 1_000_000
 let compare_event a b =
   match compare a.at b.at with 0 -> compare a.seq b.seq | c -> c
 
+(* fills the queue's vacated slots, so a fired event and its closure
+   are garbage as soon as the event has run *)
+let no_event = { at = max_int; seq = max_int; action = ignore; cancelled = true }
+
 let create ?(seed = 1L) () =
   {
     clock = 0;
     next_seq = 0;
-    queue = Heap.create ~cmp:compare_event;
+    queue = Heap.create_filled ~cmp:compare_event ~filler:no_event;
     root_rng = Rng.create seed;
     events = Event.bus ();
   }

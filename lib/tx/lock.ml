@@ -8,17 +8,32 @@ type outcome =
   | Granted
   | Conflict of string
 
-type t = { table : (string, state) Hashtbl.t }
+(* [held] maps each transaction to the keys it holds a lock on, so a
+   release costs what the transaction holds, not the size of [table]
+   (whose bucket array never shrinks after a burst of transactions). *)
+type t = {
+  table : (string, state) Hashtbl.t;
+  held : (string, string list ref) Hashtbl.t;
+}
 
-let create () = { table = Hashtbl.create 64 }
+let create () = { table = Hashtbl.create 64; held = Hashtbl.create 16 }
+
+let hold t ~key ~txid =
+  match Hashtbl.find_opt t.held txid with
+  | Some keys -> keys := key :: !keys
+  | None -> Hashtbl.add t.held txid (ref [ key ])
 
 let read t ~key ~txid =
   match Hashtbl.find_opt t.table key with
   | None ->
     Hashtbl.replace t.table key (Readers (String_set.singleton txid));
+    hold t ~key ~txid;
     Granted
   | Some (Readers readers) ->
-    Hashtbl.replace t.table key (Readers (String_set.add txid readers));
+    if not (String_set.mem txid readers) then begin
+      Hashtbl.replace t.table key (Readers (String_set.add txid readers));
+      hold t ~key ~txid
+    end;
     Granted
   | Some (Writer owner) -> if owner = txid then Granted else Conflict owner
 
@@ -26,10 +41,13 @@ let write t ~key ~txid =
   match Hashtbl.find_opt t.table key with
   | None ->
     Hashtbl.replace t.table key (Writer txid);
+    hold t ~key ~txid;
     Granted
   | Some (Writer owner) -> if owner = txid then Granted else Conflict owner
   | Some (Readers readers) ->
     if String_set.equal readers (String_set.singleton txid) || String_set.is_empty readers then begin
+      (* an upgrade keeps the key its read already recorded *)
+      if String_set.is_empty readers then hold t ~key ~txid;
       Hashtbl.replace t.table key (Writer txid);
       Granted
     end
@@ -49,25 +67,24 @@ let holds_write t ~key ~txid =
   match Hashtbl.find_opt t.table key with Some (Writer owner) -> owner = txid | _ -> false
 
 let release_all t ~txid =
-  let release key state acc =
-    match state with
-    | Writer owner when owner = txid -> key :: acc
-    | Writer _ -> acc
-    | Readers readers ->
-      if String_set.mem txid readers then begin
-        let rest = String_set.remove txid readers in
-        if String_set.is_empty rest then key :: acc
-        else begin
-          Hashtbl.replace t.table key (Readers rest);
-          acc
-        end
-      end
-      else acc
-  in
-  let to_remove = Hashtbl.fold release t.table [] in
-  List.iter (Hashtbl.remove t.table) to_remove
+  match Hashtbl.find_opt t.held txid with
+  | None -> ()
+  | Some keys ->
+    Hashtbl.remove t.held txid;
+    List.iter
+      (fun key ->
+        match Hashtbl.find_opt t.table key with
+        | Some (Writer owner) when owner = txid -> Hashtbl.remove t.table key
+        | Some (Readers readers) when String_set.mem txid readers ->
+          let rest = String_set.remove txid readers in
+          if String_set.is_empty rest then Hashtbl.remove t.table key
+          else Hashtbl.replace t.table key (Readers rest)
+        | Some (Writer _ | Readers _) | None -> ())
+      !keys
 
-let reset t = Hashtbl.reset t.table
+let reset t =
+  Hashtbl.reset t.table;
+  Hashtbl.reset t.held
 
 let held_total t =
   Hashtbl.fold
@@ -78,10 +95,6 @@ let held_total t =
     t.table 0
 
 let held_keys t ~txid =
-  let keep key state acc =
-    match state with
-    | Writer owner when owner = txid -> key :: acc
-    | Readers readers when String_set.mem txid readers -> key :: acc
-    | Writer _ | Readers _ -> acc
-  in
-  List.sort String.compare (Hashtbl.fold keep t.table [])
+  match Hashtbl.find_opt t.held txid with
+  | Some keys -> List.sort String.compare !keys
+  | None -> []

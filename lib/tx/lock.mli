@@ -28,7 +28,8 @@ val holds_read : t -> key:string -> txid:string -> bool
 val holds_write : t -> key:string -> txid:string -> bool
 
 val release_all : t -> txid:string -> unit
-(** Drop every lock held by [txid] (commit or abort). *)
+(** Drop every lock held by [txid] (commit or abort), in time
+    proportional to the number of keys it holds. *)
 
 val reset : t -> unit
 (** Crash: forget everything. *)

@@ -336,6 +336,189 @@ let test_pointwise () =
   pointwise (Workloads.nested ~depth:4);
   pointwise (Workloads.alternatives ~k:3 ~alive:2)
 
+(* --- readiness: the short-circuit against resolve-everything --- *)
+
+(* The verdicts as they were computed before they stopped at the first
+   missing object: resolve every object, then decide. *)
+let reference_try_input_set ctx ~path (s : Schema.input_set) =
+  if not (Sched.notif_groups_satisfied ctx s.Schema.is_notifications) then `No
+  else begin
+    let set = s.Schema.is_name in
+    let resolve (io : Schema.input_object) =
+      Option.map (fun v -> (io.Schema.io_name, v)) (Sched.resolve_input ctx ~path ~set io)
+    in
+    let resolved = List.map resolve s.Schema.is_objects in
+    if List.for_all Option.is_some resolved then `Yes (set, List.map Option.get resolved)
+    else if
+      List.exists2
+        (fun (io : Schema.input_object) r ->
+          r = None && io.Schema.io_sources = [] && io.Schema.io_class = "Timer")
+        s.Schema.is_objects resolved
+    then `Arm_timer set
+    else `No
+  end
+
+let reference_binding_ready ctx (b : Schema.binding) =
+  if not (Sched.notif_groups_satisfied ctx b.Schema.b_notifications) then None
+  else begin
+    let resolve (name, sources) =
+      Option.map (fun v -> (name, v)) (List.find_map (Sched.obj_source_value ctx) sources)
+    in
+    let resolved = List.map resolve b.Schema.b_objects in
+    if List.for_all Option.is_some resolved then Some (List.map Option.get resolved) else None
+  end
+
+(* The running scope [fanout] of [Workloads.fanout ~width:4]: siblings
+   src, w1..w4 and join. [done_tasks] have finished with output done,
+   [other_tasks] with output other; the join's timer has fired when
+   [fired] holds. *)
+let readiness_ctx ~done_tasks ~other_tasks ~fired =
+  let schema =
+    let script, root = Workloads.fanout ~width:4 in
+    match Frontend.compile script ~root with
+    | Ok schema -> schema
+    | Error e -> Alcotest.failf "compile failed: %s" (Frontend.error_to_string e)
+  in
+  let children =
+    match schema.Schema.body with
+    | Schema.Compound { children; _ } -> children
+    | Schema.Simple -> Alcotest.fail "fanout is not a compound"
+  in
+  let finished output name =
+    Wstate.Done
+      {
+        attempt = 1;
+        output;
+        kind = Ast.Outcome;
+        objects = [ ("data", Value.obj ~cls:"Data" (Value.Str name)) ];
+      }
+  in
+  let v =
+    {
+      Sched.v_effective = Registry.effective (Registry.create ());
+      v_state =
+        (function
+        | [ "fanout"; name ] when List.mem name done_tasks -> Some (finished "done" name)
+        | [ "fanout"; name ] when List.mem name other_tasks -> Some (finished "other" name)
+        | [ "fanout" ] ->
+          Some (Wstate.Running { attempt = 1; set = "main"; started = 0; deadline = 0 })
+        | _ -> None);
+      v_chosen = (fun _ -> None);
+      v_marks = (fun _ -> []);
+      v_repeat = (fun _ -> None);
+      v_timer_fired = (fun _ ~set:_ -> fired);
+      v_external = (fun _ -> None);
+      v_running = true;
+    }
+  in
+  Sched.scope_ctx v ~scope:[ "fanout" ] ~alias:"fanout" ~children
+
+let siblings = [ "src"; "w1"; "w2"; "w3"; "w4" ]
+
+(* An object: a source-less timer, or data from some siblings (ordered
+   alternatives). *)
+type obj_spec = Timer | Data of string list
+
+let data_source task = { Schema.s_task = task; s_obj = "data"; s_cond = Schema.C_output "done" }
+
+let input_set ?(notifications = []) specs =
+  {
+    Schema.is_name = "main";
+    is_notifications = notifications;
+    is_objects =
+      List.mapi
+        (fun i spec ->
+          match spec with
+          | Timer ->
+            { Schema.io_name = Printf.sprintf "t%d" i; io_class = "Timer"; io_sources = [] }
+          | Data tasks ->
+            {
+              Schema.io_name = Printf.sprintf "d%d" i;
+              io_class = "Data";
+              io_sources = List.map data_source tasks;
+            })
+        specs;
+  }
+
+let notify task = { Schema.n_task = task; n_cond = Schema.C_output "done" }
+
+let path = [ "fanout"; "join" ]
+
+type readiness_case = {
+  specs : obj_spec list;
+  notifications : string list list;
+  done_tasks : string list;
+  other_tasks : string list;
+  fired : bool;
+}
+
+let gen_readiness =
+  QCheck.Gen.(
+    let task = oneofl siblings in
+    let data = map (fun ts -> Data ts) (list_size (int_range 1 2) task) in
+    let spec = frequency [ (1, return Timer); (4, data) ] in
+    let subset = list_size (int_bound 5) task in
+    list_size (int_bound 6) spec >>= fun specs ->
+    list_size (int_bound 2) (list_size (int_range 1 2) task) >>= fun notifications ->
+    subset >>= fun done_tasks ->
+    subset >>= fun other_tasks ->
+    bool >>= fun fired -> return { specs; notifications; done_tasks; other_tasks; fired })
+
+let print_readiness c =
+  let spec = function Timer -> "timer" | Data ts -> "data(" ^ String.concat "|" ts ^ ")" in
+  Printf.sprintf "objects [%s], notifications [%s], done [%s], other [%s], fired %b"
+    (String.concat "; " (List.map spec c.specs))
+    (String.concat "; " (List.map (String.concat "|") c.notifications))
+    (String.concat "; " c.done_tasks) (String.concat "; " c.other_tasks) c.fired
+
+let prop_short_circuit =
+  QCheck.Test.make ~name:"short-circuit readiness = resolve everything" ~count:500
+    (QCheck.make gen_readiness ~print:print_readiness)
+    (fun c ->
+      let ctx =
+        readiness_ctx ~done_tasks:c.done_tasks ~other_tasks:c.other_tasks ~fired:c.fired
+      in
+      let notifications = List.map (List.map notify) c.notifications in
+      let set = input_set ~notifications c.specs in
+      let binding =
+        {
+          Schema.b_name = "finished";
+          b_kind = Ast.Outcome;
+          b_notifications = notifications;
+          b_objects =
+            List.filter_map
+              (fun (io : Schema.input_object) ->
+                match io.Schema.io_sources with
+                | [] -> None
+                | sources -> Some (io.Schema.io_name, sources))
+              set.Schema.is_objects;
+        }
+      in
+      Sched.try_input_set ctx ~path set = reference_try_input_set ctx ~path set
+      && Sched.binding_ready ctx binding = reference_binding_ready ctx binding)
+
+let test_short_circuit_timers () =
+  let verdict ~fired specs =
+    let ctx = readiness_ctx ~done_tasks:[ "w1" ] ~other_tasks:[] ~fired in
+    let set = input_set specs in
+    let got = Sched.try_input_set ctx ~path set in
+    if got <> reference_try_input_set ctx ~path set then
+      Alcotest.fail "short-circuit disagrees with the reference";
+    match got with `Yes _ -> "start" | `Arm_timer _ -> "arm" | `No -> "none"
+  in
+  let check_verdict what expected got = Alcotest.(check string) what expected got in
+  check_verdict "missing data ahead of an unfired timer arms it" "arm"
+    (verdict ~fired:false [ Data [ "w1" ]; Data [ "w2" ]; Timer ]);
+  check_verdict "an unfired timer ahead of missing data arms it" "arm"
+    (verdict ~fired:false [ Timer; Data [ "w2" ] ]);
+  check_verdict "fired timer, data missing after it: no start, no arm" "none"
+    (verdict ~fired:true [ Timer; Data [ "w2" ] ]);
+  check_verdict "fired timer, data missing before it: no start, no arm" "none"
+    (verdict ~fired:true [ Data [ "w2" ]; Timer ]);
+  check_verdict "fired timer, data present: start" "start"
+    (verdict ~fired:true [ Data [ "w1" ]; Timer ]);
+  check_verdict "no timer, data missing: none" "none" (verdict ~fired:false [ Data [ "w2"; "w3" ] ])
+
 (* --- recovery-policy decisions --- *)
 
 (* The policy of [w/step], compiled from a script whose step declares
@@ -493,7 +676,7 @@ let test_jitter_deterministic_and_bounded () =
         (delay plain ~salt:"s" ~iid:"wf-1" ~attempt:a))
     retries [ 5; 10; 20; 40; 40; 40; 40 ]
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_random_dags ]
+let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_random_dags; prop_short_circuit ]
 
 let () =
   Alcotest.run "sched"
@@ -504,6 +687,8 @@ let () =
           Alcotest.test_case "crash recovery" `Quick test_crash_recovery;
           Alcotest.test_case "pointwise scan_from" `Quick test_pointwise;
         ] );
+      ( "readiness",
+        [ Alcotest.test_case "timers around a missing object" `Quick test_short_circuit_timers ] );
       ("policy", [ Alcotest.test_case "decisions" `Quick test_policy_decisions ]);
       ( "jitter",
         [

@@ -19,6 +19,32 @@ let test_heap_empty () =
   check "pop none" true (Heap.pop h = None);
   check "peek none" true (Heap.peek h = None)
 
+(* A popped element must not stay reachable from the heap: neither
+   from the slot the pop vacated nor, once the heap is empty, from its
+   first slot. Each element is a fresh block watched through a weak
+   pointer, built and popped in a function of its own so that no local
+   variable keeps it alive. *)
+let test_heap_releases_popped () =
+  let filler = ref (-1) in
+  let h = Heap.create_filled ~cmp:(fun a b -> compare !a !b) ~filler in
+  let watch = Weak.create 2 in
+  let[@inline never] push_watched slot v =
+    let x = ref v in
+    Weak.set watch slot (Some x);
+    Heap.push h x
+  in
+  let[@inline never] pop () = ignore (Sys.opaque_identity (Heap.pop_exn h)) in
+  push_watched 0 1;
+  push_watched 1 2;
+  pop ();
+  Gc.full_major ();
+  check "popped from a non-empty heap" true (Weak.get watch 0 = None);
+  check "the rest stays" true (Weak.get watch 1 <> None);
+  pop ();
+  Gc.full_major ();
+  check "popped by the last pop" true (Weak.get watch 1 = None);
+  check "empty" true (Heap.is_empty h)
+
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
     QCheck.(list int)
@@ -295,6 +321,7 @@ let () =
         [
           Alcotest.test_case "orders elements" `Quick test_heap_orders_elements;
           Alcotest.test_case "empty behaviour" `Quick test_heap_empty;
+          Alcotest.test_case "releases popped elements" `Quick test_heap_releases_popped;
         ] );
       ( "rng",
         [

@@ -43,7 +43,16 @@ let test_lock_release_all () =
   Lock.release_all l ~txid:"t1";
   Alcotest.(check (list string)) "t1 holds nothing" [] (Lock.held_keys l ~txid:"t1");
   Alcotest.(check (list string)) "t2 keeps its read" [ "b" ] (Lock.held_keys l ~txid:"t2");
-  check "a is free for others" true (Lock.write l ~key:"a" ~txid:"t3" = Lock.Granted)
+  check "a is free for others" true (Lock.write l ~key:"a" ~txid:"t3" = Lock.Granted);
+  (* a key read twice, upgraded and read again is held, and released,
+     once *)
+  ignore (Lock.read l ~key:"c" ~txid:"t4");
+  ignore (Lock.read l ~key:"c" ~txid:"t4");
+  ignore (Lock.write l ~key:"c" ~txid:"t4");
+  ignore (Lock.read l ~key:"c" ~txid:"t4");
+  Alcotest.(check (list string)) "t4 holds c once" [ "c" ] (Lock.held_keys l ~txid:"t4");
+  List.iter (fun txid -> Lock.release_all l ~txid) [ "t2"; "t3"; "t4" ];
+  Alcotest.(check int) "table drained" 0 (Lock.held_total l)
 
 (* --- Single-node transactions --- *)
 
