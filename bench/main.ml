@@ -466,9 +466,47 @@ let engine_gates () =
        value (lazy initialisation adds a fraction of a word to a cold
        first run, hence the warm-up). The bound sits about 5% above it;
        the scheduler-scan allocation removed in EXPERIMENTS.md A11 cost
-       about 3,800 more words per dispatch. *)
-    at_most "engine.chain_words_per_dispatch" (words /. dispatches) 8_000.;
+       about 3,800 more words per dispatch, and encoding each local
+       one-phase commit to wire bytes and back (A18) about 500. *)
+    at_most "engine.chain_words_per_dispatch" (words /. dispatches) 6_500.;
   ]
+
+(* --- engine: one instance's history against the store's size --- *)
+
+(* [instances] concluded, uncollected 3-task chains on one engine; the
+   minor words of one [Engine.history] call. The call should read only
+   its instance's rows, so the words should not grow with the number of
+   other instances in the store. Allocation is deterministic, so the
+   gate compares two store sizes exactly. *)
+let history_words ~instances =
+  let tb = Testbed.make ~engine_config:{ Engine.default_config with trace = false } () in
+  Workloads.register tb.Testbed.registry;
+  let script, root = Workloads.chain ~n:3 in
+  let iids =
+    List.init instances (fun _ ->
+        must (Engine.launch tb.Testbed.engine ~script ~root ~inputs:Workloads.seed_inputs))
+  in
+  Testbed.run tb;
+  List.iter
+    (fun iid ->
+      match Engine.status tb.Testbed.engine iid with
+      | Some (Wstate.Wf_done _) -> ()
+      | _ -> failwith ("history gate: " ^ iid ^ " did not complete"))
+    iids;
+  let iid = List.hd iids in
+  ignore (Engine.history tb.Testbed.engine iid);
+  let w0 = Gc.minor_words () in
+  let rows = Engine.history tb.Testbed.engine iid in
+  let words = Gc.minor_words () -. w0 in
+  if rows = [] then failwith "history gate: no history rows";
+  words
+
+let history_gates () =
+  header "GATES: engine — one instance's history, 10 and 1,000 instances in the store";
+  let at_10 = history_words ~instances:10 in
+  let at_1000 = history_words ~instances:1_000 in
+  Printf.printf "%8d instances: %.0f words\n%8d instances: %.0f words\n" 10 at_10 1_000 at_1000;
+  [ at_most "engine.history_words_growth" (at_1000 /. at_10) 1.05 ]
 
 (* --- cluster: the supply chain over 1/2/4 engines --- *)
 
@@ -797,7 +835,7 @@ let write_gates ~mode gates =
   close_out oc
 
 let run_gates ~mode ~capacity_sizes ~fanout_widths ~hotpath_scale =
-  let engine = engine_gates () in
+  let engine = engine_gates () @ history_gates () in
   let cluster = cluster_gates () in
   let capacity = capacity_gates ~sizes:capacity_sizes in
   let fanout = fanout_gates ~widths:fanout_widths in

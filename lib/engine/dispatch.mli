@@ -67,6 +67,11 @@ val key_slice : string array -> prefix:string -> string list
     same list a [String.starts_with] filter returns, found by binary
     search in O(log n + slice). *)
 
+val committed_keys_with_prefix : t -> prefix:string -> string list
+(** The committed keys that start with [prefix], in [String.compare]
+    order, read on their own ({!Kvstore.keys_with_prefix}): for one
+    instance, where {!committed_key_array} would sort every key. *)
+
 val history_in : t -> string array -> iid:string -> (Sim.time * string * string) list
 (** {!committed_history} over an already-read {!committed_key_array}. *)
 

@@ -527,10 +527,13 @@ let compile_cached t ~script ~root =
 
 (* --- recovery --- *)
 
-(* The one owner of "an instance's keys": its rows in a sorted
-   committed-key array, in order (recovery replays them, gc deletes
-   them). *)
+(* The one owner of "an instance's keys": its rows, in sorted order
+   (recovery replays them, gc deletes them). Recovery slices them out of
+   one sorted read of the whole store; a single instance reads only its
+   own. *)
 let instance_keys keys iid = Dispatch.key_slice keys ~prefix:(Wstate.task_prefix iid)
+
+let own_keys t iid = Dispatch.committed_keys_with_prefix t.disp ~prefix:(Wstate.task_prefix iid)
 
 (* [keys] is the instance's slice of the committed keys, in sorted
    order (see {!instance_keys}). *)
@@ -588,7 +591,7 @@ let dir_iid_of_key key =
    exactly the iids named by the commit's directory rows, O(writes). *)
 let reconcile_one t iid =
   if not (Hashtbl.mem t.insts iid) then begin
-    rebuild_instance t ~keys:(instance_keys (Dispatch.committed_key_array t.disp) iid) iid;
+    rebuild_instance t ~keys:(own_keys t iid) iid;
     if Hashtbl.mem t.insts iid && not (List.mem iid t.inst_rev) then
       t.inst_rev <- iid :: t.inst_rev
   end
@@ -882,7 +885,7 @@ let gc t iid k =
   | Some inst when inst.Instate.status = Wstate.Wf_running ->
     k (Error ("instance " ^ iid ^ " is still running"))
   | Some _ ->
-    let doomed = instance_keys (Dispatch.committed_key_array t.disp) iid in
+    let doomed = own_keys t iid in
     let writes = (Wstate.key_dir iid, None) :: List.map (fun key -> (key, None)) doomed in
     persist t writes (fun () ->
         t.inst_rev <- List.filter (fun i -> i <> iid) t.inst_rev;

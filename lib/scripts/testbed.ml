@@ -31,7 +31,7 @@ let make ?(config = Network.default_config) ?(engine_config = Engine.default_con
         let node = Network.add_node net ~id in
         Rpc.attach rpc node;
         let participant = Participant.create ~rpc ~node in
-        let mgr = Txn.manager ~rpc ~node in
+        let mgr = Txn.manager ~rpc ~node ~participant in
         (node, participant, mgr))
       all_ids
   in

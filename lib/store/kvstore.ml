@@ -47,6 +47,19 @@ let keys t =
   let all = Hashtbl.fold (fun k _ acc -> k :: acc) t.cache [] in
   List.sort String.compare all
 
+(* A top-level loop over explicit arguments: [String.starts_with]'s local
+   loop is a closure, allocated on every call without flambda. *)
+let rec same_from prefix key i =
+  i = String.length prefix
+  || (String.unsafe_get prefix i = String.unsafe_get key i && same_from prefix key (i + 1))
+
+let has_prefix ~prefix key = String.length key >= String.length prefix && same_from prefix key 0
+
+let keys_with_prefix t ~prefix =
+  check t;
+  let keep k _ acc = if has_prefix ~prefix k then k :: acc else acc in
+  List.sort String.compare (Hashtbl.fold keep t.cache [])
+
 let fold t ~init ~f =
   let step acc key =
     match Hashtbl.find_opt t.cache key with

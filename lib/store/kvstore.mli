@@ -26,6 +26,11 @@ val delete : t -> string -> unit
 val keys : t -> string list
 (** Sorted, for deterministic iteration. *)
 
+val keys_with_prefix : t -> prefix:string -> string list
+(** The keys that start with [prefix], sorted: the same list as
+    filtering {!keys}, but one pass over the table that sorts only the
+    matches, and allocates nothing for a key that does not match. *)
+
 val fold : t -> init:'acc -> f:('acc -> string -> string -> 'acc) -> 'acc
 (** Folds over bindings in sorted key order. *)
 

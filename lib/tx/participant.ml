@@ -20,6 +20,8 @@ let store t = t.store
 
 let log_length t = Wal.length t.plog
 
+let log t = Wal.records t.plog
+
 let apply_write t (k, v) =
   match v with Some value -> Kvstore.put t.store k value | None -> Kvstore.delete t.store k
 
@@ -105,11 +107,10 @@ let handle_prepare t ~src:_ body =
    changes nothing. A refusal is remembered in the volatile decided
    cache so a re-executed duplicate (evicted reply) cannot commit a
    transaction the coordinator already gave up on. *)
-let handle_commit_one t ~src:_ body =
-  let txid, read_keys, writes = Txrecord.dec_commit_one body in
+let commit_one t ~txid ~read_keys ~writes =
   match Hashtbl.find_opt t.decided txid with
-  | Some `Committed -> Txrecord.enc_vote true (* duplicate *)
-  | Some `Aborted -> Txrecord.enc_vote false
+  | Some `Committed -> true (* duplicate *)
+  | Some `Aborted -> false
   | None ->
     if prepare_locks t ~txid ~read_keys ~writes then begin
       apply_writes t writes;
@@ -117,13 +118,17 @@ let handle_commit_one t ~src:_ body =
       Hashtbl.replace t.decided txid `Committed;
       Lock.release_all t.locks ~txid;
       List.iter (fun observe -> observe writes) t.observers;
-      Txrecord.enc_vote true
+      true
     end
     else begin
       Hashtbl.replace t.decided txid `Aborted;
       Lock.release_all t.locks ~txid;
-      Txrecord.enc_vote false
+      false
     end
+
+let handle_commit_one t ~src:_ body =
+  let txid, read_keys, writes = Txrecord.dec_commit_one body in
+  Txrecord.enc_vote (commit_one t ~txid ~read_keys ~writes)
 
 (* Read-only elision: the participant holds no writes for this
    transaction, so its vote is pure validation — do the read locks still

@@ -23,6 +23,21 @@ val on_apply : t -> (Txrecord.write list -> unit) -> unit
     react to state that became durable while their volatile view was
     being rebuilt. *)
 
+val commit_one :
+  t -> txid:string -> read_keys:string list -> writes:Txrecord.write list -> bool
+(** One-phase commit: this node is the transaction's only participant,
+    so validating the read locks, taking the write locks, applying, and
+    the single [P_one_phase] append happen here in one step. Returns the
+    vote. A txid already decided here returns that decision again and
+    changes nothing; a refusal releases every lock the transaction held
+    and is remembered, so a duplicate can never commit it later.
+    Observers run before it returns, and their exceptions propagate.
+    Raises {!Kvstore.Unavailable} when the node is down. *)
+
+val handle_commit_one : t -> src:string -> string -> string
+(** The [tx.commit1] service: decodes the request, calls {!commit_one},
+    encodes the vote. *)
+
 val committed_value : t -> key:string -> string option
 (** Directly inspect the committed store (testing / local fast reads
     outside any transaction). Raises {!Kvstore.Unavailable} when the
@@ -40,6 +55,9 @@ val locks_held : t -> int
 val store : t -> Kvstore.t
 
 val log_length : t -> int
+
+val log : t -> Txrecord.precord list
+(** The intentions log, oldest record first (tests). *)
 
 val checkpoint : t -> unit
 (** Compact the object store's WAL and drop decided records from the

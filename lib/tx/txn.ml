@@ -25,6 +25,7 @@ module String_set = Set.Make (String)
 type manager = {
   rpc : Rpc.t;
   node : Node.t;
+  participant : Participant.t;  (* the one on [node]: the local one-phase lane *)
   sim : Sim.t;
   rng : Rng.t;
   clog : Txrecord.crecord Wal.t;
@@ -44,8 +45,9 @@ type t = {
   id : string;
   parent : t option;
   root : t option;  (* None when this is the root *)
-  mutable writes : string option String_map.t;  (* "node/key" -> value, None = delete *)
-  mutable read_keys : String_set.t;  (* root only: "node/key" read-locked *)
+  mutable writes : string option String_map.t String_map.t;
+      (* node -> key -> value, None = delete *)
+  mutable read_keys : String_set.t String_map.t;  (* root only: node -> keys read-locked *)
   mutable finished_child : bool;
 }
 
@@ -56,13 +58,6 @@ let txid t = t.id
 let is_top t = t.root = None
 
 let rec root t = match t.root with None -> t | Some r -> root r
-
-let okey ~node ~key = node ^ "/" ^ key
-
-let split_okey okey =
-  match String.index_opt okey '/' with
-  | Some i -> (String.sub okey 0 i, String.sub okey (i + 1) (String.length okey - i - 1))
-  | None -> invalid_arg ("Txn: bad object key " ^ okey)
 
 (* --- coordinator-side commit machinery --- *)
 
@@ -136,12 +131,15 @@ let on_manager_recover mgr () =
   in
   Hashtbl.iter resume mgr.committed
 
-let manager ~rpc ~node =
+let manager ~rpc ~node ~participant =
+  if Participant.node_id participant <> Node.id node then
+    invalid_arg "Txn.manager: the participant lives on another node";
   let sim = Network.sim (Rpc.network rpc) in
   let mgr =
     {
       rpc;
       node;
+      participant;
       sim;
       rng = Rng.split (Sim.rng sim);
       clog = Wal.create ~name:("txnlog@" ^ Node.id node);
@@ -169,7 +167,10 @@ let manager ~rpc ~node =
 
 let begin_ mgr =
   mgr.seq <- mgr.seq + 1;
-  let id = Printf.sprintf "t:%s:%d:%d" (manager_node mgr) mgr.incarnation mgr.seq in
+  let id =
+    String.concat ":"
+      [ "t"; manager_node mgr; string_of_int mgr.incarnation; string_of_int mgr.seq ]
+  in
   Hashtbl.replace mgr.active id ();
   {
     mgr;
@@ -177,7 +178,7 @@ let begin_ mgr =
     parent = None;
     root = None;
     writes = String_map.empty;
-    read_keys = String_set.empty;
+    read_keys = String_map.empty;
     finished_child = false;
   }
 
@@ -189,21 +190,28 @@ let begin_child parent =
     parent = Some parent;
     root = Some r;
     writes = String_map.empty;
-    read_keys = String_set.empty;
+    read_keys = String_map.empty;
     finished_child = false;
   }
 
 (* Some (Some v) = buffered write, Some None = buffered delete,
    None = not buffered here or above. *)
-let rec buffered t okey =
-  match String_map.find_opt okey t.writes with
+let rec buffered t ~node ~key =
+  match Option.bind (String_map.find_opt node t.writes) (String_map.find_opt key) with
   | Some v -> Some v
-  | None -> ( match t.parent with Some p -> buffered p okey | None -> None)
+  | None -> ( match t.parent with Some p -> buffered p ~node ~key | None -> None)
+
+let add_read_lock r ~node ~key =
+  let keys = Option.value (String_map.find_opt node r.read_keys) ~default:String_set.empty in
+  r.read_keys <- String_map.add node (String_set.add key keys) r.read_keys
+
+let buffer t ~node ~key value =
+  let keys = Option.value (String_map.find_opt node t.writes) ~default:String_map.empty in
+  t.writes <- String_map.add node (String_map.add key value keys) t.writes
 
 let read t ~node ~key : string option io =
  fun k ->
-  let ok = okey ~node ~key in
-  match buffered t ok with
+  match buffered t ~node ~key with
   | Some v -> k (Ok v)
   | None ->
     let r = root t in
@@ -212,7 +220,7 @@ let read t ~node ~key : string option io =
       | Ok body -> (
         match Txrecord.dec_read_reply body with
         | Ok v ->
-          r.read_keys <- String_set.add ok r.read_keys;
+          add_read_lock r ~node ~key;
           k (Ok v)
         | Error reason -> k (Error (`Conflict reason)))
       | Error _ -> k (Error `Timeout)
@@ -221,25 +229,22 @@ let read t ~node ~key : string option io =
       ~body:(Txrecord.enc_read_req (t.id, key))
       handle
 
-let write t ~node ~key ~value =
-  t.writes <- String_map.add (okey ~node ~key) (Some value) t.writes
+let write t ~node ~key ~value = buffer t ~node ~key (Some value)
 
-let delete t ~node ~key = t.writes <- String_map.add (okey ~node ~key) None t.writes
+let delete t ~node ~key = buffer t ~node ~key None
 
-(* Group the root's read locks and writes per participant node. *)
+(* The root's read locks and writes per participant node, each list in
+   descending key order: participants log and apply writes in the order
+   given, so this order fixes the bytes of their WAL records. *)
 let participants_of_root r =
-  let add_write ok value acc =
-    let node, key = split_okey ok in
-    let reads, writes = try String_map.find node acc with Not_found -> ([], []) in
-    String_map.add node (reads, (key, value) :: writes) acc
-  in
-  let add_read ok acc =
-    let node, key = split_okey ok in
-    let reads, writes = try String_map.find node acc with Not_found -> ([], []) in
-    String_map.add node (key :: reads, writes) acc
-  in
-  let with_writes = String_map.fold add_write r.writes String_map.empty in
-  String_set.fold add_read r.read_keys with_writes
+  let writes_of keys = String_map.fold (fun key value acc -> (key, value) :: acc) keys [] in
+  let reads_of keys = String_set.fold List.cons keys [] in
+  let with_writes = String_map.map (fun keys -> ([], writes_of keys)) r.writes in
+  String_map.fold
+    (fun node keys acc ->
+      let writes = match String_map.find_opt node acc with Some (_, w) -> w | None -> [] in
+      String_map.add node (reads_of keys, writes) acc)
+    r.read_keys with_writes
 
 let abort_at_participants mgr txid nodes =
   let tell node =
@@ -255,9 +260,10 @@ let abort_at_participants mgr txid nodes =
    - one-phase commit: exactly one participant with writes and no
      read-only participants — prepare and commit collapse into one
      [tx.commit1] message decided at the participant. When that sole
-     participant is the coordinator's own node, the handler is invoked
-     directly (no RPC at all) and only the completion is deferred to a
-     simulation event, preserving the asynchronous callback contract.
+     participant is the coordinator's own node, the writes go straight
+     to {!Participant.commit_one} as they are (no RPC, no encoding) and
+     only the completion is deferred to a simulation event, preserving
+     the asynchronous callback contract.
    - 2PC with read-only elision: participants holding only read locks
      vote via [tx.prepare-ro] and are excluded from the decision record
      and the commit fan-out.
@@ -312,7 +318,6 @@ let commit_top (t : t) : unit io =
     k (Ok ())
   | [ (node, (read_keys, writes)) ], [] ->
     (* one-phase lane *)
-    let body = Txrecord.enc_commit_one ~txid:t.id ~read_keys ~writes in
     let finish ~local vote =
       if vote then begin
         mgr.one_phase_total <- mgr.one_phase_total + 1;
@@ -325,23 +330,24 @@ let commit_top (t : t) : unit io =
            participant; no abort message needed *)
         conclude_abort ~notify:[] (`Conflict "one-phase commit refused")
     in
-    let local_handler =
-      if node = manager_node mgr && Node.up mgr.node then
-        Node.handler mgr.node ~service:Txrecord.service_commit_one
-      else None
-    in
-    (match local_handler with
-    | Some h ->
+    if node = manager_node mgr && Node.up mgr.node then begin
       (* coordinator-local: decide synchronously against the co-hosted
          participant, defer only the continuation. The epoch guard kills
          the continuation if the node crashes in between — the commit
-         itself is already durable, exactly as if the reply were lost. *)
-      let vote = try Txrecord.dec_vote (h ~src:(manager_node mgr) body) with _ -> false in
+         itself is already durable, exactly as if the reply were lost.
+         Only a down store refuses here; any other exception is a bug
+         and propagates. *)
+      let vote =
+        try Participant.commit_one mgr.participant ~txid:t.id ~read_keys ~writes
+        with Kvstore.Unavailable _ -> false
+      in
       let epoch = mgr.incarnation in
       ignore
         (Sim.schedule mgr.sim ~delay:0 (fun () ->
              if mgr.incarnation = epoch && Node.up mgr.node then finish ~local:true vote))
-    | None ->
+    end
+    else
+      let body = Txrecord.enc_commit_one ~txid:t.id ~read_keys ~writes in
       Rpc.call mgr.rpc ~src:(manager_node mgr) ~dst:node ~service:Txrecord.service_commit_one
         ~body (function
         | Ok vote -> finish ~local:false (try Txrecord.dec_vote vote with _ -> false)
@@ -350,7 +356,7 @@ let commit_top (t : t) : unit io =
              unprepared; committed if the reply was lost — [run] retries
            with a fresh txid, and the engine's writes are absolute, so
            re-execution converges) *)
-          conclude_abort `Timeout))
+          conclude_abort `Timeout)
   | _ ->
     (* 2PC over write participants, read-only participants elided *)
     let votes_left = ref (List.length bindings) in
@@ -387,7 +393,11 @@ let merge_into_parent t =
   match t.parent with
   | None -> invalid_arg "Txn.merge_into_parent: root"
   | Some parent ->
-    parent.writes <- String_map.union (fun _ child _parent -> Some child) t.writes parent.writes
+    let child_wins _ child _parent = Some child in
+    parent.writes <-
+      String_map.union
+        (fun _ child parent -> Some (String_map.union child_wins child parent))
+        t.writes parent.writes
 
 let commit t : unit io =
  fun k ->

@@ -12,9 +12,10 @@
     Commit takes a fast lane when the transaction's shape allows it:
     read-only transactions validate-and-release in one round with no
     logging; single-participant transactions use one-phase commit (a
-    combined prepare+commit decided at the participant — a direct local
-    call with a single log append when that participant is the
-    coordinator's own node); and in general 2PC, read-only participants
+    combined prepare+commit decided at the participant; when that
+    participant is the coordinator's own node, the buffered writes are
+    passed as they are to {!Participant.commit_one}, with no RPC, no
+    encoding and a single log append); and in general 2PC, read-only participants
     vote and release in phase 1 and are excluded from the commit
     fan-out. Remote fault semantics are unchanged: every lane presumes
     abort, and only a logged [C_committed] obligates recovery.
@@ -46,9 +47,12 @@ val error_to_string : error -> string
 
 type manager
 
-val manager : rpc:Rpc.t -> node:Node.t -> manager
+val manager : rpc:Rpc.t -> node:Node.t -> participant:Participant.t -> manager
 (** One per node; installs the [tx.status] service and crash/recovery
-    hooks. The node must already be RPC-attached. *)
+    hooks. The node must already be RPC-attached. [participant] is the
+    one hosted on [node]: one-phase commits whose only writer is this
+    node call it directly. Raises [Invalid_argument] if it lives on
+    another node. *)
 
 val manager_node : manager -> string
 

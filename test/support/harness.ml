@@ -17,7 +17,7 @@ let cluster ?(config = Network.default_config) ?(seed = 42L) ids =
     let node = Network.add_node net ~id in
     Rpc.attach rpc node;
     let participant = Participant.create ~rpc ~node in
-    let mgr = Txn.manager ~rpc ~node in
+    let mgr = Txn.manager ~rpc ~node ~participant in
     (id, node, participant, mgr)
   in
   { sim; net; rpc; members = List.map make ids }

@@ -155,6 +155,77 @@ let prop_kv_matches_model =
       let store_bindings = Kvstore.fold store ~init:[] ~f:(fun acc k v -> (k, v) :: acc) in
       List.rev store_bindings = M.bindings model)
 
+(* Property: the prefix read is the filter of the full sorted read. The
+   key sets mix directory rows ([wf:dir:]), instance rows, and ids where
+   one is a prefix of another ([wf-1], [wf-10]), so a prefix can end in
+   the middle of a longer id. *)
+let prefix_key_gen =
+  let open QCheck.Gen in
+  let iid = map (Printf.sprintf "wf-%d") (oneofl [ 1; 10; 100; 2; 21 ]) in
+  let suffix = oneofl [ "meta"; "reconf"; "h:000000001"; "t:a/b"; "c:a"; "" ] in
+  oneof
+    [
+      map (fun i -> "wf:dir:" ^ i) iid;
+      map2 (fun i s -> Printf.sprintf "wf:%s:%s" i s) iid suffix;
+      oneofl [ ""; "w"; "wf"; "wf:"; "x" ];
+    ]
+
+let prefix_gen =
+  let open QCheck.Gen in
+  oneof
+    [
+      oneofl [ ""; "wf:"; "wf:dir:"; "wf:wf-1"; "wf:wf-1:"; "wf:wf-10:"; "wf:wf-1:h:"; "zz" ];
+      prefix_key_gen;
+    ]
+
+let prop_keys_with_prefix =
+  let arb =
+    QCheck.make
+      ~print:QCheck.Print.(pair (list string) string)
+      QCheck.Gen.(pair (list_size (int_range 0 40) prefix_key_gen) prefix_gen)
+  in
+  QCheck.Test.make ~name:"keys_with_prefix = filter of keys" ~count:500 arb (fun (keys, prefix) ->
+      let store = Kvstore.create ~name:"prefix-test" in
+      List.iter (fun k -> Kvstore.put store k "v") keys;
+      Kvstore.keys_with_prefix store ~prefix
+      = List.filter (String.starts_with ~prefix) (Kvstore.keys store))
+
+let test_keys_with_prefix_cases () =
+  let s = Kvstore.create ~name:"s" in
+  List.iter
+    (fun k -> Kvstore.put s k "v")
+    [ "wf:wf-10:meta"; "wf:dir:wf-1"; "wf:wf-1:meta"; "wf:wf-1:h:2"; "wf:wf-1:h:1"; "wf" ];
+  Alcotest.(check (list string))
+    "only wf-1's rows, sorted" [ "wf:wf-1:h:1"; "wf:wf-1:h:2"; "wf:wf-1:meta" ]
+    (Kvstore.keys_with_prefix s ~prefix:"wf:wf-1:");
+  Alcotest.(check (list string))
+    "the directory" [ "wf:dir:wf-1" ]
+    (Kvstore.keys_with_prefix s ~prefix:"wf:dir:");
+  Alcotest.(check (list string))
+    "a prefix longer than some keys" [] (Kvstore.keys_with_prefix s ~prefix:"wf:wf-100:");
+  Kvstore.crash s;
+  check "unavailable when down" true
+    (match Kvstore.keys_with_prefix s ~prefix:"" with
+    | _ -> false
+    | exception Kvstore.Unavailable _ -> true)
+
+(* The prefix test allocates nothing per key: reading a slice that
+   matches nothing costs the same few words at any store size. *)
+let test_keys_with_prefix_allocation () =
+  let words_at n =
+    let s = Kvstore.create ~name:"s" in
+    for i = 1 to n do
+      Kvstore.put s (Printf.sprintf "wf:wf-%d:meta" i) "v"
+    done;
+    ignore (Kvstore.keys_with_prefix s ~prefix:"wf:absent:");
+    let w0 = Gc.minor_words () in
+    ignore (Kvstore.keys_with_prefix s ~prefix:"wf:absent:");
+    Gc.minor_words () -. w0
+  in
+  let small = words_at 10 and large = words_at 20_000 in
+  check (Printf.sprintf "%.0f words at 20,000 keys, %.0f at 10" large small) true
+    (large <= small +. 16.)
+
 let () =
   Alcotest.run "store"
     [
@@ -171,6 +242,12 @@ let () =
           Alcotest.test_case "crash/recover" `Quick test_kv_crash_recover;
           Alcotest.test_case "checkpoint" `Quick test_kv_checkpoint_preserves_content;
           Alcotest.test_case "fold sorted" `Quick test_kv_fold_sorted;
+          Alcotest.test_case "keys with prefix" `Quick test_keys_with_prefix_cases;
+          Alcotest.test_case "prefix read allocation" `Quick test_keys_with_prefix_allocation;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_kv_matches_model ]);
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest prop_kv_matches_model;
+          QCheck_alcotest.to_alcotest prop_keys_with_prefix;
+        ] );
     ]

@@ -628,6 +628,181 @@ let test_compact_bounds_coordinator_log () =
   check_str_opt "state correct after compaction + crash" (Some "after")
     (Participant.committed_value (Harness.participant c "b") ~key:"x")
 
+(* --- The two one-phase lanes agree --- *)
+
+(* The coordinator-local lane calls [Participant.commit_one] with the
+   buffered writes; the remote lane sends the same request encoded as
+   [tx.commit1]. Twin participants, one per lane, fed the same steps
+   must vote alike and end with the same store, intentions log, lock
+   count and observed writes. *)
+
+type holder = Reader of string | Writer of string
+
+type lane_step = {
+  txid : string;  (* repeated ids are duplicates of an earlier decision *)
+  locks : string list;  (* keys the transaction read-locks first *)
+  read_keys : string list;  (* keys it reports as read at commit *)
+  writes : Txrecord.write list;  (* may repeat a key *)
+}
+
+let serve node ~service body = (Option.get (Node.handler node ~service)) ~src:"z" body
+
+let run_lane ~local ~initial ~holders steps =
+  let c = Harness.cluster [ "a" ] in
+  let node = Harness.node c "a" and p = Harness.participant c "a" in
+  List.iter (fun (k, v) -> Kvstore.put (Participant.store p) k v) initial;
+  let observed = ref [] in
+  Participant.on_apply p (fun writes -> observed := writes :: !observed);
+  List.iter
+    (function
+      | Reader key ->
+        ignore (serve node ~service:Txrecord.service_read (Txrecord.enc_read_req ("other", key)))
+      | Writer key ->
+        ignore
+          (serve node ~service:Txrecord.service_prepare
+             (Txrecord.enc_prepare_req ~txid:"other" ~coordinator:"z" ~read_keys:[]
+                ~writes:[ (key, Some "held") ])))
+    holders;
+  let vote { txid; locks; read_keys; writes } =
+    List.iter
+      (fun key ->
+        ignore (serve node ~service:Txrecord.service_read (Txrecord.enc_read_req (txid, key))))
+      locks;
+    if local then Participant.commit_one p ~txid ~read_keys ~writes
+    else
+      Txrecord.dec_vote
+        (Participant.handle_commit_one p ~src:"z"
+           (Txrecord.enc_commit_one ~txid ~read_keys ~writes))
+  in
+  let votes = List.map vote steps in
+  let store = Kvstore.fold (Participant.store p) ~init:[] ~f:(fun acc k v -> (k, v) :: acc) in
+  (votes, store, Participant.log p, Participant.locks_held p, List.rev !observed)
+
+let lanes_agree ~initial ~holders steps =
+  run_lane ~local:true ~initial ~holders steps = run_lane ~local:false ~initial ~holders steps
+
+let lane_key_gen = QCheck.Gen.(map (Printf.sprintf "k%d") (int_bound 4))
+
+let lane_step_gen =
+  let open QCheck.Gen in
+  let write = pair lane_key_gen (opt ~ratio:0.7 (map string_of_int small_nat)) in
+  map4
+    (fun id locks read_keys writes -> { txid = "t" ^ string_of_int id; locks; read_keys; writes })
+    (int_bound 3)
+    (list_size (int_bound 3) lane_key_gen)
+    (list_size (int_bound 2) lane_key_gen)
+    (list_size (int_range 0 5) write)
+
+let lane_case_gen =
+  let open QCheck.Gen in
+  let holder = map2 (fun r k -> if r then Reader k else Writer k) bool lane_key_gen in
+  triple
+    (list_size (int_bound 3) (pair lane_key_gen (return "init")))
+    (list_size (int_bound 2) holder)
+    (list_size (int_range 1 6) lane_step_gen)
+
+let print_lane_case (initial, holders, steps) =
+  let holder = function Reader k -> "r:" ^ k | Writer k -> "w:" ^ k in
+  let write (k, v) = k ^ "=" ^ Option.value v ~default:"<del>" in
+  let step s =
+    Printf.sprintf "%s locks[%s] reads[%s] writes[%s]" s.txid (String.concat "," s.locks)
+      (String.concat "," s.read_keys)
+      (String.concat "," (List.map write s.writes))
+  in
+  Printf.sprintf "initial[%s] holders[%s]\n%s"
+    (String.concat "," (List.map fst initial))
+    (String.concat "," (List.map holder holders))
+    (String.concat "\n" (List.map step steps))
+
+let prop_one_phase_lanes_agree =
+  QCheck.Test.make ~name:"local and wire one-phase lanes agree" ~count:300
+    (QCheck.make ~print:print_lane_case lane_case_gen)
+    (fun (initial, holders, steps) -> lanes_agree ~initial ~holders steps)
+
+let test_one_phase_lanes_agree_cases () =
+  (* a commit, its duplicate with other writes, a commit refused by a
+     conflicting holder and that refusal's duplicate, and a commit
+     refused because a reported read lock was never taken *)
+  let steps =
+    [
+      { txid = "t1"; locks = [ "k0" ]; read_keys = [ "k0" ];
+        writes = [ ("k1", Some "a"); ("k1", None); ("k2", Some "b") ] };
+      { txid = "t1"; locks = []; read_keys = []; writes = [ ("k3", Some "dup") ] };
+      { txid = "t2"; locks = []; read_keys = []; writes = [ ("k4", Some "c") ] };
+      { txid = "t2"; locks = []; read_keys = []; writes = [ ("k0", Some "d") ] };
+      { txid = "t3"; locks = []; read_keys = [ "k2" ]; writes = [ ("k2", Some "e") ] };
+    ]
+  in
+  let initial = [ ("k1", "init") ] and holders = [ Writer "k4" ] in
+  let votes, store, log, locks, observed = run_lane ~local:true ~initial ~holders steps in
+  Alcotest.(check (list bool)) "votes" [ true; true; false; false; false ] votes;
+  Alcotest.(check (list (pair string string))) "store" [ ("k2", "b") ] store;
+  check_int "one prepare (the holder) and one one-phase record" 2 (List.length log);
+  check_int "only the holder's lock remains" 1 locks;
+  check_int "one apply observed" 1 (List.length observed);
+  check "the wire lane agrees" true (lanes_agree ~initial ~holders steps)
+
+(* Writes reach each participant in descending key order, whichever
+   transaction in the nest buffered them, so WAL records keep their
+   bytes. *)
+let test_wal_order_with_merged_child () =
+  let c = Harness.cluster [ "a"; "b" ] in
+  let applied = Hashtbl.create 2 in
+  List.iter
+    (fun id ->
+      Participant.on_apply (Harness.participant c id) (fun writes ->
+          Hashtbl.replace applied id writes))
+    [ "a"; "b" ];
+  let prepared id =
+    List.filter_map
+      (function Txrecord.P_prepared { writes; _ } -> Some writes | _ -> None)
+      (Participant.log (Harness.participant c id))
+  in
+  let writes = Alcotest.(list (pair string (option string))) in
+  Harness.exec_ok c
+    (Txn.run (Harness.manager c "a") (fun t ->
+         write t ~node:"a" ~key:"k1" ~value:"r1";
+         write t ~node:"a" ~key:"k3" ~value:"r3";
+         delete t ~node:"b" ~key:"j2";
+         let child = begin_child t in
+         write child ~node:"a" ~key:"k2" ~value:"c2";
+         write child ~node:"a" ~key:"k3" ~value:"c3";
+         write child ~node:"b" ~key:"j1" ~value:"c1";
+         write child ~node:"b" ~key:"j3" ~value:"c3";
+         commit child));
+  let at_a = [ ("k3", Some "c3"); ("k2", Some "c2"); ("k1", Some "r1") ] in
+  let at_b = [ ("j3", Some "c3"); ("j2", None); ("j1", Some "c1") ] in
+  Alcotest.check Alcotest.(list writes) "a's prepare record" [ at_a ] (prepared "a");
+  Alcotest.check Alcotest.(list writes) "b's prepare record" [ at_b ] (prepared "b");
+  Alcotest.check writes "a applied" at_a (Hashtbl.find applied "a");
+  Alcotest.check writes "b applied" at_b (Hashtbl.find applied "b");
+  (* the local one-phase lane hands over the same order *)
+  Harness.exec_ok c
+    (Txn.run (Harness.manager c "a") (fun t ->
+         write t ~node:"a" ~key:"m1" ~value:"r1";
+         let child = begin_child t in
+         write child ~node:"a" ~key:"m2" ~value:"c2";
+         write child ~node:"a" ~key:"m0" ~value:"c0";
+         commit child));
+  check_int "local one-phase lane" 1 (Txn.one_phase_commits (Harness.manager c "a"));
+  Alcotest.check writes "a applied, one-phase"
+    [ ("m2", Some "c2"); ("m1", Some "r1"); ("m0", Some "c0") ]
+    (Hashtbl.find applied "a")
+
+(* The local lane refuses only when the store is down; a bug in an
+   observer is not a refused commit to retry under a new txid. *)
+let test_local_lane_observer_exception_propagates () =
+  let c = Harness.cluster [ "a" ] in
+  Participant.on_apply (Harness.participant c "a") (fun _ -> failwith "observer bug");
+  let mgr = Harness.manager c "a" in
+  Alcotest.check_raises "raised to the caller" (Failure "observer bug") (fun () ->
+      ignore
+        (Harness.exec c
+           (Txn.run mgr (fun t ->
+                write t ~node:"a" ~key:"x" ~value:"1";
+                return ()))));
+  check_int "no retry began" 1 (Txn.active_count mgr)
+
 let () =
   Alcotest.run "tx"
     [
@@ -674,6 +849,12 @@ let () =
             test_readonly_elision_through_partition;
           Alcotest.test_case "mixed fan-out elision" `Quick
             test_mixed_readonly_elided_from_fanout;
+          Alcotest.test_case "one-phase lanes agree" `Quick test_one_phase_lanes_agree_cases;
+          QCheck_alcotest.to_alcotest prop_one_phase_lanes_agree;
+          Alcotest.test_case "wal order with merged child" `Quick
+            test_wal_order_with_merged_child;
+          Alcotest.test_case "observer exception propagates" `Quick
+            test_local_lane_observer_exception_propagates;
         ] );
       ( "recovery",
         [
