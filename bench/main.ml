@@ -467,8 +467,10 @@ let engine_gates () =
        first run, hence the warm-up). The bound sits about 5% above it;
        the scheduler-scan allocation removed in EXPERIMENTS.md A11 cost
        about 3,800 more words per dispatch, and encoding each local
-       one-phase commit to wire bytes and back (A18) about 500. *)
-    at_most "engine.chain_words_per_dispatch" (words /. dispatches) 6_500.;
+       one-phase commit to wire bytes and back (A18) about 500, and the
+       byte-at-a-time lexer's share of the launch's compile (A19) about
+       1,350. *)
+    at_most "engine.chain_words_per_dispatch" (words /. dispatches) 5_100.;
   ]
 
 (* --- engine: one instance's history against the store's size --- *)
@@ -782,6 +784,17 @@ let wal_bytes ~ops =
   if Wal.length w <> ops then failwith "wal length mismatch";
   bytes
 
+(* one front-end compile of the supply-chain script (lex, parse, expand,
+   validate, resolve), after a warm-up compile, per byte of source *)
+let compile_bytes () =
+  let compile () =
+    match Frontend.compile Supply_chain.script ~root:Supply_chain.root with
+    | Ok _ -> ()
+    | Error e -> failwith ("compile gate: " ^ Frontend.error_to_string e)
+  in
+  compile ();
+  bytes_per_op ~ops:(String.length Supply_chain.script) compile
+
 (* the chain smoke sweep, timed in wall seconds: processor time sums over
    domains, so it cannot show a parallel speed-up *)
 let explore_sweep ~jobs =
@@ -794,8 +807,10 @@ let hotpath_gates ~scale =
   let heap = heap_bytes ~ops:(200_000 * scale) in
   let encode, decode = wire_bytes ~ops:(50_000 * scale) in
   let wal = wal_bytes ~ops:(500_000 * scale) in
+  let compile = compile_bytes () in
   Printf.printf "bytes/op: heap %.2f, wire encode %.2f, decode %.2f, wal %.2f\n" heap encode
     decode wal;
+  Printf.printf "compile: %.2f bytes per source byte\n" compile;
   let cores = Pool.default_jobs () in
   let jobs = min 4 cores in
   let serial, serial_s = explore_sweep ~jobs:1 in
@@ -816,6 +831,10 @@ let hotpath_gates ~scale =
     at_most "hotpath.wire_decode_bytes_per_op" decode 512.;
     (* amortized array growth only *)
     at_most "hotpath.wal_bytes_per_op" wal 32.;
+    (* the lexer allocates only its tokens; the rest is the parser's AST
+       and the later passes. About 25 % above the value; a lexer that
+       allocated per byte (EXPERIMENTS.md A19) read about 89 *)
+    at_most "hotpath.compile_bytes_per_source_byte" compile 45.;
     at_most "hotpath.explore_failures"
       (float_of_int (Explorer.total_failures serial + Explorer.total_failures parallel))
       0.;

@@ -1,182 +1,115 @@
 exception Error of string * Loc.t
 
-type state = {
-  input : string;
-  mutable pos : int;
-  mutable line : int;
-  mutable col : int;
-}
+(* One index-based pass over the input. The state is the current line
+   and the offset of its first byte, so a column is computed (and a
+   [Loc.t] allocated) only where a token starts or an error is raised;
+   columns count bytes from 1. *)
+type state = { input : string; len : int; mutable line : int; mutable line_start : int }
 
-let loc st = { Loc.line = st.line; col = st.col }
+let loc st i = { Loc.line = st.line; col = i - st.line_start + 1 }
 
-let peek st = if st.pos < String.length st.input then Some st.input.[st.pos] else None
+let newline st i =
+  st.line <- st.line + 1;
+  st.line_start <- i + 1
 
-let peek2 st =
-  if st.pos + 1 < String.length st.input then Some st.input.[st.pos + 1] else None
+let is_ident_start = function 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false
 
-let advance st =
-  (match peek st with
-  | Some '\n' ->
-    st.line <- st.line + 1;
-    st.col <- 1
-  | Some _ -> st.col <- st.col + 1
-  | None -> ());
-  st.pos <- st.pos + 1
+let is_digit = function '0' .. '9' -> true | _ -> false
 
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+let is_ident_char c = is_ident_start c || is_digit c
 
-let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
-
-(* The paper's PDF text uses curly quotes; map the UTF-8 sequences for
-   U+201C/U+201D (and the ASCII quote) to a single string delimiter. *)
-let smart_quote_len st =
-  let s = st.input and i = st.pos in
-  if i + 2 < String.length s && s.[i] = '\xe2' && s.[i + 1] = '\x80'
+(* The paper's PDF text uses curly quotes; the UTF-8 sequences for
+   U+201C/U+201D and the ASCII quote all delimit strings. Length of the
+   delimiter at [i] of [s], 0 for none. *)
+let delimiter_len s len i =
+  if i + 2 < len && s.[i] = '\xe2' && s.[i + 1] = '\x80'
      && (s.[i + 2] = '\x9c' || s.[i + 2] = '\x9d')
-  then Some 3
-  else if i < String.length s && s.[i] = '"' then Some 1
-  else None
+  then 3
+  else if i < len && s.[i] = '"' then 1
+  else 0
 
-let skip_quote st n =
-  for _ = 1 to n do
-    advance st
-  done
+let reads_back s =
+  let len = String.length s in
+  let rec undelimited i = i >= len || (delimiter_len s len i = 0 && undelimited (i + 1)) in
+  s = String.trim s && undelimited 0
 
-let read_string st =
-  let start = loc st in
-  (match smart_quote_len st with
-  | Some n -> skip_quote st n
-  | None -> raise (Error ("expected string", start)));
-  let buf = Buffer.create 16 in
-  let rec consume () =
-    match smart_quote_len st with
-    | Some n -> skip_quote st n
-    | None -> (
-      match peek st with
-      | None -> raise (Error ("unterminated string", start))
-      | Some c ->
-        Buffer.add_char buf c;
-        advance st;
-        consume ())
-  in
-  consume ();
-  (* implementation values in the paper carry stray spaces, e.g.
-     “code ” — trim, they are never significant *)
-  Token.String (String.trim (Buffer.contents buf))
+let rec digits_end st i = if i < st.len && is_digit st.input.[i] then digits_end st (i + 1) else i
 
-let is_digit c = c >= '0' && c <= '9'
+let rec ident_end st i =
+  if i < st.len && is_ident_char st.input.[i] then ident_end st (i + 1) else i
 
-let read_number st at =
-  let buf = Buffer.create 8 in
-  let rec consume () =
-    match peek st with
-    | Some c when is_digit c ->
-      Buffer.add_char buf c;
-      advance st;
-      consume ()
-    | Some c when is_ident_start c ->
-      raise (Error (Printf.sprintf "malformed number ending in %C" c, at))
-    | Some _ | None -> ()
-  in
-  consume ();
-  match int_of_string_opt (Buffer.contents buf) with
-  | Some n -> Token.Int n
-  | None -> raise (Error ("number out of range", at))
+let pair_at st i c1 c2 = i + 1 < st.len && st.input.[i] = c1 && st.input.[i + 1] = c2
 
-let read_ident st =
-  let buf = Buffer.create 16 in
-  let rec consume () =
-    match peek st with
-    | Some c when is_ident_char c ->
-      Buffer.add_char buf c;
-      advance st;
-      consume ()
-    | Some _ | None -> ()
-  in
-  consume ();
-  Buffer.contents buf
+let rec line_end st i = if i < st.len && st.input.[i] <> '\n' then line_end st (i + 1) else i
 
-let rec skip_block_comment st start depth =
-  match (peek st, peek2 st) with
-  | Some '*', Some '/' ->
-    advance st;
-    advance st;
-    if depth > 1 then skip_block_comment st start (depth - 1)
-  | Some '/', Some '*' ->
-    advance st;
-    advance st;
-    skip_block_comment st start (depth + 1)
-  | Some _, _ ->
-    advance st;
-    skip_block_comment st start depth
-  | None, _ -> raise (Error ("unterminated comment", start))
+(* Index of the closing delimiter of a string whose body starts at [i]. *)
+let rec string_end st at i =
+  if delimiter_len st.input st.len i > 0 then i
+  else if i >= st.len then raise (Error ("unterminated string", at))
+  else (
+    if st.input.[i] = '\n' then newline st i;
+    string_end st at (i + 1))
 
-let rec skip_line_comment st =
-  match peek st with
-  | Some '\n' | None -> ()
-  | Some _ ->
-    advance st;
-    skip_line_comment st
+(* Index just past the [*/] that closes a comment nested [depth] deep;
+   [line] and [col] locate the outermost [/*] for the error. *)
+let rec comment_end st ~line ~col depth i =
+  if i >= st.len then raise (Error ("unterminated comment", { Loc.line; col }))
+  else if pair_at st i '*' '/' then
+    if depth > 1 then comment_end st ~line ~col (depth - 1) (i + 2) else i + 2
+  else if pair_at st i '/' '*' then comment_end st ~line ~col (depth + 1) (i + 2)
+  else (
+    if st.input.[i] = '\n' then newline st i;
+    comment_end st ~line ~col depth (i + 1))
 
 let tokens input =
-  let st = { input; pos = 0; line = 1; col = 1 } in
+  let st = { input; len = String.length input; line = 1; line_start = 0 } in
   let acc = ref [] in
   let emit tok at = acc := (tok, at) :: !acc in
-  let rec scan () =
-    let at = loc st in
-    match peek st with
-    | None -> emit Token.Eof at
-    | Some (' ' | '\t' | '\r' | '\n') ->
-      advance st;
-      scan ()
-    | Some '/' when peek2 st = Some '/' ->
-      skip_line_comment st;
-      scan ()
-    | Some '/' when peek2 st = Some '*' ->
-      advance st;
-      advance st;
-      skip_block_comment st at 1;
-      scan ()
-    | Some '{' ->
-      advance st;
-      emit Token.Lbrace at;
-      scan ()
-    | Some '}' ->
-      advance st;
-      emit Token.Rbrace at;
-      scan ()
-    | Some '(' ->
-      advance st;
-      emit Token.Lparen at;
-      scan ()
-    | Some ')' ->
-      advance st;
-      emit Token.Rparen at;
-      scan ()
-    | Some ';' ->
-      advance st;
-      emit Token.Semi at;
-      scan ()
-    | Some ',' ->
-      advance st;
-      emit Token.Comma at;
-      scan ()
-    | Some c when is_digit c ->
-      emit (read_number st at) at;
-      scan ()
-    | Some c when is_ident_start c ->
-      let word = read_ident st in
-      let tok =
-        match Token.keyword_of_string word with Some kw -> kw | None -> Token.Ident word
-      in
-      emit tok at;
-      scan ()
-    | Some _ -> (
-      match smart_quote_len st with
-      | Some _ ->
-        emit (read_string st) at;
-        scan ()
-      | None -> raise (Error (Printf.sprintf "illegal character %C" input.[st.pos], at)))
+  let rec scan i =
+    if i >= st.len then emit Token.Eof (loc st i)
+    else
+      match input.[i] with
+      | ' ' | '\t' | '\r' -> scan (i + 1)
+      | '\n' ->
+        newline st i;
+        scan (i + 1)
+      | '/' when pair_at st i '/' '/' -> scan (line_end st i)
+      | '/' when pair_at st i '/' '*' ->
+        scan (comment_end st ~line:st.line ~col:(i - st.line_start + 1) 1 (i + 2))
+      | '{' -> punct Token.Lbrace i
+      | '}' -> punct Token.Rbrace i
+      | '(' -> punct Token.Lparen i
+      | ')' -> punct Token.Rparen i
+      | ';' -> punct Token.Semi i
+      | ',' -> punct Token.Comma i
+      | '0' .. '9' ->
+        let j = digits_end st i in
+        if j < st.len && is_ident_start input.[j] then
+          raise (Error (Printf.sprintf "malformed number ending in %C" input.[j], loc st i));
+        (match int_of_string_opt (String.sub input i (j - i)) with
+        | Some n -> emit (Token.Int n) (loc st i)
+        | None -> raise (Error ("number out of range", loc st i)));
+        scan j
+      | c when is_ident_start c ->
+        let j = ident_end st i in
+        let word = String.sub input i (j - i) in
+        let tok =
+          match Token.keyword_of_string word with Some kw -> kw | None -> Token.Ident word
+        in
+        emit tok (loc st i);
+        scan j
+      | c ->
+        let q = delimiter_len input st.len i in
+        if q = 0 then raise (Error (Printf.sprintf "illegal character %C" c, loc st i));
+        let at = loc st i in
+        let stop = string_end st at (i + q) in
+        (* implementation values in the paper carry stray spaces, e.g.
+           “code ” — trim, they are never significant *)
+        emit (Token.String (String.trim (String.sub input (i + q) (stop - i - q)))) at;
+        scan (stop + delimiter_len input st.len stop)
+  and punct tok i =
+    emit tok (loc st i);
+    scan (i + 1)
   in
-  scan ();
+  scan 0;
   List.rev !acc

@@ -29,7 +29,11 @@ let pp_input_dep ppf = function
 let pp_input_set_spec ppf (iss : Ast.input_set_spec) =
   fprintf ppf "@[<v>input %s %a@]" iss.iss_name (pp_block pp_input_dep) iss.iss_deps
 
-let pp_kv ppf (k, v) = fprintf ppf "%S is %S" k v
+(* The lexer has no escapes: a literal goes out verbatim between ASCII
+   quotes, and [unreadable_literal] names the ones it cannot read back. *)
+let pp_lit ppf s = fprintf ppf "\"%s\"" s
+
+let pp_kv ppf (k, v) = fprintf ppf "%a is %a" pp_lit k pp_lit v
 
 let pp_implementation ppf = function
   | [] -> ()
@@ -52,11 +56,11 @@ let pp_recovery_clause ppf = function
     fprintf ppf "timeout %d then " ms;
     match action with
     | Ast.Ta_alternative -> fprintf ppf "alternative"
-    | Ast.Ta_substitute code -> fprintf ppf "substitute %S" code
+    | Ast.Ta_substitute code -> fprintf ppf "substitute %a" pp_lit code
     | Ast.Ta_abort -> fprintf ppf "abort")
   | Ast.R_alternative { codes; _ } ->
     fprintf ppf "alternative %a"
-      (pp_print_list ~pp_sep:(fun ppf () -> fprintf ppf ", ") (fun ppf c -> fprintf ppf "%S" c))
+      (pp_print_list ~pp_sep:(fun ppf () -> fprintf ppf ", ") pp_lit)
       codes
   | Ast.R_compensate { task; _ } -> fprintf ppf "compensate %s" task
 
@@ -152,3 +156,31 @@ let pp_script ppf script =
   fprintf ppf "@[<v>%a@]@." (pp_print_list ~pp_sep pp_decl) script
 
 let to_string script = Format.asprintf "%a" pp_script script
+
+let literals_of_task impl recovery =
+  List.concat_map (fun (k, v) -> [ k; v ]) impl
+  @ List.concat_map
+      (function
+        | Ast.R_timeout { action = Ast.Ta_substitute code; _ } -> [ code ]
+        | Ast.R_alternative { codes; _ } -> codes
+        | _ -> [])
+      recovery
+
+let rec literals_of_compound (cd : Ast.compound_decl) =
+  literals_of_task cd.cd_impl cd.cd_recovery
+  @ List.concat_map
+      (function
+        | Ast.C_task td -> literals_of_task td.td_impl td.td_recovery
+        | Ast.C_compound cd -> literals_of_compound cd
+        | Ast.C_template_inst _ -> [])
+      cd.cd_constituents
+
+let unreadable_literal script =
+  let literals = function
+    | Ast.D_task td | Ast.D_template { tpl_body = Ast.T_task td; _ } ->
+      literals_of_task td.td_impl td.td_recovery
+    | Ast.D_compound cd | Ast.D_template { tpl_body = Ast.T_compound cd; _ } ->
+      literals_of_compound cd
+    | Ast.D_class _ | Ast.D_taskclass _ | Ast.D_template_inst _ -> []
+  in
+  List.find_opt (fun s -> not (Lexer.reads_back s)) (List.concat_map literals script)

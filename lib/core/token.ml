@@ -62,7 +62,12 @@ let keywords =
     ("recovery", Kw_recovery);
   ]
 
-let keyword_of_string s = List.assoc_opt s keywords
+let keyword_table =
+  let t = Hashtbl.create 32 in
+  List.iter (fun (name, kw) -> Hashtbl.replace t name kw) keywords;
+  t
+
+let keyword_of_string s = Hashtbl.find_opt keyword_table s
 
 let to_string = function
   | Ident s -> Printf.sprintf "identifier %S" s

@@ -226,4 +226,8 @@ let rewrite ~script ~root ~transform =
         | Ok () -> (
           match Schema.of_script expanded ~root with
           | Error msg -> Error msg
-          | Ok schema -> Ok (Pretty.to_string expanded, schema)))))
+          | Ok schema -> (
+            match Pretty.unreadable_literal expanded with
+            | Some lit ->
+              Error (Printf.sprintf "string %S cannot be written as a script literal" lit)
+            | None -> Ok (Pretty.to_string expanded, schema))))))

@@ -59,4 +59,6 @@ val rewrite :
 (** Parse [script], apply [transform], re-expand, re-validate and
     re-resolve [root]; returns the pretty-printed new script text and
     its schema. The engine persists the text and swaps the schema in
-    atomically. *)
+    atomically. A string literal the printed text cannot carry (see
+    {!Pretty.unreadable_literal}) is an [Error]: recovery recompiles
+    the persisted text and must get the same schema back. *)

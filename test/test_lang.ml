@@ -210,6 +210,85 @@ let mutated_script_qcheck =
       | Ok _ | Error _ -> true
       | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
 
+(* --- the lexer against its reference --- *)
+
+(* [Lexer_ref] is the byte-at-a-time lexer that the index-based one
+   replaced. Both must give the same tokens and locations, or raise the
+   same message at the same location. *)
+let lex_outcome src =
+  match Lexer.tokens src with toks -> Ok toks | exception Lexer.Error (m, l) -> Error (m, l)
+
+let lex_ref_outcome src =
+  match Lexer_ref.tokens src with
+  | toks -> Ok toks
+  | exception Lexer_ref.Error (m, l) -> Error (m, l)
+
+let show_outcome = function
+  | Ok toks ->
+    String.concat " "
+      (List.map (fun (t, l) -> Printf.sprintf "%s@%s" (Token.to_string t) (Loc.to_string l)) toks)
+  | Error (m, l) -> Printf.sprintf "error %S at %s" m (Loc.to_string l)
+
+let lexers_agree src =
+  let got = lex_outcome src and want = lex_ref_outcome src in
+  got = want
+  || QCheck.Test.fail_reportf "input %S\n  lexer:     %s\n  reference: %s" src (show_outcome got)
+       (show_outcome want)
+
+let lexer_differential_mutated =
+  QCheck.Test.make ~name:"lexer = reference on mutated scripts" ~count:1000
+    QCheck.(
+      map mutate_script
+        (pair (pair small_nat small_nat)
+           (triple (int_bound 1_000_000) (int_bound 1_000_000) small_nat)))
+    (fun (src, _) -> lexers_agree src)
+
+(* Short inputs built from the pieces where a scanner can go wrong:
+   nested comment brackets, digits against letters, CR/LF, quotes, and
+   curly-quote prefixes that the end of input cuts short. *)
+let lexer_pieces =
+  [|
+    "/*"; "*/"; "/"; "*"; "//"; "0"; "7"; "12"; "99999999999999999999"; "a"; "_"; "x1"; "task";
+    "if"; " "; "\t"; "\r"; "\n"; "\r\n"; "\""; "\xe2\x80\x9c"; "\xe2\x80\x9d"; "\xe2";
+    "\xe2\x80"; "\x9c"; "{"; "}"; ";"; ","; "("; "?"; "\xc3\xa9";
+  |]
+
+let gen_lexer_input =
+  QCheck.Gen.(
+    map
+      (fun picks -> String.concat "" (List.map (fun i -> lexer_pieces.(i)) picks))
+      (list_size (int_bound 12) (int_bound (Array.length lexer_pieces - 1))))
+
+let lexer_differential_pieces =
+  QCheck.Test.make ~name:"lexer = reference on short inputs" ~count:5000
+    (QCheck.make gen_lexer_input ~print:(Printf.sprintf "%S"))
+    lexers_agree
+
+let test_lexer_matches_reference_on_scripts () =
+  List.iter
+    (fun (name, src, _) -> check name true (lex_outcome src = lex_ref_outcome src))
+    (("supply_chain", Supply_chain.script, Supply_chain.root) :: Paper_scripts.all)
+
+(* every error path at the end of the input, pinned for both lexers *)
+let test_lexer_errors_at_end () =
+  let outcome = Alcotest.testable (fun ppf o -> Format.pp_print_string ppf (show_outcome o)) ( = ) in
+  List.iter
+    (fun (src, msg, line, col) ->
+      let want = Error (msg, { Loc.line; col }) in
+      Alcotest.check outcome (Printf.sprintf "lexer on %S" src) want (lex_outcome src);
+      Alcotest.check outcome (Printf.sprintf "reference on %S" src) want (lex_ref_outcome src))
+    [
+      ("task \"code", "unterminated string", 1, 6);
+      ("\n  \xe2\x80\x9cab\ncd\xe2\x80", "unterminated string", 2, 3);
+      ("x /* a /* b */\n", "unterminated comment", 1, 3);
+      ("x\n/* a */ /*", "unterminated comment", 2, 9);
+      ("t 12ab", "malformed number ending in 'a'", 1, 3);
+      ("t 3_", "malformed number ending in '_'", 1, 3);
+      ("retry 99999999999999999999", "number out of range", 1, 7);
+      ("\xe2\x80\x9ca\xe2\x80\x9d\xe2\x80", "illegal character '\\226'", 1, 8);
+      ("\"a\" \xe2", "illegal character '\\226'", 1, 5);
+    ]
+
 (* --- pretty-printer round trip --- *)
 
 let strip_locs_decl d = ignore d
@@ -802,6 +881,74 @@ let recovery_qcheck =
       | Ok [ Ast.D_task td' ] -> norm_recovery td'.Ast.td_recovery = norm_recovery r
       | Ok _ | Error _ -> false)
 
+(* The lexer has no escape syntax, so the printer writes literals
+   verbatim: a literal survives print then parse byte for byte, UTF-8
+   and backslashes included, exactly when [Pretty.unreadable_literal]
+   accepts it. *)
+let literals_of_task (td : Ast.task_decl) =
+  let substitute =
+    match Ast.recovery_timeout td.td_recovery with
+    | Some (_, Ast.Ta_substitute c) -> [ c ]
+    | Some _ | None -> []
+  in
+  List.concat_map (fun (k, v) -> [ k; v ]) td.td_impl
+  @ substitute
+  @ Ast.recovery_alternatives td.td_recovery
+
+let task_with_literals (k, v, sub, alt) =
+  {
+    (dummy_task_with_recovery
+       [
+         Ast.R_timeout { ms = 5; action = Ast.Ta_substitute sub; loc = Loc.dummy };
+         Ast.R_alternative { codes = [ alt ]; loc = Loc.dummy };
+       ])
+    with
+    Ast.td_impl = [ (k, v) ];
+  }
+
+let gen_literal =
+  QCheck.Gen.(
+    map
+      (fun picks -> String.concat "" picks)
+      (list_size (int_bound 6)
+         (oneofl
+            [
+              "a"; "Z"; "0"; " "; "\t"; "\\"; "\\n"; "'"; "\xc3\xa9"; "\xe2"; "\xe2\x80"; "\x9c"; "/*";
+              "//"; "\""; "\xe2\x80\x9d";
+            ])))
+
+let literal_roundtrip_qcheck =
+  QCheck.Test.make ~name:"printed literals reparse unchanged" ~count:1000
+    (QCheck.make
+       QCheck.Gen.(quad gen_literal gen_literal gen_literal gen_literal)
+       ~print:(fun (k, v, sub, alt) -> Printf.sprintf "%S %S %S %S" k v sub alt))
+    (fun lits ->
+      let td = task_with_literals lits in
+      let round_trips =
+        match Parser.script_result (Pretty.to_string [ Ast.D_task td ]) with
+        | Ok [ Ast.D_task td' ] -> literals_of_task td' = literals_of_task td
+        | Ok _ | Error _ -> false
+      in
+      round_trips = (Pretty.unreadable_literal [ Ast.D_task td ] = None))
+
+let test_literals_verbatim () =
+  let td = task_with_literals ("code", "caf\xc3\xa9", "a\\b", "\xe2\x80") in
+  let printed = Pretty.to_string [ Ast.D_task td ] in
+  Alcotest.(check (option string)) "readable" None (Pretty.unreadable_literal [ Ast.D_task td ]);
+  check "no OCaml escapes" false (contains_sub ~needle:"\\195" printed);
+  match Parser.script_result printed with
+  | Ok [ Ast.D_task td' ] ->
+    Alcotest.(check (list string)) "literals" (literals_of_task td) (literals_of_task td')
+  | Ok _ | Error _ -> Alcotest.failf "does not reparse:\n%s" printed
+
+let test_unreadable_literals () =
+  List.iter
+    (fun lit ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "%S" lit) (Some lit)
+        (Pretty.unreadable_literal [ Ast.D_task (task_with_literals ("code", "c", "s", lit)) ]))
+    [ "a\"b"; "\xe2\x80\x9cq"; "q\xe2\x80\x9d"; " lead"; "trail\n" ]
+
 (* validation of recovery sections: contradictory clauses are located
    errors *)
 
@@ -1005,6 +1152,11 @@ let () =
           Alcotest.test_case "smart quotes" `Quick test_lexer_smart_quotes;
           Alcotest.test_case "trims strings" `Quick test_lexer_trims_implementation_values;
           Alcotest.test_case "error position" `Quick test_lexer_error_position;
+          Alcotest.test_case "reference on checked-in scripts" `Quick
+            test_lexer_matches_reference_on_scripts;
+          Alcotest.test_case "errors at end of input" `Quick test_lexer_errors_at_end;
+          QCheck_alcotest.to_alcotest lexer_differential_mutated;
+          QCheck_alcotest.to_alcotest lexer_differential_pieces;
         ] );
       ( "parser",
         [
@@ -1016,7 +1168,13 @@ let () =
           Alcotest.test_case "paper scripts parse" `Quick test_paper_scripts_parse;
           QCheck_alcotest.to_alcotest mutated_script_qcheck;
         ] );
-      ("pretty", [ Alcotest.test_case "round trip" `Quick test_roundtrip_paper_scripts ]);
+      ( "pretty",
+        [
+          Alcotest.test_case "round trip" `Quick test_roundtrip_paper_scripts;
+          Alcotest.test_case "literals verbatim" `Quick test_literals_verbatim;
+          Alcotest.test_case "unreadable literals" `Quick test_unreadable_literals;
+          QCheck_alcotest.to_alcotest literal_roundtrip_qcheck;
+        ] );
       ( "recovery",
         [
           Alcotest.test_case "parse clauses" `Quick test_parse_recovery_clauses;

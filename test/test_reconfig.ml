@@ -182,6 +182,40 @@ let test_rebind_unknown_task () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown task accepted"
 
+(* The rewritten script is persisted as text and recompiled on
+   recovery, so a code the text cannot carry is refused, and any other
+   code goes into the text verbatim. *)
+let rewrite_code code =
+  Reconfig.rewrite ~script:Paper_scripts.process_order ~root:"processOrderApplication"
+    ~transform:(Reconfig.rebind_implementation ~scope ~task:"dispatch" ~code)
+
+let test_rewrite_refuses_unreadable_literal () =
+  List.iter
+    (fun code ->
+      match rewrite_code code with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "rewrite accepted %S" code)
+    [ "ref\"Dispatch"; "\xe2\x80\x9cref"; "ref\xe2\x80\x9d"; " ref"; "ref\n" ]
+
+let test_rewrite_keeps_literal_verbatim () =
+  let code = "r\xc3\xa9f\\Dispatch" in
+  match rewrite_code code with
+  | Error e -> Alcotest.failf "rewrite failed: %s" e
+  | Ok (text, _) -> (
+    match Frontend.compile text ~root:"processOrderApplication" with
+    | Error e -> Alcotest.failf "rewritten text does not compile: %s" (Frontend.error_to_string e)
+    | Ok _ ->
+      let dispatch_code ast =
+        Option.bind (find_compound ast "processOrderApplication") (fun cd ->
+            List.find_map
+              (function
+                | Ast.C_task td when td.Ast.td_name = "dispatch" -> Ast.impl_code td.Ast.td_impl
+                | _ -> None)
+              cd.Ast.cd_constituents)
+      in
+      Alcotest.(check (option string)) "code read back" (Some code)
+        (dispatch_code (Parser.script text)))
+
 (* --- nested scopes --- *)
 
 let test_nested_scope_navigation () =
@@ -229,6 +263,9 @@ let () =
         [
           Alcotest.test_case "rebind implementation" `Quick test_rebind_implementation;
           Alcotest.test_case "unknown task" `Quick test_rebind_unknown_task;
+          Alcotest.test_case "unreadable literal refused" `Quick
+            test_rewrite_refuses_unreadable_literal;
+          Alcotest.test_case "literal kept verbatim" `Quick test_rewrite_keeps_literal_verbatim;
         ] );
       ( "nested",
         [
