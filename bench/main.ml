@@ -510,6 +510,56 @@ let history_gates () =
   Printf.printf "%8d instances: %.0f words\n%8d instances: %.0f words\n" 10 at_10 1_000 at_1000;
   [ at_most "engine.history_words_growth" (at_1000 /. at_10) 1.05 ]
 
+(* --- engine: what a collected instance leaves behind --- *)
+
+(* Live words after a full major collection once N, and then 4N,
+   three-task chains on one engine have concluded, been collected and
+   the store compacted; the row is the slope per instance. Both cycles
+   end in the first four virtual seconds, long before a 30 s watchdog
+   deadline, so a timer that outlives its work (and so pins the
+   instance it captured) shows here. The slope is a difference of two
+   readings in one process, so it repeats exactly. *)
+let retention_gates () =
+  header "GATES: engine — live words per collected 3-task chain";
+  let tb = Testbed.make ~engine_config:{ Engine.default_config with trace = false } () in
+  Workloads.register tb.Testbed.registry;
+  let e = tb.Testbed.engine in
+  let script, root = Workloads.chain ~n:3 in
+  let settle () = Testbed.run ~until:(Sim.now tb.Testbed.sim + Sim.sec 1) tb in
+  let live_after count =
+    let iids =
+      List.init count (fun _ -> must (Engine.launch e ~script ~root ~inputs:Workloads.seed_inputs))
+    in
+    settle ();
+    let collected = ref 0 in
+    List.iter
+      (fun iid ->
+        match Engine.status e iid with
+        | Some (Wstate.Wf_done _) ->
+          Engine.gc e iid (function Ok () -> incr collected | Error m -> failwith m)
+        | _ -> failwith ("retention gate: " ^ iid ^ " did not complete"))
+      iids;
+    settle ();
+    if !collected <> count then failwith "retention gate: an instance was not collected";
+    Engine.compact e;
+    Gc.full_major ();
+    let live = (Gc.stat ()).Gc.live_words in
+    (* the testbed is otherwise dead after [compact]: keep it reachable
+       through the reading, or the second one would not count it *)
+    ignore (Sys.opaque_identity tb);
+    live
+  in
+  let n = 250 in
+  let at_n = live_after n in
+  let at_4n = live_after (3 * n) in
+  let per_instance = float_of_int (at_4n - at_n) /. float_of_int (3 * n) in
+  Printf.printf "%8d collected: %d live words\n%8d collected: %d live words\n%.1f words/instance\n"
+    n at_n (4 * n) at_4n per_instance;
+  (* about 28 words are left, mostly [Metrics] histogram samples and the
+     grown bucket arrays of the store's and the lock table's hash tables
+     (EXPERIMENTS.md A20) *)
+  [ at_most "engine.retained_words_per_instance" per_instance 100. ]
+
 (* --- cluster: the supply chain over 1/2/4 engines --- *)
 
 (* [dispatch_overhead] serializes every dispatch through its engine's
@@ -854,7 +904,7 @@ let write_gates ~mode gates =
   close_out oc
 
 let run_gates ~mode ~capacity_sizes ~fanout_widths ~hotpath_scale =
-  let engine = engine_gates () @ history_gates () in
+  let engine = engine_gates () @ history_gates () @ retention_gates () in
   let cluster = cluster_gates () in
   let capacity = capacity_gates ~sizes:capacity_sizes in
   let fanout = fanout_gates ~widths:fanout_widths in

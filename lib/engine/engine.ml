@@ -183,6 +183,13 @@ let apply_and_announce t inst action =
      update below (the guard row committed with this action) *)
   let compensation = compensation_of t inst action in
   Instate.apply_action_mirror inst ~now ~deadline_of:(deadline_span t) action;
+  (* a started task waits no more; a finished or repeating one runs no
+     more, so its queued timers go *)
+  (match action with
+  | Sched.Start { a_path; _ } | Sched.Complete { a_path; _ } | Sched.Fail_task { a_path; _ } ->
+    Instate.cancel_timers_at inst t.sim a_path
+  | Sched.Do_repeat { a_path; _ } -> Instate.cancel_timers_at ~below:true inst t.sim a_path
+  | Sched.Fire_mark _ | Sched.Arm_timer _ -> ());
   run_compensation t inst compensation;
   match action with
   | Sched.Start _ | Sched.Arm_timer _ -> ()
@@ -293,15 +300,19 @@ and arm_timer_action t inst = function
     in
     (* the deadline persists across crashes: recovery resumes the
        remaining wait rather than restarting the whole timeout *)
+    let arm deadline =
+      Instate.set_alarm inst t.sim a_path
+        (Instate.Timer (a_set, Sim.schedule t.sim ~delay:(max 0 (deadline - Sim.now t.sim)) fire))
+    in
     (match Hashtbl.find_opt inst.Instate.timer_arms key with
-    | Some deadline -> ignore (Sim.schedule t.sim ~delay:(max 0 (deadline - Sim.now t.sim)) fire)
+    | Some deadline -> arm deadline
     | None ->
       let deadline = Sim.now t.sim + timeout_span a_task in
       persist t
         [ (Wstate.key_timer_arm inst.Instate.iid a_path ~set:a_set, Some (string_of_int deadline)) ]
         (fun () ->
           Hashtbl.replace inst.Instate.timer_arms key deadline;
-          ignore (Sim.schedule t.sim ~delay:(max 0 (deadline - Sim.now t.sim)) fire)))
+          arm deadline))
   | Sched.Start _ | Sched.Fire_mark _ | Sched.Do_repeat _ | Sched.Complete _ | Sched.Fail_task _
     -> ()
 
@@ -339,13 +350,14 @@ and dispatch t inst ~path ~task ~set ~inputs ~attempt =
    has moved on. *)
 and dispatch_after t inst ~path ~task ~set ~inputs ~attempt delay =
   let epoch = t.epoch in
-  ignore
-    (Sim.schedule t.sim ~delay (fun () ->
-         if t.epoch = epoch && Node.up t.node && task_live t inst path then
-           match Instate.get_state inst path with
-           | Some (Wstate.Running { attempt = a; _ }) when a = attempt ->
-             dispatch t inst ~path ~task ~set ~inputs ~attempt
-           | _ -> ()))
+  Instate.set_alarm inst t.sim path
+    (Instate.Backoff
+       (Sim.schedule t.sim ~delay (fun () ->
+            if t.epoch = epoch && Node.up t.node && task_live t inst path then
+              match Instate.get_state inst path with
+              | Some (Wstate.Running { attempt = a; _ }) when a = attempt ->
+                dispatch t inst ~path ~task ~set ~inputs ~attempt
+              | _ -> ())))
 
 and schedule_watchdog ?delay t inst ~path ~task ~attempt =
   let epoch = t.epoch in
@@ -358,7 +370,7 @@ and schedule_watchdog ?delay t inst ~path ~task ~attempt =
         advance t inst ~path ~task Policy.after_timeout
       | _ -> ()
   in
-  ignore (Sim.schedule t.sim ~delay:span check)
+  Instate.set_watchdog inst t.sim path ~attempt (fun () -> Sim.schedule t.sim ~delay:span check)
 
 (* The one attempt transition of a running task: [decide] is the
    policy's answer to a failure or to an expired watchdog. A retry bumps
@@ -409,6 +421,9 @@ and advance t inst ~path ~task decide =
       in
       persist t writes (fun () ->
           Hashtbl.replace inst.Instate.states (pkey path) running;
+          (* the old attempt is over: its watchdog goes now, not when the
+             new attempt is dispatched after the backoff *)
+          Instate.cancel_timers_at inst t.sim path;
           if delay > 0 then Instate.set_backoff inst path ~attempt ~fire_at;
           emit t (Event.Task_retried { path = pkey path; attempt });
           if retried then emit t (Event.Policy_retry { path = pkey path; attempt; delay_ms });
@@ -459,6 +474,7 @@ and conclude t inst status ev k =
       let callbacks = inst.Instate.callbacks in
       inst.Instate.callbacks <- [];
       List.iter (fun cb -> cb status) callbacks;
+      Instate.cancel_timers inst t.sim;
       if t.config.retain_concluded then Instate.trim_concluded inst else Instate.release inst;
       k ())
 
@@ -696,6 +712,9 @@ let create ?(config = default_config) ~rpc ~node ~mgr ~participant ~registry:reg
   Node.serve node ~service:(Wfmsg.service_mark ~engine:own) (handle_report t ~is_mark:true);
   Node.on_crash node (fun () ->
       t.epoch <- t.epoch + 1;
+      (* the epoch fence already makes them no-ops; cancelling frees
+         the old mirrors now rather than at each timer's deadline *)
+      Hashtbl.iter (fun _ inst -> Instate.cancel_timers inst sim) t.insts;
       let running =
         Hashtbl.fold
           (fun _ (inst : Instate.t) acc ->
@@ -831,6 +850,9 @@ let policy_budgets t iid =
       paths []
     |> List.sort (fun a b -> String.compare a.pb_path b.pb_path)
 
+let queued_watchdogs t iid =
+  match Hashtbl.find_opt t.insts iid with None -> [] | Some inst -> Instate.queued_watchdogs inst
+
 let marks_of t iid ~path =
   match Hashtbl.find_opt t.insts iid with None -> [] | Some inst -> Instate.get_marks inst path
 
@@ -927,9 +949,20 @@ let recoveries_total t = Metrics.value t.metrics "engine.recoveries"
 
 (* Residency accounting for the capacity bench: reachable words from
    the live mirror table, sampled on demand (walking 100k instances is
-   too expensive to do implicitly). *)
+   too expensive to do implicitly). The walk covers a copy of the table
+   whose mirrors have empty timer tables: a queued timer's closure leads
+   on to the whole engine, and the timers belong to the simulator queue,
+   which the walk has never counted. *)
 let observe_residency t =
-  let words = Obj.reachable_words (Obj.repr t.insts) in
+  let mirrors =
+    if Hashtbl.fold (fun _ inst any -> any || Instate.has_timers inst) t.insts false then begin
+      let copy = Hashtbl.copy t.insts in
+      Hashtbl.filter_map_inplace (fun _ inst -> Some (Instate.without_timers inst)) copy;
+      copy
+    end
+    else t.insts
+  in
+  let words = Obj.reachable_words (Obj.repr mirrors) in
   Metrics.set t.metrics "engine.resident_words" words;
   Metrics.set t.metrics "engine.ready_queue_len" (Dispatch.ready_len t.disp);
   words

@@ -128,6 +128,11 @@ val task_states : t -> string -> (string * Wstate.task_state) list
 val marks_of : t -> string -> path:string list -> (string * (string * Value.obj) list) list
 (** Marks emitted so far by the task at [path]. *)
 
+val queued_watchdogs : t -> string -> (string * int) list
+(** The instance's watchdogs still in the simulator queue, as ("/"-joined
+    path, attempt guarded), sorted: at most one per running leaf, and
+    none once the instance has concluded. *)
+
 type policy_budget = {
   pb_path : string;  (** "/"-joined task path *)
   pb_attempts : int;  (** execution attempts used so far *)

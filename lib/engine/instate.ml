@@ -1,3 +1,9 @@
+(* A queued timer that captures the instance. *)
+type alarm =
+  | Watchdog of int * Sim.handle  (* the attempt it guards *)
+  | Backoff of Sim.handle  (* a policy backoff's re-dispatch *)
+  | Timer of string * Sim.handle  (* an input set's timeout *)
+
 type t = {
   iid : string;
   mutable script_text : string;
@@ -13,6 +19,7 @@ type t = {
   timers_armed : (string, int) Hashtbl.t;  (* volatile; value = attempt armed for *)
   backoffs : (string, int * Sim.time) Hashtbl.t;  (* pending policy backoffs: attempt, fire_at *)
   compensated : (string, unit) Hashtbl.t;  (* aborts whose compensation is recorded *)
+  alarms : (string, alarm list) Hashtbl.t;  (* volatile; queued timers, by path *)
   mutable callbacks : (Wstate.status -> unit) list;
   mutable hseq : int;  (* next persistent-history index *)
   mutable dirty : bool;
@@ -43,6 +50,7 @@ let create ~iid ~script_text ~schema ~status ~external_inputs =
     timers_armed = Hashtbl.create 8;
     backoffs = Hashtbl.create 4;
     compensated = Hashtbl.create 4;
+    alarms = Hashtbl.create 4;
     callbacks = [];
     hseq = 0;
     dirty = false;
@@ -84,6 +92,96 @@ let set_backoff inst path ~attempt ~fire_at =
 let is_compensated inst path = Hashtbl.mem inst.compensated (pkey path)
 
 let mark_compensated inst path = Hashtbl.replace inst.compensated (pkey path) ()
+
+(* --- queued timers (volatile) --- *)
+
+(* A timer that captures the instance dies with the work it guards, so
+   a finished attempt or instance leaves nothing in the simulator queue. *)
+
+let alarm_handle = function Watchdog (_, h) | Backoff h | Timer (_, h) -> h
+
+let cancel_alarm sim a = Sim.cancel sim (alarm_handle a)
+
+let same_kind a b =
+  match (a, b) with
+  | Watchdog _, Watchdog _ | Backoff _, Backoff _ -> true
+  | Timer (s, _), Timer (s', _) -> String.equal s s'
+  | (Watchdog _ | Backoff _ | Timer _), _ -> false
+
+(* [alarm] becomes the one alarm of its kind filed under the path [key];
+   the one it replaces is cancelled. *)
+let add_alarm inst sim key alarm =
+  match Hashtbl.find inst.alarms key with
+  | exception Not_found -> Hashtbl.replace inst.alarms key [ alarm ]
+  | alarms ->
+    let others =
+      List.filter
+        (fun a ->
+          if same_kind a alarm then begin
+            cancel_alarm sim a;
+            false
+          end
+          else true)
+        alarms
+    in
+    Hashtbl.replace inst.alarms key (alarm :: others)
+
+let set_alarm inst sim path alarm = add_alarm inst sim (pkey path) alarm
+
+(* A new attempt's watchdog replaces the old one. A watchdog still
+   queued for the same attempt is kept: after recovery it guards that
+   attempt's persisted deadline, which the resumed backoff's dispatch
+   can only push later. *)
+let set_watchdog inst sim path ~attempt schedule =
+  let queued = function
+    | Watchdog (a, h) -> a = attempt && Sim.is_live h
+    | Backoff _ | Timer _ -> false
+  in
+  let key = pkey path in
+  match Hashtbl.find inst.alarms key with
+  | alarms when List.exists queued alarms -> ()
+  | _ | (exception Not_found) -> add_alarm inst sim key (Watchdog (attempt, schedule ()))
+
+let cancel_key inst sim key =
+  match Hashtbl.find inst.alarms key with
+  | exception Not_found -> ()
+  | alarms ->
+    List.iter (cancel_alarm sim) alarms;
+    Hashtbl.remove inst.alarms key
+
+(* Cancel the queued timers of [path] and, with [~below], those of every
+   path under it. *)
+let cancel_timers_at ?(below = false) inst sim path =
+  let p = pkey path in
+  cancel_key inst sim p;
+  if below && Hashtbl.length inst.alarms > 0 then begin
+    let prefix = p ^ "/" in
+    let doomed =
+      Hashtbl.fold
+        (fun key _ acc -> if String.starts_with ~prefix key then key :: acc else acc)
+        inst.alarms []
+    in
+    List.iter (cancel_key inst sim) doomed
+  end
+
+let cancel_timers inst sim =
+  Hashtbl.iter (fun _ alarms -> List.iter (cancel_alarm sim) alarms) inst.alarms;
+  Hashtbl.reset inst.alarms
+
+let queued_watchdogs inst =
+  Hashtbl.fold
+    (fun key alarms acc ->
+      List.fold_left
+        (fun acc -> function
+          | Watchdog (attempt, h) when Sim.is_live h -> (key, attempt) :: acc
+          | Watchdog _ | Backoff _ | Timer _ -> acc)
+        acc alarms)
+    inst.alarms []
+  |> List.sort compare
+
+let has_timers inst = Hashtbl.length inst.alarms > 0
+
+let without_timers inst = if has_timers inst then { inst with alarms = Hashtbl.create 4 } else inst
 
 (* pending policy backoffs, for recovery to resume *)
 let pending_backoffs inst =

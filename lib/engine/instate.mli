@@ -9,6 +9,12 @@
     into transactional writes, history rows and mirror updates lives
     here too, so the engine proper only orchestrates. *)
 
+(** A queued timer that captures the instance. *)
+type alarm =
+  | Watchdog of int * Sim.handle  (** a running leaf's watchdog, with the attempt it guards *)
+  | Backoff of Sim.handle  (** a policy backoff's re-dispatch *)
+  | Timer of string * Sim.handle  (** the timeout of the named input set *)
+
 type t = {
   iid : string;
   mutable script_text : string;
@@ -28,6 +34,8 @@ type t = {
       (** pending policy backoffs: attempt waiting, absolute fire time *)
   compensated : (string, unit) Hashtbl.t;
       (** aborted paths whose compensation is durably recorded *)
+  alarms : (string, alarm list) Hashtbl.t;
+      (** volatile; the queued timers of each path *)
   mutable callbacks : (Wstate.status -> unit) list;
   mutable hseq : int;  (** next persistent-history index *)
   mutable dirty : bool;
@@ -99,6 +107,41 @@ val running_leaves :
 (** Running leaf executions (path, task, attempt, watchdog deadline):
     recovery re-arms one watchdog per entry, and a running instance with
     none whose root is unfinished is quiescent. *)
+
+(** {1 Queued timers}
+
+    Every engine timer that captures the instance is kept here and
+    cancelled when the work it guards ends, so a finished attempt or
+    instance leaves nothing in the simulator queue. *)
+
+val set_alarm : t -> Sim.t -> Wstate.path -> alarm -> unit
+(** File a backoff or input-set timer under the path, cancelling the
+    one of the same kind (for a timer, of the same input set) it
+    replaces. *)
+
+val set_watchdog : t -> Sim.t -> Wstate.path -> attempt:int -> (unit -> Sim.handle) -> unit
+(** [set_watchdog inst sim path ~attempt schedule] makes [schedule ()]
+    the path's one queued watchdog, cancelling the previous attempt's. A
+    watchdog still queued for the same [attempt] is kept and [schedule]
+    is not called: after recovery it guards the attempt's persisted
+    deadline, which the resumed backoff's dispatch can only push later. *)
+
+val cancel_timers_at : ?below:bool -> t -> Sim.t -> Wstate.path -> unit
+(** Cancel the path's queued timers — with [~below:true] also those of
+    every path under it. *)
+
+val cancel_timers : t -> Sim.t -> unit
+(** Cancel every queued timer of the instance (conclusion, crash). *)
+
+val queued_watchdogs : t -> (string * int) list
+(** Watchdogs still queued, as (path key, attempt), sorted. *)
+
+val has_timers : t -> bool
+
+val without_timers : t -> t
+(** The instance itself if it holds no timer, else a copy with an empty
+    timer table: for a residency walk that should stop at the mirror,
+    since a queued timer's closure reaches the whole engine. *)
 
 (** {1 Subtree erasure} (a compound repeat wipes its scope) *)
 

@@ -166,6 +166,12 @@ let attach t node =
     Node.serve node ~service:req_service (handle_request t node);
     Node.serve node ~service:rsp_service (handle_response t node);
     Node.on_crash node (fun () ->
+        (* a dropped call's timeout would otherwise stay queued until it
+           expires, holding the call's body and callback *)
+        let sim = Network.sim t.net in
+        Hashtbl.iter
+          (fun _ p -> match p.timer with Some h -> Sim.cancel sim h | None -> ())
+          ep.pending_calls;
         Hashtbl.reset ep.pending_calls;
         Hashtbl.reset ep.replies_cache;
         Queue.clear ep.reply_order;

@@ -92,6 +92,27 @@ let pop_exn t =
 
 let pop t = if t.size = 0 then None else Some (pop_exn t)
 
+(* One pass moves the kept elements to the front in their array order,
+   the vacated tail gets the filler, and Floyd's bottom-up heapify
+   restores heap order in O(n). *)
+let filter_inplace t keep =
+  let data = t.data in
+  let kept = ref 0 in
+  for i = 0 to t.size - 1 do
+    let x = Array.unsafe_get data i in
+    if keep x then begin
+      Array.unsafe_set data !kept x;
+      incr kept
+    end
+  done;
+  (match t.filler with
+  | Some f -> Array.fill data !kept (t.size - !kept) f
+  | None -> ());
+  t.size <- !kept;
+  for i = (!kept / 2) - 1 downto 0 do
+    sift_down t i (Array.unsafe_get data i)
+  done
+
 let to_list t =
   let rec collect i acc = if i < 0 then acc else collect (i - 1) (t.data.(i) :: acc) in
   collect (t.size - 1) []

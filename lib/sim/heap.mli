@@ -35,5 +35,11 @@ val top : 'a t -> 'a
 (** Like {!peek} but without the option allocation; raises [Empty] on an
     empty heap. *)
 
+val filter_inplace : 'a t -> ('a -> bool) -> unit
+(** [filter_inplace t keep] drops every element for which [keep] is
+    false, in one O(n) pass without allocating. Vacated slots get the
+    filler of a {!create_filled} heap. Pop order of the kept elements is
+    unchanged when [cmp] is a total order. *)
+
 val to_list : 'a t -> 'a list
 (** Snapshot of the contents in heap (not sorted) order. *)

@@ -46,11 +46,19 @@ val at : t -> time:time -> (unit -> unit) -> handle
 (** [at t ~time f] runs [f] at absolute virtual [time]; clamped to now. *)
 
 val cancel : t -> handle -> unit
-(** Cancelling an already-fired or cancelled event is a no-op. *)
+(** [cancel t h] drops [h]'s action at once, so whatever its closure
+    captured can be collected before the event's time arrives; the
+    cancelled event never fires and never moves the clock. Cancelling an
+    event that has already fired, or was already cancelled, does
+    nothing. The firing order of the other events is unchanged. Dead
+    slots are reclaimed lazily: when they outnumber the live events, one
+    O(n) pass compacts the queue. *)
+
+val is_live : handle -> bool
+(** [true] until the event fires or is cancelled. *)
 
 val pending : t -> int
-(** Number of scheduled-but-not-fired events (cancelled ones may still
-    be counted until their time arrives). *)
+(** Number of live events: scheduled and neither fired nor cancelled. *)
 
 val run : ?until:time -> t -> unit
 (** Executes events in time order until the queue drains, or virtual

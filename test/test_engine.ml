@@ -388,6 +388,31 @@ let test_policy_backoff_survives_crash () =
     | (_, 1) :: (at2, 2) :: _ -> check "attempt 2 waited out the recovery" true (at2 >= Sim.ms 150)
     | _ -> Alcotest.fail "expected attempt 1 then attempt 2")
 
+(* The engine crashes during a policy backoff and recovers after the
+   backoff was due. The resumed attempt keeps the watchdog of its
+   persisted deadline (backoff due + 80 ms), not a fresh 80 ms from the
+   late re-dispatch. *)
+let test_recovered_watchdog_keeps_deadline () =
+  let tb = Testbed.make ~engine_config:fast_engine () in
+  Registry.bind tb.Testbed.registry ~code:"t.flaky" (fun ctx ->
+      match ctx.Registry.attempt with
+      | 1 -> failwith "flaky"
+      | 2 -> Registry.finish ~work:(Sim.sec 1) "done" [ ("data", Value.Str "late") ]
+      | _ -> Registry.finish ~work:(Sim.ms 5) "done" [ ("data", Value.Str "ok") ]);
+  ignore (Sim.schedule tb.Testbed.sim ~delay:(Sim.ms 40) (fun () -> Testbed.crash tb "n0"));
+  ignore (Sim.schedule tb.Testbed.sim ~delay:(Sim.ms 100) (fun () -> Testbed.recover tb "n0"));
+  match
+    Testbed.launch_and_run tb ~script:backoff_script ~root:"flow" ~inputs:Workloads.seed_inputs
+  with
+  | Error e -> Alcotest.failf "launch: %s" e
+  | Ok (_, status) ->
+    ignore (expect_done ~output:"finished" status);
+    let fired = first_at tb "a watchdog" (function Event.Watchdog_fired _ -> true | _ -> false) in
+    (* attempt 1 fails at about 1 ms, so the backoff is due at about
+       61 ms and the deadline is about 141 ms; a watchdog armed by the
+       100 ms re-dispatch would fire at 181 ms *)
+    check "fired at the persisted deadline" true (fired < Sim.ms 150)
+
 (* --- declared timeout actions: the watchdog branches --- *)
 
 (* [work] runs [t.hang], which computes far past the declared timeout,
@@ -434,11 +459,15 @@ let run_watchdog ~recovery =
 let check_rows what expected rows =
   Alcotest.(check (list (pair string string))) what expected rows
 
+let watchdogs_fired tb =
+  count_events tb (function Event.Watchdog_fired _ -> true | _ -> false)
+
 let test_timeout_then_alternative () =
-  let _, _, status, rows =
+  let tb, _, status, rows =
     run_watchdog ~recovery:{|retry 1; timeout 50 then alternative; alternative "t.alt"|}
   in
   ignore (expect_done ~output:"finished" status);
+  check_int "one watchdog fired" 1 (watchdogs_fired tb);
   (* a jump to the alternative's band start: no policy-retry row *)
   check_rows "history"
     [
@@ -454,6 +483,7 @@ let test_timeout_then_alternative () =
 
 let test_timeout_then_abort () =
   let tb, iid, _, rows = run_watchdog ~recovery:"timeout 50 then abort" in
+  check_int "one watchdog fired" 1 (watchdogs_fired tb);
   (* Step declares no abort outcome, so the task fails outright *)
   check "work failed with the timeout reason" true
     (Engine.task_state tb.Testbed.engine iid ~path:[ "flow"; "work" ]
@@ -473,6 +503,7 @@ let test_timeout_alternatives_exhausted () =
   in
   (* attempt 1 jumps to the alternative's band; attempt 2 times out in
      the last base band, which has no band after it *)
+  check_int "each attempt's watchdog fired" 2 (watchdogs_fired tb);
   check "work failed: alternatives exhausted" true
     (Engine.task_state tb.Testbed.engine iid ~path:[ "flow"; "work" ]
     = Some (Wstate.Failed "recovery alternatives exhausted"));
@@ -485,6 +516,125 @@ let test_timeout_alternatives_exhausted () =
       ("task-failed", "flow/work: recovery alternatives exhausted");
     ]
     rows
+
+(* --- queued timers end with their work --- *)
+
+let launch_ok tb ~script ~root =
+  match Engine.launch tb.Testbed.engine ~script ~root ~inputs:Workloads.seed_inputs with
+  | Ok iid -> iid
+  | Error m -> Alcotest.failf "launch: %s" m
+
+let launch_chain tb ~n =
+  let script, root = Workloads.chain ~n in
+  launch_ok tb ~script ~root
+
+(* A retried attempt's watchdog replaces its predecessor's: at every
+   point at most one is queued for the path, the new attempt's still
+   fires, and none is left once the instance has concluded. [probes]
+   are (virtual time, expected queued watchdogs) pairs. *)
+let check_watchdog_probes ~recovery ~bind probes =
+  let tb = Testbed.make ~engine_config:fast_engine () in
+  bind tb;
+  let e = tb.Testbed.engine in
+  let iid = launch_ok tb ~script:(watchdog_script ~recovery) ~root:"flow" in
+  let seen = ref [] in
+  List.iter
+    (fun (at, _) ->
+      ignore
+        (Sim.at tb.Testbed.sim ~time:at (fun () -> seen := Engine.queued_watchdogs e iid :: !seen)))
+    probes;
+  Testbed.run tb;
+  List.iter2
+    (fun (at, expected) got ->
+      Alcotest.(check (list (pair string int))) (Printf.sprintf "queued at %dus" at) expected got)
+    probes (List.rev !seen);
+  Alcotest.(check (list (pair string int)))
+    "none after conclusion" [] (Engine.queued_watchdogs e iid);
+  tb
+
+let test_timeout_retry_keeps_one_watchdog () =
+  let tb =
+    check_watchdog_probes
+      ~recovery:{|retry 0; timeout 50 then alternative; alternative "t.hang"|}
+      ~bind:(fun tb ->
+        Registry.bind tb.Testbed.registry ~code:"t.hang" (fun _ ->
+            Registry.finish ~work:(Sim.ms 200) "done" [ ("data", Value.Str "ok") ]))
+      [ (Sim.ms 25, [ ("flow/work", 1) ]); (Sim.ms 80, [ ("flow/work", 2) ]) ]
+  in
+  check_int "the new attempt's watchdog fired too" 2 (watchdogs_fired tb)
+
+(* A failed attempt's watchdog would wait out its 500 ms deadline; it is
+   cancelled when the retry is recorded, before the 60 ms backoff. *)
+let test_failure_retry_cancels_watchdog () =
+  let tb =
+    check_watchdog_probes ~recovery:"retry 2 backoff 60 max 60; timeout 500 then abort"
+      ~bind:(fun tb ->
+        Registry.bind tb.Testbed.registry ~code:"t.hang" (fun ctx ->
+            if ctx.Registry.attempt = 1 then failwith "flaky"
+            else Registry.finish ~work:(Sim.ms 200) "done" [ ("data", Value.Str "ok") ]))
+      [ (Sim.ms 30, []); (Sim.ms 150, [ ("flow/work", 2) ]) ]
+  in
+  check_int "no watchdog fired" 0 (watchdogs_fired tb)
+
+(* A completed task's watchdog goes with its attempt, while the instance
+   runs on; a cancelled instance's running task loses its watchdog at
+   conclusion. *)
+let test_completion_and_cancel_drop_watchdogs () =
+  let tb = Testbed.make () in
+  Workloads.register ~work:(Sim.ms 50) tb.Testbed.registry;
+  let e = tb.Testbed.engine in
+  let done_ = launch_chain tb ~n:2 and cancelled = launch_chain tb ~n:2 in
+  let queued iid = Engine.queued_watchdogs e iid in
+  Testbed.run ~until:(Sim.ms 75) tb;
+  Alcotest.(check (list (pair string int)))
+    "only the running task's" [ ("chain/s2", 1) ] (queued done_);
+  Engine.cancel e cancelled ~reason:"test" (function Ok () -> () | Error m -> Alcotest.fail m);
+  Testbed.run ~until:(Sim.ms 80) tb;
+  Alcotest.(check (list (pair string int))) "none once cancelled" [] (queued cancelled);
+  Testbed.run ~until:(Sim.sec 1) tb;
+  ignore (expect_done ~output:"finished" (Option.get (Engine.status e done_)));
+  check_int "nothing left queued" 0 (Sim.pending tb.Testbed.sim)
+
+(* K chains conclude and are collected long before the 30 s default
+   deadline: the simulator queue is back at its pre-launch length, with
+   nothing left pinning a collected instance. *)
+let test_collected_instances_leave_no_timers () =
+  let tb = Testbed.make () in
+  Workloads.register tb.Testbed.registry;
+  let e = tb.Testbed.engine in
+  let before = Sim.pending tb.Testbed.sim in
+  let iids = List.init 20 (fun _ -> launch_chain tb ~n:3) in
+  Testbed.run ~until:(Sim.sec 1) tb;
+  List.iter
+    (fun iid ->
+      ignore (expect_done ~output:"finished" (Option.get (Engine.status e iid)));
+      Engine.gc e iid (function Ok () -> () | Error m -> Alcotest.failf "gc: %s" m))
+    iids;
+  Testbed.run ~until:(Sim.sec 2) tb;
+  check_int "queue back at its pre-launch length" before (Sim.pending tb.Testbed.sim)
+
+(* A crash cancels the old epoch's watchdogs at once (their epoch fence
+   made them no-ops already); recovery arms one for the running leaf. *)
+let test_crash_cancels_watchdogs () =
+  let tb = Testbed.make ~nodes:[ "n0"; "n1" ] () in
+  Workloads.register ~work:(Sim.sec 5) tb.Testbed.registry;
+  let e = tb.Testbed.engine in
+  let script, root = Workloads.chain_remote ~n:1 ~host:"n1" in
+  let iid = launch_ok tb ~script ~root in
+  let queued what expected =
+    Alcotest.(check (list (pair string int))) what expected (Engine.queued_watchdogs e iid)
+  in
+  Testbed.run ~until:(Sim.sec 1) tb;
+  queued "the running leaf's watchdog" [ ("chain/s1", 1) ];
+  let before = Sim.pending tb.Testbed.sim in
+  Testbed.crash tb "n0";
+  check_int "the crash cancels it" (before - 1) (Sim.pending tb.Testbed.sim);
+  Testbed.recover tb "n0";
+  Testbed.run ~until:(Sim.sec 2) tb;
+  queued "recovery re-arms it" [ ("chain/s1", 1) ];
+  Testbed.run ~until:(Sim.sec 10) tb;
+  ignore (expect_done ~output:"finished" (Option.get (Engine.status e iid)));
+  queued "none once done" []
 
 let test_lossy_network_still_completes () =
   let config = { Network.default_config with Network.loss = 0.25 } in
@@ -1681,6 +1831,8 @@ let () =
           Alcotest.test_case "host crash redispatch" `Quick test_remote_host_crash_redispatch;
           Alcotest.test_case "engine crash recovery" `Quick test_engine_crash_recovery_completes;
           Alcotest.test_case "policy backoff survives crash" `Quick test_policy_backoff_survives_crash;
+          Alcotest.test_case "recovered watchdog keeps its deadline" `Quick
+            test_recovered_watchdog_keeps_deadline;
           Alcotest.test_case "lossy network" `Quick test_lossy_network_still_completes;
           Alcotest.test_case "abort auto-retry" `Quick test_abort_auto_retry;
           Alcotest.test_case "crash during launch commit" `Quick test_crash_during_launch_commit;
@@ -1695,6 +1847,18 @@ let () =
           Alcotest.test_case "timeout then abort" `Quick test_timeout_then_abort;
           Alcotest.test_case "timeout alternatives exhausted" `Quick
             test_timeout_alternatives_exhausted;
+        ] );
+      ( "queued-timers",
+        [
+          Alcotest.test_case "timeout retry keeps one watchdog" `Quick
+            test_timeout_retry_keeps_one_watchdog;
+          Alcotest.test_case "failure retry cancels the watchdog" `Quick
+            test_failure_retry_cancels_watchdog;
+          Alcotest.test_case "completion and cancel drop watchdogs" `Quick
+            test_completion_and_cancel_drop_watchdogs;
+          Alcotest.test_case "collected instances leave no timers" `Quick
+            test_collected_instances_leave_no_timers;
+          Alcotest.test_case "crash cancels watchdogs" `Quick test_crash_cancels_watchdogs;
         ] );
       ( "dataflow",
         [

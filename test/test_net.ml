@@ -300,6 +300,23 @@ let test_rpc_caller_crash_suppresses_callback () =
   Sim.run sim;
   check "callback suppressed after caller crash" false !fired
 
+(* A crashed caller forgets its calls, and their timeouts go with them:
+   none stays queued until its deadline holding the call. *)
+let test_rpc_caller_crash_cancels_timeouts () =
+  let sim, net, rpc = make_rpc [ "a"; "b" ] in
+  Node.crash (Network.node net "b");
+  let fired = ref 0 in
+  for _ = 1 to 3 do
+    Rpc.call rpc ~src:"a" ~dst:"b" ~service:"s" ~body:"" ~timeout:(Sim.ms 50) (fun _ -> incr fired)
+  done;
+  (* the requests are dropped at the crashed destination *)
+  Sim.run ~until:(Sim.ms 10) sim;
+  check_int "one timeout queued per call" 3 (Sim.pending sim);
+  Node.crash (Network.node net "a");
+  check_int "the caller's crash cancels them" 0 (Sim.pending sim);
+  Sim.run sim;
+  check_int "no callback" 0 !fired
+
 let test_rpc_reply_cache_bounded () =
   (* the dedup cache must not grow without bound: with a cap of 4,
      10 sequential requests evict the 6 oldest entries *)
@@ -446,6 +463,8 @@ let () =
           Alcotest.test_case "timeout on dead node" `Quick test_rpc_timeout_on_dead_destination;
           Alcotest.test_case "retries + dedup" `Quick test_rpc_retries_through_loss_execute_once;
           Alcotest.test_case "caller crash" `Quick test_rpc_caller_crash_suppresses_callback;
+          Alcotest.test_case "caller crash cancels timeouts" `Quick
+            test_rpc_caller_crash_cancels_timeouts;
           Alcotest.test_case "reply cache bounded" `Quick test_rpc_reply_cache_bounded;
           Alcotest.test_case "dedup with small cache" `Quick test_rpc_dedup_survives_small_cache;
           Alcotest.test_case "invalid cache cap" `Quick test_rpc_invalid_cache_cap_rejected;

@@ -45,6 +45,40 @@ let test_heap_releases_popped () =
   check "popped by the last pop" true (Weak.get watch 1 = None);
   check "empty" true (Heap.is_empty h)
 
+(* [filter_inplace] keeps heap order, and the slots it vacates hold the
+   filler: a dropped element is collectable at once. *)
+let test_heap_filter_inplace () =
+  let filler = ref (-1) in
+  let h = Heap.create_filled ~cmp:(fun a b -> compare !a !b) ~filler in
+  let n = 20 in
+  let watch = Weak.create n in
+  let[@inline never] push_watched v =
+    let x = ref v in
+    Weak.set watch v (Some x);
+    Heap.push h x
+  in
+  List.iter push_watched (List.init n (fun i -> (i * 7) mod n));
+  Heap.filter_inplace h (fun x -> !x mod 2 = 0);
+  check_int "half kept" (n / 2) (Heap.length h);
+  Gc.full_major ();
+  for v = 0 to n - 1 do
+    check (Printf.sprintf "element %d reachable iff kept" v) (v mod 2 = 0) (Weak.check watch v)
+  done;
+  let rec drain acc = if Heap.is_empty h then List.rev acc else drain (!(Heap.pop_exn h) :: acc) in
+  Alcotest.(check (list int))
+    "kept ones pop in order" (List.init (n / 2) (fun i -> 2 * i)) (drain [])
+
+let prop_heap_filter_inplace =
+  QCheck.Test.make ~name:"filter_inplace then drain = sorted filter" ~count:200
+    QCheck.(pair (list small_int) small_int)
+    (fun (xs, m) ->
+      let keep x = x mod (m + 2) <> 0 in
+      let h = Heap.create ~cmp:compare in
+      List.iter (Heap.push h) xs;
+      Heap.filter_inplace h keep;
+      let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
+      drain [] = List.sort compare (List.filter keep xs))
+
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
     QCheck.(list int)
@@ -238,6 +272,160 @@ let test_sim_step () =
   check "second step" true (Sim.step sim);
   check "empty afterwards" false (Sim.step sim)
 
+(* A cancelled event's closure is garbage before its time arrives, and
+   the event neither fires nor moves the clock. *)
+let test_sim_cancel_frees_closure () =
+  let sim = Sim.create () in
+  let watch = Weak.create 1 in
+  let[@inline never] schedule_watched () =
+    let payload = ref 0 in
+    Weak.set watch 0 (Some payload);
+    Sim.schedule sim ~delay:(Sim.sec 30) (fun () -> incr payload)
+  in
+  let h = schedule_watched () in
+  Gc.full_major ();
+  check "a queued closure keeps what it captured" true (Weak.check watch 0);
+  Sim.cancel sim h;
+  Gc.full_major ();
+  check "collectable once cancelled" false (Weak.check watch 0);
+  check_int "nothing pending" 0 (Sim.pending sim);
+  Sim.cancel sim h;
+  check_int "a second cancel changes nothing" 0 (Sim.pending sim);
+  Sim.run sim;
+  check_int "the clock did not move" 0 (Sim.now sim)
+
+(* Random schedule/cancel/step/run sequences against a list model of the
+   queue: the same events fire in the same order, a cancelled one never
+   fires, and [pending] is the live count after every operation. The
+   sequences cancel from inside actions (an action may cancel itself,
+   which has already fired), cancel fired and cancelled events again, and
+   cancel spans long enough to make the queue compact. *)
+type sim_op =
+  | Sched of int * int option  (* delay; the event whose handle the action cancels *)
+  | Cancel of int
+  | Cancel_span of int * int
+  | Step
+  | Run_until of int
+
+(* the model's events, indexed by scheduling order (their seq) *)
+type mev = { m_at : int; m_target : int; mutable m_live : bool }
+
+let gen_sim_op =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 8,
+          map2
+            (fun d t -> Sched (d, t))
+            (int_bound 1_000)
+            (frequency [ (4, return None); (1, map Option.some (int_bound 1_000)) ]) );
+        (2, map (fun i -> Cancel i) (int_bound 1_000));
+        (1, map2 (fun a l -> Cancel_span (a, l)) (int_bound 1_000) (int_bound 300));
+        (1, return Step);
+        (1, map (fun d -> Run_until d) (int_bound 30));
+      ])
+
+let show_sim_op = function
+  | Sched (d, t) ->
+    let cancels = match t with Some i -> Printf.sprintf " cancels %d" i | None -> "" in
+    Printf.sprintf "sched %d%s" d cancels
+  | Cancel i -> Printf.sprintf "cancel %d" i
+  | Cancel_span (a, l) -> Printf.sprintf "cancel %d+%d" a l
+  | Step -> "step"
+  | Run_until d -> Printf.sprintf "run +%d" d
+
+let prop_sim_matches_model =
+  QCheck.Test.make ~name:"sim agrees with a list model under schedule and cancel" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_sim_op ops))
+       QCheck.Gen.(list_size (int_range 0 500) gen_sim_op))
+    (fun ops ->
+      let sim = Sim.create () in
+      let cap = List.length ops in
+      let handles = Array.make cap (Sim.schedule sim ~delay:0 ignore) in
+      Sim.run sim;
+      let model = Array.make cap { m_at = 0; m_target = -1; m_live = false } in
+      let n = ref 0 in
+      let fired = ref [] and model_fired = ref [] in
+      let clock = ref 0 in
+      let count () = !n in
+      let live = ref 0 in
+      let model_cancel i =
+        if i >= 0 && i < count () && model.(i).m_live then begin
+          model.(i).m_live <- false;
+          decr live
+        end
+      in
+      (* the live event with the least (at, seq), fired in the model *)
+      let model_step ~limit =
+        let best = ref None in
+        for i = 0 to count () - 1 do
+          let e = model.(i) in
+          if e.m_live && e.m_at <= limit then
+            match !best with
+            | Some j when model.(j).m_at <= e.m_at -> ()
+            | _ -> best := Some i
+        done;
+        match !best with
+        | None -> false
+        | Some i ->
+          let e = model.(i) in
+          model_cancel i;
+          clock := e.m_at;
+          model_fired := i :: !model_fired;
+          model_cancel e.m_target;
+          true
+      in
+      let real_cancel i = if i >= 0 && i < count () then Sim.cancel sim handles.(i) in
+      let apply = function
+        | Sched (delay, target) ->
+          let id = count () in
+          (* resolved now; [id] itself means the action cancels its own event *)
+          let target = match target with Some t -> t mod (id + 1) | None -> -1 in
+          let h =
+            Sim.schedule sim ~delay (fun () ->
+                fired := id :: !fired;
+                if target >= 0 then real_cancel target)
+          in
+          handles.(id) <- h;
+          model.(id) <- { m_at = !clock + delay; m_target = target; m_live = true };
+          incr n;
+          incr live;
+          true
+        | Cancel i ->
+          let i = if count () = 0 then 0 else i mod count () in
+          real_cancel i;
+          model_cancel i;
+          true
+        | Cancel_span (a, len) ->
+          let a = if count () = 0 then 0 else a mod count () in
+          for i = a to min (count () - 1) (a + len) do
+            real_cancel i;
+            model_cancel i
+          done;
+          true
+        | Step -> Sim.step sim = model_step ~limit:max_int
+        | Run_until d ->
+          let limit = Sim.now sim + d in
+          Sim.run ~until:limit sim;
+          while model_step ~limit do () done;
+          clock := max !clock limit;
+          Sim.now sim = !clock
+      in
+      List.for_all
+        (fun op ->
+          apply op && Sim.pending sim = !live
+          &&
+          match (!fired, !model_fired) with
+          | a :: _, b :: _ -> a = b
+          | [], [] -> true
+          | _ -> false)
+        ops
+      &&
+      (Sim.run sim;
+       while model_step ~limit:max_int do () done;
+       !fired = !model_fired && Sim.pending sim = 0 && Sim.now sim = !clock))
+
 (* --- Event rendering --- *)
 
 let test_event_pp () =
@@ -310,6 +498,8 @@ let qsuite = List.map QCheck_alcotest.to_alcotest
     prop_heap_pop_exn_sorts;
     prop_heap_model;
     prop_heap_stable_for_equal_keys;
+    prop_heap_filter_inplace;
+    prop_sim_matches_model;
     prop_rng_int_in_bounds;
     prop_rng_float_in_bounds;
   ]
@@ -322,6 +512,7 @@ let () =
           Alcotest.test_case "orders elements" `Quick test_heap_orders_elements;
           Alcotest.test_case "empty behaviour" `Quick test_heap_empty;
           Alcotest.test_case "releases popped elements" `Quick test_heap_releases_popped;
+          Alcotest.test_case "filter in place" `Quick test_heap_filter_inplace;
         ] );
       ( "rng",
         [
@@ -335,6 +526,7 @@ let () =
           Alcotest.test_case "time order" `Quick test_sim_runs_in_time_order;
           Alcotest.test_case "fifo ties" `Quick test_sim_fifo_at_equal_time;
           Alcotest.test_case "cancel" `Quick test_sim_cancel;
+          Alcotest.test_case "cancel frees the closure" `Quick test_sim_cancel_frees_closure;
           Alcotest.test_case "run until" `Quick test_sim_until_leaves_future_events;
           Alcotest.test_case "nested scheduling" `Quick test_sim_nested_scheduling;
           Alcotest.test_case "negative delay" `Quick test_sim_negative_delay_clamped;
