@@ -160,7 +160,10 @@ let check_object_sources env site sources ~expect ~loc =
 
 (* --- recovery clauses --- *)
 
-let check_recovery env site ~impl ~recovery ~self_loc:_ =
+(* [siblings]: the other constituents of the compound that declares the
+   task, or [] at top level. The engine resolves [compensate t] as the
+   sibling path [parent @ [t]], so any other target would never run. *)
+let check_recovery env site ~siblings ~impl ~recovery ~self_loc:_ =
   let count_kind pred = List.length (List.filter pred recovery) in
   let dup_check ~what pred =
     if count_kind pred > 1 then
@@ -207,6 +210,10 @@ let check_recovery env site ~impl ~recovery ~self_loc:_ =
       if task = site.self then error env loc "task %s cannot compensate itself" task
       else if List.assoc_opt task site.scope = None then
         error env loc "compensate names undeclared task %s" task
+      else if not (List.mem task siblings) then
+        error env loc
+          "compensate %s: the target must be another constituent of the same compound as %s"
+          task site.self
   in
   List.iter check_clause recovery
 
@@ -410,14 +417,14 @@ let find_cycle edges =
 
 (* --- instances --- *)
 
-let rec check_task env ~scope (td : Ast.task_decl) =
+let rec check_task env ~scope ~siblings (td : Ast.task_decl) =
   let site = { scope; self = td.td_name } in
-  check_recovery env site ~impl:td.td_impl ~recovery:td.td_recovery ~self_loc:td.td_loc;
+  check_recovery env site ~siblings ~impl:td.td_impl ~recovery:td.td_recovery ~self_loc:td.td_loc;
   check_input_sets env site ~class_name:td.td_class ~inputs:td.td_inputs ~loc:td.td_loc
 
-and check_compound env ~scope (cd : Ast.compound_decl) =
+and check_compound env ~scope ~siblings (cd : Ast.compound_decl) =
   let site = { scope; self = cd.cd_name } in
-  check_recovery env site ~impl:cd.cd_impl ~recovery:cd.cd_recovery ~self_loc:cd.cd_loc;
+  check_recovery env site ~siblings ~impl:cd.cd_impl ~recovery:cd.cd_recovery ~self_loc:cd.cd_loc;
   check_input_sets env site ~class_name:cd.cd_class ~inputs:cd.cd_inputs ~loc:cd.cd_loc;
   check_named_duplicates env ~what:"constituent task"
     (List.map (fun c -> (Ast.constituent_name c, Ast.constituent_loc c)) cd.cd_constituents);
@@ -430,9 +437,10 @@ and check_compound env ~scope (cd : Ast.compound_decl) =
     (cd.cd_name, cd.cd_class)
     :: List.map (fun c -> (Ast.constituent_name c, class_of c)) cd.cd_constituents
   in
+  let siblings = List.map Ast.constituent_name cd.cd_constituents in
   let check_constituent = function
-    | Ast.C_task td -> check_task env ~scope:inner_scope td
-    | Ast.C_compound inner -> check_compound env ~scope:inner_scope inner
+    | Ast.C_task td -> check_task env ~scope:inner_scope ~siblings td
+    | Ast.C_compound inner -> check_compound env ~scope:inner_scope ~siblings inner
     | Ast.C_template_inst ti ->
       error env ti.Ast.ti_loc "unexpanded template instantiation %s (run template expansion first)"
         ti.Ast.ti_name
@@ -495,8 +503,8 @@ let check script =
   in
   let check_decl = function
     | Ast.D_class { cls_name = _; _ } | Ast.D_taskclass _ | Ast.D_template _ -> ()
-    | Ast.D_task td -> check_task env ~scope:top_scope td
-    | Ast.D_compound cd -> check_compound env ~scope:top_scope cd
+    | Ast.D_task td -> check_task env ~scope:top_scope ~siblings:[] td
+    | Ast.D_compound cd -> check_compound env ~scope:top_scope ~siblings:[] cd
     | Ast.D_template_inst ti ->
       error env ti.Ast.ti_loc "unexpanded template instantiation %s (run template expansion first)"
         ti.Ast.ti_name

@@ -84,5 +84,5 @@ val on_apply : t -> (Txrecord.write list -> unit) -> unit
     the recovery termination protocol). *)
 
 val compact : t -> unit
-(** Checkpoint the object store and compact the coordinator's decision
-    log. *)
+(** Compact the participant's intentions log and the coordinator's
+    decision log (the object store's snapshot comes along). *)

@@ -180,15 +180,16 @@ val abort_task : t -> string -> path:string list -> ((unit, string) result -> un
     in [Failed] otherwise. *)
 
 val compact : t -> unit
-(** Bound the engine node's stable storage: checkpoint the object store
-    (collapse its WAL to a snapshot), drop decided transactions from the
-    intentions log and compact the coordinator's decision log. Run
-    periodically in long-lived deployments, typically after {!gc}. *)
+(** Trim the engine node's transaction logs: drop decided transactions
+    from the intentions log and compact the coordinator's decision log.
+    The object store bounds its own WAL ({!Kvstore}); this also takes
+    its snapshot early. Run periodically in long-lived deployments,
+    typically after {!gc}. *)
 
 val gc : t -> string -> ((unit, string) result -> unit) -> unit
 (** Remove a {e finished} instance's persistent records (one
     transaction) and forget it. Refused while the instance is running.
-    Pair with {!Participant.checkpoint} to keep the stores bounded in
+    Pair with {!compact} to keep the transaction logs bounded in
     long-lived deployments. *)
 
 (** {1 Dynamic reconfiguration (paper §3)} *)

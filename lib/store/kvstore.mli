@@ -2,7 +2,18 @@
 
     This plays the role of Arjuna's persistent object store. A crash
     wipes the cache and makes the store unavailable; recovery replays
-    the WAL. Values are strings — callers bring their own codecs. *)
+    the WAL. Values are strings — callers bring their own codecs.
+
+    The WAL stays proportional to what the store holds. When a {!put}
+    or a {!delete} leaves the WAL with more than 64 records and more
+    than twice as many records as live bindings, the store rewrites it
+    to one snapshot of those bindings ({!checkpoint}). So after every
+    operation [wal_length t <= max 64 (2 * live)], where [live] is the
+    number of bindings. A rewrite costs O(live) and follows at least
+    [live] appends since the previous one, so a write stays amortised
+    O(1). (The rewrite walks the cache's hash table, so when the table
+    has more than four times as many buckets as [max 64 live] it also
+    rebuilds the table at its live size.) *)
 
 exception Unavailable of string
 (** Raised by any operation attempted while the store's node is down. *)
@@ -43,7 +54,9 @@ val recover : t -> unit
     Idempotent when already available. *)
 
 val checkpoint : t -> unit
-(** Compact the WAL down to a snapshot of the live bindings. *)
+(** Compact the WAL down to one snapshot of the live bindings now; the
+    same rewrite the store makes by itself once its log outgrows its
+    bindings. *)
 
 val wal_length : t -> int
 

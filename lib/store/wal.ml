@@ -13,14 +13,21 @@ let create ~name = { name; data = [||]; count = 0; appended_total = 0 }
 
 let name t = t.name
 
+(* A doubling repeats the log's own records in the new half, where the
+   next appends overwrite them. [Array.make] of a major-heap size with a
+   young record would force a minor collection (OCaml 5.1); a store that
+   compacts and regrows its log again and again did that on every
+   regrowth, which raised the minor collections on wide-fanout by half
+   (EXPERIMENTS.md A21). [Array.append] allocates without one. *)
 let grow t record =
   let capacity = Array.length t.data in
-  if t.count = capacity then begin
-    let next = max 16 (2 * capacity) in
-    let data = Array.make next record in
-    Array.blit t.data 0 data 0 t.count;
-    t.data <- data
-  end
+  if t.count = capacity then
+    if capacity < 16 then begin
+      let data = Array.make 16 record in
+      Array.blit t.data 0 data 0 t.count;
+      t.data <- data
+    end
+    else t.data <- Array.append t.data t.data
 
 let append t record =
   grow t record;

@@ -1023,6 +1023,26 @@ let test_recovery_compensate_undeclared () =
 let test_recovery_compensate_self () =
   expect_validation_error ~containing:"cannot compensate itself" (recovery_script "compensate t")
 
+(* the engine runs a compensation at the sibling path [parent @ [t]]:
+   the enclosing compound and a top-level task are declared, but never
+   siblings, so naming them must not pass *)
+let test_recovery_compensate_enclosing () =
+  expect_validation_error ~containing:"another constituent of the same compound"
+    (recovery_script "compensate root")
+
+let test_recovery_compensate_top_level () =
+  expect_validation_error ~containing:"another constituent of the same compound"
+    (prelude
+    ^ {|
+task u of taskclass Consumer {
+    implementation { "code" is "u" };
+    recovery { compensate v }
+};
+task v of taskclass Consumer {
+    implementation { "code" is "v" }
+};
+|})
+
 let test_recovery_duplicate_clause () =
   expect_validation_error ~containing:"duplicate timeout clause"
     (recovery_script "timeout 5 then abort; timeout 6 then abort")
@@ -1194,6 +1214,10 @@ let () =
           Alcotest.test_case "timeout below duration" `Quick test_recovery_timeout_below_duration;
           Alcotest.test_case "compensate undeclared" `Quick test_recovery_compensate_undeclared;
           Alcotest.test_case "compensate self" `Quick test_recovery_compensate_self;
+          Alcotest.test_case "compensate enclosing compound" `Quick
+            test_recovery_compensate_enclosing;
+          Alcotest.test_case "compensate top-level task" `Quick
+            test_recovery_compensate_top_level;
           Alcotest.test_case "duplicate clause" `Quick test_recovery_duplicate_clause;
           Alcotest.test_case "valid section clean" `Quick test_recovery_valid_section_is_clean;
           Alcotest.test_case "compiles to policy" `Quick test_recovery_compiles_to_schema_policy;

@@ -155,6 +155,149 @@ let prop_kv_matches_model =
       let store_bindings = Kvstore.fold store ~init:[] ~f:(fun acc k v -> (k, v) :: acc) in
       List.rev store_bindings = M.bindings model)
 
+(* Property: random puts, deletes, crashes, recoveries and checkpoints
+   against a Map model. After every step a live store reads exactly the
+   model, a down store refuses writes and checkpoints, and the log stays
+   within the bound [kvstore.mli] states. Whenever a write compacts the
+   log by itself, the node crashes and recovers straight away, so the
+   fresh snapshot alone must rebuild the state. The key space varies by
+   case, so both the floor and the twice-live rule decide. *)
+
+type step = S_put of string * string | S_del of string | S_crash | S_recover | S_checkpoint
+
+let step_print = function
+  | S_put (k, v) -> Printf.sprintf "put %s=%s" k v
+  | S_del k -> Printf.sprintf "del %s" k
+  | S_crash -> "crash"
+  | S_recover -> "recover"
+  | S_checkpoint -> "checkpoint"
+
+let steps_gen =
+  let open QCheck.Gen in
+  let* keyspace = int_range 4 80 in
+  let key = map (Printf.sprintf "k%d") (int_bound keyspace) in
+  list_size (int_range 0 500)
+    (frequency
+       [
+         (12, map2 (fun k v -> S_put (k, string_of_int v)) key small_int);
+         (5, map (fun k -> S_del k) key);
+         (1, return S_crash);
+         (2, return S_recover);
+         (1, return S_checkpoint);
+       ])
+
+let prop_kv_bounded_log =
+  let arb = QCheck.make ~print:QCheck.Print.(list step_print) steps_gen in
+  QCheck.Test.make ~name:"kvstore log stays bounded and agrees with a Map model" ~count:200 arb
+    (fun steps ->
+      let module M = Map.Make (String) in
+      let store = Kvstore.create ~name:"bound-test" in
+      let refused f =
+        match f () with () -> false | exception Kvstore.Unavailable _ -> true
+      in
+      let write model f next =
+        if not (Kvstore.available store) then begin
+          if not (refused f) then QCheck.Test.fail_report "a down store took a write";
+          model
+        end
+        else begin
+          let before = Kvstore.wal_length store in
+          f ();
+          if Kvstore.wal_length store <= before then begin
+            (* compacted by itself (or, for a missing key, wrote
+               nothing): crash on the log as it stands *)
+            Kvstore.crash store;
+            Kvstore.recover store
+          end;
+          next
+        end
+      in
+      let apply model = function
+        | S_put (k, v) -> write model (fun () -> Kvstore.put store k v) (M.add k v model)
+        | S_del k -> write model (fun () -> Kvstore.delete store k) (M.remove k model)
+        | S_crash ->
+          Kvstore.crash store;
+          model
+        | S_recover ->
+          Kvstore.recover store;
+          model
+        | S_checkpoint ->
+          if Kvstore.available store then Kvstore.checkpoint store
+          else if not (refused (fun () -> Kvstore.checkpoint store)) then
+            QCheck.Test.fail_report "a down store took a checkpoint";
+          model
+      in
+      let check_step model step =
+        let model = apply model step in
+        let bound = max 64 (2 * M.cardinal model) in
+        if Kvstore.wal_length store > bound then
+          QCheck.Test.fail_reportf "after %s: %d records, bound %d" (step_print step)
+            (Kvstore.wal_length store) bound;
+        if Kvstore.available store then begin
+          let bindings = Kvstore.fold store ~init:[] ~f:(fun acc k v -> (k, v) :: acc) in
+          if List.rev bindings <> M.bindings model then
+            QCheck.Test.fail_reportf "after %s: the cache disagrees with the model"
+              (step_print step)
+        end;
+        model
+      in
+      ignore (List.fold_left check_step M.empty steps);
+      true)
+
+(* The log is what kept a deleted key's value alive: once a compaction
+   drops its records, a full major collection frees it. *)
+let test_kv_compaction_frees_deleted_values () =
+  let s = Kvstore.create ~name:"s" in
+  let put_dead () =
+    let value = String.make 64 'x' in
+    Kvstore.put s "dead" value;
+    let w = Weak.create 1 in
+    Weak.set w 0 (Some value);
+    w
+  in
+  let w = put_dead () in
+  Kvstore.delete s "dead";
+  Gc.full_major ();
+  check "the log still holds the deleted value" true (Weak.check w 0);
+  let rec churn i =
+    let before = Kvstore.wal_length s in
+    Kvstore.put s "live" (string_of_int i);
+    if Kvstore.wal_length s > before && i < 1_000 then churn (i + 1)
+  in
+  churn 0;
+  check_int "compacted to one snapshot" 1 (Kvstore.wal_length s);
+  Gc.full_major ();
+  check "freed after compaction" false (Weak.check w 0);
+  check_str_opt "deleted key stays deleted" None (Kvstore.get s "dead");
+  Kvstore.crash s;
+  Kvstore.recover s;
+  check_str_opt "deleted key stays deleted after recovery" None (Kvstore.get s "dead");
+  check "live key survives" true (Kvstore.mem s "live")
+
+(* A hash table never shrinks, and a compaction walks all of it: a store
+   whose bindings fell far below their peak rebuilds its cache at the
+   live size, keeping every binding, so its compactions cost O(live)
+   again. *)
+let test_kv_compaction_shrinks_cache () =
+  let s = Kvstore.create ~name:"s" in
+  let key i = Printf.sprintf "k%05d" i in
+  for i = 0 to 19_999 do
+    Kvstore.put s (key i) (string_of_int i)
+  done;
+  let full = Obj.reachable_words (Obj.repr s) in
+  for i = 10 to 19_999 do
+    Kvstore.delete s (key i)
+  done;
+  check "compacted by the deletes" true (Kvstore.wal_length s <= 64);
+  let shrunk = Obj.reachable_words (Obj.repr s) in
+  check (Printf.sprintf "%d words at 10 keys, %d at 20,000" shrunk full) true (shrunk * 50 < full);
+  let expected = List.init 10 key in
+  Alcotest.(check (list string)) "the live keys" expected (Kvstore.keys s);
+  check_str_opt "a value" (Some "7") (Kvstore.get s (key 7));
+  Kvstore.crash s;
+  Kvstore.recover s;
+  Alcotest.(check (list string)) "the live keys after recovery" expected (Kvstore.keys s)
+
 (* Property: the prefix read is the filter of the full sorted read. The
    key sets mix directory rows ([wf:dir:]), instance rows, and ids where
    one is a prefix of another ([wf-1], [wf-10]), so a prefix can end in
@@ -244,10 +387,15 @@ let () =
           Alcotest.test_case "fold sorted" `Quick test_kv_fold_sorted;
           Alcotest.test_case "keys with prefix" `Quick test_keys_with_prefix_cases;
           Alcotest.test_case "prefix read allocation" `Quick test_keys_with_prefix_allocation;
+          Alcotest.test_case "compaction frees deleted values" `Quick
+            test_kv_compaction_frees_deleted_values;
+          Alcotest.test_case "compaction shrinks the cache" `Quick
+            test_kv_compaction_shrinks_cache;
         ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_kv_matches_model;
+          QCheck_alcotest.to_alcotest prop_kv_bounded_log;
           QCheck_alcotest.to_alcotest prop_keys_with_prefix;
         ] );
     ]
