@@ -563,15 +563,52 @@ let retention_gates () =
   header "GATES: engine — live words per collected 3-task chain";
   let compacted = retained_words_per_instance ~compact:true in
   let uncompacted = retained_words_per_instance ~compact:false in
-  (* about 22.5 words are left, mostly [Metrics] histogram samples and
-     the grown bucket array of the lock table's hash table (EXPERIMENTS.md
-     A20; a store now rebuilds its own table when it compacts, A21).
-     Without [Engine.compact] the store's own bound keeps its log within
-     twice its live keys; an unbounded log read about 696 *)
+  (* about 17 words are left, mostly [Metrics] histogram samples
+     (EXPERIMENTS.md A20). A store rebuilds its own table when it
+     compacts (A21), and a local commit no longer takes a write lock, so
+     the lock table's bucket array stays small (A22; it cost 5.5). Without
+     [Engine.compact] the store's own bound keeps its log within twice
+     its live keys; an unbounded log read about 696 *)
   [
-    at_most "engine.retained_words_per_instance" compacted 100.;
-    at_most "engine.uncompacted_words_per_instance" uncompacted 100.;
+    at_most "engine.retained_words_per_instance" compacted 40.;
+    at_most "engine.uncompacted_words_per_instance" uncompacted 40.;
   ]
+
+(* --- tx: what a local one-phase commit leaves behind --- *)
+
+(* Words reachable from one participant after 250, and then 1,000,
+   local one-phase commits that overwrite 10 keys; the row is the slope
+   per commit. The store keeps one value per key and bounds its own log,
+   so what grows with the commits is state kept per transaction, and
+   this lane needs none: a direct call cannot repeat. A duplicate record
+   and cached decision per commit read about 10.4. The walk is
+   deterministic, so the slope repeats exactly. *)
+let local_commit_gates () =
+  header "GATES: tx — words a participant keeps per local one-phase commit";
+  let c = Harness.cluster [ "a" ] in
+  let mgr = Harness.manager c "a" and p = Harness.participant c "a" in
+  let commits = ref 0 in
+  let reachable_after count =
+    while !commits < count do
+      let key = "k" ^ string_of_int (!commits mod 10) and value = string_of_int !commits in
+      (match
+         Harness.exec c
+           (Txn.run mgr (fun t ->
+                Txn.write t ~node:"a" ~key ~value;
+                Txn.return ()))
+       with
+      | Ok () -> ()
+      | Error e -> failwith ("local commit gate: " ^ Txn.error_to_string e));
+      incr commits
+    done;
+    Obj.reachable_words (Obj.repr p)
+  in
+  let at_250 = reachable_after 250 in
+  let at_1000 = reachable_after 1_000 in
+  let per_commit = float_of_int (at_1000 - at_250) /. 750. in
+  Printf.printf "%8d commits: %d words\n%8d commits: %d words\n%.2f words/commit\n" 250 at_250
+    1_000 at_1000 per_commit;
+  [ at_most "tx.participant_words_per_local_commit" per_commit 1. ]
 
 (* --- cluster: the supply chain over 1/2/4 engines --- *)
 
@@ -922,7 +959,7 @@ let write_gates ~mode gates =
   close_out oc
 
 let run_gates ~mode ~capacity_sizes ~fanout_widths ~hotpath_scale =
-  let engine = engine_gates () @ history_gates () @ retention_gates () in
+  let engine = engine_gates () @ history_gates () @ retention_gates () @ local_commit_gates () in
   let cluster = cluster_gates () in
   let capacity = capacity_gates ~sizes:capacity_sizes in
   let fanout = fanout_gates ~widths:fanout_widths in

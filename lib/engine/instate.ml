@@ -326,7 +326,8 @@ let history_write inst ~now ~kind ~detail =
 let action_history inst ~now = function
   | Sched.Arm_timer _ -> []
   | Sched.Start { a_path; a_attempt; _ } ->
-    [ history_write inst ~now ~kind:"start" ~detail:(Printf.sprintf "%s (attempt %d)" (pkey a_path) a_attempt) ]
+    let detail = String.concat "" [ pkey a_path; " (attempt "; string_of_int a_attempt; ")" ] in
+    [ history_write inst ~now ~kind:"start" ~detail ]
   | Sched.Fire_mark { a_path; a_name; _ } ->
     [ history_write inst ~now ~kind:"mark" ~detail:(pkey a_path ^ " " ^ a_name) ]
   | Sched.Do_repeat { a_path; a_name; _ } ->

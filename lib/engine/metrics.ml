@@ -103,15 +103,42 @@ let attach ?src t bus =
 
 (* Cluster aggregation: the same stream keyed per source, so one
    registry holds [cluster.<engine>.<counter>] for every engine plus the
-   unlabelled totals. *)
+   unlabelled totals. A source's five names are built once. *)
+type labels = {
+  dispatches : string;
+  completions : string;
+  launches : string;
+  concluded : string;
+  recoveries : string;
+}
+
+let labels_of src =
+  let name counter = String.concat "" [ "cluster."; src; "."; counter ] in
+  {
+    dispatches = name "dispatches";
+    completions = name "completions";
+    launches = name "launches";
+    concluded = name "concluded";
+    recoveries = name "recoveries";
+  }
+
 let attach_labelled t bus =
+  let by_src = Hashtbl.create 8 in
+  let labels src =
+    match Hashtbl.find_opt by_src src with
+    | Some l -> l
+    | None ->
+      let l = labels_of src in
+      Hashtbl.replace by_src src l;
+      l
+  in
   Event.subscribe bus (fun ~at:_ ~src ev ->
       record t ev;
       if src <> "" then
         match ev with
-        | Event.Task_dispatched _ -> incr t (Printf.sprintf "cluster.%s.dispatches" src)
-        | Event.Impl_completed _ -> incr t (Printf.sprintf "cluster.%s.completions" src)
-        | Event.Wf_launched _ -> incr t (Printf.sprintf "cluster.%s.launches" src)
-        | Event.Wf_concluded _ -> incr t (Printf.sprintf "cluster.%s.concluded" src)
-        | Event.Recovery_replayed _ -> incr t (Printf.sprintf "cluster.%s.recoveries" src)
+        | Event.Task_dispatched _ -> incr t (labels src).dispatches
+        | Event.Impl_completed _ -> incr t (labels src).completions
+        | Event.Wf_launched _ -> incr t (labels src).launches
+        | Event.Wf_concluded _ -> incr t (labels src).concluded
+        | Event.Recovery_replayed _ -> incr t (labels src).recoveries
         | _ -> ())

@@ -38,30 +38,50 @@ let encode_dir_seq = string_of_int
 
 let decode_dir_seq = int_of_string_opt
 
-let key_meta iid = Printf.sprintf "wf:%s:meta" iid
+(* The per-instance keys are built on every persist, so they are plain
+   concatenations rather than format strings (same bytes). *)
+let instance_key iid suffix = String.concat "" [ "wf:"; iid; suffix ]
 
-let key_reconf iid = Printf.sprintf "wf:%s:reconf" iid
+let path_key iid tag path = String.concat "" [ "wf:"; iid; tag; path_to_string path ]
 
-let key_task iid path = Printf.sprintf "wf:%s:t:%s" iid (path_to_string path)
+let key_meta iid = instance_key iid ":meta"
 
-let key_chosen iid path = Printf.sprintf "wf:%s:c:%s" iid (path_to_string path)
+let key_reconf iid = instance_key iid ":reconf"
 
-let key_marks iid path = Printf.sprintf "wf:%s:m:%s" iid (path_to_string path)
+let key_task iid path = path_key iid ":t:" path
 
-let key_repeat iid path = Printf.sprintf "wf:%s:r:%s" iid (path_to_string path)
+let key_chosen iid path = path_key iid ":c:" path
 
-let key_timer iid path ~set = Printf.sprintf "wf:%s:timer:%s:%s" iid (path_to_string path) set
+let key_marks iid path = path_key iid ":m:" path
+
+let key_repeat iid path = path_key iid ":r:" path
+
+let key_timer iid path ~set =
+  String.concat "" [ "wf:"; iid; ":timer:"; path_to_string path; ":"; set ]
 
 let key_timer_arm iid path ~set =
-  Printf.sprintf "wf:%s:timerarm:%s:%s" iid (path_to_string path) set
+  String.concat "" [ "wf:"; iid; ":timerarm:"; path_to_string path; ":"; set ]
 
-let key_backoff iid path = Printf.sprintf "wf:%s:b:%s" iid (path_to_string path)
+let key_backoff iid path = path_key iid ":b:" path
 
-let key_comp iid path = Printf.sprintf "wf:%s:comp:%s" iid (path_to_string path)
+let key_comp iid path = path_key iid ":comp:" path
 
-let key_history iid n = Printf.sprintf "wf:%s:h:%09d" iid n
+(* [Printf.sprintf "%0*d" width n] *)
+let zero_pad width n =
+  let digits = string_of_int n in
+  let len = String.length digits in
+  if len >= width then digits
+  else begin
+    let padded = Bytes.make width '0' in
+    let sign = if n < 0 then 1 else 0 in
+    Bytes.blit_string digits sign padded (width - len + sign) (len - sign);
+    if n < 0 then Bytes.set padded 0 '-';
+    Bytes.unsafe_to_string padded
+  end
 
-let task_prefix iid = Printf.sprintf "wf:%s:" iid
+let key_history iid n = instance_key iid (":h:" ^ zero_pad 9 n)
+
+let task_prefix iid = instance_key iid ":"
 
 (* --- codecs --- *)
 

@@ -244,12 +244,14 @@ let deliver_loopback t ~src ~req_id node =
         p.callback result
     end
 
+let request_id ~src n = String.concat "" [ src; "#"; string_of_int n ]
+
 let call t ~src ~dst ~service ~body ?(timeout = Sim.ms 10) ?(retries = 8) callback =
   let ep = endpoint t src in
   t.calls <- t.calls + 1;
   Sim.emit (Network.sim t.net) ~src (Event.Rpc_sent { src; dst; service });
   t.next_req <- t.next_req + 1;
-  let req_id = Printf.sprintf "%s#%d" src t.next_req in
+  let req_id = request_id ~src t.next_req in
   let p = { dst; service; body; timeout; attempts_left = retries; callback; timer = None } in
   Hashtbl.replace ep.pending_calls req_id p;
   match Network.find_node t.net src with

@@ -66,6 +66,10 @@ val call :
     ([timeout] default 10ms per attempt). If the calling node crashes
     while the call is outstanding, [k] is never invoked. *)
 
+val request_id : src:string -> int -> string
+(** [src#n], the id of [src]'s [n]-th call: the key of its pending entry
+    and of the callee's reply cache. *)
+
 val calls_total : t -> int
 
 val retries_total : t -> int

@@ -37,25 +37,34 @@ let read t ~key ~txid =
     Granted
   | Some (Writer owner) -> if owner = txid then Granted else Conflict owner
 
-let write t ~key ~txid =
-  match Hashtbl.find_opt t.table key with
-  | None ->
-    Hashtbl.replace t.table key (Writer txid);
-    hold t ~key ~txid;
-    Granted
-  | Some (Writer owner) -> if owner = txid then Granted else Conflict owner
+(* The exclusive grant rule over a key's [state]: [None] when [txid] may
+   write it (free, already its own, or read by it alone), else a holder. *)
+let write_conflict state ~txid =
+  match state with
+  | None -> None
+  | Some (Writer owner) -> if owner = txid then None else Some owner
   | Some (Readers readers) ->
-    if String_set.equal readers (String_set.singleton txid) || String_set.is_empty readers then begin
+    if String_set.is_empty readers || String_set.equal readers (String_set.singleton txid) then
+      None
+    else Some (Option.value (String_set.find_first_opt (fun r -> r <> txid) readers) ~default:"?")
+
+let write t ~key ~txid =
+  let state = Hashtbl.find_opt t.table key in
+  match write_conflict state ~txid with
+  | Some holder -> Conflict holder
+  | None ->
+    (match state with
+    | Some (Writer _) -> ()
+    | Some (Readers readers) ->
       (* an upgrade keeps the key its read already recorded *)
       if String_set.is_empty readers then hold t ~key ~txid;
+      Hashtbl.replace t.table key (Writer txid)
+    | None ->
       Hashtbl.replace t.table key (Writer txid);
-      Granted
-    end
-    else begin
-      match String_set.find_first_opt (fun r -> r <> txid) readers with
-      | Some other -> Conflict other
-      | None -> Conflict "?"
-    end
+      hold t ~key ~txid);
+    Granted
+
+let write_free t ~key ~txid = Option.is_none (write_conflict (Hashtbl.find_opt t.table key) ~txid)
 
 let holds_read t ~key ~txid =
   match Hashtbl.find_opt t.table key with

@@ -23,6 +23,10 @@ val write : t -> key:string -> txid:string -> outcome
 (** Exclusive lock; upgrades the caller's own read lock when it is the
     sole reader. *)
 
+val write_free : t -> key:string -> txid:string -> bool
+(** Whether {!write} would grant, without taking the lock: for a caller
+    that would release it again within the same step. *)
+
 val holds_read : t -> key:string -> txid:string -> bool
 
 val holds_write : t -> key:string -> txid:string -> bool

@@ -99,32 +99,46 @@ let handle_prepare t ~src:_ body =
       Txrecord.enc_vote false
     end
 
-(* One-phase commit: this node is the transaction's only participant, so
-   prepare and commit collapse into a single decision made here — lock
-   validation, apply, and one combined log append. No coordinator
-   decision record exists anywhere; if the reply is lost the coordinator
-   presumes abort, which is safe because a refused one-phase commit
-   changes nothing. A refusal is remembered in the volatile decided
-   cache so a re-executed duplicate (evicted reply) cannot commit a
-   transaction the coordinator already gave up on. *)
+(* The one-phase decision: this node is the transaction's only
+   participant, so prepare and commit collapse into one step here —
+   validate the read locks, check that every write lock would be granted
+   (it is not taken: it would be released within this call), apply, and
+   release whatever the transaction held. No coordinator decision record
+   exists anywhere; if a reply is lost the coordinator presumes abort,
+   which is safe because a refused one-phase commit changes nothing.
+   [remember] runs once the vote is known and before the observers; only
+   the wire lane needs it (below). *)
+let decide_one t ~txid ~read_keys ~writes ~remember =
+  let read_ok key = Lock.holds_read t.locks ~key ~txid in
+  let write_ok (key, _) = Lock.write_free t.locks ~key ~txid in
+  let vote = List.for_all read_ok read_keys && List.for_all write_ok writes in
+  if vote then apply_writes t writes;
+  remember t txid vote;
+  Lock.release_all t.locks ~txid;
+  if vote then List.iter (fun observe -> observe writes) t.observers;
+  vote
+
+let forget _ _ _ = ()
+
+(* A direct call from the co-located coordinator happens once per txid,
+   so it keeps nothing to recognise a repeat by. *)
+let commit_local t ~txid ~read_keys ~writes =
+  decide_one t ~txid ~read_keys ~writes ~remember:forget
+
+(* The duplicate memory of the wire lane: a [tx.commit1] message can be
+   delivered again (a retry whose reply was evicted), so a commit is
+   logged and both outcomes are cached. A remembered refusal keeps a
+   re-executed duplicate from committing a transaction the coordinator
+   already gave up on. *)
+let remember_one t txid vote =
+  if vote then Wal.append t.plog (Txrecord.P_one_phase txid);
+  Hashtbl.replace t.decided txid (if vote then `Committed else `Aborted)
+
 let commit_one t ~txid ~read_keys ~writes =
   match Hashtbl.find_opt t.decided txid with
   | Some `Committed -> true (* duplicate *)
   | Some `Aborted -> false
-  | None ->
-    if prepare_locks t ~txid ~read_keys ~writes then begin
-      apply_writes t writes;
-      Wal.append t.plog (Txrecord.P_one_phase txid);
-      Hashtbl.replace t.decided txid `Committed;
-      Lock.release_all t.locks ~txid;
-      List.iter (fun observe -> observe writes) t.observers;
-      true
-    end
-    else begin
-      Hashtbl.replace t.decided txid `Aborted;
-      Lock.release_all t.locks ~txid;
-      false
-    end
+  | None -> decide_one t ~txid ~read_keys ~writes ~remember:remember_one
 
 let handle_commit_one t ~src:_ body =
   let txid, read_keys, writes = Txrecord.dec_commit_one body in
@@ -209,6 +223,8 @@ let prepared_txids t =
   List.sort String.compare (Hashtbl.fold (fun txid _ acc -> txid :: acc) t.prepared [])
 
 let locks_held t = Lock.held_total t.locks
+
+let decided_count t = Hashtbl.length t.decided
 
 let checkpoint t =
   Kvstore.checkpoint t.store;

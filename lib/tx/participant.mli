@@ -23,20 +23,31 @@ val on_apply : t -> (Txrecord.write list -> unit) -> unit
     react to state that became durable while their volatile view was
     being rebuilt. *)
 
-val commit_one :
+val commit_local :
   t -> txid:string -> read_keys:string list -> writes:Txrecord.write list -> bool
-(** One-phase commit: this node is the transaction's only participant,
-    so validating the read locks, taking the write locks, applying, and
-    the single [P_one_phase] append happen here in one step. Returns the
-    vote. A txid already decided here returns that decision again and
-    changes nothing; a refusal releases every lock the transaction held
-    and is remembered, so a duplicate can never commit it later.
+(** The one-phase decision, for the co-located coordinator: this node is
+    the transaction's only participant, so validating the read locks,
+    checking the write locks, applying the writes and releasing every
+    lock the transaction held happen here in one step. Returns the vote;
+    a refusal changes nothing but the released locks.
+
+    Contract: called at most once per txid, and only by the coordinator
+    on this node, whose txids never repeat (they carry its incarnation
+    and a sequence number). A direct call cannot be delivered twice, so
+    nothing is kept to recognise a repeat: no intentions-log record and
+    no cached decision. A txid that may arrive again must go through
+    {!handle_commit_one}.
+
     Observers run before it returns, and their exceptions propagate.
     Raises {!Kvstore.Unavailable} when the node is down. *)
 
 val handle_commit_one : t -> src:string -> string -> string
-(** The [tx.commit1] service: decodes the request, calls {!commit_one},
-    encodes the vote. *)
+(** The [tx.commit1] service: the same decision as {!commit_local}, plus
+    the duplicate memory a message needs. A txid already decided here
+    gets that decision again and changes nothing. Otherwise a commit
+    appends one [P_one_phase] record, and either outcome is cached before
+    the observers run, so a redelivered request can never commit a
+    refused transaction later. *)
 
 val committed_value : t -> key:string -> string option
 (** Directly inspect the committed store (testing / local fast reads
@@ -51,6 +62,10 @@ val prepared_txids : t -> string list
 val locks_held : t -> int
 (** Live lock grants in this node's lock table. A quiescent node holds
     none; leftovers are orphaned locks (fault-exploration oracle). *)
+
+val decided_count : t -> int
+(** Decisions cached for duplicate detection (tests). Only the wire lanes
+    add to it. *)
 
 val store : t -> Kvstore.t
 

@@ -261,9 +261,10 @@ let abort_at_participants mgr txid nodes =
      read-only participants — prepare and commit collapse into one
      [tx.commit1] message decided at the participant. When that sole
      participant is the coordinator's own node, the writes go straight
-     to {!Participant.commit_one} as they are (no RPC, no encoding) and
-     only the completion is deferred to a simulation event, preserving
-     the asynchronous callback contract.
+     to {!Participant.commit_local} as they are (no RPC, no encoding, no
+     duplicate memory: a txid reaches it once) and only the completion is
+     deferred to a simulation event, preserving the asynchronous callback
+     contract.
    - 2PC with read-only elision: participants holding only read locks
      vote via [tx.prepare-ro] and are excluded from the decision record
      and the commit fan-out.
@@ -335,10 +336,12 @@ let commit_top (t : t) : unit io =
          participant, defer only the continuation. The epoch guard kills
          the continuation if the node crashes in between — the commit
          itself is already durable, exactly as if the reply were lost.
-         Only a down store refuses here; any other exception is a bug
-         and propagates. *)
+         [t.id] is fresh from [begin_] and this is its only commit, which
+         is the once-per-txid contract of [commit_local]. Only a down
+         store refuses here; any other exception is a bug and
+         propagates. *)
       let vote =
-        try Participant.commit_one mgr.participant ~txid:t.id ~read_keys ~writes
+        try Participant.commit_local mgr.participant ~txid:t.id ~read_keys ~writes
         with Kvstore.Unavailable _ -> false
       in
       let epoch = mgr.incarnation in

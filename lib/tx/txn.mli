@@ -14,8 +14,9 @@
     logging; single-participant transactions use one-phase commit (a
     combined prepare+commit decided at the participant; when that
     participant is the coordinator's own node, the buffered writes are
-    passed as they are to {!Participant.commit_one}, with no RPC, no
-    encoding and a single log append); and in general 2PC, read-only participants
+    passed as they are to {!Participant.commit_local}, with no RPC, no
+    encoding and nothing logged or remembered, since a direct call cannot
+    repeat); and in general 2PC, read-only participants
     vote and release in phase 1 and are excluded from the commit
     fan-out. Remote fault semantics are unchanged: every lane presumes
     abort, and only a logged [C_committed] obligates recovery.

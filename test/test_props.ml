@@ -507,6 +507,93 @@ let test_gantt_shows_running_tasks () =
   in
   check "open-ended bar for running task" true (contains "(running)")
 
+(* --- names built without Printf, against the format strings --- *)
+
+(* Every persisted key, history detail, request id and per-engine
+   counter name on the per-task path is a concatenation; each must keep
+   the bytes of the format string it replaced, for any ids (including
+   separators and empty strings) and any number (including negative
+   ones for the zero padding). *)
+let gen_label =
+  QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'Z'; '0'; ':'; '/'; '#'; ' ' ]) (int_bound 6))
+
+let builder_case_gen =
+  QCheck.Gen.(
+    quad gen_label (list_size (int_bound 3) gen_label) gen_label
+      (oneof [ int; int_bound 2_000_000_000; map (fun n -> -n) small_nat; int_bound 99 ]))
+
+let chain_schema =
+  lazy
+    (let script, root = Workloads.chain ~n:1 in
+     match Frontend.compile script ~root with
+     | Ok schema -> schema
+     | Error e -> failwith (Frontend.error_to_string e))
+
+let builders_match_formats (iid, path, set, n) =
+  let p = Wstate.path_to_string path in
+  let keys =
+    [
+      (Wstate.key_meta iid, Printf.sprintf "wf:%s:meta" iid);
+      (Wstate.key_reconf iid, Printf.sprintf "wf:%s:reconf" iid);
+      (Wstate.key_task iid path, Printf.sprintf "wf:%s:t:%s" iid p);
+      (Wstate.key_chosen iid path, Printf.sprintf "wf:%s:c:%s" iid p);
+      (Wstate.key_marks iid path, Printf.sprintf "wf:%s:m:%s" iid p);
+      (Wstate.key_repeat iid path, Printf.sprintf "wf:%s:r:%s" iid p);
+      (Wstate.key_timer iid path ~set, Printf.sprintf "wf:%s:timer:%s:%s" iid p set);
+      (Wstate.key_timer_arm iid path ~set, Printf.sprintf "wf:%s:timerarm:%s:%s" iid p set);
+      (Wstate.key_backoff iid path, Printf.sprintf "wf:%s:b:%s" iid p);
+      (Wstate.key_comp iid path, Printf.sprintf "wf:%s:comp:%s" iid p);
+      (Wstate.key_history iid n, Printf.sprintf "wf:%s:h:%09d" iid n);
+      (Wstate.task_prefix iid, Printf.sprintf "wf:%s:" iid);
+      (Rpc.request_id ~src:iid n, Printf.sprintf "%s#%d" iid n);
+    ]
+  in
+  let schema = Lazy.force chain_schema in
+  let inst =
+    Instate.create ~iid ~script_text:"" ~schema ~status:Wstate.Wf_running ~external_inputs:[]
+  in
+  let start =
+    Sched.Start { a_path = path; a_task = schema; a_set = set; a_inputs = []; a_attempt = n }
+  in
+  let history =
+    match Instate.action_history inst ~now:0 start with
+    | [ (key, Some row) ] ->
+      let _, kind, detail = Wstate.decode_history row in
+      [
+        (key, Printf.sprintf "wf:%s:h:%09d" iid 0);
+        (kind ^ " " ^ detail, Printf.sprintf "start %s (attempt %d)" p n);
+      ]
+    | _ -> [ ("history rows", "one") ]
+  in
+  (* two sources, so names cached for one cannot serve the other *)
+  let m = Metrics.create () and bus = Event.bus () in
+  Metrics.attach_labelled m bus;
+  let sources = [ iid; iid ^ "'" ] in
+  List.iter
+    (fun src ->
+      let emit ev = Event.emit bus ~at:0 ~src ev in
+      emit (Event.Task_dispatched { path = p; code = "c"; host = "h"; attempt = 1 });
+      emit (Event.Impl_completed { path = p; output = "o" });
+      emit (Event.Wf_launched { iid; root = "r" });
+      emit (Event.Wf_concluded { iid; status = "done" });
+      emit (Event.Recovery_replayed { instances = 1 }))
+    sources;
+  (* an unlabelled source is counted only in the totals *)
+  let names = [ "dispatches"; "completions"; "launches"; "concluded"; "recoveries" ] in
+  let counters =
+    List.concat_map
+      (fun src ->
+        List.map
+          (fun c -> (string_of_int (Metrics.value m (Printf.sprintf "cluster.%s.%s" src c)), "1"))
+          (if src = "" then [] else names))
+      sources
+  in
+  List.for_all (fun (built, formatted) -> String.equal built formatted) (keys @ history @ counters)
+
+let prop_builders_match_formats =
+  QCheck.Test.make ~name:"per-task name builders = their formats" ~count:500
+    (QCheck.make builder_case_gen) builders_match_formats
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -517,6 +604,7 @@ let qsuite =
       prop_task_state_codec_fuzz;
       prop_engine_survives_random_crash_schedules;
       prop_lossy_network_random_seeds;
+      prop_builders_match_formats;
     ]
 
 let sched_suite =

@@ -219,7 +219,8 @@ let test_nested_child_wins_merge () =
 
 let test_one_phase_local_no_rpc () =
   (* sole participant = the coordinator's own node: the commit is a
-     direct local call — no RPC, no network messages, one log append *)
+     direct local call — no RPC, no network messages, and nothing kept
+     to detect a duplicate, since a direct call cannot repeat *)
   let c = Harness.cluster [ "a" ] in
   let mgr = Harness.manager c "a" in
   let m = Metrics.create () in
@@ -233,7 +234,8 @@ let test_one_phase_local_no_rpc () =
   check_int "one-phase lane taken" 1 (Txn.one_phase_commits mgr);
   check_int "no network traffic at all" 0 (Network.sent_total c.Harness.net);
   check_int "no rpc calls" 0 (Rpc.calls_total c.Harness.rpc);
-  check_int "single combined log record" 1 (Participant.log_length (Harness.participant c "a"));
+  check_int "no log record" 0 (Participant.log_length (Harness.participant c "a"));
+  check_int "no cached decision" 0 (Participant.decided_count (Harness.participant c "a"));
   check_int "txn.one_phase metric" 1 (Metrics.value m "txn.one_phase")
 
 let test_one_phase_remote_commit () =
@@ -563,20 +565,23 @@ let test_sequential_transactions_accumulate () =
     (Participant.committed_value (Harness.participant c "b") ~key:"balance")
 
 let test_checkpoint_compacts_logs () =
-  let c = Harness.cluster [ "a" ] in
+  (* the commits cross the wire to b, whose intentions log records each
+     one (a local commit at a would log nothing to compact) *)
+  let c = Harness.cluster [ "a"; "b" ] in
   let mgr = Harness.manager c "a" in
   for i = 1 to 20 do
     Harness.exec_ok c
       (Txn.run mgr (fun t ->
-           write t ~node:"a" ~key:"x" ~value:(string_of_int i);
+           write t ~node:"b" ~key:"x" ~value:(string_of_int i);
            return ()))
   done;
-  let p = Harness.participant c "a" in
+  let p = Harness.participant c "b" in
   let before = Participant.log_length p in
+  check_int "one record per wire commit" 20 before;
   Participant.checkpoint p;
   check "intentions log compacted" true (Participant.log_length p < before);
-  Harness.crash c "a";
-  Harness.recover c "a";
+  Harness.crash c "b";
+  Harness.recover c "b";
   check_str_opt "state intact after compaction + crash" (Some "20")
     (Participant.committed_value p ~key:"x")
 
@@ -630,16 +635,18 @@ let test_compact_bounds_coordinator_log () =
 
 (* --- The two one-phase lanes agree --- *)
 
-(* The coordinator-local lane calls [Participant.commit_one] with the
+(* The coordinator-local lane calls [Participant.commit_local] with the
    buffered writes; the remote lane sends the same request encoded as
    [tx.commit1]. Twin participants, one per lane, fed the same steps
-   must vote alike and end with the same store, intentions log, lock
-   count and observed writes. *)
+   with distinct txids must vote alike and end with the same store, lock
+   count and observed writes. Only the wire lane keeps an intentions-log
+   record and a cached decision, for a repeat the local lane never sees;
+   repeated txids are a wire-lane case. *)
 
 type holder = Reader of string | Writer of string
 
 type lane_step = {
-  txid : string;  (* repeated ids are duplicates of an earlier decision *)
+  txid : string;
   locks : string list;  (* keys the transaction read-locks first *)
   read_keys : string list;  (* keys it reports as read at commit *)
   writes : Txrecord.write list;  (* may repeat a key *)
@@ -647,6 +654,7 @@ type lane_step = {
 
 let serve node ~service body = (Option.get (Node.handler node ~service)) ~src:"z" body
 
+(* ((votes, store, locks held, observed writes), (log, decided count)) *)
 let run_lane ~local ~initial ~holders steps =
   let c = Harness.cluster [ "a" ] in
   let node = Harness.node c "a" and p = Harness.participant c "a" in
@@ -668,7 +676,7 @@ let run_lane ~local ~initial ~holders steps =
       (fun key ->
         ignore (serve node ~service:Txrecord.service_read (Txrecord.enc_read_req (txid, key))))
       locks;
-    if local then Participant.commit_one p ~txid ~read_keys ~writes
+    if local then Participant.commit_local p ~txid ~read_keys ~writes
     else
       Txrecord.dec_vote
         (Participant.handle_commit_one p ~src:"z"
@@ -676,19 +684,21 @@ let run_lane ~local ~initial ~holders steps =
   in
   let votes = List.map vote steps in
   let store = Kvstore.fold (Participant.store p) ~init:[] ~f:(fun acc k v -> (k, v) :: acc) in
-  (votes, store, Participant.log p, Participant.locks_held p, List.rev !observed)
+  ( (votes, store, Participant.locks_held p, List.rev !observed),
+    (Participant.log p, Participant.decided_count p) )
 
 let lanes_agree ~initial ~holders steps =
-  run_lane ~local:true ~initial ~holders steps = run_lane ~local:false ~initial ~holders steps
+  fst (run_lane ~local:true ~initial ~holders steps)
+  = fst (run_lane ~local:false ~initial ~holders steps)
 
 let lane_key_gen = QCheck.Gen.(map (Printf.sprintf "k%d") (int_bound 4))
 
+(* a step's txid is its position, so no txid repeats *)
 let lane_step_gen =
   let open QCheck.Gen in
   let write = pair lane_key_gen (opt ~ratio:0.7 (map string_of_int small_nat)) in
-  map4
-    (fun id locks read_keys writes -> { txid = "t" ^ string_of_int id; locks; read_keys; writes })
-    (int_bound 3)
+  map3
+    (fun locks read_keys writes i -> { txid = "t" ^ string_of_int i; locks; read_keys; writes })
     (list_size (int_bound 3) lane_key_gen)
     (list_size (int_bound 2) lane_key_gen)
     (list_size (int_range 0 5) write)
@@ -699,7 +709,7 @@ let lane_case_gen =
   triple
     (list_size (int_bound 3) (pair lane_key_gen (return "init")))
     (list_size (int_bound 2) holder)
-    (list_size (int_range 1 6) lane_step_gen)
+    (map (List.mapi (fun i step -> step i)) (list_size (int_range 1 6) lane_step_gen))
 
 let print_lane_case (initial, holders, steps) =
   let holder = function Reader k -> "r:" ^ k | Writer k -> "w:" ^ k in
@@ -720,27 +730,178 @@ let prop_one_phase_lanes_agree =
     (fun (initial, holders, steps) -> lanes_agree ~initial ~holders steps)
 
 let test_one_phase_lanes_agree_cases () =
-  (* a commit, its duplicate with other writes, a commit refused by a
-     conflicting holder and that refusal's duplicate, and a commit
+  (* a commit, a commit refused by a conflicting holder, and a commit
      refused because a reported read lock was never taken *)
-  let steps =
-    [
-      { txid = "t1"; locks = [ "k0" ]; read_keys = [ "k0" ];
-        writes = [ ("k1", Some "a"); ("k1", None); ("k2", Some "b") ] };
-      { txid = "t1"; locks = []; read_keys = []; writes = [ ("k3", Some "dup") ] };
-      { txid = "t2"; locks = []; read_keys = []; writes = [ ("k4", Some "c") ] };
-      { txid = "t2"; locks = []; read_keys = []; writes = [ ("k0", Some "d") ] };
-      { txid = "t3"; locks = []; read_keys = [ "k2" ]; writes = [ ("k2", Some "e") ] };
-    ]
-  in
+  let t1 =
+    { txid = "t1"; locks = [ "k0" ]; read_keys = [ "k0" ];
+      writes = [ ("k1", Some "a"); ("k1", None); ("k2", Some "b") ] }
+  and t2 = { txid = "t2"; locks = []; read_keys = []; writes = [ ("k4", Some "c") ] }
+  and t3 = { txid = "t3"; locks = []; read_keys = [ "k2" ]; writes = [ ("k2", Some "e") ] } in
   let initial = [ ("k1", "init") ] and holders = [ Writer "k4" ] in
-  let votes, store, log, locks, observed = run_lane ~local:true ~initial ~holders steps in
-  Alcotest.(check (list bool)) "votes" [ true; true; false; false; false ] votes;
+  let steps = [ t1; t2; t3 ] in
+  let (votes, store, locks, observed), (log, decided) =
+    run_lane ~local:true ~initial ~holders steps
+  in
+  Alcotest.(check (list bool)) "votes" [ true; false; false ] votes;
   Alcotest.(check (list (pair string string))) "store" [ ("k2", "b") ] store;
-  check_int "one prepare (the holder) and one one-phase record" 2 (List.length log);
+  check_int "only the holder's prepare is logged" 1 (List.length log);
+  check_int "no cached decision" 0 decided;
   check_int "only the holder's lock remains" 1 locks;
   check_int "one apply observed" 1 (List.length observed);
-  check "the wire lane agrees" true (lanes_agree ~initial ~holders steps)
+  check "the wire lane agrees" true (lanes_agree ~initial ~holders steps);
+  let _, (wire_log, wire_decided) = run_lane ~local:false ~initial ~holders steps in
+  check "the wire lane logs its commit" true
+    (List.mem (Txrecord.P_one_phase "t1") wire_log && List.length wire_log = 2);
+  check_int "the wire lane caches all three decisions" 3 wire_decided;
+  (* on the wire, a duplicate of the commit (with other writes) and of a
+     refusal gets the first decision again and changes nothing *)
+  let dup1 = { t1 with locks = []; read_keys = []; writes = [ ("k3", Some "dup") ] }
+  and dup2 = { t2 with writes = [ ("k0", Some "d") ] } in
+  let (votes, store, locks, observed), (log, _) =
+    run_lane ~local:false ~initial ~holders [ t1; dup1; t2; dup2; t3 ]
+  in
+  Alcotest.(check (list bool)) "wire votes" [ true; true; false; false; false ] votes;
+  Alcotest.(check (list (pair string string))) "wire store" [ ("k2", "b") ] store;
+  check_int "one prepare (the holder) and one one-phase record" 2 (List.length log);
+  check_int "wire: only the holder's lock remains" 1 locks;
+  check_int "wire: one apply observed" 1 (List.length observed)
+
+(* --- A local commit leaves nothing behind --- *)
+
+module Model = Map.Make (String)
+module Keys = Set.Make (String)
+
+type flat_step =
+  | Commit of Txrecord.write list  (* local writes ([None] = delete) in one Txn.run *)
+  | Block of string  (* another transaction read-locks the key at a *)
+  | Unblock  (* that transaction aborts, releasing its locks *)
+  | Crash  (* a crashes and recovers *)
+
+(* Random local transactions over at most 8 keys on one node, refused
+   while a blocker holds a lock they need, with crashes in between.
+   After every step the participant must keep no log record and no
+   cached decision, hold only the blocker's locks, and store exactly
+   what a map model holds. *)
+let local_commits_stay_flat steps =
+  let c = Harness.cluster [ "a" ] in
+  let node = Harness.node c "a" and p = Harness.participant c "a" in
+  let mgr = Harness.manager c "a" in
+  let model = ref Model.empty and blocked = ref Keys.empty in
+  let step = function
+    | Commit writes ->
+      let result =
+        Harness.exec c
+          (Txn.run mgr ~max_attempts:1 (fun t ->
+               List.iter
+                 (fun (key, v) ->
+                   match v with
+                   | Some value -> write t ~node:"a" ~key ~value
+                   | None -> delete t ~node:"a" ~key)
+                 writes;
+               return ()))
+      in
+      let refused = List.exists (fun (key, _) -> Keys.mem key !blocked) writes in
+      let apply m (key, v) =
+        match v with Some value -> Model.add key value m | None -> Model.remove key m
+      in
+      if not refused then model := List.fold_left apply !model writes;
+      Result.is_error result = refused
+    | Block key ->
+      ignore (serve node ~service:Txrecord.service_read (Txrecord.enc_read_req ("blocker", key)));
+      blocked := Keys.add key !blocked;
+      true
+    | Unblock ->
+      ignore (serve node ~service:Txrecord.service_abort (Txrecord.enc_txid "blocker"));
+      blocked := Keys.empty;
+      true
+    | Crash ->
+      Harness.crash c "a";
+      Harness.recover c "a";
+      blocked := Keys.empty;
+      true
+  in
+  let flat () =
+    let store = Kvstore.fold (Participant.store p) ~init:[] ~f:(fun acc k v -> (k, v) :: acc) in
+    Participant.log_length p = 0
+    && Participant.decided_count p = 0
+    && Participant.locks_held p = Keys.cardinal !blocked
+    && List.sort compare store = Model.bindings !model
+  in
+  List.for_all (fun s -> step s && flat ()) steps
+
+let flat_step_gen =
+  let open QCheck.Gen in
+  let key = map (Printf.sprintf "k%d") (int_bound 7) in
+  let write = pair key (opt ~ratio:0.7 (map string_of_int small_nat)) in
+  frequency
+    [
+      (6, map (fun w -> Commit w) (list_size (int_range 0 4) write));
+      (2, map (fun k -> Block k) key);
+      (1, return Unblock);
+      (1, return Crash);
+    ]
+
+let print_flat_step = function
+  | Commit writes ->
+    "commit "
+    ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ Option.value v ~default:"<del>") writes)
+  | Block k -> "block " ^ k
+  | Unblock -> "unblock"
+  | Crash -> "crash"
+
+let prop_local_commits_flat =
+  QCheck.Test.make ~name:"local commits leave the participant flat" ~count:200
+    (QCheck.make
+       ~print:(fun steps -> String.concat "\n" (List.map print_flat_step steps))
+       QCheck.Gen.(list_size (int_range 1 12) flat_step_gen))
+    local_commits_stay_flat
+
+(* [Participant.commit_local] keeps no duplicate memory because each
+   txid reaches it once. That rests on the coordinator never reusing a
+   txid: not for a retry after a conflict, and not after a crash resets
+   its sequence numbers. *)
+let test_local_lane_txids_never_repeat () =
+  let c = Harness.cluster [ "a" ] in
+  let sim = c.Harness.sim and mgr = Harness.manager c "a" in
+  let seen = Hashtbl.create 64 and repeats = ref [] and refused = ref 0 in
+  Event.subscribe (Sim.events sim) (fun ~at:_ ~src:_ -> function
+    | Event.Txn_one_phase { txid; local = true } ->
+      if Hashtbl.mem seen txid then repeats := txid :: !repeats else Hashtbl.add seen txid ()
+    | Event.Txn_resolved { committed = false; _ } -> incr refused
+    | _ -> ());
+  (* a local read completes within its own event, so each transaction
+     waits a millisecond between its read and its write: the others'
+     read locks then refuse its commit *)
+  let pause k = ignore (Sim.schedule sim ~delay:(Sim.ms 1) (fun () -> k (Ok ()))) in
+  let increment () =
+    (Txn.run mgr ~max_attempts:64 (fun t ->
+         let* v = read t ~node:"a" ~key:"counter" in
+         let* () = pause in
+         let current = match v with Some s -> int_of_string s | None -> 0 in
+         write t ~node:"a" ~key:"counter" ~value:(string_of_int (current + 1));
+         return ()))
+      ignore
+  in
+  let burst () =
+    for _ = 1 to 8 do
+      increment ()
+    done
+  in
+  burst ();
+  Harness.run c;
+  let before_crash = Hashtbl.length seen in
+  (* a second burst, cut by a crash of the coordinator's node *)
+  burst ();
+  ignore (Sim.schedule sim ~delay:(Sim.ms 3) (fun () -> Harness.crash c "a"));
+  ignore (Sim.schedule sim ~delay:(Sim.ms 4) (fun () -> Harness.recover c "a"));
+  Harness.run c;
+  let after_recovery = Hashtbl.length seen in
+  burst ();
+  Harness.run c;
+  check "conflicts forced retries" true (!refused > 0);
+  check_int "the first burst committed" 8 before_crash;
+  check "commits after the recovery" true (Hashtbl.length seen > after_recovery);
+  Alcotest.(check (list string)) "no local-lane txid repeats" [] !repeats
 
 (* Writes reach each participant in descending key order, whichever
    transaction in the nest buffered them, so WAL records keep their
@@ -851,6 +1012,9 @@ let () =
             test_mixed_readonly_elided_from_fanout;
           Alcotest.test_case "one-phase lanes agree" `Quick test_one_phase_lanes_agree_cases;
           QCheck_alcotest.to_alcotest prop_one_phase_lanes_agree;
+          QCheck_alcotest.to_alcotest prop_local_commits_flat;
+          Alcotest.test_case "local-lane txids never repeat" `Quick
+            test_local_lane_txids_never_repeat;
           Alcotest.test_case "wal order with merged child" `Quick
             test_wal_order_with_merged_child;
           Alcotest.test_case "observer exception propagates" `Quick
