@@ -443,7 +443,7 @@ let engine_gates () =
     let audit = ref None in
     (Txn.run (Testbed.manager tb "n0") (fun t ->
          let open Txn in
-         let* meta = Txn.read t ~node:"n0" ~key:(Wstate.key_meta iid) in
+         let* meta = Txn.read t ~node:"n0" ~key:(Wstate.key iid Wstate.Meta) in
          return meta))
       (fun r -> audit := Some r);
     Testbed.run tb;

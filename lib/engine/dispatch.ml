@@ -46,8 +46,6 @@ let create ?(overhead = 0) ~rpc ~node ~mgr ~participant () =
       t.draining <- false);
   t
 
-let sim t = t.sim
-
 let node_id t = Node.id t.node
 
 let persist_now t writes k =
@@ -175,16 +173,14 @@ let key_slice keys ~prefix =
 let committed_keys_with_prefix t ~prefix =
   Kvstore.keys_with_prefix (Participant.store t.participant) ~prefix
 
-let history_prefix iid = Wstate.task_prefix iid ^ "h:"
-
 let history_of t keys =
   List.filter_map (fun key -> Option.map Wstate.decode_history (committed_value t ~key)) keys
   |> List.sort compare
 
-let history_in t keys ~iid = history_of t (key_slice keys ~prefix:(history_prefix iid))
+let history_in t keys ~iid = history_of t (key_slice keys ~prefix:(Wstate.history_prefix iid))
 
 let committed_history t ~iid =
-  history_of t (committed_keys_with_prefix t ~prefix:(history_prefix iid))
+  history_of t (committed_keys_with_prefix t ~prefix:(Wstate.history_prefix iid))
 
 let on_apply t f = Participant.on_apply t.participant f
 

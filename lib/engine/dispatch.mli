@@ -23,10 +23,6 @@ val create :
     Default 0 (dispatch is free, the historical behaviour); the cluster
     scaling bench sets it to expose the single-engine bottleneck. *)
 
-val sim : t -> Sim.t
-
-val node_id : t -> string
-
 val persist : t -> (string * string option) list -> (unit -> unit) -> unit
 (** Apply a write set ([Some] = put, [None] = delete) on the engine
     node under one top-level transaction (retried on conflict/timeout by

@@ -2,7 +2,7 @@
 
    - Sched    — pure scheduling core (readiness, selection, Fig 3 rules)
    - Policy   — pure recovery decisions (attempt bands, backoff, timeouts)
-   - Instate  — per-instance mirrors + action -> writes translation
+   - Instate  — per-instance mirrors, applied rows + action -> rows
    - Dispatch — effects: transactions, RPC dispatch, committed reads
    - Event/Metrics — typed observability spine (Sim.events)
 
@@ -62,9 +62,7 @@ type t = {
          after recovery (an accepted launch must survive) *)
 }
 
-let node_id t = Node.id t.node
 let node t = t.node
-let rpc t = t.rpc
 let trace t = List.rev t.log
 let metrics t = t.metrics
 let pkey = Wstate.path_to_string
@@ -107,6 +105,15 @@ let chosen_inputs inst path =
 
 let persist t writes k = Dispatch.persist t.disp writes k
 
+let encode_rows inst rows = List.map (Wstate.encode inst.Instate.iid) rows
+
+(* Persist an instance's rows; once they commit, the mirror applies the
+   same typed rows before [k] runs. *)
+let persist_rows t inst rows k =
+  persist t (encode_rows inst rows) (fun () ->
+      List.iter (Instate.apply inst) rows;
+      k ())
+
 (* --- compensation (declared [compensate <task>] on abort) --- *)
 
 (* An abort-outcome completion of a task whose policy names a sibling
@@ -132,28 +139,27 @@ let compensation_of t inst action =
     | None -> None)
   | _ -> None
 
-let compensation_writes t inst action =
+let compensation_rows t inst action =
   match compensation_of t inst action with
   | None -> []
   | Some (a_path, target, _, _, _) ->
     [
-      (Wstate.key_comp inst.Instate.iid a_path, Some "1");
-      Instate.history_write inst ~now:(Sim.now t.sim) ~kind:"policy-compensate"
+      Wstate.Put (Wstate.Compensated (pkey a_path), ());
+      Instate.history_row inst ~now:(Sim.now t.sim) ~kind:"policy-compensate"
         ~detail:(pkey a_path ^ " -> " ^ target);
     ]
 
-(* Post-commit side of the same decision: mark the mirror, announce,
-   fire the handler. The handler runs with the aborted task's chosen
-   inputs; its report arrives for a non-Running path and is ignored
-   (at-most-once execution, exactly-once durable record). *)
+(* Post-commit side of the same decision: announce and fire the handler.
+   The handler runs with the aborted task's chosen inputs; its report
+   arrives for a non-Running path and is ignored (at-most-once
+   execution, exactly-once durable record). *)
 let run_compensation t inst compensation =
   match compensation with
   | None -> ()
   | Some (a_path, target, tpath, handler, code) ->
-    Instate.mark_compensated inst a_path;
     emit t (Event.Policy_compensated { path = pkey a_path; task = target });
     let host =
-      match Ast.impl_location handler.Schema.impl with Some n -> n | None -> node_id t
+      match Ast.impl_location handler.Schema.impl with Some n -> n | None -> Node.id t.node
     in
     Dispatch.send_exec t.disp ~host ~retries:dispatch_rpc_retries
       {
@@ -168,8 +174,9 @@ let run_compensation t inst compensation =
 
 (* --- applying scheduler actions --- *)
 
-(* Mirror update + the matching typed event, per action, in pass order. *)
-let apply_and_announce t inst action =
+(* Apply one action's committed rows to the mirror and announce it, per
+   action, in pass order. *)
+let apply_and_announce t inst action rows =
   let now = Sim.now t.sim in
   let duration =
     match action with
@@ -179,10 +186,10 @@ let apply_and_announce t inst action =
       | _ -> 0)
     | _ -> 0
   in
-  (* decided against the pre-commit mirror, fired after the mirror
-     update below (the guard row committed with this action) *)
+  (* decided against the pre-commit mirror, fired after the rows below
+     (the guard row committed with this action) *)
   let compensation = compensation_of t inst action in
-  Instate.apply_action_mirror inst ~now ~deadline_of:(deadline_span t) action;
+  List.iter (Instate.apply inst) rows;
   (* a started task waits no more; a finished or repeating one runs no
      more, so its queued timers go *)
   (match action with
@@ -217,10 +224,12 @@ let apply_and_announce t inst action =
   | Sched.Fail_task { a_path; a_reason } ->
     emit t (Event.Task_failed { path = pkey a_path; reason = a_reason })
 
-let action_payload t inst action =
-  Instate.action_writes inst ~now:(Sim.now t.sim) ~deadline_of:(deadline_span t) action
-  @ Instate.action_history inst ~now:(Sim.now t.sim) action
-  @ compensation_writes t inst action
+(* The compensation's rows follow the action's, but its history row
+   takes the lower index. *)
+let action_rows t inst action =
+  let compensation = compensation_rows t inst action in
+  let rows = Instate.action_rows inst ~now:(Sim.now t.sim) ~deadline_of:(deadline_span t) action in
+  match compensation with [] -> rows | _ -> rows @ compensation
 
 (* --- the evaluation pump, dispatch, watchdog, failure handling --- *)
 
@@ -231,7 +240,6 @@ let rec mark_dirty ?paths t inst =
   (match paths with
   | None -> inst.Instate.pending <- Sched.All
   | Some ps -> inst.Instate.pending <- Sched.add_dirty inst.Instate.pending ps);
-  inst.Instate.dirty <- true;
   if not inst.Instate.inflight then begin
     inst.Instate.inflight <- true;
     let epoch = t.epoch in
@@ -242,7 +250,6 @@ let rec mark_dirty ?paths t inst =
   end
 
 and pump t inst =
-  inst.Instate.dirty <- false;
   if inst.Instate.status <> Wstate.Wf_running then inst.Instate.inflight <- false
   else begin
     let dirty = inst.Instate.pending in
@@ -267,13 +274,12 @@ and pump t inst =
     in
     if effectful = [] then begin
       inst.Instate.inflight <- false;
-      finalize t inst;
-      if inst.Instate.dirty then mark_dirty t inst
+      finalize t inst
     end
     else begin
-      let writes = List.concat_map (action_payload t inst) effectful in
-      persist t writes (fun () ->
-          List.iter (apply_and_announce t inst) effectful;
+      let rows = List.map (action_rows t inst) effectful in
+      persist t (List.concat_map (encode_rows inst) rows) (fun () ->
+          List.iter2 (apply_and_announce t inst) effectful rows;
           List.iter (action_side_effects t inst) effectful;
           inst.Instate.inflight <- false;
           finalize t inst;
@@ -291,10 +297,9 @@ and arm_timer_action t inst = function
         t.epoch = epoch && Node.up t.node
         && Sched.waiting_attempt (iview t inst) a_path = Some a_attempt
       then
-        persist t
-          [ (Wstate.key_timer inst.Instate.iid a_path ~set:a_set, Some "1") ]
+        persist_rows t inst
+          [ Wstate.Put (Wstate.Timer_fired (pkey a_path, a_set), ()) ]
           (fun () ->
-            Hashtbl.replace inst.Instate.timers key ();
             emit t (Event.Timer_fired { path = pkey a_path; set = a_set });
             mark_dirty ~paths:[ a_path ] t inst)
     in
@@ -308,11 +313,9 @@ and arm_timer_action t inst = function
     | Some deadline -> arm deadline
     | None ->
       let deadline = Sim.now t.sim + timeout_span a_task in
-      persist t
-        [ (Wstate.key_timer_arm inst.Instate.iid a_path ~set:a_set, Some (string_of_int deadline)) ]
-        (fun () ->
-          Hashtbl.replace inst.Instate.timer_arms key deadline;
-          arm deadline))
+      persist_rows t inst
+        [ Wstate.Put (Wstate.Timer_armed (pkey a_path, a_set), deadline) ]
+        (fun () -> arm deadline))
   | Sched.Start _ | Sched.Fire_mark _ | Sched.Do_repeat _ | Sched.Complete _ | Sched.Fail_task _
     -> ()
 
@@ -332,7 +335,7 @@ and dispatch t inst ~path ~task ~set ~inputs ~attempt =
      code list, so a recovered engine redispatches the same alternative
      it was on *)
   let code = Policy.code (rpolicy t task) ~attempt in
-  let host = match Ast.impl_location task.Schema.impl with Some n -> n | None -> node_id t in
+  let host = match Ast.impl_location task.Schema.impl with Some n -> n | None -> Node.id t.node in
   let epoch = t.epoch in
   Dispatch.send_exec t.disp ~host ~retries:dispatch_rpc_retries
     { Wfmsg.x_iid = inst.Instate.iid; x_path = path; x_attempt = attempt; x_code = code;
@@ -393,16 +396,12 @@ and advance t inst ~path ~task decide =
       in
       let inputs = chosen_inputs inst path in
       let retried = Policy.declared rp && cause = Policy.Failure in
-      let history kind detail = Instate.history_write inst ~now ~kind ~detail in
-      let writes =
+      let history kind detail = Instate.history_row inst ~now ~kind ~detail in
+      let rows =
         List.concat
           [
-            [ (Wstate.key_task inst.Instate.iid path, Some (Wstate.encode_task_state running)) ];
-            (if delay > 0 then
-               [
-                 ( Wstate.key_backoff inst.Instate.iid path,
-                   Some (Wstate.encode_backoff (attempt, fire_at)) );
-               ]
+            [ Wstate.Put (Wstate.Task (pkey path), running) ];
+            (if delay > 0 then [ Wstate.Put (Wstate.Backoff (pkey path), (attempt, fire_at)) ]
              else []);
             (if retried then
                [
@@ -419,12 +418,10 @@ and advance t inst ~path ~task decide =
              else []);
           ]
       in
-      persist t writes (fun () ->
-          Hashtbl.replace inst.Instate.states (pkey path) running;
+      persist_rows t inst rows (fun () ->
           (* the old attempt is over: its watchdog goes now, not when the
              new attempt is dispatched after the backoff *)
           Instate.cancel_timers_at inst t.sim path;
-          if delay > 0 then Instate.set_backoff inst path ~attempt ~fire_at;
           emit t (Event.Task_retried { path = pkey path; attempt });
           if retried then emit t (Event.Policy_retry { path = pkey path; attempt; delay_ms });
           if substituted then emit t (Event.Policy_substituted { path = pkey path; code });
@@ -436,9 +433,12 @@ and advance t inst ~path ~task decide =
 
 and fail_policy t inst ~path ~task ~reason =
   let attempt = Sched.running_attempt (iview t inst) path in
-  let action = Sched.fail_action task ~path ~attempt ~reason in
-  persist t (action_payload t inst action) (fun () ->
-      apply_and_announce t inst action;
+  apply_one t inst (Sched.fail_action task ~path ~attempt ~reason)
+
+and apply_one t inst action =
+  let rows = action_rows t inst action in
+  persist t (encode_rows inst rows) (fun () ->
+      apply_and_announce t inst action rows;
       mark_dirty ~paths:[ Sched.action_path action ] t inst)
 
 and finalize t inst =
@@ -462,14 +462,13 @@ and finalize t inst =
    the whole mirror goes too. *)
 and conclude t inst status ev k =
   inst.Instate.concluding <- true;
-  persist t
+  persist_rows t inst
     [
-      (Wstate.key_meta inst.Instate.iid, Some (Wstate.encode_meta (Instate.meta inst ~status)));
-      Instate.history_write inst ~now:(Sim.now t.sim) ~kind:"instance"
+      Wstate.Put (Wstate.Meta, Instate.meta inst ~status);
+      Instate.history_row inst ~now:(Sim.now t.sim) ~kind:"instance"
         ~detail:(Format.asprintf "%a" Wstate.pp_status status);
     ]
     (fun () ->
-      inst.Instate.status <- status;
       emit t ev;
       let callbacks = inst.Instate.callbacks in
       inst.Instate.callbacks <- [];
@@ -479,11 +478,6 @@ and conclude t inst status ev k =
       k ())
 
 (* --- reports from task hosts --- *)
-
-let apply_one t inst action =
-  persist t (action_payload t inst action) (fun () ->
-      apply_and_announce t inst action;
-      mark_dirty ~paths:[ Sched.action_path action ] t inst)
 
 let process_report t inst ~task ~attempt ~is_mark (r : Wfmsg.report) =
   let path = r.Wfmsg.r_path in
@@ -555,12 +549,13 @@ let own_keys t iid = Dispatch.committed_keys_with_prefix t.disp ~prefix:(Wstate.
    order (see {!instance_keys}). *)
 let rebuild_instance t ~keys iid =
   let read key = Dispatch.committed_value t.disp ~key in
-  match read (Wstate.key_meta iid) with
+  let meta_key = Wstate.key iid Wstate.Meta in
+  match read meta_key with
   | None -> ()
   | Some meta_raw -> (
-    let meta = Wstate.decode_meta meta_raw in
+    let meta = Wstate.decode_value Wstate.Meta meta_raw in
     let script_text =
-      match read (Wstate.key_reconf iid) with Some s -> s | None -> meta.Wstate.m_script
+      match read (Wstate.key iid Wstate.Reconf) with Some s -> s | None -> meta.Wstate.m_script
     in
     match compile_cached t ~script:script_text ~root:meta.Wstate.m_root with
     | Error { Frontend.stage = "resolve"; msg; _ } ->
@@ -571,7 +566,9 @@ let rebuild_instance t ~keys iid =
         Instate.create ~iid ~script_text ~schema ~status:meta.Wstate.m_status
           ~external_inputs:meta.Wstate.m_inputs
       in
-      Instate.load_committed inst ~read ~keys;
+      (* [create] applied the meta row, decoded once above: it holds the
+         whole script text *)
+      Instate.load_committed inst ~read ~keys:(List.filter (fun k -> k <> meta_key) keys);
       Hashtbl.replace t.insts iid inst;
       (* honour persisted deadlines: executions orphaned by the crash
          are re-dispatched as soon as they expire *)
@@ -598,9 +595,6 @@ let rebuild_instance t ~keys iid =
          (the lookups above built its index) *)
       if inst.Instate.status = Wstate.Wf_running then mark_dirty t inst
       else Instate.trim_concluded inst)
-
-let dir_iid_of_key key =
-  String.sub key (String.length Wstate.dir_prefix) (String.length key - String.length Wstate.dir_prefix)
 
 (* A commit finished by the recovery termination protocol can add an
    instance to the store after [recover] already scanned it: reconcile
@@ -629,7 +623,7 @@ let relaunch_orphan t (orphan : Instate.t) =
     if t.epoch = epoch && Node.up t.node then
       if
         Hashtbl.mem t.insts orphan.Instate.iid
-        || Dispatch.committed_value t.disp ~key:(Wstate.key_meta orphan.Instate.iid) <> None
+        || Dispatch.committed_value t.disp ~key:(Wstate.key orphan.Instate.iid Wstate.Meta) <> None
       then forget () (* became durable after all; reconcile covers it *)
       else begin
         forget ();
@@ -640,11 +634,8 @@ let relaunch_orphan t (orphan : Instate.t) =
         Hashtbl.replace t.insts inst.Instate.iid inst;
         emit t (Event.Wf_relaunched { iid = inst.Instate.iid });
         t.seq <- t.seq + 1;
-        persist t
-          [
-            (Wstate.key_dir inst.Instate.iid, Some (Wstate.encode_dir_seq t.seq));
-            (Wstate.key_meta inst.Instate.iid, Some (Wstate.encode_meta meta));
-          ]
+        persist_rows t inst
+          [ Wstate.Put (Wstate.Dir, t.seq); Wstate.Put (Wstate.Meta, meta) ]
           (fun () -> mark_dirty t inst)
       end
   in
@@ -661,8 +652,9 @@ let recover t () =
   let iids =
     Dispatch.key_slice keys ~prefix:Wstate.dir_prefix
     |> List.filter_map (fun key ->
-           Option.bind (Dispatch.committed_value t.disp ~key) (fun raw ->
-               Option.map (fun seq -> (seq, dir_iid_of_key key)) (Wstate.decode_dir_seq raw)))
+           match (Wstate.dir_iid key, Dispatch.committed_value t.disp ~key) with
+           | Some iid, Some raw -> Some (Wstate.decode_value Wstate.Dir raw, iid)
+           | _ -> None)
     |> List.sort compare |> List.map snd
   in
   t.inst_rev <- List.rev iids;
@@ -673,8 +665,8 @@ let recover t () =
 
 (* --- construction and public API --- *)
 
-let attach_host_on t node =
-  Exec_host.attach ~rpc:t.rpc ~node ~registry:t.reg ~engine_node:(node_id t)
+let attach_host t node =
+  Exec_host.attach ~rpc:t.rpc ~node ~registry:t.reg ~engine_node:(Node.id t.node)
 
 let create ?(config = default_config) ~rpc ~node ~mgr ~participant ~registry:reg () =
   let sim = Network.sim (Rpc.network rpc) in
@@ -724,23 +716,15 @@ let create ?(config = default_config) ~rpc ~node ~mgr ~participant ~registry:reg
       t.orphans <- running @ t.orphans);
   Node.on_recover node (recover t);
   Dispatch.on_apply t.disp (fun writes ->
-      let dir_iids =
-        List.filter_map
-          (fun (key, _) ->
-            if String.starts_with ~prefix:Wstate.dir_prefix key then Some (dir_iid_of_key key)
-            else None)
-          writes
-      in
+      let dir_iids = List.filter_map (fun (key, _) -> Wstate.dir_iid key) writes in
       if dir_iids <> [] then begin
         let epoch = t.epoch in
         ignore
           (Sim.schedule sim ~delay:0 (fun () ->
                if t.epoch = epoch && Node.up node then List.iter (reconcile_one t) dir_iids))
       end);
-  ignore (attach_host_on t node);
+  ignore (attach_host t node);
   t
-
-let attach_host t node = attach_host_on t node
 
 (* An instance owns every store key under [wf:<iid>:] (gc deletes them,
    recovery slices them out), so an id must not make that prefix cover
@@ -751,7 +735,7 @@ let reserved_iid i = String.contains i ':' || String.equal i "dir"
 
 (* A crashed engine refuses client operations before they write
    anything; the client retries once the engine has recovered. *)
-let down_error t = Error ("engine " ^ node_id t ^ " is down")
+let down_error t = Error ("engine " ^ Node.id t.node ^ " is down")
 
 let launch ?iid t ~script ~root ~inputs =
   if not (Node.up t.node) then down_error t
@@ -777,11 +761,11 @@ let launch ?iid t ~script ~root ~inputs =
       t.inst_rev <- iid :: t.inst_rev;
       Hashtbl.replace t.insts iid inst;
       emit t (Event.Wf_launched { iid; root });
-      persist t
+      persist_rows t inst
         [
-          (Wstate.key_dir iid, Some (Wstate.encode_dir_seq t.seq));
-          (Wstate.key_meta iid, Some (Wstate.encode_meta meta));
-          Instate.history_write inst ~now:(Sim.now t.sim) ~kind:"launch" ~detail:("root=" ^ root);
+          Wstate.Put (Wstate.Dir, t.seq);
+          Wstate.Put (Wstate.Meta, meta);
+          Instate.history_row inst ~now:(Sim.now t.sim) ~kind:"launch" ~detail:("root=" ^ root);
         ]
         (fun () -> mark_dirty t inst);
       Ok iid
@@ -850,6 +834,8 @@ let policy_budgets t iid =
       paths []
     |> List.sort (fun a b -> String.compare a.pb_path b.pb_path)
 
+let mirror t iid = Hashtbl.find_opt t.insts iid
+
 let queued_watchdogs t iid =
   match Hashtbl.find_opt t.insts iid with None -> [] | Some inst -> Instate.queued_watchdogs inst
 
@@ -908,7 +894,9 @@ let gc t iid k =
     k (Error ("instance " ^ iid ^ " is still running"))
   | Some _ ->
     let doomed = own_keys t iid in
-    let writes = (Wstate.key_dir iid, None) :: List.map (fun key -> (key, None)) doomed in
+    let writes =
+      Wstate.encode iid (Wstate.Delete Wstate.Dir) :: List.map (fun key -> (key, None)) doomed
+    in
     persist t writes (fun () ->
         t.inst_rev <- List.filter (fun i -> i <> iid) t.inst_rev;
         Hashtbl.remove t.insts iid;
@@ -926,10 +914,9 @@ let reconfigure t iid ~transform k =
     with
     | Error msg -> k (Error msg)
     | Ok (text, schema) ->
-      persist t
-        [ (Wstate.key_reconf iid, Some text) ]
+      persist_rows t inst
+        [ Wstate.Put (Wstate.Reconf, text) ]
         (fun () ->
-          inst.Instate.script_text <- text;
           inst.Instate.schema <- schema;
           (* the reverse-dependency index was built against the old
              tree; drop it so the next pump rebuilds from the new one *)

@@ -63,11 +63,7 @@ val create :
     manager. Installs the completion/mark services and crash/recovery
     hooks, and attaches a task host on the engine node itself. *)
 
-val node_id : t -> string
-
 val node : t -> Node.t
-
-val rpc : t -> Rpc.t
 
 val trace : t -> (Sim.time * Event.t) list
 (** The events this engine published itself, stamped with their virtual
@@ -127,6 +123,10 @@ val task_states : t -> string -> (string * Wstate.task_state) list
 
 val marks_of : t -> string -> path:string list -> (string * (string * Value.obj) list) list
 (** Marks emitted so far by the task at [path]. *)
+
+val mirror : t -> string -> Instate.t option
+(** The instance's live in-memory mirror, for tests that compare it
+    with what recovery rebuilds from the committed store. *)
 
 val queued_watchdogs : t -> string -> (string * int) list
 (** The instance's watchdogs still in the simulator queue, as ("/"-joined

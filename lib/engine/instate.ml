@@ -12,8 +12,8 @@ type t = {
   mutable external_inputs : (string * Value.obj) list;
   states : (string, Wstate.task_state) Hashtbl.t;
   chosen : (string, Wstate.chosen) Hashtbl.t;
-  marks : (string, (string * (string * Value.obj) list) list) Hashtbl.t;
-  repeats : (string, string * (string * Value.obj) list) Hashtbl.t;
+  marks : (string, Wstate.marks) Hashtbl.t;
+  repeats : (string, Wstate.repeat) Hashtbl.t;
   timers : (string, unit) Hashtbl.t;  (* fired; key = "path|set" *)
   timer_arms : (string, Sim.time) Hashtbl.t;  (* persisted deadlines; key = "path|set" *)
   timers_armed : (string, int) Hashtbl.t;  (* volatile; value = attempt armed for *)
@@ -22,7 +22,6 @@ type t = {
   alarms : (string, alarm list) Hashtbl.t;  (* volatile; queued timers, by path *)
   mutable callbacks : (Wstate.status -> unit) list;
   mutable hseq : int;  (* next persistent-history index *)
-  mutable dirty : bool;
   mutable inflight : bool;
   mutable concluding : bool;
   mutable pending : Sched.dirty;
@@ -53,7 +52,6 @@ let create ~iid ~script_text ~schema ~status ~external_inputs =
     alarms = Hashtbl.create 4;
     callbacks = [];
     hseq = 0;
-    dirty = false;
     inflight = false;
     concluding = false;
     pending = Sched.All;  (* the first pass after (re)build is a full one *)
@@ -84,14 +82,55 @@ let get_repeat inst path = Hashtbl.find_opt inst.repeats (pkey path)
 
 let timer_fired inst path ~set = Hashtbl.mem inst.timers (pkey path ^ "|" ^ set)
 
-let get_backoff inst path = Hashtbl.find_opt inst.backoffs (pkey path)
-
-let set_backoff inst path ~attempt ~fire_at =
-  Hashtbl.replace inst.backoffs (pkey path) (attempt, fire_at)
-
 let is_compensated inst path = Hashtbl.mem inst.compensated (pkey path)
 
-let mark_compensated inst path = Hashtbl.replace inst.compensated (pkey path) ()
+(* --- applying rows: the only writer of the mirror tables --- *)
+
+(* the timer tables are keyed ["path|set"] *)
+let timer_key path set = path ^ "|" ^ set
+
+let timer_path key = match String.rindex_opt key '|' with Some i -> String.sub key 0 i | None -> key
+
+let put : type a. t -> a Wstate.field -> a -> unit =
+ fun inst field value ->
+  match field with
+  | Wstate.Task path -> Hashtbl.replace inst.states path value
+  | Wstate.Chosen path -> Hashtbl.replace inst.chosen path value
+  | Wstate.Marks path -> Hashtbl.replace inst.marks path value
+  | Wstate.Repeat path -> Hashtbl.replace inst.repeats path value
+  | Wstate.Timer_fired (path, set) -> Hashtbl.replace inst.timers (timer_key path set) value
+  | Wstate.Timer_armed (path, set) -> Hashtbl.replace inst.timer_arms (timer_key path set) value
+  | Wstate.Backoff path -> Hashtbl.replace inst.backoffs path value
+  | Wstate.Compensated path -> Hashtbl.replace inst.compensated path value
+  | Wstate.Meta -> inst.status <- value.Wstate.m_status
+  | Wstate.Reconf -> inst.script_text <- value
+  | Wstate.History n -> inst.hseq <- max inst.hseq (n + 1)
+  | Wstate.Dir -> ()
+
+let delete : type a. t -> a Wstate.field -> unit =
+ fun inst -> function
+  | Wstate.Task path -> Hashtbl.remove inst.states path
+  | Wstate.Chosen path -> Hashtbl.remove inst.chosen path
+  | Wstate.Marks path -> Hashtbl.remove inst.marks path
+  | Wstate.Repeat path -> Hashtbl.remove inst.repeats path
+  | Wstate.Timer_fired (path, set) -> Hashtbl.remove inst.timers (timer_key path set)
+  | Wstate.Timer_armed (path, set) -> Hashtbl.remove inst.timer_arms (timer_key path set)
+  | Wstate.Backoff path -> Hashtbl.remove inst.backoffs path
+  | Wstate.Compensated path -> Hashtbl.remove inst.compensated path
+  | Wstate.Meta | Wstate.Reconf | Wstate.History _ | Wstate.Dir -> ()
+
+let apply inst = function
+  | Wstate.Put (field, value) -> put inst field value
+  | Wstate.Delete field -> delete inst field
+
+let load_committed inst ~read ~keys =
+  let decode = Wstate.decode inst.iid in
+  List.iter
+    (fun key ->
+      match read key with
+      | None -> ()
+      | Some value -> ( match decode ~key ~value with Some row -> apply inst row | None -> ()))
+    keys
 
 (* --- queued timers (volatile) --- *)
 
@@ -150,18 +189,27 @@ let cancel_key inst sim key =
     Hashtbl.remove inst.alarms key
 
 (* Cancel the queued timers of [path] and, with [~below], those of every
-   path under it. *)
+   path under it, whose armed-timer bookkeeping goes too: a subtree that
+   repeats arms its timers afresh. *)
 let cancel_timers_at ?(below = false) inst sim path =
   let p = pkey path in
   cancel_key inst sim p;
-  if below && Hashtbl.length inst.alarms > 0 then begin
+  if below then begin
     let prefix = p ^ "/" in
     let doomed =
       Hashtbl.fold
         (fun key _ acc -> if String.starts_with ~prefix key then key :: acc else acc)
         inst.alarms []
     in
-    List.iter (cancel_key inst sim) doomed
+    List.iter (cancel_key inst sim) doomed;
+    let unarmed =
+      Hashtbl.fold
+        (fun key _ acc ->
+          let kpath = timer_path key in
+          if kpath = p || String.starts_with ~prefix kpath then key :: acc else acc)
+        inst.timers_armed []
+    in
+    List.iter (Hashtbl.remove inst.timers_armed) unarmed
   end
 
 let cancel_timers inst sim =
@@ -239,157 +287,82 @@ let running_leaves inst ~effective =
       | Wstate.Waiting _ | Wstate.Done _ | Wstate.Failed _ -> acc)
     inst.states []
 
-(* --- subtree erasure (compound repeat) --- *)
+(* --- action -> rows --- *)
 
-(* store keys of every record strictly below [path], plus [path]'s own
-   chosen and timer records (cleared when a compound repeats) *)
-let subtree_keys inst path =
-  let iid = inst.iid in
+(* Deletions of every record strictly below [path], plus [path]'s own
+   backoff, compensation and timer records (a compound repeat wipes its
+   scope). *)
+let subtree_rows inst path =
   let p = pkey path in
-  let descendant other =
-    String.length other > String.length p && String.sub other 0 (String.length p + 1) = p ^ "/"
+  let prefix = p ^ "/" in
+  let below key = String.starts_with ~prefix key in
+  let here_or_below key = key = p || below key in
+  let timer_here_or_below key = here_or_below (timer_path key) in
+  let timer key =
+    let i = String.rindex key '|' in
+    (String.sub key 0 i, String.sub key (i + 1) (String.length key - i - 1))
   in
-  let collect tbl mk acc =
-    Hashtbl.fold (fun key _ acc -> if descendant key then mk key :: acc else acc) tbl acc
-  in
-  let split k = String.split_on_char '/' k in
-  let acc = collect inst.states (fun k -> Wstate.key_task iid (split k)) [] in
-  let acc = collect inst.chosen (fun k -> Wstate.key_chosen iid (split k)) acc in
-  let acc = collect inst.marks (fun k -> Wstate.key_marks iid (split k)) acc in
-  let acc = collect inst.repeats (fun k -> Wstate.key_repeat iid (split k)) acc in
-  let collect_self tbl mk acc =
+  let collect tbl keep field acc =
     Hashtbl.fold
-      (fun key _ acc -> if descendant key || key = p then mk key :: acc else acc)
+      (fun key _ acc -> if keep key then Wstate.Delete (field key) :: acc else acc)
       tbl acc
   in
-  let acc = collect_self inst.backoffs (fun k -> Wstate.key_backoff iid (split k)) acc in
-  let acc = collect_self inst.compensated (fun k -> Wstate.key_comp iid (split k)) acc in
-  let acc =
-    Hashtbl.fold
-      (fun key () acc ->
-        match String.rindex_opt key '|' with
-        | Some i ->
-          let kpath = String.sub key 0 i in
-          let set = String.sub key (i + 1) (String.length key - i - 1) in
-          if descendant kpath || kpath = p then Wstate.key_timer iid (split kpath) ~set :: acc
-          else acc
-        | None -> acc)
-      inst.timers acc
-  in
-  Hashtbl.fold
-    (fun key _ acc ->
-      match String.rindex_opt key '|' with
-      | Some i ->
-        let kpath = String.sub key 0 i in
-        let set = String.sub key (i + 1) (String.length key - i - 1) in
-        if descendant kpath || kpath = p then Wstate.key_timer_arm iid (split kpath) ~set :: acc
-        else acc
-      | None -> acc)
-    inst.timer_arms acc
-
-let wipe_subtree_mirror inst path =
-  let p = pkey path in
-  let descendant other =
-    String.length other > String.length p && String.sub other 0 (String.length p + 1) = p ^ "/"
-  in
-  let purge tbl pred =
-    let doomed = Hashtbl.fold (fun k _ acc -> if pred k then k :: acc else acc) tbl [] in
-    List.iter (Hashtbl.remove tbl) doomed
-  in
-  purge inst.states descendant;
-  purge inst.chosen (fun k -> descendant k || k = p);
-  purge inst.marks descendant;
-  purge inst.repeats descendant;
-  purge inst.backoffs (fun k -> descendant k || k = p);
-  purge inst.compensated (fun k -> descendant k || k = p);
-  let timer_pred key =
-    match String.rindex_opt key '|' with
-    | Some i ->
-      let kpath = String.sub key 0 i in
-      descendant kpath || kpath = p
-    | None -> false
-  in
-  purge inst.timers timer_pred;
-  purge inst.timer_arms timer_pred;
-  purge inst.timers_armed timer_pred
-
-(* --- action -> transactional writes and history rows --- *)
+  collect inst.states below (fun k -> Wstate.Task k) []
+  |> collect inst.chosen below (fun k -> Wstate.Chosen k)
+  |> collect inst.marks below (fun k -> Wstate.Marks k)
+  |> collect inst.repeats below (fun k -> Wstate.Repeat k)
+  |> collect inst.backoffs here_or_below (fun k -> Wstate.Backoff k)
+  |> collect inst.compensated here_or_below (fun k -> Wstate.Compensated k)
+  |> collect inst.timers timer_here_or_below (fun k ->
+         let path, set = timer k in
+         Wstate.Timer_fired (path, set))
+  |> collect inst.timer_arms timer_here_or_below (fun k ->
+         let path, set = timer k in
+         Wstate.Timer_armed (path, set))
 
 (* every effectful action also appends one persistent history row in
    the same transaction — the durable audit log behind Fig 4's
    monitoring tools (volatile traces die with the process) *)
-let history_write inst ~now ~kind ~detail =
+let history_row inst ~now ~kind ~detail =
   let n = inst.hseq in
   inst.hseq <- n + 1;
-  (Wstate.key_history inst.iid n, Some (Wstate.encode_history (now, kind, detail)))
+  Wstate.Put (Wstate.History n, Wstate.encode_history (now, kind, detail))
 
-let action_history inst ~now = function
-  | Sched.Arm_timer _ -> []
-  | Sched.Start { a_path; a_attempt; _ } ->
-    let detail = String.concat "" [ pkey a_path; " (attempt "; string_of_int a_attempt; ")" ] in
-    [ history_write inst ~now ~kind:"start" ~detail ]
-  | Sched.Fire_mark { a_path; a_name; _ } ->
-    [ history_write inst ~now ~kind:"mark" ~detail:(pkey a_path ^ " " ^ a_name) ]
-  | Sched.Do_repeat { a_path; a_name; _ } ->
-    [ history_write inst ~now ~kind:"repeat" ~detail:(pkey a_path ^ " " ^ a_name) ]
-  | Sched.Complete { a_path; a_name; _ } ->
-    [ history_write inst ~now ~kind:"complete" ~detail:(pkey a_path ^ " -> " ^ a_name) ]
-  | Sched.Fail_task { a_path; a_reason } ->
-    [ history_write inst ~now ~kind:"task-failed" ~detail:(pkey a_path ^ ": " ^ a_reason) ]
+let history inst ~now kind detail = [ history_row inst ~now ~kind ~detail ]
 
-let action_writes inst ~now ~deadline_of action =
-  let iid = inst.iid in
+let action_rows inst ~now ~deadline_of action =
   match action with
   | Sched.Arm_timer _ -> []
   | Sched.Start { a_path; a_task; a_set; a_inputs; a_attempt } ->
+    let p = pkey a_path in
     let running =
       Wstate.Running
         { attempt = a_attempt; set = a_set; started = now; deadline = now + deadline_of a_task }
     in
-    [
-      (Wstate.key_task iid a_path, Some (Wstate.encode_task_state running));
-      ( Wstate.key_chosen iid a_path,
-        Some (Wstate.encode_chosen { Wstate.c_set = a_set; c_inputs = a_inputs }) );
-    ]
+    Wstate.Put (Wstate.Task p, running)
+    :: Wstate.Put (Wstate.Chosen p, { Wstate.c_set = a_set; c_inputs = a_inputs })
+    :: history inst ~now "start"
+         (String.concat "" [ p; " (attempt "; string_of_int a_attempt; ")" ])
   | Sched.Fire_mark { a_path; a_name; a_objects } ->
-    let marks = get_marks inst a_path @ [ (a_name, a_objects) ] in
-    [ (Wstate.key_marks iid a_path, Some (Wstate.encode_marks marks)) ]
+    let p = pkey a_path in
+    Wstate.Put (Wstate.Marks p, get_marks inst a_path @ [ (a_name, a_objects) ])
+    :: history inst ~now "mark" (p ^ " " ^ a_name)
   | Sched.Do_repeat { a_path; a_name; a_objects; a_attempt } ->
-    [
-      (Wstate.key_repeat iid a_path, Some (Wstate.encode_repeat (a_name, a_objects)));
-      ( Wstate.key_task iid a_path,
-        Some (Wstate.encode_task_state (Wstate.Waiting { attempt = a_attempt })) );
-      (Wstate.key_chosen iid a_path, None);
-    ]
-    @ List.map (fun key -> (key, None)) (subtree_keys inst a_path)
+    let p = pkey a_path in
+    Wstate.Put (Wstate.Repeat p, (a_name, a_objects))
+    :: Wstate.Put (Wstate.Task p, Wstate.Waiting { attempt = a_attempt })
+    :: Wstate.Delete (Wstate.Chosen p)
+    :: (subtree_rows inst a_path @ history inst ~now "repeat" (p ^ " " ^ a_name))
   | Sched.Complete { a_path; a_name; a_kind; a_objects; a_attempt } ->
-    let state =
-      Wstate.Done { attempt = a_attempt; output = a_name; kind = a_kind; objects = a_objects }
-    in
-    [ (Wstate.key_task iid a_path, Some (Wstate.encode_task_state state)) ]
+    let p = pkey a_path in
+    Wstate.Put
+      ( Wstate.Task p,
+        Wstate.Done { attempt = a_attempt; output = a_name; kind = a_kind; objects = a_objects } )
+    :: history inst ~now "complete" (p ^ " -> " ^ a_name)
   | Sched.Fail_task { a_path; a_reason } ->
-    [ (Wstate.key_task iid a_path, Some (Wstate.encode_task_state (Wstate.Failed a_reason))) ]
-
-(* Mirror update only; the engine announces the corresponding events. *)
-let apply_action_mirror inst ~now ~deadline_of action =
-  match action with
-  | Sched.Arm_timer _ -> ()
-  | Sched.Start { a_path; a_task; a_set; a_inputs; a_attempt } ->
-    Hashtbl.replace inst.states (pkey a_path)
-      (Wstate.Running
-         { attempt = a_attempt; set = a_set; started = now; deadline = now + deadline_of a_task });
-    Hashtbl.replace inst.chosen (pkey a_path) { Wstate.c_set = a_set; c_inputs = a_inputs }
-  | Sched.Fire_mark { a_path; a_name; a_objects } ->
-    Hashtbl.replace inst.marks (pkey a_path) (get_marks inst a_path @ [ (a_name, a_objects) ])
-  | Sched.Do_repeat { a_path; a_name; a_objects; a_attempt } ->
-    Hashtbl.replace inst.repeats (pkey a_path) (a_name, a_objects);
-    wipe_subtree_mirror inst a_path;
-    Hashtbl.replace inst.states (pkey a_path) (Wstate.Waiting { attempt = a_attempt })
-  | Sched.Complete { a_path; a_name; a_kind; a_objects; a_attempt } ->
-    Hashtbl.replace inst.states (pkey a_path)
-      (Wstate.Done { attempt = a_attempt; output = a_name; kind = a_kind; objects = a_objects })
-  | Sched.Fail_task { a_path; a_reason } ->
-    Hashtbl.replace inst.states (pkey a_path) (Wstate.Failed a_reason)
+    let p = pkey a_path in
+    Wstate.Put (Wstate.Task p, Wstate.Failed a_reason)
+    :: history inst ~now "task-failed" (p ^ ": " ^ a_reason)
 
 (* --- bounding memory after conclusion --- *)
 
@@ -418,51 +391,3 @@ let release inst =
   Hashtbl.reset inst.marks;
   Hashtbl.reset inst.repeats;
   inst.external_inputs <- []
-
-(* --- rebuilding mirrors from the committed store --- *)
-
-(* [wf:I:<tag>:<remainder>] — fill the matching mirror table. [read]
-   fetches the committed value of a full store key. *)
-let load_committed inst ~read ~keys =
-  let prefix = Wstate.task_prefix inst.iid in
-  let load_key key =
-    if String.starts_with ~prefix key then begin
-      let rest = String.sub key (String.length prefix) (String.length key - String.length prefix) in
-      match String.index_opt rest ':' with
-      | None -> () (* meta / reconf *)
-      | Some i -> (
-        let tag = String.sub rest 0 i in
-        let remainder = String.sub rest (i + 1) (String.length rest - i - 1) in
-        let value () = Option.get (read key) in
-        match tag with
-        | "t" -> Hashtbl.replace inst.states remainder (Wstate.decode_task_state (value ()))
-        | "c" -> Hashtbl.replace inst.chosen remainder (Wstate.decode_chosen (value ()))
-        | "m" -> Hashtbl.replace inst.marks remainder (Wstate.decode_marks (value ()))
-        | "r" -> Hashtbl.replace inst.repeats remainder (Wstate.decode_repeat (value ()))
-        | "timer" -> (
-          match String.rindex_opt remainder ':' with
-          | Some j ->
-            let kpath = String.sub remainder 0 j in
-            let set = String.sub remainder (j + 1) (String.length remainder - j - 1) in
-            Hashtbl.replace inst.timers (kpath ^ "|" ^ set) ()
-          | None -> ())
-        | "b" -> Hashtbl.replace inst.backoffs remainder (Wstate.decode_backoff (value ()))
-        | "comp" -> Hashtbl.replace inst.compensated remainder ()
-        | "h" ->
-          (* history rows are read on demand; track the counter *)
-          (match int_of_string_opt remainder with
-          | Some n -> inst.hseq <- max inst.hseq (n + 1)
-          | None -> ())
-        | "timerarm" -> (
-          match String.rindex_opt remainder ':' with
-          | Some j -> (
-            let kpath = String.sub remainder 0 j in
-            let set = String.sub remainder (j + 1) (String.length remainder - j - 1) in
-            match int_of_string_opt (value ()) with
-            | Some deadline -> Hashtbl.replace inst.timer_arms (kpath ^ "|" ^ set) deadline
-            | None -> ())
-          | None -> ())
-        | _ -> ())
-    end
-  in
-  List.iter load_key keys

@@ -1,13 +1,17 @@
 (** Volatile per-instance state: the in-memory mirror of one workflow
-    instance's persistent {!Wstate} records, plus the bookkeeping flags
-    of the evaluation pump.
+    instance's persistent {!Wstate} rows, plus the bookkeeping of the
+    evaluation pump.
 
-    The mirror tables shadow exactly what is in the committed store (the
-    engine updates both in lock-step: store writes under a transaction,
-    mirror on commit); {!load_committed} rebuilds them from committed
-    keys after a crash. The translation of a scheduler {!Sched.action}
-    into transactional writes, history rows and mirror updates lives
-    here too, so the engine proper only orchestrates. *)
+    The mirror tables change only through {!apply}, which applies one
+    {!Wstate.row}: the engine applies the typed rows of a write set once
+    it commits, and recovery ({!load_committed}) applies the decoded
+    committed rows to a fresh instance. The one other change is {!trim_concluded} (and
+    {!release}) dropping a concluded instance's tables, which recovery
+    does too. So the live mirror is, by construction, what recovery
+    rebuilds from the committed store. The translation of a scheduler
+    {!Sched.action} into rows lives here too, so the engine proper only
+    orchestrates. The pump's own state ([timers_armed], [alarms],
+    [inflight], [pending]) is volatile and is not a row. *)
 
 (** A queued timer that captures the instance. *)
 type alarm =
@@ -23,8 +27,8 @@ type t = {
   mutable external_inputs : (string * Value.obj) list;
   states : (string, Wstate.task_state) Hashtbl.t;
   chosen : (string, Wstate.chosen) Hashtbl.t;
-  marks : (string, (string * (string * Value.obj) list) list) Hashtbl.t;
-  repeats : (string, string * (string * Value.obj) list) Hashtbl.t;
+  marks : (string, Wstate.marks) Hashtbl.t;
+  repeats : (string, Wstate.repeat) Hashtbl.t;
   timers : (string, unit) Hashtbl.t;  (** fired; key = ["path|set"] *)
   timer_arms : (string, Sim.time) Hashtbl.t;
       (** persisted deadlines; key = ["path|set"] *)
@@ -38,7 +42,6 @@ type t = {
       (** volatile; the queued timers of each path *)
   mutable callbacks : (Wstate.status -> unit) list;
   mutable hseq : int;  (** next persistent-history index *)
-  mutable dirty : bool;
   mutable inflight : bool;
   mutable concluding : bool;
   mutable pending : Sched.dirty;
@@ -66,24 +69,35 @@ val get_state : t -> Wstate.path -> Wstate.task_state option
 
 val get_chosen : t -> Wstate.path -> Wstate.chosen option
 
-val get_marks : t -> Wstate.path -> (string * (string * Value.obj) list) list
-
-val get_repeat : t -> Wstate.path -> (string * (string * Value.obj) list) option
-
-val timer_fired : t -> Wstate.path -> set:string -> bool
-
-val get_backoff : t -> Wstate.path -> (int * Sim.time) option
-(** The pending policy backoff of a path, if any (attempt, fire time). *)
-
-val set_backoff : t -> Wstate.path -> attempt:int -> fire_at:Sim.time -> unit
+val get_marks : t -> Wstate.path -> Wstate.marks
 
 val is_compensated : t -> Wstate.path -> bool
-
-val mark_compensated : t -> Wstate.path -> unit
 
 val pending_backoffs : t -> (Wstate.path * int * Sim.time) list
 (** All pending policy backoffs — recovery resumes each one's remaining
     wait against the persisted attempt counter. *)
+
+(** {1 Rows} *)
+
+val apply : t -> Wstate.row -> unit
+(** The one writer of the mirror tables: a put replaces and a delete
+    removes the field's entry; {!Wstate.Meta} sets [status],
+    {!Wstate.Reconf} [script_text] and {!Wstate.History} advances
+    [hseq] past its index. {!Wstate.Dir} is the engine's, not the
+    instance's. *)
+
+val load_committed : t -> read:(string -> string option) -> keys:string list -> unit
+(** Recovery: {!apply} the decoded row of each committed key of the
+    instance ([read] fetches a committed value; keys of other instances
+    are ignored) — the rows a live commit applied. *)
+
+val history_row : t -> now:Sim.time -> kind:string -> detail:string -> Wstate.row
+(** The next persistent history row (consumes [hseq]). *)
+
+val action_rows :
+  t -> now:Sim.time -> deadline_of:(Schema.task -> Sim.time) -> Sched.action -> Wstate.row list
+(** The rows realising one action, its history row last. [deadline_of]
+    gives a task's watchdog span (engine config + ["deadline"] kv). *)
 
 val view : t -> effective:(Schema.task -> Sched.effective) -> Sched.view
 (** Snapshot view for the pure scheduler core. Build fresh per pass —
@@ -128,7 +142,8 @@ val set_watchdog : t -> Sim.t -> Wstate.path -> attempt:int -> (unit -> Sim.hand
 
 val cancel_timers_at : ?below:bool -> t -> Sim.t -> Wstate.path -> unit
 (** Cancel the path's queued timers — with [~below:true] also those of
-    every path under it. *)
+    every path under it, and forget which of the path's and its
+    subtree's input-set timers were armed ([timers_armed]). *)
 
 val cancel_timers : t -> Sim.t -> unit
 (** Cancel every queued timer of the instance (conclusion, crash). *)
@@ -143,31 +158,6 @@ val without_timers : t -> t
     timer table: for a residency walk that should stop at the mirror,
     since a queued timer's closure reaches the whole engine. *)
 
-(** {1 Subtree erasure} (a compound repeat wipes its scope) *)
-
-val subtree_keys : t -> Wstate.path -> string list
-(** Store keys of every record strictly below [path], plus [path]'s own
-    chosen/timer records. *)
-
-val wipe_subtree_mirror : t -> Wstate.path -> unit
-
-(** {1 Action translation} *)
-
-val history_write : t -> now:Sim.time -> kind:string -> detail:string -> string * string option
-(** Allocate the next persistent history row (consumes [hseq]). *)
-
-val action_history : t -> now:Sim.time -> Sched.action -> (string * string option) list
-
-val action_writes :
-  t -> now:Sim.time -> deadline_of:(Schema.task -> Sim.time) -> Sched.action ->
-  (string * string option) list
-(** The transactional writes realising one action. [deadline_of] gives a
-    task's watchdog span (engine config + ["deadline"] kv). *)
-
-val apply_action_mirror :
-  t -> now:Sim.time -> deadline_of:(Schema.task -> Sim.time) -> Sched.action -> unit
-(** Mirror update only — the caller emits the corresponding events. *)
-
 (** {1 Bounding memory after conclusion} *)
 
 val trim_concluded : t -> unit
@@ -180,10 +170,3 @@ val release : t -> unit
     instance then costs O(1) resident words. Introspection accessors
     answer empty afterwards; the committed store is untouched. Applied
     on conclusion when the engine runs with [retain_concluded = false]. *)
-
-(** {1 Recovery} *)
-
-val load_committed : t -> read:(string -> string option) -> keys:string list -> unit
-(** Fill the mirror tables from the committed store: [keys] are the
-    instance's committed keys in sorted order (keys of other instances
-    are ignored), [read] fetches one committed value. *)

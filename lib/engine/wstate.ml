@@ -27,45 +27,6 @@ type meta = {
 
 let path_to_string path = String.concat "/" path
 
-(* O(1)-per-launch durable directory: one key per instance, valued with
-   the engine's launch sequence number (recovery sorts by it to rebuild
-   launch order). *)
-let dir_prefix = "wf:dir:"
-
-let key_dir iid = dir_prefix ^ iid
-
-let encode_dir_seq = string_of_int
-
-let decode_dir_seq = int_of_string_opt
-
-(* The per-instance keys are built on every persist, so they are plain
-   concatenations rather than format strings (same bytes). *)
-let instance_key iid suffix = String.concat "" [ "wf:"; iid; suffix ]
-
-let path_key iid tag path = String.concat "" [ "wf:"; iid; tag; path_to_string path ]
-
-let key_meta iid = instance_key iid ":meta"
-
-let key_reconf iid = instance_key iid ":reconf"
-
-let key_task iid path = path_key iid ":t:" path
-
-let key_chosen iid path = path_key iid ":c:" path
-
-let key_marks iid path = path_key iid ":m:" path
-
-let key_repeat iid path = path_key iid ":r:" path
-
-let key_timer iid path ~set =
-  String.concat "" [ "wf:"; iid; ":timer:"; path_to_string path; ":"; set ]
-
-let key_timer_arm iid path ~set =
-  String.concat "" [ "wf:"; iid; ":timerarm:"; path_to_string path; ":"; set ]
-
-let key_backoff iid path = path_key iid ":b:" path
-
-let key_comp iid path = path_key iid ":comp:" path
-
 (* [Printf.sprintf "%0*d" width n] *)
 let zero_pad width n =
   let digits = string_of_int n in
@@ -78,10 +39,6 @@ let zero_pad width n =
     if n < 0 then Bytes.set padded 0 '-';
     Bytes.unsafe_to_string padded
   end
-
-let key_history iid n = instance_key iid (":h:" ^ zero_pad 9 n)
-
-let task_prefix iid = instance_key iid ":"
 
 (* --- codecs --- *)
 
@@ -134,16 +91,6 @@ let decode_task_state s =
       | tag -> raise (Wire.Malformed ("bad task state tag " ^ tag)))
     s
 
-let encode_chosen { c_set; c_inputs } = Wire.string c_set ^ enc_objects_field c_inputs
-
-let decode_chosen s =
-  Wire.decode
-    (fun d ->
-      let c_set = Wire.d_string d in
-      let c_inputs = dec_objects d in
-      { c_set; c_inputs })
-    s
-
 let enc_status = function
   | Wf_running -> Wire.string "r"
   | Wf_done { output; objects } -> Wire.string "d" ^ Wire.string output ^ enc_objects_field objects
@@ -172,37 +119,13 @@ let decode_meta s =
       { m_script; m_root; m_inputs; m_status })
     s
 
-let encode_marks marks =
-  Wire.list (fun (output, objects) -> Wire.string output ^ enc_objects_field objects) marks
+(* an output name and its objects: a repeat, or one released mark *)
+let enc_output (output, objects) = Wire.string output ^ enc_objects_field objects
 
-let decode_marks s =
-  Wire.decode
-    (Wire.d_list (fun d ->
-         let output = Wire.d_string d in
-         let objects = dec_objects d in
-         (output, objects)))
-    s
-
-let encode_repeat (output, objects) = Wire.string output ^ enc_objects_field objects
-
-let decode_repeat s =
-  Wire.decode
-    (fun d ->
-      let output = Wire.d_string d in
-      let objects = dec_objects d in
-      (output, objects))
-    s
-
-(* a pending policy-backoff: which attempt waits, and when it fires *)
-let encode_backoff (attempt, fire_at) = Wire.int attempt ^ Wire.int fire_at
-
-let decode_backoff s =
-  Wire.decode
-    (fun d ->
-      let attempt = Wire.d_int d in
-      let fire_at = Wire.d_int d in
-      (attempt, fire_at))
-    s
+let dec_output d =
+  let output = Wire.d_string d in
+  let objects = dec_objects d in
+  (output, objects)
 
 let encode_history (at, kind, detail) = Wire.int at ^ Wire.string kind ^ Wire.string detail
 
@@ -214,6 +137,164 @@ let decode_history s =
       let detail = Wire.d_string d in
       (at, kind, detail))
     s
+
+(* --- rows --- *)
+
+type marks = (string * (string * Value.obj) list) list
+
+type repeat = string * (string * Value.obj) list
+
+type _ field =
+  | Dir : int field
+  | Meta : meta field
+  | Reconf : string field
+  | Task : string -> task_state field
+  | Chosen : string -> chosen field
+  | Marks : string -> marks field
+  | Repeat : string -> repeat field
+  | Timer_fired : string * string -> unit field
+  | Timer_armed : string * string -> Sim.time field
+  | Backoff : string -> (int * Sim.time) field
+  | Compensated : string -> unit field
+  | History : int -> string field
+
+type row = Put : 'a field * 'a -> row | Delete : 'a field -> row
+
+(* One durable directory row per instance, outside every instance's
+   prefix; recovery sorts by its launch sequence number. *)
+let dir_prefix = "wf:dir:"
+
+let dir_iid key =
+  if String.starts_with ~prefix:dir_prefix key then
+    Some (String.sub key (String.length dir_prefix) (String.length key - String.length dir_prefix))
+  else None
+
+(* The per-instance keys are built on every persist, so each is blitted
+   into one string: [wf:] ^ iid ^ tag ^ path ^ suffix. *)
+let blit b pos s =
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+let build iid tag path suffix =
+  let b =
+    Bytes.create
+      (3 + String.length iid + String.length tag + String.length path + String.length suffix)
+  in
+  ignore (blit b (blit b (blit b (blit b (blit b 0 "wf:") iid) tag) path) suffix);
+  Bytes.unsafe_to_string b
+
+let instance_key iid suffix = build iid suffix "" ""
+
+let path_key iid tag path = build iid tag path ""
+
+let set_key iid tag path set = build iid tag path (":" ^ set)
+
+let task_prefix iid = instance_key iid ":"
+
+let history_prefix iid = instance_key iid ":h:"
+
+let key : type a. string -> a field -> string =
+ fun iid -> function
+  | Dir -> dir_prefix ^ iid
+  | Meta -> instance_key iid ":meta"
+  | Reconf -> instance_key iid ":reconf"
+  | Task path -> path_key iid ":t:" path
+  | Chosen path -> path_key iid ":c:" path
+  | Marks path -> path_key iid ":m:" path
+  | Repeat path -> path_key iid ":r:" path
+  | Timer_fired (path, set) -> set_key iid ":timer:" path set
+  | Timer_armed (path, set) -> set_key iid ":timerarm:" path set
+  | Backoff path -> path_key iid ":b:" path
+  | Compensated path -> path_key iid ":comp:" path
+  | History n -> build iid ":h:" "" (zero_pad 9 n)
+
+let key_history iid n = key iid (History n)
+
+let encode_value : type a. a field -> a -> string =
+ fun field v ->
+  match field with
+  | Dir -> string_of_int v
+  | Meta -> encode_meta v
+  | Reconf -> v
+  | Task _ -> encode_task_state v
+  | Chosen _ -> Wire.string v.c_set ^ enc_objects_field v.c_inputs
+  | Marks _ -> Wire.list enc_output v
+  | Repeat _ -> enc_output v
+  | Timer_fired _ | Compensated _ -> "1"
+  | Timer_armed _ -> string_of_int v
+  | Backoff _ -> Wire.int (fst v) ^ Wire.int (snd v)
+  | History _ -> v
+
+let decode_int s =
+  match int_of_string_opt s with Some n -> n | None -> raise (Wire.Malformed ("bad integer " ^ s))
+
+let decode_value : type a. a field -> string -> a =
+ fun field s ->
+  match field with
+  | Dir -> decode_int s
+  | Meta -> decode_meta s
+  | Reconf -> s
+  | Task _ -> decode_task_state s
+  | Chosen _ ->
+    Wire.decode
+      (fun d ->
+        let c_set = Wire.d_string d in
+        let c_inputs = dec_objects d in
+        { c_set; c_inputs })
+      s
+  | Marks _ -> Wire.decode (Wire.d_list dec_output) s
+  | Repeat _ -> Wire.decode dec_output s
+  | Timer_fired _ -> ()
+  | Compensated _ -> ()
+  | Timer_armed _ -> decode_int s
+  | Backoff _ ->
+    Wire.decode
+      (fun d ->
+        let attempt = Wire.d_int d in
+        let fire_at = Wire.d_int d in
+        (attempt, fire_at))
+      s
+  | History _ -> s
+
+let encode iid = function
+  | Put (field, v) -> (key iid field, Some (encode_value field v))
+  | Delete field -> (key iid field, None)
+
+let decoded field value = Some (Put (field, decode_value field value))
+
+(* [wf:I:<tag>:<path>] back to its field; an input set follows the
+   path's last [:]. *)
+let decode iid =
+  let dir = key iid Dir and prefix = task_prefix iid in
+  fun ~key:k ~value ->
+    if String.equal k dir then decoded Dir value
+    else if not (String.starts_with ~prefix k) then None
+    else
+      let rest = String.sub k (String.length prefix) (String.length k - String.length prefix) in
+      match (rest, String.index_opt rest ':') with
+      | "meta", _ -> decoded Meta value
+      | "reconf", _ -> decoded Reconf value
+      | _, None -> None
+      | _, Some i -> (
+        let tail = String.sub rest (i + 1) (String.length rest - i - 1) in
+        match String.sub rest 0 i with
+        | "t" -> decoded (Task tail) value
+        | "c" -> decoded (Chosen tail) value
+        | "m" -> decoded (Marks tail) value
+        | "r" -> decoded (Repeat tail) value
+        | "b" -> decoded (Backoff tail) value
+        | "comp" -> decoded (Compensated tail) value
+        | ("timer" | "timerarm") as tag -> (
+          match String.rindex_opt tail ':' with
+          | None -> None
+          | Some j ->
+            let path = String.sub tail 0 j in
+            let set = String.sub tail (j + 1) (String.length tail - j - 1) in
+            if tag = "timer" then decoded (Timer_fired (path, set)) value
+            else decoded (Timer_armed (path, set)) value)
+        | "h" -> (
+          match int_of_string_opt tail with Some n -> decoded (History n) value | None -> None)
+        | _ -> None)
 
 let pp_task_state ppf = function
   | Waiting { attempt } -> Format.fprintf ppf "waiting(attempt %d)" attempt

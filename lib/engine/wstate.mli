@@ -1,25 +1,10 @@
-(** Persistent workflow-instance state: record types, wire codecs and
-    store-key layout.
+(** Persistent workflow-instance state: record types and the typed rows
+    that carry them to and from the engine node's object store.
 
     Everything the execution service needs to resume an instance after
-    an engine-node crash is written (under transactions) to the engine
-    node's object store using these keys:
-
-    - [wf:dir:I] — directory row of instance [I]: its launch sequence
-      number (one O(1) row per instance)
-    - [wf:I:meta] — script text, root name, external inputs, status
-    - [wf:I:reconf] — current script text after dynamic reconfiguration
-    - [wf:I:t:P] — state of the task at path [P]
-    - [wf:I:c:P] — input set chosen for the task at [P] and its values
-    - [wf:I:m:P] — marks emitted by the task at [P]
-    - [wf:I:r:P] — the last repeat outcome of the task at [P]
-    - [wf:I:timer:P:S] — the timeout of input set [S] has fired
-    - [wf:I:timerarm:P:S] — deadline of the armed timer of input set [S]
-    - [wf:I:b:P] — pending recovery-policy backoff of the task at [P]
-    - [wf:I:comp:P] — the abort of [P] has been compensated (one-shot)
-    - [wf:I:h:N] — the [N]-th persistent history (audit) row
-
-    A path [P] is the [/]-joined chain of task names from the root. *)
+    an engine-node crash is written (under transactions) as {!row}s;
+    each {!field} documents its key. A path [P] is the [/]-joined chain
+    of task names from the root. *)
 
 type path = string list
 
@@ -50,80 +35,92 @@ type meta = {
 
 val path_to_string : path -> string
 
+(** {1 Rows}
+
+    Every durable fact about an instance is one typed row: a {!field}
+    names the fact and types its value, and a {!row} writes or deletes
+    it; a field's path [P] is the {!path_to_string} of the task's path.
+    This module is the only one that builds or parses the keys:
+    {!encode} turns a row into the exact store bytes, {!decode} turns a
+    committed key and value back into the row. {!Instate.apply} is then
+    the only code that changes an instance's mirror, both on commit (the
+    typed rows just persisted) and at recovery (the decoded committed
+    rows). *)
+
+type marks = (string * (string * Value.obj) list) list
+(** Marks released so far, in release order. *)
+
+type repeat = string * (string * Value.obj) list
+(** The last repeat outcome and its objects. *)
+
+type _ field =
+  | Dir : int field
+      (** [wf:dir:I] — the engine's launch sequence number for [I], one
+          O(1) row per instance outside its prefix; recovery sorts by it
+          to restore launch order *)
+  | Meta : meta field  (** [wf:I:meta] *)
+  | Reconf : string field  (** [wf:I:reconf] — the current script text *)
+  | Task : string -> task_state field  (** [wf:I:t:P] *)
+  | Chosen : string -> chosen field  (** [wf:I:c:P] *)
+  | Marks : string -> marks field  (** [wf:I:m:P] *)
+  | Repeat : string -> repeat field  (** [wf:I:r:P] *)
+  | Timer_fired : string * string -> unit field
+      (** [wf:I:timer:P:S], valued ["1"] — the timeout of input set [S]
+          has fired *)
+  | Timer_armed : string * string -> Sim.time field
+      (** [wf:I:timerarm:P:S] — absolute deadline of the armed timer of
+          input set [S]; recovery resumes the remaining wait instead of
+          restarting the full timeout *)
+  | Backoff : string -> (int * Sim.time) field
+      (** [wf:I:b:P] — a policy retry of [P] waits out its backoff: the
+          attempt waiting and its absolute fire time. Written in the same
+          transaction as the attempt bump, so a crash mid-backoff
+          recovers the remaining budget and the remaining wait. *)
+  | Compensated : string -> unit field
+      (** [wf:I:comp:P], valued ["1"] — the compensation of [P]'s abort
+          is recorded; written atomically with the abort completion *)
+  | History : int -> string field
+      (** [wf:I:h:N] — the [N]-th audit row, valued with
+          {!encode_history}: the mirror only counts these rows, so they
+          stay encoded both ways *)
+
+type row = Put : 'a field * 'a -> row | Delete : 'a field -> row
+
+val key : string -> 'a field -> string
+(** [key iid field] is the store key of [field] of instance [iid]. *)
+
+val encode : string -> row -> string * string option
+(** [encode iid row] is the store write of [row] of instance [iid]
+    ([None] = delete). *)
+
+val decode : string -> key:string -> value:string -> row option
+(** [decode iid ~key ~value] is the row a committed key and value of
+    instance [iid] hold; [None] for a key of another instance or of no
+    known kind. Raises [Wire.Malformed] on a malformed value. Apply it to
+    [iid] once to decode many keys. *)
+
+val decode_value : 'a field -> string -> 'a
+(** The typed value of one committed field. Raises [Wire.Malformed]. *)
+
 val dir_prefix : string
+(** Prefix of every {!Dir} row. *)
 
-val key_dir : string -> string
-(** [dir_prefix ^ iid], valued with {!encode_dir_seq} of the engine's
-    launch sequence number; recovery sorts by it to restore order. *)
-
-val encode_dir_seq : int -> string
-
-val decode_dir_seq : string -> int option
-
-val key_meta : string -> string
-
-val key_reconf : string -> string
-
-val key_task : string -> path -> string
-
-val key_chosen : string -> path -> string
-
-val key_marks : string -> path -> string
-
-val key_repeat : string -> path -> string
-
-val key_timer : string -> path -> set:string -> string
-
-val key_timer_arm : string -> path -> set:string -> string
-
-val key_backoff : string -> path -> string
-(** [wf:I:b:P] — a policy retry of [P] is waiting out its backoff;
-    valued with {!encode_backoff}. Written in the same transaction as
-    the attempt bump, so a crash mid-backoff recovers the remaining
-    budget and the remaining wait, never a reset. *)
-
-val key_comp : string -> path -> string
-(** [wf:I:comp:P] — the compensation for [P]'s abort has been recorded;
-    written atomically with the abort completion (exactly-once). *)
-
-val encode_backoff : int * Sim.time -> string
-(** attempt waiting, absolute virtual-time fire deadline. *)
-
-val decode_backoff : string -> int * Sim.time
-
-val key_history : string -> int -> string
-(** [wf:I:h:N] — N-th persistent history event of the instance. *)
-
-val encode_history : Sim.time * string * string -> string
-(** at, kind, detail. *)
-
-val decode_history : string -> Sim.time * string * string
-(** Absolute virtual-time deadline of an armed input-set timer; persists
-    so a recovery resumes the remaining wait instead of restarting the
-    full timeout. *)
+val dir_iid : string -> string option
+(** The instance a {!Dir} key names. *)
 
 val task_prefix : string -> string
 (** Prefix of all [wf:I:*] keys of one instance, for scans/deletion. *)
 
-val encode_task_state : task_state -> string
+val history_prefix : string -> string
+(** Prefix of the instance's {!History} rows. *)
 
-val decode_task_state : string -> task_state
+val key_history : string -> int -> string
+(** [key iid (History n)]. *)
 
-val encode_chosen : chosen -> string
+val encode_history : Sim.time * string * string -> string
+(** An audit row's value: at, kind, detail. *)
 
-val decode_chosen : string -> chosen
-
-val encode_meta : meta -> string
-
-val decode_meta : string -> meta
-
-val encode_marks : (string * (string * Value.obj) list) list -> string
-
-val decode_marks : string -> (string * (string * Value.obj) list) list
-
-val encode_repeat : string * (string * Value.obj) list -> string
-
-val decode_repeat : string -> string * (string * Value.obj) list
+val decode_history : string -> Sim.time * string * string
 
 val pp_task_state : Format.formatter -> task_state -> unit
 

@@ -70,3 +70,57 @@ let task_outcomes states =
       | Wstate.Failed reason -> (path, Error reason)
       | Wstate.Waiting _ | Wstate.Running _ -> (path, Error "unfinished"))
     states
+
+(* The engine's live mirror of an instance against the one recovery
+   rebuilds from the participant's committed store: [None] when they
+   agree table by table, else the names of the tables that differ. An
+   instance whose launch is not yet durable has nothing to compare. *)
+let mirror_mismatch engine participant iid =
+  let read key = Participant.committed_value participant ~key in
+  match (Engine.mirror engine iid, read (Wstate.key iid Wstate.Meta)) with
+  | None, _ | _, None -> None
+  | Some (live : Instate.t), Some raw -> (
+    let meta = Wstate.decode_value Wstate.Meta raw in
+    let rebuilt =
+      Instate.create ~iid ~script_text:meta.Wstate.m_script ~schema:live.Instate.schema
+        ~status:meta.Wstate.m_status ~external_inputs:meta.Wstate.m_inputs
+    in
+    let store = Participant.store participant in
+    Instate.load_committed rebuilt ~read
+      ~keys:(Kvstore.keys_with_prefix store ~prefix:(Wstate.task_prefix iid));
+    if rebuilt.Instate.status <> Wstate.Wf_running then Instate.trim_concluded rebuilt;
+    let sorted tbl = List.sort compare (List.of_seq (Hashtbl.to_seq tbl)) in
+    let table name live rebuilt = if sorted live = sorted rebuilt then [] else [ name ] in
+    let field name same = if same then [] else [ name ] in
+    match
+      List.concat
+        [
+          table "states" live.Instate.states rebuilt.Instate.states;
+          table "chosen" live.Instate.chosen rebuilt.Instate.chosen;
+          table "marks" live.Instate.marks rebuilt.Instate.marks;
+          table "repeats" live.Instate.repeats rebuilt.Instate.repeats;
+          table "timers" live.Instate.timers rebuilt.Instate.timers;
+          table "timer_arms" live.Instate.timer_arms rebuilt.Instate.timer_arms;
+          table "backoffs" live.Instate.backoffs rebuilt.Instate.backoffs;
+          table "compensated" live.Instate.compensated rebuilt.Instate.compensated;
+          field "status" (live.Instate.status = rebuilt.Instate.status);
+          field "script_text" (live.Instate.script_text = rebuilt.Instate.script_text);
+          field "hseq" (live.Instate.hseq = rebuilt.Instate.hseq);
+        ]
+    with
+    | [] -> None
+    | names -> Some (String.concat ", " names))
+
+(* Run the simulation to [until] one virtual instant at a time, and fail
+   at the first instant after which the live mirror of [iid] differs
+   from the committed store. Within an instant they may differ: a commit
+   is durable before its continuation updates the mirror. *)
+let check_mirror_through_run ~until engine participant sim iid =
+  while Sim.now sim <= until && Sim.step sim do
+    Sim.run ~until:(Sim.now sim) sim;
+    match mirror_mismatch engine participant iid with
+    | None -> ()
+    | Some tables ->
+      Alcotest.failf "at %d us the live mirror of %s differs from the store in: %s" (Sim.now sim)
+        iid tables
+  done

@@ -266,6 +266,127 @@ let test_timer_expires () =
   let _, _, status = run_timeout (Sim.ms 500) in
   ignore (expect_done ~output:"expired" status)
 
+(* --- the live mirror is what recovery would rebuild --- *)
+
+(* Run one instance to conclusion, comparing after every simulator event
+   the engine's mirror with the one recovery rebuilds from the store. *)
+let mirror_run ?nodes ~register ~script ~root ~inputs ~output () =
+  let tb = Testbed.make ?nodes () in
+  register tb.Testbed.registry;
+  match Engine.launch tb.Testbed.engine ~script ~root ~inputs with
+  | Error e -> Alcotest.failf "launch failed: %s" e
+  | Ok iid -> (
+    Harness.check_mirror_through_run ~until:(Sim.sec 120) tb.Testbed.engine
+      (Testbed.participant tb "n0") tb.Testbed.sim iid;
+    match Engine.status tb.Testbed.engine iid with
+    | Some status -> ignore (expect_done ~output status)
+    | None -> Alcotest.fail "instance vanished")
+
+(* [work] aborts and is compensated early; [hold] keeps the instance
+   running for 200 ms after that, so the compensation record is live
+   between instants instead of trimmed at conclusion *)
+let compensated_then_hold =
+  {|
+class Data;
+taskclass Step {
+    inputs { input main { data of class Data } };
+    outputs { outcome done { data of class Data } }
+};
+taskclass Risky {
+    inputs { input main { data of class Data } };
+    outputs { outcome done { data of class Data }; abort outcome failed { } }
+};
+taskclass Flow {
+    inputs { input main { data of class Data } };
+    outputs { outcome finished { data of class Data } }
+};
+compoundtask flow of taskclass Flow {
+    task work of taskclass Risky {
+        implementation { "code" is "r.abort", "location" is "h1" };
+        recovery { compensate undo };
+        inputs { input main { inputobject data from { data of task flow if input main } } }
+    };
+    task undo of taskclass Step {
+        implementation { "code" is "r.undo", "location" is "h1" };
+        inputs { input main { inputobject data from { data of task work if output done } } }
+    };
+    task hold of taskclass Step {
+        implementation { "code" is "r.hang", "location" is "h1" };
+        inputs { input main { inputobject data from { data of task flow if input main } } }
+    };
+    outputs { outcome finished { outputobject data from { data of task hold if output done } } }
+}
+|}
+
+let test_mirror_recovery_scripts () =
+  List.iter
+    (fun ((script, root), output) ->
+      mirror_run ~nodes:[ "n0"; "h1" ]
+        ~register:(fun reg -> Workloads.register_recovery reg)
+        ~script ~root ~inputs:Workloads.seed_inputs ~output ())
+    [
+      (Workloads.recovery_retry ~host:"h1", "finished");
+      (Workloads.recovery_timeout ~host:"h1", "finished");
+      (Workloads.recovery_alternative ~host:"h1", "finished");
+      (Workloads.recovery_compensate ~host:"h1", "cancelled");
+      ((compensated_then_hold, "flow"), "finished");
+    ]
+
+let test_mirror_repeats_and_marks () =
+  let scenario = { Impls.trip_smooth with Impls.hotel_fails_rounds = 2; hotel_inner_retries = 2 } in
+  mirror_run
+    ~register:(Impls.register_business_trip ?work:None ~scenario)
+    ~script:Paper_scripts.business_trip ~root:Paper_scripts.business_trip_root ~inputs:user_input
+    ~output:"done" ()
+
+(* [emit] releases both marks at one virtual instant, so the second
+   report is decided before the first mark's row commits *)
+let two_marks =
+  {|
+class Data;
+taskclass Emitter {
+    inputs { input main { data of class Data } };
+    outputs {
+        mark m1 { data of class Data };
+        mark m2 { data of class Data };
+        outcome done { data of class Data }
+    }
+};
+taskclass Flow {
+    inputs { input main { data of class Data } };
+    outputs { outcome finished { data of class Data } }
+};
+compoundtask flow of taskclass Flow {
+    task emit of taskclass Emitter {
+        implementation { "code" is "x.emit" };
+        inputs { input main { inputobject data from { data of task flow if input main } } }
+    };
+    outputs { outcome finished { outputobject data from { data of task emit if output done } } }
+}
+|}
+
+let test_mirror_marks_released_together () =
+  let data = [ ("data", Value.Str "x") ] in
+  let mark output = Registry.Emit_mark { Registry.output; objects = data } in
+  mirror_run
+    ~register:(fun reg ->
+      Registry.bind reg ~code:"x.emit" (fun _ ->
+          {
+            Registry.steps =
+              [ Registry.Work (Sim.ms 1); mark "m1"; mark "m2"; Registry.Work (Sim.ms 5) ];
+            finish = { Registry.output = "done"; objects = data };
+          }))
+    ~script:two_marks ~root:"flow" ~inputs:Workloads.seed_inputs ~output:"finished" ()
+
+let test_mirror_timers () =
+  List.iter
+    (fun (responder_delay, output) ->
+      mirror_run
+        ~register:(Impls.register_timeout_demo ?work:None ~responder_delay)
+        ~script:Paper_scripts.timeout_demo ~root:Paper_scripts.timeout_demo_root
+        ~inputs:request_input ~output ())
+    [ (Sim.ms 5, "finished"); (Sim.ms 500, "expired") ]
+
 (* --- fault tolerance --- *)
 
 let fast_engine =
@@ -1917,4 +2038,11 @@ let () =
             test_scope_and_task_histograms_split;
         ] );
       ("determinism", [ Alcotest.test_case "same seed same trace" `Quick test_same_seed_same_trace ]);
+      ( "mirror",
+        [
+          Alcotest.test_case "recovery scripts" `Quick test_mirror_recovery_scripts;
+          Alcotest.test_case "repeats and marks" `Quick test_mirror_repeats_and_marks;
+          Alcotest.test_case "timers" `Quick test_mirror_timers;
+          Alcotest.test_case "marks released together" `Quick test_mirror_marks_released_together;
+        ] );
     ]

@@ -208,7 +208,7 @@ let prop_wire_fuzz_no_crash =
 let prop_task_state_codec_fuzz =
   QCheck.Test.make ~name:"task-state decoder fails only with Malformed on fuzz" ~count:300
     QCheck.string (fun input ->
-      match Wstate.decode_task_state input with
+      match Wstate.decode_value (Wstate.Task "") input with
       | _ -> true
       | exception Wire.Malformed _ -> true)
 
@@ -533,18 +533,21 @@ let builders_match_formats (iid, path, set, n) =
   let p = Wstate.path_to_string path in
   let keys =
     [
-      (Wstate.key_meta iid, Printf.sprintf "wf:%s:meta" iid);
-      (Wstate.key_reconf iid, Printf.sprintf "wf:%s:reconf" iid);
-      (Wstate.key_task iid path, Printf.sprintf "wf:%s:t:%s" iid p);
-      (Wstate.key_chosen iid path, Printf.sprintf "wf:%s:c:%s" iid p);
-      (Wstate.key_marks iid path, Printf.sprintf "wf:%s:m:%s" iid p);
-      (Wstate.key_repeat iid path, Printf.sprintf "wf:%s:r:%s" iid p);
-      (Wstate.key_timer iid path ~set, Printf.sprintf "wf:%s:timer:%s:%s" iid p set);
-      (Wstate.key_timer_arm iid path ~set, Printf.sprintf "wf:%s:timerarm:%s:%s" iid p set);
-      (Wstate.key_backoff iid path, Printf.sprintf "wf:%s:b:%s" iid p);
-      (Wstate.key_comp iid path, Printf.sprintf "wf:%s:comp:%s" iid p);
+      (Wstate.key iid Wstate.Dir, Printf.sprintf "wf:dir:%s" iid);
+      (Wstate.key iid Wstate.Meta, Printf.sprintf "wf:%s:meta" iid);
+      (Wstate.key iid Wstate.Reconf, Printf.sprintf "wf:%s:reconf" iid);
+      (Wstate.key iid (Wstate.Task p), Printf.sprintf "wf:%s:t:%s" iid p);
+      (Wstate.key iid (Wstate.Chosen p), Printf.sprintf "wf:%s:c:%s" iid p);
+      (Wstate.key iid (Wstate.Marks p), Printf.sprintf "wf:%s:m:%s" iid p);
+      (Wstate.key iid (Wstate.Repeat p), Printf.sprintf "wf:%s:r:%s" iid p);
+      (Wstate.key iid (Wstate.Timer_fired (p, set)), Printf.sprintf "wf:%s:timer:%s:%s" iid p set);
+      ( Wstate.key iid (Wstate.Timer_armed (p, set)),
+        Printf.sprintf "wf:%s:timerarm:%s:%s" iid p set );
+      (Wstate.key iid (Wstate.Backoff p), Printf.sprintf "wf:%s:b:%s" iid p);
+      (Wstate.key iid (Wstate.Compensated p), Printf.sprintf "wf:%s:comp:%s" iid p);
       (Wstate.key_history iid n, Printf.sprintf "wf:%s:h:%09d" iid n);
       (Wstate.task_prefix iid, Printf.sprintf "wf:%s:" iid);
+      (Wstate.history_prefix iid, Printf.sprintf "wf:%s:h:" iid);
       (Rpc.request_id ~src:iid n, Printf.sprintf "%s#%d" iid n);
     ]
   in
@@ -556,14 +559,17 @@ let builders_match_formats (iid, path, set, n) =
     Sched.Start { a_path = path; a_task = schema; a_set = set; a_inputs = []; a_attempt = n }
   in
   let history =
-    match Instate.action_history inst ~now:0 start with
-    | [ (key, Some row) ] ->
-      let _, kind, detail = Wstate.decode_history row in
-      [
-        (key, Printf.sprintf "wf:%s:h:%09d" iid 0);
-        (kind ^ " " ^ detail, Printf.sprintf "start %s (attempt %d)" p n);
-      ]
-    | _ -> [ ("history rows", "one") ]
+    match Instate.action_rows inst ~now:0 ~deadline_of:(fun _ -> 0) start with
+    | [ _; _; history ] -> (
+      match Wstate.encode iid history with
+      | key, Some row ->
+        let _, kind, detail = Wstate.decode_history row in
+        [
+          (key, Printf.sprintf "wf:%s:h:%09d" iid 0);
+          (kind ^ " " ^ detail, Printf.sprintf "start %s (attempt %d)" p n);
+        ]
+      | _, None -> [ ("history row", "a put") ])
+    | _ -> [ ("rows", "task, chosen, history") ]
   in
   (* two sources, so names cached for one cannot serve the other *)
   let m = Metrics.create () and bus = Event.bus () in
@@ -594,6 +600,50 @@ let prop_builders_match_formats =
   QCheck.Test.make ~name:"per-task name builders = their formats" ~count:500
     (QCheck.make builder_case_gen) builders_match_formats
 
+(* Script identifiers: instance ids, task and input-set names. *)
+let gen_name = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'Z'; '0'; '_' ]) (int_range 1 6))
+
+(* Every kind of row decodes from its own store bytes, so recovery
+   applies exactly the rows a live commit applied. *)
+let prop_rows_round_trip =
+  QCheck.Test.make ~name:"rows decode from their own store bytes" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         quad gen_name (list_size (int_range 1 3) gen_name) gen_name (int_bound 1_000_000_000)))
+    (fun (iid, path, set, n) ->
+      let p = Wstate.path_to_string path in
+      let objects = [ ("x", Value.obj ~cls:"C" (Value.Int n)) ] in
+      let rows =
+        Wstate.
+          [
+            Put (Dir, n);
+            Put
+              ( Meta,
+                {
+                  m_script = "s";
+                  m_root = "r";
+                  m_inputs = objects;
+                  m_status = Wf_done { output = "o"; objects };
+                } );
+            Put (Reconf, "script text");
+            Put (Task p, Running { attempt = n; set; started = n; deadline = n + 1 });
+            Put (Chosen p, { c_set = set; c_inputs = objects });
+            Put (Marks p, [ ("m1", objects); ("m2", []) ]);
+            Put (Repeat p, ("again", objects));
+            Put (Timer_fired (p, set), ());
+            Put (Timer_armed (p, set), n);
+            Put (Backoff p, (n, n + 5));
+            Put (Compensated p, ());
+            Put (History n, encode_history (n, "start", p));
+          ]
+      in
+      List.for_all
+        (fun row ->
+          match Wstate.encode iid row with
+          | key, Some value -> Wstate.decode iid ~key ~value = Some row
+          | _, None -> false)
+        rows)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -605,6 +655,7 @@ let qsuite =
       prop_engine_survives_random_crash_schedules;
       prop_lossy_network_random_seeds;
       prop_builders_match_formats;
+      prop_rows_round_trip;
     ]
 
 let sched_suite =

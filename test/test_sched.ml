@@ -14,7 +14,13 @@
      many interleavings;
    - end to end: the fault-free engine and the independent [Baseline]
      interpreter reach the same final status on random DAGs, and an
-     engine crash mid-run still reaches the fault-free result. *)
+     engine crash mid-run still reaches the fault-free result;
+   - durably: after every virtual instant of an engine run on a random
+     DAG, the live mirror equals the one recovery rebuilds from the
+     committed store.
+
+   The shadow pump, engine = baseline and the mirror check are three
+   named properties over one generator, so a failure names its check. *)
 
 let check = Alcotest.(check bool)
 
@@ -65,7 +71,8 @@ let shadow_pump ~rand (script, root) =
   let changed = ref true in
   let passes = ref 0 in
   let apply action =
-    Instate.apply_action_mirror inst ~now:0 ~deadline_of:(fun _ -> 0) action;
+    List.iter (Instate.apply inst)
+      (Instate.action_rows inst ~now:0 ~deadline_of:(fun _ -> 0) action);
     pending := Sched.add_dirty !pending [ Sched.action_path action ];
     changed := true
   in
@@ -264,21 +271,62 @@ let gen_dag =
     in
     build 0 [])
 
+let arb_dag =
+  QCheck.make
+    QCheck.Gen.(pair gen_dag (int_bound 1_000_000))
+    ~print:(fun (nodes, seed) -> Printf.sprintf "seed %d\n%s" seed (fst (dag_script nodes)))
+
+(* The three random-DAG properties share the generator, so under one
+   QCHECK_SEED each sees the same scripts. *)
 let prop_random_dags =
-  QCheck.Test.make ~name:"incremental = full rescan on random DAGs" ~count:40
-    (QCheck.make
-       QCheck.Gen.(pair gen_dag (int_bound 1_000_000))
-       ~print:(fun (nodes, seed) -> Printf.sprintf "seed %d\n%s" seed (fst (dag_script nodes))))
+  QCheck.Test.make ~name:"incremental = full rescan on random DAGs" ~count:40 arb_dag
     (fun (nodes, seed) ->
-      let workload = dag_script nodes in
-      shadow_pump ~rand:(Random.State.make [| seed |]) workload;
-      let engine, _ = engine_run workload in
-      (match baseline_status workload with
-      | Some baseline when baseline = engine -> ()
-      | Some baseline ->
-        Alcotest.failf "engine %s, baseline %s" (status_string engine) (status_string baseline)
-      | None -> Alcotest.fail "baseline lost the instance");
+      shadow_pump ~rand:(Random.State.make [| seed |]) (dag_script nodes);
       true)
+
+(* What two final statuses disagree on: each output object whose value
+   differs ({!Wstate.pp_status} prints no objects), else the statuses. *)
+let status_diff engine baseline =
+  let show = function Some obj -> Format.asprintf "%a" Value.pp_obj obj | None -> "absent" in
+  let objects =
+    match (engine, baseline) with
+    | Wstate.Wf_done { output; objects = ours }, Wstate.Wf_done { output = output'; objects = theirs }
+      when output = output' ->
+      List.sort_uniq compare (List.map fst ours @ List.map fst theirs)
+      |> List.filter_map (fun name ->
+             let a = List.assoc_opt name ours and b = List.assoc_opt name theirs in
+             if a = b then None
+             else
+               Some
+                 (Printf.sprintf "%s object %s: engine %s, baseline %s" output name (show a)
+                    (show b)))
+    | _ -> []
+  in
+  match objects with
+  | [] -> Printf.sprintf "engine %s, baseline %s" (status_string engine) (status_string baseline)
+  | _ -> String.concat "; " objects
+
+let prop_engine_baseline =
+  QCheck.Test.make ~name:"engine = baseline on random DAGs" ~count:40 arb_dag (fun (nodes, _) ->
+      let workload = dag_script nodes in
+      let engine, _ = engine_run workload in
+      match baseline_status workload with
+      | Some baseline when baseline = engine -> true
+      | Some baseline -> Alcotest.fail (status_diff engine baseline)
+      | None -> Alcotest.fail "baseline lost the instance")
+
+let prop_mirror =
+  QCheck.Test.make ~name:"live mirror = committed store on random DAGs" ~count:40 arb_dag
+    (fun (nodes, _) ->
+      let script, root = dag_script nodes in
+      let tb = Testbed.make () in
+      Workloads.register tb.Testbed.registry;
+      match Engine.launch tb.Testbed.engine ~script ~root ~inputs:Workloads.seed_inputs with
+      | Error e -> Alcotest.failf "launch failed: %s" e
+      | Ok iid ->
+        Harness.check_mirror_through_run ~until:(Sim.sec 120) tb.Testbed.engine
+          (Testbed.participant tb "n0") tb.Testbed.sim iid;
+        true)
 
 (* --- the structured workload families --- *)
 
@@ -676,7 +724,9 @@ let test_jitter_deterministic_and_bounded () =
         (delay plain ~salt:"s" ~iid:"wf-1" ~attempt:a))
     retries [ 5; 10; 20; 40; 40; 40; 40 ]
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_random_dags; prop_short_circuit ]
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_random_dags; prop_engine_baseline; prop_mirror; prop_short_circuit ]
 
 let () =
   Alcotest.run "sched"
