@@ -155,14 +155,6 @@ let decl_name = function
   | D_template { tpl_name; _ } -> tpl_name
   | D_template_inst { ti_name; _ } -> ti_name
 
-let decl_loc = function
-  | D_class { cls_loc; _ } -> cls_loc
-  | D_taskclass { tcd_loc; _ } -> tcd_loc
-  | D_task { td_loc; _ } -> td_loc
-  | D_compound { cd_loc; _ } -> cd_loc
-  | D_template { tpl_loc; _ } -> tpl_loc
-  | D_template_inst { ti_loc; _ } -> ti_loc
-
 let constituent_name = function
   | C_task { td_name; _ } -> td_name
   | C_compound { cd_name; _ } -> cd_name

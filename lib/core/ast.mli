@@ -176,8 +176,6 @@ type script = decl list
 
 val decl_name : decl -> string
 
-val decl_loc : decl -> Loc.t
-
 val constituent_name : constituent -> string
 
 val constituent_loc : constituent -> Loc.t

@@ -110,8 +110,8 @@ let encode_rows inst rows = List.map (Wstate.encode inst.Instate.iid) rows
 (* Persist an instance's rows; once they commit, the mirror applies the
    same typed rows before [k] runs. *)
 let persist_rows t inst rows k =
-  persist t (encode_rows inst rows) (fun () ->
-      List.iter (Instate.apply inst) rows;
+  persist t (encode_rows inst (Instate.stage inst rows)) (fun () ->
+      Instate.applied inst rows;
       k ())
 
 (* --- compensation (declared [compensate <task>] on abort) --- *)
@@ -189,7 +189,7 @@ let apply_and_announce t inst action rows =
   (* decided against the pre-commit mirror, fired after the rows below
      (the guard row committed with this action) *)
   let compensation = compensation_of t inst action in
-  List.iter (Instate.apply inst) rows;
+  Instate.applied inst rows;
   (* a started task waits no more; a finished or repeating one runs no
      more, so its queued timers go *)
   (match action with
@@ -263,7 +263,7 @@ and pump t inst =
       List.filter
         (function
           | Sched.Arm_timer { a_path; a_set; a_attempt; _ } ->
-            Hashtbl.find_opt inst.Instate.timers_armed (pkey a_path ^ "|" ^ a_set)
+            Hashtbl.find_opt inst.Instate.timers_armed (pkey a_path, a_set)
             <> Some a_attempt
           | _ -> true)
         actions
@@ -277,7 +277,10 @@ and pump t inst =
       finalize t inst
     end
     else begin
-      let rows = List.map (action_rows t inst) effectful in
+      (* each action's rows are staged before the next one's are built *)
+      let rows =
+        List.map (fun action -> Instate.stage inst (action_rows t inst action)) effectful
+      in
       persist t (List.concat_map (encode_rows inst) rows) (fun () ->
           List.iter2 (apply_and_announce t inst) effectful rows;
           List.iter (action_side_effects t inst) effectful;
@@ -289,7 +292,7 @@ and pump t inst =
 
 and arm_timer_action t inst = function
   | Sched.Arm_timer { a_path; a_set; a_task; a_attempt } ->
-    let key = pkey a_path ^ "|" ^ a_set in
+    let key = (pkey a_path, a_set) in
     Hashtbl.replace inst.Instate.timers_armed key a_attempt;
     let epoch = t.epoch in
     let fire () =
@@ -436,7 +439,7 @@ and fail_policy t inst ~path ~task ~reason =
   apply_one t inst (Sched.fail_action task ~path ~attempt ~reason)
 
 and apply_one t inst action =
-  let rows = action_rows t inst action in
+  let rows = Instate.stage inst (action_rows t inst action) in
   persist t (encode_rows inst rows) (fun () ->
       apply_and_announce t inst action rows;
       mark_dirty ~paths:[ Sched.action_path action ] t inst)

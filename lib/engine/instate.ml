@@ -1,3 +1,7 @@
+(* Write sets staged and not yet applied, as a queue: [oldest] first,
+   then [newest] reversed. *)
+type staged = Idle | Staged of { oldest : Wstate.row list list; newest : Wstate.row list list }
+
 (* A queued timer that captures the instance. *)
 type alarm =
   | Watchdog of int * Sim.handle  (* the attempt it guards *)
@@ -14,9 +18,9 @@ type t = {
   chosen : (string, Wstate.chosen) Hashtbl.t;
   marks : (string, Wstate.marks) Hashtbl.t;
   repeats : (string, Wstate.repeat) Hashtbl.t;
-  timers : (string, unit) Hashtbl.t;  (* fired; key = "path|set" *)
-  timer_arms : (string, Sim.time) Hashtbl.t;  (* persisted deadlines; key = "path|set" *)
-  timers_armed : (string, int) Hashtbl.t;  (* volatile; value = attempt armed for *)
+  timers : (string * string, unit) Hashtbl.t;  (* fired; key = path, input set *)
+  timer_arms : (string * string, Sim.time) Hashtbl.t;  (* persisted deadlines *)
+  timers_armed : (string * string, int) Hashtbl.t;  (* volatile; value = attempt armed for *)
   backoffs : (string, int * Sim.time) Hashtbl.t;  (* pending policy backoffs: attempt, fire_at *)
   compensated : (string, unit) Hashtbl.t;  (* aborts whose compensation is recorded *)
   alarms : (string, alarm list) Hashtbl.t;  (* volatile; queued timers, by path *)
@@ -29,6 +33,7 @@ type t = {
          the incremental pump consumes this as the scan_from seed *)
   mutable index : Sched.index option;
       (* cached reverse-dependency index; invalidated by reconfigure *)
+  mutable staged : staged;  (* volatile; write sets persisted, not yet applied *)
 }
 
 let pkey = Wstate.path_to_string
@@ -56,6 +61,7 @@ let create ~iid ~script_text ~schema ~status ~external_inputs =
     concluding = false;
     pending = Sched.All;  (* the first pass after (re)build is a full one *)
     index = None;
+    staged = Idle;
   }
 
 (* Same identity and script, empty mirrors — for re-persisting a launch
@@ -80,16 +86,11 @@ let get_marks inst path =
 
 let get_repeat inst path = Hashtbl.find_opt inst.repeats (pkey path)
 
-let timer_fired inst path ~set = Hashtbl.mem inst.timers (pkey path ^ "|" ^ set)
+let timer_fired inst path ~set = Hashtbl.mem inst.timers (pkey path, set)
 
 let is_compensated inst path = Hashtbl.mem inst.compensated (pkey path)
 
 (* --- applying rows: the only writer of the mirror tables --- *)
-
-(* the timer tables are keyed ["path|set"] *)
-let timer_key path set = path ^ "|" ^ set
-
-let timer_path key = match String.rindex_opt key '|' with Some i -> String.sub key 0 i | None -> key
 
 let put : type a. t -> a Wstate.field -> a -> unit =
  fun inst field value ->
@@ -98,8 +99,8 @@ let put : type a. t -> a Wstate.field -> a -> unit =
   | Wstate.Chosen path -> Hashtbl.replace inst.chosen path value
   | Wstate.Marks path -> Hashtbl.replace inst.marks path value
   | Wstate.Repeat path -> Hashtbl.replace inst.repeats path value
-  | Wstate.Timer_fired (path, set) -> Hashtbl.replace inst.timers (timer_key path set) value
-  | Wstate.Timer_armed (path, set) -> Hashtbl.replace inst.timer_arms (timer_key path set) value
+  | Wstate.Timer_fired (path, set) -> Hashtbl.replace inst.timers (path, set) value
+  | Wstate.Timer_armed (path, set) -> Hashtbl.replace inst.timer_arms (path, set) value
   | Wstate.Backoff path -> Hashtbl.replace inst.backoffs path value
   | Wstate.Compensated path -> Hashtbl.replace inst.compensated path value
   | Wstate.Meta -> inst.status <- value.Wstate.m_status
@@ -113,8 +114,8 @@ let delete : type a. t -> a Wstate.field -> unit =
   | Wstate.Chosen path -> Hashtbl.remove inst.chosen path
   | Wstate.Marks path -> Hashtbl.remove inst.marks path
   | Wstate.Repeat path -> Hashtbl.remove inst.repeats path
-  | Wstate.Timer_fired (path, set) -> Hashtbl.remove inst.timers (timer_key path set)
-  | Wstate.Timer_armed (path, set) -> Hashtbl.remove inst.timer_arms (timer_key path set)
+  | Wstate.Timer_fired (path, set) -> Hashtbl.remove inst.timers (path, set)
+  | Wstate.Timer_armed (path, set) -> Hashtbl.remove inst.timer_arms (path, set)
   | Wstate.Backoff path -> Hashtbl.remove inst.backoffs path
   | Wstate.Compensated path -> Hashtbl.remove inst.compensated path
   | Wstate.Meta | Wstate.Reconf | Wstate.History _ | Wstate.Dir -> ()
@@ -123,14 +124,47 @@ let apply inst = function
   | Wstate.Put (field, value) -> put inst field value
   | Wstate.Delete field -> delete inst field
 
+(* --- rows in flight --- *)
+
+(* A row is built against the mirror, but the mirror changes only when a
+   write set commits: a row built while an earlier one of the instance
+   is still in flight must also see that one, or the later write would
+   undo it. *)
+let stage inst rows =
+  (match (rows, inst.staged) with
+  | [], _ -> ()
+  | _, Idle -> inst.staged <- Staged { oldest = [ rows ]; newest = [] }
+  | _, Staged q -> inst.staged <- Staged { q with newest = rows :: q.newest });
+  rows
+
+let queue oldest newest = if oldest = [] && newest = [] then Idle else Staged { oldest; newest }
+
+(* Write sets commit in the order they were staged, so the one applied
+   is normally the oldest. *)
+let rec unstage inst rows =
+  match inst.staged with
+  | Idle -> ()
+  | Staged { oldest = r :: oldest; newest } when r == rows -> inst.staged <- queue oldest newest
+  | Staged { oldest = []; newest } ->
+    inst.staged <- queue (List.rev newest) [];
+    unstage inst rows
+  | Staged { oldest; newest } ->
+    let others = List.filter (fun r -> r != rows) in
+    inst.staged <- queue (others oldest) (others newest)
+
+let applied inst rows =
+  List.iter (apply inst) rows;
+  unstage inst rows
+
+(* [f] folded over the staged write sets, oldest first. *)
+let fold_staged f init inst =
+  match inst.staged with
+  | Idle -> init
+  | Staged { oldest; newest } -> List.fold_left f (List.fold_left f init oldest) (List.rev newest)
+
 let load_committed inst ~read ~keys =
-  let decode = Wstate.decode inst.iid in
-  List.iter
-    (fun key ->
-      match read key with
-      | None -> ()
-      | Some value -> ( match decode ~key ~value with Some row -> apply inst row | None -> ()))
-    keys
+  let decode = Wstate.decode inst.iid ~read in
+  List.iter (fun key -> match decode key with Some row -> apply inst row | None -> ()) keys
 
 (* --- queued timers (volatile) --- *)
 
@@ -204,8 +238,7 @@ let cancel_timers_at ?(below = false) inst sim path =
     List.iter (cancel_key inst sim) doomed;
     let unarmed =
       Hashtbl.fold
-        (fun key _ acc ->
-          let kpath = timer_path key in
+        (fun ((kpath, _) as key) _ acc ->
           if kpath = p || String.starts_with ~prefix kpath then key :: acc else acc)
         inst.timers_armed []
     in
@@ -291,34 +324,53 @@ let running_leaves inst ~effective =
 
 (* Deletions of every record strictly below [path], plus [path]'s own
    backoff, compensation and timer records (a compound repeat wipes its
-   scope). *)
+   scope), whether already in the mirror or still in flight. *)
 let subtree_rows inst path =
   let p = pkey path in
   let prefix = p ^ "/" in
   let below key = String.starts_with ~prefix key in
   let here_or_below key = key = p || below key in
-  let timer_here_or_below key = here_or_below (timer_path key) in
-  let timer key =
-    let i = String.rindex key '|' in
-    (String.sub key 0 i, String.sub key (i + 1) (String.length key - i - 1))
+  let in_scope : type a. a Wstate.field -> bool = function
+    | Wstate.Task k | Wstate.Chosen k | Wstate.Marks k | Wstate.Repeat k -> below k
+    | Wstate.Backoff k | Wstate.Compensated k -> here_or_below k
+    | Wstate.Timer_fired (k, _) | Wstate.Timer_armed (k, _) -> here_or_below k
+    | Wstate.Meta | Wstate.Reconf | Wstate.History _ | Wstate.Dir -> false
   in
-  let collect tbl keep field acc =
+  let collect tbl field acc =
     Hashtbl.fold
-      (fun key _ acc -> if keep key then Wstate.Delete (field key) :: acc else acc)
+      (fun key _ acc ->
+        let f = field key in
+        if in_scope f then Wstate.Delete f :: acc else acc)
       tbl acc
   in
-  collect inst.states below (fun k -> Wstate.Task k) []
-  |> collect inst.chosen below (fun k -> Wstate.Chosen k)
-  |> collect inst.marks below (fun k -> Wstate.Marks k)
-  |> collect inst.repeats below (fun k -> Wstate.Repeat k)
-  |> collect inst.backoffs here_or_below (fun k -> Wstate.Backoff k)
-  |> collect inst.compensated here_or_below (fun k -> Wstate.Compensated k)
-  |> collect inst.timers timer_here_or_below (fun k ->
-         let path, set = timer k in
-         Wstate.Timer_fired (path, set))
-  |> collect inst.timer_arms timer_here_or_below (fun k ->
-         let path, set = timer k in
-         Wstate.Timer_armed (path, set))
+  let mirrored =
+    collect inst.states (fun k -> Wstate.Task k) []
+    |> collect inst.chosen (fun k -> Wstate.Chosen k)
+    |> collect inst.marks (fun k -> Wstate.Marks k)
+    |> collect inst.repeats (fun k -> Wstate.Repeat k)
+    |> collect inst.backoffs (fun k -> Wstate.Backoff k)
+    |> collect inst.compensated (fun k -> Wstate.Compensated k)
+    |> collect inst.timers (fun (path, set) -> Wstate.Timer_fired (path, set))
+    |> collect inst.timer_arms (fun (path, set) -> Wstate.Timer_armed (path, set))
+  in
+  let in_flight acc = function
+    | Wstate.Put (f, _) when in_scope f && not (List.mem (Wstate.Delete f) acc) ->
+      Wstate.Delete f :: acc
+    | Wstate.Put _ | Wstate.Delete _ -> acc
+  in
+  fold_staged (List.fold_left in_flight) mirrored inst
+
+(* A task's marks once every staged row has committed. *)
+let staged_marks inst path =
+  let p = pkey path in
+  let last acc : Wstate.row -> Wstate.marks option = function
+    | Wstate.Put (Wstate.Marks q, marks) when String.equal q p -> Some marks
+    | Wstate.Delete (Wstate.Marks q) when String.equal q p -> Some []
+    | Wstate.Put _ | Wstate.Delete _ -> acc
+  in
+  match fold_staged (List.fold_left last) None inst with
+  | Some marks -> marks
+  | None -> get_marks inst path
 
 (* every effectful action also appends one persistent history row in
    the same transaction — the durable audit log behind Fig 4's
@@ -345,7 +397,7 @@ let action_rows inst ~now ~deadline_of action =
          (String.concat "" [ p; " (attempt "; string_of_int a_attempt; ")" ])
   | Sched.Fire_mark { a_path; a_name; a_objects } ->
     let p = pkey a_path in
-    Wstate.Put (Wstate.Marks p, get_marks inst a_path @ [ (a_name, a_objects) ])
+    Wstate.Put (Wstate.Marks p, staged_marks inst a_path @ [ (a_name, a_objects) ])
     :: history inst ~now "mark" (p ^ " " ^ a_name)
   | Sched.Do_repeat { a_path; a_name; a_objects; a_attempt } ->
     let p = pkey a_path in

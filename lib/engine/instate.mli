@@ -11,7 +11,12 @@
     rebuilds from the committed store. The translation of a scheduler
     {!Sched.action} into rows lives here too, so the engine proper only
     orchestrates. The pump's own state ([timers_armed], [alarms],
-    [inflight], [pending]) is volatile and is not a row. *)
+    [inflight], [pending]) and the staged write sets ([staged]) are
+    volatile and are not rows. *)
+
+(** The write sets {!stage}d and not yet {!applied}, as a queue:
+    [oldest] first, then [newest] reversed. *)
+type staged = Idle | Staged of { oldest : Wstate.row list list; newest : Wstate.row list list }
 
 (** A queued timer that captures the instance. *)
 type alarm =
@@ -29,11 +34,9 @@ type t = {
   chosen : (string, Wstate.chosen) Hashtbl.t;
   marks : (string, Wstate.marks) Hashtbl.t;
   repeats : (string, Wstate.repeat) Hashtbl.t;
-  timers : (string, unit) Hashtbl.t;  (** fired; key = ["path|set"] *)
-  timer_arms : (string, Sim.time) Hashtbl.t;
-      (** persisted deadlines; key = ["path|set"] *)
-  timers_armed : (string, int) Hashtbl.t;
-      (** volatile; value = attempt armed for *)
+  timers : (string * string, unit) Hashtbl.t;  (** fired; key = path, input set *)
+  timer_arms : (string * string, Sim.time) Hashtbl.t;  (** persisted deadlines *)
+  timers_armed : (string * string, int) Hashtbl.t;  (** volatile; value = attempt armed for *)
   backoffs : (string, int * Sim.time) Hashtbl.t;
       (** pending policy backoffs: attempt waiting, absolute fire time *)
   compensated : (string, unit) Hashtbl.t;
@@ -49,6 +52,7 @@ type t = {
           the incremental {!Sched.scan_from} *)
   mutable index : Sched.index option;
       (** cached reverse-dependency index; reconfiguration resets it *)
+  mutable staged : staged;  (** volatile *)
 }
 
 val create :
@@ -85,6 +89,16 @@ val apply : t -> Wstate.row -> unit
     {!Wstate.Reconf} [script_text] and {!Wstate.History} advances
     [hseq] past its index. {!Wstate.Dir} is the engine's, not the
     instance's. *)
+
+val stage : t -> Wstate.row list -> Wstate.row list
+(** [stage inst rows] is [rows], recorded as persisted and not yet
+    applied: until they are {!applied}, {!action_rows} builds on them as
+    on the mirror (a task's marks row extends the staged one, a compound
+    repeat deletes its scope's staged rows too). *)
+
+val applied : t -> Wstate.row list -> unit
+(** [applied inst rows] {!apply}s the committed rows of one {!stage}d
+    write set, in order, and forgets them as staged. *)
 
 val load_committed : t -> read:(string -> string option) -> keys:string list -> unit
 (** Recovery: {!apply} the decoded row of each committed key of the

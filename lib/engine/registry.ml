@@ -30,8 +30,6 @@ let bind t ~code fn = Hashtbl.replace t.bindings code (Fn fn)
 
 let bind_script t ~code schema = Hashtbl.replace t.bindings code (Sub_workflow schema)
 
-let unbind t ~code = Hashtbl.remove t.bindings code
-
 let find t ~code = Hashtbl.find_opt t.bindings code
 
 let names t =

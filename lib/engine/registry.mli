@@ -50,8 +50,6 @@ val bind : t -> code:string -> fn -> unit
 val bind_script : t -> code:string -> Schema.task -> unit
 (** Bind a code name to a compound-task schema. *)
 
-val unbind : t -> code:string -> unit
-
 val find : t -> code:string -> impl option
 
 val names : t -> string list

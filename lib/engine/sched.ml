@@ -486,8 +486,6 @@ let no_dirty = Paths []
 
 let add_dirty d paths = match d with All -> All | Paths ps -> Paths (paths @ ps)
 
-let is_clean = function Paths [] -> true | All | Paths _ -> false
-
 let scan_from idx v ~root ~dirty =
   match dirty with
   | All -> scan v ~root

@@ -44,12 +44,10 @@ val running_attempt : view -> Wstate.path -> int
 val parent_path : Wstate.path -> Wstate.path
 (** All but the last path segment. *)
 
-val scope_open : view -> Wstate.path -> bool
-(** Every enclosing compound scope is still Running. *)
-
 val task_live : view -> Wstate.path -> bool
-(** {!scope_open} and the instance itself is running — the fence every
-    watchdog, retry and late report must pass. *)
+(** Every enclosing compound scope is still Running and the instance
+    itself is running — the fence every watchdog, retry and late report
+    must pass. *)
 
 (** {1 Decisions} *)
 
@@ -162,8 +160,6 @@ val add_dirty : dirty -> Wstate.path list -> dirty
 (** [All] absorbs everything; path lists concatenate (deduplicated at
     scan time). *)
 
-val is_clean : dirty -> bool
-
 val scan_from : index -> view -> root:Schema.task -> dirty:dirty -> action list
 (** The incremental pass: evaluate only the dirty paths and their
     indexed dependents. [scan_from idx v ~root ~dirty:All] is exactly
@@ -184,19 +180,9 @@ val prioritise : action list -> action list
 
 (** {1 Output shaping and implementation kvs} *)
 
-val wrap_outputs :
-  Schema.task -> output:string -> (string * Value.t) list -> (string * Value.obj) list
-(** Coerce an implementation's raw payloads onto the declared output
-    objects (missing ones become [Unit] of the declared class). *)
-
 val impl_ms : Schema.task -> key:string -> int option
 (** An integer implementation binding interpreted as milliseconds
     (["deadline"], ["timeout"]); the caller converts to virtual time. *)
-
-val impl_priority : Schema.task -> int
-
-val impl_abort_retries : Schema.task -> int
-(** ["retries"] kv: spontaneous abort outcomes absorbed by restarting. *)
 
 (** {1 Failure mapping} *)
 
@@ -205,9 +191,6 @@ val fail_action : Schema.task -> path:Wstate.path -> attempt:int -> reason:strin
     declares one, [Fail_task] otherwise. *)
 
 (** {1 Report classification} *)
-
-val impl_error_prefix : string
-(** Outputs with this prefix signal a host-side implementation crash. *)
 
 (** How the effect layer must react to a task host's report. *)
 type decision =

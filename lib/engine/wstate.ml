@@ -260,40 +260,43 @@ let encode iid = function
   | Put (field, v) -> (key iid field, Some (encode_value field v))
   | Delete field -> (key iid field, None)
 
-let decoded field value = Some (Put (field, decode_value field value))
+let decoded field read k =
+  match read k with Some value -> Some (Put (field, decode_value field value)) | None -> None
 
-(* [wf:I:<tag>:<path>] back to its field; an input set follows the
-   path's last [:]. *)
-let decode iid =
-  let dir = key iid Dir and prefix = task_prefix iid in
-  fun ~key:k ~value ->
-    if String.equal k dir then decoded Dir value
-    else if not (String.starts_with ~prefix k) then None
+(* [wf:I:<tag>:<path>] back to its row; an input set follows the path's
+   last [:]. A field whose value is [()] is not read. *)
+let decode iid ~read =
+  let prefix = task_prefix iid in
+  let from = String.length prefix in
+  fun k ->
+    let len = String.length k in
+    if not (String.starts_with ~prefix k) then None
     else
-      let rest = String.sub k (String.length prefix) (String.length k - String.length prefix) in
-      match (rest, String.index_opt rest ':') with
-      | "meta", _ -> decoded Meta value
-      | "reconf", _ -> decoded Reconf value
-      | _, None -> None
-      | _, Some i -> (
-        let tail = String.sub rest (i + 1) (String.length rest - i - 1) in
-        match String.sub rest 0 i with
-        | "t" -> decoded (Task tail) value
-        | "c" -> decoded (Chosen tail) value
-        | "m" -> decoded (Marks tail) value
-        | "r" -> decoded (Repeat tail) value
-        | "b" -> decoded (Backoff tail) value
-        | "comp" -> decoded (Compensated tail) value
+      match String.index_from_opt k from ':' with
+      | None -> (
+        match String.sub k from (len - from) with
+        | "meta" -> decoded Meta read k
+        | "reconf" -> decoded Reconf read k
+        | _ -> None)
+      | Some i -> (
+        let tail = String.sub k (i + 1) (len - i - 1) in
+        match String.sub k from (i - from) with
+        | "t" -> decoded (Task tail) read k
+        | "c" -> decoded (Chosen tail) read k
+        | "m" -> decoded (Marks tail) read k
+        | "r" -> decoded (Repeat tail) read k
+        | "b" -> decoded (Backoff tail) read k
+        | "comp" -> Some (Put (Compensated tail, ()))
         | ("timer" | "timerarm") as tag -> (
           match String.rindex_opt tail ':' with
           | None -> None
           | Some j ->
             let path = String.sub tail 0 j in
             let set = String.sub tail (j + 1) (String.length tail - j - 1) in
-            if tag = "timer" then decoded (Timer_fired (path, set)) value
-            else decoded (Timer_armed (path, set)) value)
+            if tag = "timer" then Some (Put (Timer_fired (path, set), ()))
+            else decoded (Timer_armed (path, set)) read k)
         | "h" -> (
-          match int_of_string_opt tail with Some n -> decoded (History n) value | None -> None)
+          match int_of_string_opt tail with Some n -> decoded (History n) read k | None -> None)
         | _ -> None)
 
 let pp_task_state ppf = function

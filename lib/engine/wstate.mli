@@ -93,11 +93,13 @@ val encode : string -> row -> string * string option
 (** [encode iid row] is the store write of [row] of instance [iid]
     ([None] = delete). *)
 
-val decode : string -> key:string -> value:string -> row option
-(** [decode iid ~key ~value] is the row a committed key and value of
-    instance [iid] hold; [None] for a key of another instance or of no
-    known kind. Raises [Wire.Malformed] on a malformed value. Apply it to
-    [iid] once to decode many keys. *)
+val decode : string -> read:(string -> string option) -> string -> row option
+(** [decode iid ~read key] is the row that the committed [key] of
+    instance [iid] and its value ([read key]) hold; [None] for a key of
+    another instance, a {!Dir} key, a key of no known kind or one [read]
+    finds no value for. A field whose value is [()] is not read. Raises
+    [Wire.Malformed] on a malformed value. Apply it to [iid] and [read]
+    once to decode many keys. *)
 
 val decode_value : 'a field -> string -> 'a
 (** The typed value of one committed field. Raises [Wire.Malformed]. *)

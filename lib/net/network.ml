@@ -41,8 +41,6 @@ let sim t = t.sim
 
 let config t = t.cfg
 
-let set_loss t loss = t.cfg <- { t.cfg with loss }
-
 let add_node t ~id =
   if Hashtbl.mem t.nodes_tbl id then invalid_arg ("Network.add_node: duplicate node " ^ id);
   let node = Node.create ~id in

@@ -22,9 +22,6 @@ val sim : t -> Sim.t
 
 val config : t -> config
 
-val set_loss : t -> float -> unit
-(** Adjust the drop probability mid-run (fault injection). *)
-
 val add_node : t -> id:string -> Node.t
 (** Creates and registers a node. Raises [Invalid_argument] on a
     duplicate id. *)

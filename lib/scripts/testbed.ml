@@ -106,5 +106,3 @@ let launch_and_run ?until t ~script ~root ~inputs =
     match Engine.status t.engine iid with
     | Some status -> Ok (iid, status)
     | None -> Error "instance vanished")
-
-let str_input name payload ~cls = (name, Value.obj ~cls (Value.Str payload))

@@ -68,6 +68,3 @@ val launch_and_run :
 (** Launch an instance on the first engine, drive the simulation until
     it drains (or [until]), and return the instance id and final
     status. *)
-
-val str_input : string -> string -> cls:string -> string * Value.obj
-(** [str_input name payload ~cls] builds one external input binding. *)

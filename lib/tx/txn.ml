@@ -55,8 +55,6 @@ let manager_node mgr = Node.id mgr.node
 
 let txid t = t.id
 
-let is_top t = t.root = None
-
 let rec root t = match t.root with None -> t | Some r -> root r
 
 (* --- coordinator-side commit machinery --- *)

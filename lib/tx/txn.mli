@@ -68,8 +68,6 @@ val begin_child : t -> t
 
 val txid : t -> string
 
-val is_top : t -> bool
-
 val read : t -> node:string -> key:string -> string option io
 (** Sees this transaction's (and its ancestors') buffered writes first;
     otherwise read-locks and fetches the committed value. *)

@@ -270,7 +270,7 @@ let test_timer_expires () =
 
 (* Run one instance to conclusion, comparing after every simulator event
    the engine's mirror with the one recovery rebuilds from the store. *)
-let mirror_run ?nodes ~register ~script ~root ~inputs ~output () =
+let mirror_run ?nodes ?(check = fun _ _ -> ()) ~register ~script ~root ~inputs ~output () =
   let tb = Testbed.make ?nodes () in
   register tb.Testbed.registry;
   match Engine.launch tb.Testbed.engine ~script ~root ~inputs with
@@ -279,7 +279,9 @@ let mirror_run ?nodes ~register ~script ~root ~inputs ~output () =
     Harness.check_mirror_through_run ~until:(Sim.sec 120) tb.Testbed.engine
       (Testbed.participant tb "n0") tb.Testbed.sim iid;
     match Engine.status tb.Testbed.engine iid with
-    | Some status -> ignore (expect_done ~output status)
+    | Some status ->
+      ignore (expect_done ~output status);
+      check tb iid
     | None -> Alcotest.fail "instance vanished")
 
 (* [work] aborts and is compensated early; [hold] keeps the instance
@@ -340,11 +342,58 @@ let test_mirror_repeats_and_marks () =
     ~output:"done" ()
 
 (* [emit] releases both marks at one virtual instant, so the second
-   report is decided before the first mark's row commits *)
+   report is decided before the first mark's row commits; [use1] and
+   [use2] consume one mark each, and the flow finishes only once both
+   have run *)
 let two_marks =
   {|
 class Data;
 taskclass Emitter {
+    inputs { input main { data of class Data } };
+    outputs {
+        mark m1 { data of class Data };
+        mark m2 { data of class Data };
+        outcome done { data of class Data }
+    }
+};
+taskclass Step {
+    inputs { input main { data of class Data } };
+    outputs { outcome done { data of class Data } }
+};
+taskclass Flow {
+    inputs { input main { data of class Data } };
+    outputs { outcome finished { data of class Data } }
+};
+compoundtask flow of taskclass Flow {
+    task emit of taskclass Emitter {
+        implementation { "code" is "x.emit" };
+        inputs { input main { inputobject data from { data of task flow if input main } } }
+    };
+    task use1 of taskclass Step {
+        implementation { "code" is "x.use" };
+        inputs { input main { inputobject data from { data of task emit if output m1 } } }
+    };
+    task use2 of taskclass Step {
+        implementation { "code" is "x.use" };
+        inputs { input main { inputobject data from { data of task emit if output m2 } } }
+    };
+    outputs { outcome finished {
+        notification from { task use1 if output done };
+        outputobject data from { data of task use2 if output done }
+    } }
+}
+|}
+
+(* the compound [pair] releases m1 and m2 in one evaluation pass, as
+   soon as [work] is done *)
+let compound_two_marks =
+  {|
+class Data;
+taskclass Step {
+    inputs { input main { data of class Data } };
+    outputs { outcome done { data of class Data } }
+};
+taskclass Pair {
     inputs { input main { data of class Data } };
     outputs {
         mark m1 { data of class Data };
@@ -357,26 +406,104 @@ taskclass Flow {
     outputs { outcome finished { data of class Data } }
 };
 compoundtask flow of taskclass Flow {
-    task emit of taskclass Emitter {
-        implementation { "code" is "x.emit" };
-        inputs { input main { inputobject data from { data of task flow if input main } } }
+    compoundtask pair of taskclass Pair {
+        inputs { input main { inputobject data from { data of task flow if input main } } };
+        task work of taskclass Step {
+            implementation { "code" is "x.use" };
+            inputs { input main { inputobject data from { data of task pair if input main } } }
+        };
+        task last of taskclass Step {
+            implementation { "code" is "x.slow" };
+            inputs { input main { inputobject data from { data of task work if output done } } }
+        };
+        outputs {
+            mark m1 { outputobject data from { data of task work if output done } };
+            mark m2 { outputobject data from { data of task work if output done } };
+            outcome done { outputobject data from { data of task last if output done } }
+        }
     };
-    outputs { outcome finished { outputobject data from { data of task emit if output done } } }
+    task use1 of taskclass Step {
+        implementation { "code" is "x.use" };
+        inputs { input main { inputobject data from { data of task pair if output m1 } } }
+    };
+    task use2 of taskclass Step {
+        implementation { "code" is "x.use" };
+        inputs { input main { inputobject data from { data of task pair if output m2 } } }
+    };
+    outputs { outcome finished {
+        notification from { task use1 if output done; task pair if output done };
+        outputobject data from { data of task use2 if output done }
+    } }
 }
 |}
 
-let test_mirror_marks_released_together () =
+let register_marks reg =
   let data = [ ("data", Value.Str "x") ] in
   let mark output = Registry.Emit_mark { Registry.output; objects = data } in
-  mirror_run
-    ~register:(fun reg ->
-      Registry.bind reg ~code:"x.emit" (fun _ ->
-          {
-            Registry.steps =
-              [ Registry.Work (Sim.ms 1); mark "m1"; mark "m2"; Registry.Work (Sim.ms 5) ];
-            finish = { Registry.output = "done"; objects = data };
-          }))
-    ~script:two_marks ~root:"flow" ~inputs:Workloads.seed_inputs ~output:"finished" ()
+  let work ms steps =
+    {
+      Registry.steps = Registry.Work (Sim.ms ms) :: steps;
+      finish = { Registry.output = "done"; objects = data };
+    }
+  in
+  Registry.bind reg ~code:"x.emit" (fun _ ->
+      work 1 [ mark "m1"; mark "m2"; Registry.Work (Sim.ms 5) ]);
+  Registry.bind reg ~code:"x.use" (fun _ -> work 1 []);
+  Registry.bind reg ~code:"x.slow" (fun _ -> work 20 [])
+
+let test_mirror_marks_released_together () =
+  mirror_run ~register:register_marks ~script:two_marks ~root:"flow" ~inputs:Workloads.seed_inputs
+    ~output:"finished" ()
+
+let test_mirror_compound_marks_together () =
+  mirror_run ~register:register_marks ~script:compound_two_marks ~root:"flow"
+    ~inputs:Workloads.seed_inputs ~output:"finished"
+    ~check:(fun tb iid ->
+      (* each mark is released once: a lost m1 would fire again later *)
+      Alcotest.(check int)
+        (iid ^ ": marks released by flow/pair")
+        2
+        (count_events tb (function
+          | Event.Task_marked { path = "flow/pair"; _ } -> true
+          | _ -> false)))
+    ()
+
+(* A compound repeat's rows delete its scope's rows whether they are in
+   the mirror or only staged: a timer armed under the scope whose row is
+   still in flight when the repeat's rows are built must not outlive the
+   round once both commit, in the order they were staged. *)
+let test_repeat_deletes_staged_rows () =
+  let schema =
+    match Frontend.compile Paper_scripts.quickstart ~root:Paper_scripts.quickstart_root with
+    | Ok schema -> schema
+    | Error e -> Alcotest.failf "compile failed: %s" (Frontend.error_to_string e)
+  in
+  let inst =
+    Instate.create ~iid:"i" ~script_text:"" ~schema ~status:Wstate.Wf_running ~external_inputs:[]
+  in
+  let armed = Wstate.Timer_armed ("loop/waiter", "timeout") in
+  let backoff = Wstate.Backoff "loop/waiter" in
+  let outside = Wstate.Backoff "other" in
+  Instate.applied inst (Instate.stage inst [ Wstate.Put (backoff, (2, 100)) ]);
+  let arm = Instate.stage inst [ Wstate.Put (armed, 500); Wstate.Put (outside, (2, 100)) ] in
+  let repeat =
+    Instate.stage inst
+      (Instate.action_rows inst ~now:0 ~deadline_of:(fun _ -> 0)
+         (Sched.Do_repeat { a_path = [ "loop" ]; a_name = "retry"; a_objects = []; a_attempt = 2 }))
+  in
+  let deletes = List.filter (function Wstate.Delete _ -> true | Wstate.Put _ -> false) repeat in
+  Alcotest.(check bool)
+    "the staged armed deadline and the mirrored backoff are deleted, nothing outside" true
+    (List.sort compare deletes
+    = List.sort compare
+        [ Wstate.Delete (Wstate.Chosen "loop"); Wstate.Delete backoff; Wstate.Delete armed ]);
+  Instate.applied inst arm;
+  Instate.applied inst repeat;
+  Alcotest.(check int) "no armed deadline left" 0 (Hashtbl.length inst.Instate.timer_arms);
+  Alcotest.(check (list string))
+    "only the backoff outside the scope left" [ "other" ]
+    (List.of_seq (Hashtbl.to_seq_keys inst.Instate.backoffs));
+  Alcotest.(check bool) "nothing staged" true (inst.Instate.staged = Instate.Idle)
 
 let test_mirror_timers () =
   List.iter
@@ -2044,5 +2171,8 @@ let () =
           Alcotest.test_case "repeats and marks" `Quick test_mirror_repeats_and_marks;
           Alcotest.test_case "timers" `Quick test_mirror_timers;
           Alcotest.test_case "marks released together" `Quick test_mirror_marks_released_together;
+          Alcotest.test_case "compound marks released in one pass" `Quick
+            test_mirror_compound_marks_together;
+          Alcotest.test_case "repeat deletes staged rows" `Quick test_repeat_deletes_staged_rows;
         ] );
     ]

@@ -616,7 +616,6 @@ let prop_rows_round_trip =
       let rows =
         Wstate.
           [
-            Put (Dir, n);
             Put
               ( Meta,
                 {
@@ -640,7 +639,7 @@ let prop_rows_round_trip =
       List.for_all
         (fun row ->
           match Wstate.encode iid row with
-          | key, Some value -> Wstate.decode iid ~key ~value = Some row
+          | key, Some value -> Wstate.decode iid ~read:(fun _ -> Some value) key = Some row
           | _, None -> false)
         rows)
 

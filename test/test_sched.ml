@@ -86,7 +86,7 @@ let shadow_pump ~rand (script, root) =
       List.filter_map
         (function
           | Sched.Arm_timer { a_path; a_set; a_attempt; _ } ->
-            let key = pkey a_path ^ "|" ^ a_set in
+            let key = (pkey a_path, a_set) in
             if Hashtbl.find_opt armed key = Some a_attempt then None else Some (key, a_attempt)
           | _ -> None)
         arms
