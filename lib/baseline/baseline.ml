@@ -23,7 +23,6 @@ type t = {
   insts : (string, inst) Hashtbl.t;
   pending_relaunch : (string, string * Schema.task * (string * Value.obj) list) Hashtbl.t;
   mutable seq : int;
-  mutable epoch : int;
   mutable executed : int;
   mutable restarts : int;
   mutable observers : (string -> Wstate.status -> unit) list;
@@ -187,7 +186,7 @@ and run_impl t inst ~path ~task ~attempt ~set ~values =
     t.executed <- t.executed + 1;
     let ctx = { Registry.attempt; input_set = set; inputs = values; rng = Rng.split t.rng } in
     let plan = fn ctx in
-    let epoch = t.epoch in
+    let inc = Node.incarnation t.node in
     let total, timed_marks =
       List.fold_left
         (fun (at, acc) step ->
@@ -199,7 +198,7 @@ and run_impl t inst ~path ~task ~attempt ~set ~values =
     let fire_mark (at, (m : Registry.outcome)) =
       ignore
         (Sim.schedule t.sim ~delay:at (fun () ->
-             if t.epoch = epoch && Hashtbl.mem t.insts inst.iid then begin
+             if Node.incarnation t.node = inc then begin
                let objects = wrap task ~output:m.Registry.output m.Registry.objects in
                Hashtbl.replace inst.marks (pkey path)
                  (marks_of inst path @ [ (m.Registry.output, objects) ]);
@@ -209,7 +208,7 @@ and run_impl t inst ~path ~task ~attempt ~set ~values =
     List.iter fire_mark (List.rev timed_marks);
     ignore
       (Sim.schedule t.sim ~delay:total (fun () ->
-           if t.epoch = epoch && Hashtbl.mem t.insts inst.iid then begin
+           if Node.incarnation t.node = inc then begin
              finish_task t inst ~path ~task ~attempt plan.Registry.finish;
              evaluate t inst
            end))
@@ -340,14 +339,12 @@ let create ~sim ~node ~registry =
       insts = Hashtbl.create 8;
       pending_relaunch = Hashtbl.create 8;
       seq = 0;
-      epoch = 0;
       executed = 0;
       restarts = 0;
       observers = [];
     }
   in
   Node.on_crash node (fun () ->
-      t.epoch <- t.epoch + 1;
       Hashtbl.iter
         (fun iid inst ->
           if inst.status = Wstate.Wf_running then

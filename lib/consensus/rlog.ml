@@ -26,7 +26,6 @@ type t = {
   mutable leader_hint : string option;
   mutable electing : bool;
   mutable catching_up : bool;
-  mutable epoch : int;  (* bumped per crash; fences timers scheduled before it *)
   pending : (int, (string, string) result -> unit) Hashtbl.t;
       (* leader only: client reply continuations by log index; volatile *)
   next_idx : (string, int) Hashtbl.t;
@@ -222,7 +221,7 @@ let rec advance_commit t =
 and send_replicate t peer =
   if t.role = Leader && not (inflight t peer) then begin
     Hashtbl.replace t.inflight peer true;
-    let this_term = t.term and epoch = t.epoch in
+    let this_term = t.term and inc = Node.incarnation t.node in
     let next = match Hashtbl.find_opt t.next_idx peer with Some n -> n | None -> t.loglen + 1 in
     let prev = next - 1 in
     let prev_term = if prev = 0 then 0 else (get_entry t prev).e_term in
@@ -235,48 +234,46 @@ and send_replicate t peer =
     let body = enc_replicate ((this_term, t.self, prev), (prev_term, batch, sent_commit)) in
     Rpc.call t.rpc ~src:t.self ~dst:peer ~service:service_replicate ~body
       ~timeout:replicate_timeout ~retries:2 (fun res ->
-        if t.epoch = epoch then begin
-          Hashtbl.replace t.inflight peer false;
-          if t.role = Leader && t.term = this_term then begin
-            match res with
-            | Ok rsp -> (
-              match Wire.(decode (d_triple d_int d_bool d_int)) rsp with
-              | exception Wire.Malformed _ -> ()
-              | rterm, ok, rlen ->
-                if rterm > t.term then step_down t rterm
-                else if ok then begin
-                  let matched = prev + List.length batch in
-                  Hashtbl.replace t.match_idx peer matched;
-                  Hashtbl.replace t.next_idx peer (matched + 1);
-                  Hashtbl.replace t.pushed_commit peer sent_commit;
-                  Hashtbl.replace t.sync_left peer sync_retries;
-                  advance_commit t;
-                  if
-                    (match Hashtbl.find_opt t.next_idx peer with
-                    | Some n -> n <= t.loglen
-                    | None -> false)
-                    || Hashtbl.find_opt t.pushed_commit peer <> Some t.commit
-                  then send_replicate t peer
-                end
-                else begin
-                  (* log mismatch: back up using the follower's reported
-                     length and retry immediately — strictly decreasing,
-                     so this terminates *)
-                  Hashtbl.replace t.next_idx peer (max 1 (min (next - 1) (rlen + 1)));
-                  send_replicate t peer
-                end)
-            | Error _ ->
-              let left =
-                match Hashtbl.find_opt t.sync_left peer with Some n -> n | None -> sync_retries
-              in
-              if left > 0 then begin
-                Hashtbl.replace t.sync_left peer (left - 1);
-                ignore
-                  (Sim.schedule (sim t) ~delay:sync_period (fun () ->
-                       if t.epoch = epoch && t.role = Leader && t.term = this_term then
-                         send_replicate t peer))
+        Hashtbl.replace t.inflight peer false;
+        if t.role = Leader && t.term = this_term then begin
+          match res with
+          | Ok rsp -> (
+            match Wire.(decode (d_triple d_int d_bool d_int)) rsp with
+            | exception Wire.Malformed _ -> ()
+            | rterm, ok, rlen ->
+              if rterm > t.term then step_down t rterm
+              else if ok then begin
+                let matched = prev + List.length batch in
+                Hashtbl.replace t.match_idx peer matched;
+                Hashtbl.replace t.next_idx peer (matched + 1);
+                Hashtbl.replace t.pushed_commit peer sent_commit;
+                Hashtbl.replace t.sync_left peer sync_retries;
+                advance_commit t;
+                if
+                  (match Hashtbl.find_opt t.next_idx peer with
+                  | Some n -> n <= t.loglen
+                  | None -> false)
+                  || Hashtbl.find_opt t.pushed_commit peer <> Some t.commit
+                then send_replicate t peer
               end
-          end
+              else begin
+                (* log mismatch: back up using the follower's reported
+                   length and retry immediately — strictly decreasing,
+                   so this terminates *)
+                Hashtbl.replace t.next_idx peer (max 1 (min (next - 1) (rlen + 1)));
+                send_replicate t peer
+              end)
+          | Error _ ->
+            let left =
+              match Hashtbl.find_opt t.sync_left peer with Some n -> n | None -> sync_retries
+            in
+            if left > 0 then begin
+              Hashtbl.replace t.sync_left peer (left - 1);
+              ignore
+                (Sim.schedule (sim t) ~delay:sync_period (fun () ->
+                     if Node.incarnation t.node = inc && t.role = Leader && t.term = this_term
+                     then send_replicate t peer))
+            end
         end)
   end
 
@@ -317,7 +314,7 @@ let rec election_round t round =
     t.leader_hint <- None;
     persist_meta t;
     emit t (Event.Cons_election_started { node = t.self; term = t.term });
-    let this_term = t.term and epoch = t.epoch in
+    let this_term = t.term and inc = Node.incarnation t.node in
     let votes = ref 1 in
     if !votes >= t.quorum then become_leader t
     else begin
@@ -328,20 +325,17 @@ let rec election_round t round =
       List.iter
         (fun p ->
           Rpc.call t.rpc ~src:t.self ~dst:p ~service:service_vote ~body ~timeout:vote_timeout
-            ~retries:1 (fun res ->
-              if t.epoch = epoch then begin
-                match res with
-                | Error _ -> ()
-                | Ok rsp -> (
-                  match Wire.(decode (d_pair d_int d_bool)) rsp with
-                  | exception Wire.Malformed _ -> ()
-                  | rterm, granted ->
-                    if rterm > t.term then step_down t rterm
-                    else if granted && t.role = Candidate && t.term = this_term then begin
-                      incr votes;
-                      if !votes = t.quorum then become_leader t
-                    end)
-              end))
+            ~retries:1 (function
+              | Error _ -> ()
+              | Ok rsp -> (
+                match Wire.(decode (d_pair d_int d_bool)) rsp with
+                | exception Wire.Malformed _ -> ()
+                | rterm, granted ->
+                  if rterm > t.term then step_down t rterm
+                  else if granted && t.role = Candidate && t.term = this_term then begin
+                    incr votes;
+                    if !votes = t.quorum then become_leader t
+                  end)))
         t.others;
       (* bounded retry, staggered by rank so concurrent candidates
          converge on the lowest-ranked live one instead of splitting
@@ -349,7 +343,7 @@ let rec election_round t round =
       let delay = election_retry_base + (t.rank * election_stagger) in
       ignore
         (Sim.schedule (sim t) ~delay (fun () ->
-             if t.epoch = epoch && t.role = Candidate && t.term = this_term then
+             if Node.incarnation t.node = inc && t.role = Candidate && t.term = this_term then
                if round < election_rounds then election_round t (round + 1)
                else begin
                  (* give up: quorum unreachable. The next urgent client
@@ -457,16 +451,12 @@ let handle_append t ~src:_ body ~reply =
          before campaigning, so a client-side partition does not depose
          a perfectly healthy leader, and a dead candidate cannot wedge
          the group *)
-      let epoch = t.epoch in
       Rpc.call t.rpc ~src:t.self ~dst:l ~service:service_ping ~body:(Wire.string t.self)
-        ~timeout:probe_timeout ~retries:1 (fun res ->
-          if t.epoch = epoch then begin
-            match res with
-            | Ok _ -> reply (Ok (tagged "redirect" l))
-            | Error _ ->
-              if t.role = Follower then start_election t;
-              reply (Ok (tagged "electing" ""))
-          end)
+        ~timeout:probe_timeout ~retries:1 (function
+          | Ok _ -> reply (Ok (tagged "redirect" l))
+          | Error _ ->
+            if t.role = Follower then start_election t;
+            reply (Ok (tagged "electing" "")))
     | _ ->
       if urgent then begin
         start_election t;
@@ -516,23 +506,21 @@ let recover t =
   apply_committed t;
   (* announce the rejoin: whichever peer currently leads will resume
      pushing the suffix we missed *)
-  let epoch = t.epoch in
+  let inc = Node.incarnation t.node in
   ignore
     (Sim.schedule (sim t) ~delay:0 (fun () ->
-         if t.epoch = epoch then
+         if Node.incarnation t.node = inc then
            List.iter
              (fun p ->
                Rpc.call t.rpc ~src:t.self ~dst:p ~service:service_ping
-                 ~body:(Wire.string t.self) ~timeout:probe_timeout ~retries:1 (fun res ->
-                   if t.epoch = epoch then
-                     match res with
-                     | Ok rsp -> (
-                       match Wire.(decode (d_triple d_int (d_option d_string) d_int)) rsp with
-                       | exception Wire.Malformed _ -> ()
-                       | rterm, hint, _ ->
-                         if rterm > t.term then step_down t rterm;
-                         if t.leader_hint = None && rterm >= t.term then t.leader_hint <- hint)
-                     | Error _ -> ()))
+                 ~body:(Wire.string t.self) ~timeout:probe_timeout ~retries:1 (function
+                 | Ok rsp -> (
+                   match Wire.(decode (d_triple d_int (d_option d_string) d_int)) rsp with
+                   | exception Wire.Malformed _ -> ()
+                   | rterm, hint, _ ->
+                     if rterm > t.term then step_down t rterm;
+                     if t.leader_hint = None && rterm >= t.term then t.leader_hint <- hint)
+                 | Error _ -> ()))
              t.others))
 
 let create ~rpc ~node ~peers ~apply ~reset () =
@@ -563,7 +551,6 @@ let create ~rpc ~node ~peers ~apply ~reset () =
       leader_hint = None;
       electing = false;
       catching_up = false;
-      epoch = 0;
       pending = Hashtbl.create 16;
       next_idx = Hashtbl.create 4;
       match_idx = Hashtbl.create 4;
@@ -577,7 +564,6 @@ let create ~rpc ~node ~peers ~apply ~reset () =
   Node.serve node ~service:service_ping (handle_ping t);
   Rpc.serve_async rpc node ~service:service_append (handle_append t);
   Node.on_crash node (fun () ->
-      t.epoch <- t.epoch + 1;
       t.role <- Follower;
       t.leader_hint <- None;
       t.electing <- false;
@@ -586,5 +572,9 @@ let create ~rpc ~node ~peers ~apply ~reset () =
   Node.on_recover node (fun () -> recover t);
   (* bootstrap: the lowest-ranked replica campaigns for term 1 so the
      group has a leader before the first client append arrives *)
-  if t.rank = 0 then ignore (Sim.schedule (sim t) ~delay:0 (fun () -> start_election t));
+  let inc = Node.incarnation node in
+  if t.rank = 0 then
+    ignore
+      (Sim.schedule (sim t) ~delay:0 (fun () ->
+           if Node.incarnation node = inc then start_election t));
   t

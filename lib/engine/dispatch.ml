@@ -9,7 +9,6 @@ type t = {
       (* dispatches are serialised through the engine's one scheduler
          thread: each costs [overhead] of engine time, so concurrent
          dispatch demand queues here (what the cluster bench measures) *)
-  mutable incarnation : int;
   mutable pending : ((string * string option) list * (unit -> unit)) list;
       (* queued persist requests awaiting the flush event, newest first *)
   mutable flush_armed : bool;
@@ -30,7 +29,6 @@ let create ?(overhead = 0) ~rpc ~node ~mgr ~participant () =
       sim = Network.sim (Rpc.network rpc);
       overhead;
       busy_until = 0;
-      incarnation = 0;
       pending = [];
       flush_armed = false;
       ready = Queue.create ();
@@ -38,7 +36,6 @@ let create ?(overhead = 0) ~rpc ~node ~mgr ~participant () =
     }
   in
   Node.on_crash node (fun () ->
-      t.incarnation <- t.incarnation + 1;
       t.busy_until <- 0;
       t.pending <- [];
       t.flush_armed <- false;
@@ -86,13 +83,12 @@ let persist t writes k =
   t.pending <- (writes, k) :: t.pending;
   if not t.flush_armed then begin
     t.flush_armed <- true;
-    let inc = t.incarnation in
+    let inc = Node.incarnation t.node in
     ignore
       (Sim.schedule t.sim ~delay:0 (fun () ->
-           (* a crash in between cleared the queue and bumped the
-              incarnation; this stale flush must not touch the queue
-              refilled after recovery *)
-           if t.incarnation = inc then flush t))
+           (* a crash in between cleared the queue; this stale flush
+              must not touch the queue refilled after recovery *)
+           if Node.incarnation t.node = inc then flush t))
   end
 
 (* The intrusive ready deque: enqueues are O(1); one drain event is in
@@ -106,12 +102,12 @@ let rec drain t () =
   | None -> t.draining <- false
   | Some fire ->
     t.busy_until <- Sim.now t.sim;
-    if Node.up t.node then fire ();
+    fire ();
     if Queue.is_empty t.ready then t.draining <- false else schedule_drain t t.overhead
 
 and schedule_drain t delay =
-  let inc = t.incarnation in
-  ignore (Sim.schedule t.sim ~delay (fun () -> if t.incarnation = inc then drain t ()))
+  let inc = Node.incarnation t.node in
+  ignore (Sim.schedule t.sim ~delay (fun () -> if Node.incarnation t.node = inc then drain t ()))
 
 let fire_exec t ~host ~retries req k =
   Sim.emit t.sim ~src:(node_id t)
@@ -139,8 +135,6 @@ let send_exec t ~host ~retries req k =
       schedule_drain t (start + t.overhead - now)
     end
   end
-
-let ready_len t = Queue.length t.ready
 
 let committed_value t ~key = Participant.committed_value t.participant ~key
 

@@ -46,11 +46,6 @@ val send_exec : t -> host:string -> retries:int -> Wfmsg.exec_req -> ((string, s
     [overhead] — same timing as per-dispatch scheduling, one simulator
     event per engine instead of one per queued dispatch. *)
 
-val ready_len : t -> int
-(** Dispatches currently queued on the ready deque (0 when [overhead]
-    is 0 — dispatches then fire inline). Backs the
-    [engine.ready_queue_len] gauge. *)
-
 val committed_value : t -> key:string -> string option
 (** Read the engine node's committed store outside any transaction. *)
 

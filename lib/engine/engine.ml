@@ -6,9 +6,10 @@
    - Dispatch — effects: transactions, RPC dispatch, committed reads
    - Event/Metrics — typed observability spine (Sim.events)
 
-   This module orchestrates: it runs the evaluation pump, owns epochs
-   and watchdogs, executes policy decisions ([advance]), and wires
-   crash/recovery. *)
+   This module orchestrates: it runs the evaluation pump, owns the
+   watchdogs, executes policy decisions ([advance]), and wires
+   crash/recovery. Every timer and deferred event it schedules is fenced
+   by the node's incarnation ({!Node.incarnation}). *)
 
 type config = {
   default_deadline : Sim.time;
@@ -55,7 +56,6 @@ type t = {
          launching the same script 100k times compiles it once and all
          instances share one schema tree *)
   mutable seq : int;
-  mutable epoch : int;
   mutable orphans : Instate.t list;
       (* running instances held in memory when the node crashed; any
          whose launch transaction presumed-aborted are re-persisted
@@ -242,10 +242,10 @@ let rec mark_dirty ?paths t inst =
   | Some ps -> inst.Instate.pending <- Sched.add_dirty inst.Instate.pending ps);
   if not inst.Instate.inflight then begin
     inst.Instate.inflight <- true;
-    let epoch = t.epoch in
+    let inc = Node.incarnation t.node in
     ignore
       (Sim.schedule t.sim ~delay:0 (fun () ->
-           if t.epoch = epoch && Node.up t.node then pump t inst
+           if Node.incarnation t.node = inc then pump t inst
            else inst.Instate.inflight <- false))
   end
 
@@ -294,10 +294,10 @@ and arm_timer_action t inst = function
   | Sched.Arm_timer { a_path; a_set; a_task; a_attempt } ->
     let key = (pkey a_path, a_set) in
     Hashtbl.replace inst.Instate.timers_armed key a_attempt;
-    let epoch = t.epoch in
+    let inc = Node.incarnation t.node in
     let fire () =
       if
-        t.epoch = epoch && Node.up t.node
+        Node.incarnation t.node = inc
         && Sched.waiting_attempt (iview t inst) a_path = Some a_attempt
       then
         persist_rows t inst
@@ -339,37 +339,34 @@ and dispatch t inst ~path ~task ~set ~inputs ~attempt =
      it was on *)
   let code = Policy.code (rpolicy t task) ~attempt in
   let host = match Ast.impl_location task.Schema.impl with Some n -> n | None -> Node.id t.node in
-  let epoch = t.epoch in
   Dispatch.send_exec t.disp ~host ~retries:dispatch_rpc_retries
     { Wfmsg.x_iid = inst.Instate.iid; x_path = path; x_attempt = attempt; x_code = code;
       x_set = set; x_inputs = inputs }
     (function
       | Ok reply when reply = Wfmsg.reply_ok -> ()
-      | Ok _ ->
-        if t.epoch = epoch then
-          fail_policy t inst ~path ~task ~reason:("host has no implementation for " ^ code)
-      | Error _ -> if t.epoch = epoch then advance t inst ~path ~task Policy.after_failure);
+      | Ok _ -> fail_policy t inst ~path ~task ~reason:("host has no implementation for " ^ code)
+      | Error _ -> advance t inst ~path ~task Policy.after_failure);
   schedule_watchdog t inst ~path ~task ~attempt
 
 (* Dispatch [attempt] after [delay] — a policy backoff — unless by then
    the engine has crashed, the task's scope has closed or the attempt
    has moved on. *)
 and dispatch_after t inst ~path ~task ~set ~inputs ~attempt delay =
-  let epoch = t.epoch in
+  let inc = Node.incarnation t.node in
   Instate.set_alarm inst t.sim path
     (Instate.Backoff
        (Sim.schedule t.sim ~delay (fun () ->
-            if t.epoch = epoch && Node.up t.node && task_live t inst path then
+            if Node.incarnation t.node = inc && task_live t inst path then
               match Instate.get_state inst path with
               | Some (Wstate.Running { attempt = a; _ }) when a = attempt ->
                 dispatch t inst ~path ~task ~set ~inputs ~attempt
               | _ -> ())))
 
 and schedule_watchdog ?delay t inst ~path ~task ~attempt =
-  let epoch = t.epoch in
+  let inc = Node.incarnation t.node in
   let span = match delay with Some d -> d | None -> deadline_span t task + Sim.ms 1 in
   let check () =
-    if t.epoch = epoch && Node.up t.node && task_live t inst path then
+    if Node.incarnation t.node = inc && task_live t inst path then
       match Instate.get_state inst path with
       | Some (Wstate.Running { attempt = a; _ }) when a = attempt ->
         emit t (Event.Watchdog_fired { path = pkey path });
@@ -617,13 +614,13 @@ let reconcile_one t iid =
    another crash before the timer fires must not lose it (each recovery
    re-schedules the survivors). *)
 let relaunch_orphan t (orphan : Instate.t) =
-  let epoch = t.epoch in
+  let inc = Node.incarnation t.node in
   let retry_delay = Sim.ms 120 in
   let forget () =
     t.orphans <- List.filter (fun (o : Instate.t) -> o.Instate.iid <> orphan.Instate.iid) t.orphans
   in
   let attempt () =
-    if t.epoch = epoch && Node.up t.node then
+    if Node.incarnation t.node = inc then
       if
         Hashtbl.mem t.insts orphan.Instate.iid
         || Dispatch.committed_value t.disp ~key:(Wstate.key orphan.Instate.iid Wstate.Meta) <> None
@@ -645,7 +642,6 @@ let relaunch_orphan t (orphan : Instate.t) =
   ignore (Sim.schedule t.sim ~delay:retry_delay attempt)
 
 let recover t () =
-  t.epoch <- t.epoch + 1;
   Hashtbl.reset t.insts;
   (* one sorted key read serves the whole replay: the directory rows and
      each instance's rows are contiguous slices of it *)
@@ -699,16 +695,14 @@ let create ?(config = default_config) ~rpc ~node ~mgr ~participant ~registry:reg
       inst_rev = [];
       compiled = Hashtbl.create 8;
       seq = 0;
-      epoch = 1;
       orphans = [];
     }
   in
   Node.serve node ~service:(Wfmsg.service_done ~engine:own) (handle_report t ~is_mark:false);
   Node.serve node ~service:(Wfmsg.service_mark ~engine:own) (handle_report t ~is_mark:true);
   Node.on_crash node (fun () ->
-      t.epoch <- t.epoch + 1;
-      (* the epoch fence already makes them no-ops; cancelling frees
-         the old mirrors now rather than at each timer's deadline *)
+      (* the incarnation fence already makes them no-ops; cancelling
+         frees the old mirrors now rather than at each timer's deadline *)
       Hashtbl.iter (fun _ inst -> Instate.cancel_timers inst sim) t.insts;
       let running =
         Hashtbl.fold
@@ -721,10 +715,10 @@ let create ?(config = default_config) ~rpc ~node ~mgr ~participant ~registry:reg
   Dispatch.on_apply t.disp (fun writes ->
       let dir_iids = List.filter_map (fun (key, _) -> Wstate.dir_iid key) writes in
       if dir_iids <> [] then begin
-        let epoch = t.epoch in
+        let inc = Node.incarnation node in
         ignore
           (Sim.schedule sim ~delay:0 (fun () ->
-               if t.epoch = epoch && Node.up node then List.iter (reconcile_one t) dir_iids))
+               if Node.incarnation node = inc then List.iter (reconcile_one t) dir_iids))
       end);
   ignore (attach_host t node);
   t
@@ -752,7 +746,9 @@ let launch ?iid t ~script ~root ~inputs =
     | Ok schema ->
       t.seq <- t.seq + 1;
       let iid =
-        match iid with Some i -> i | None -> Printf.sprintf "wf-%d-%d" t.epoch t.seq
+        match iid with
+        | Some i -> i
+        | None -> Printf.sprintf "wf-%d-%d" (Node.incarnation t.node + 1) t.seq
       in
       let inst =
         Instate.create ~iid ~script_text:script ~schema ~status:Wstate.Wf_running
@@ -952,7 +948,4 @@ let observe_residency t =
     end
     else t.insts
   in
-  let words = Obj.reachable_words (Obj.repr mirrors) in
-  Metrics.set t.metrics "engine.resident_words" words;
-  Metrics.set t.metrics "engine.ready_queue_len" (Dispatch.ready_len t.disp);
-  words
+  Obj.reachable_words (Obj.repr mirrors)

@@ -223,7 +223,5 @@ val recoveries_total : t -> int
 
 val observe_residency : t -> int
 (** Sample resident memory: reachable words from the live instance
-    mirrors ([Obj.reachable_words]), published as the
-    [engine.resident_words] gauge (alongside [engine.ready_queue_len])
-    in {!metrics}, and returned. Walking the heap is proportional to
-    resident state — call it at measurement points, not per event. *)
+    mirrors ([Obj.reachable_words]). Walking the heap is proportional
+    to resident state — call it at measurement points, not per event. *)

@@ -5,8 +5,6 @@ type t = {
   engine_node : string;
   sim : Sim.t;
   rng : Rng.t;
-  mutable incarnation : int;
-  mutable executions : int;
 }
 
 let report_retries = 20
@@ -16,10 +14,10 @@ let send_report t ~service (report : Wfmsg.report) =
     ~body:(Wfmsg.enc_report report) ~retries:report_retries (fun _ -> ())
 
 (* Run the plan's steps in sequence over simulated time. Every step is
-   fenced by the host incarnation: a crash orphans the plan. *)
+   fenced by the node's incarnation: a crash orphans the plan. *)
 let run_plan t (req : Wfmsg.exec_req) (plan : Registry.plan) =
-  let epoch = t.incarnation in
-  let alive () = t.incarnation = epoch && Node.up t.node in
+  let inc = Node.incarnation t.node in
+  let alive () = Node.incarnation t.node = inc in
   let report output objects =
     {
       Wfmsg.r_iid = req.x_iid;
@@ -52,7 +50,6 @@ let handle_exec t ~src:_ body =
   match Registry.find t.registry ~code:req.x_code with
   | None | Some (Registry.Sub_workflow _) -> Wfmsg.reply_no_impl
   | Some (Registry.Fn fn) ->
-    t.executions <- t.executions + 1;
     let ctx =
       {
         Registry.attempt = req.x_attempt;
@@ -78,20 +75,6 @@ let handle_exec t ~src:_ body =
 
 let attach ~rpc ~node ~registry ~engine_node =
   let sim = Network.sim (Rpc.network rpc) in
-  let t =
-    {
-      rpc;
-      node;
-      registry;
-      engine_node;
-      sim;
-      rng = Rng.split (Sim.rng sim);
-      incarnation = 0;
-      executions = 0;
-    }
-  in
+  let t = { rpc; node; registry; engine_node; sim; rng = Rng.split (Sim.rng sim) } in
   Node.serve node ~service:(Wfmsg.service_exec ~engine:engine_node) (handle_exec t);
-  Node.on_crash node (fun () -> t.incarnation <- t.incarnation + 1);
   t
-
-let executions_total t = t.executions

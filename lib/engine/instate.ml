@@ -105,8 +105,7 @@ let put : type a. t -> a Wstate.field -> a -> unit =
   | Wstate.Compensated path -> Hashtbl.replace inst.compensated path value
   | Wstate.Meta -> inst.status <- value.Wstate.m_status
   | Wstate.Reconf -> inst.script_text <- value
-  | Wstate.History n -> inst.hseq <- max inst.hseq (n + 1)
-  | Wstate.Dir -> ()
+  | Wstate.History _ | Wstate.Dir -> ()
 
 let delete : type a. t -> a Wstate.field -> unit =
  fun inst -> function
@@ -162,9 +161,17 @@ let fold_staged f init inst =
   | Idle -> init
   | Staged { oldest; newest } -> List.fold_left f (List.fold_left f init oldest) (List.rev newest)
 
+(* [history_row] consumes [hseq] when it builds a row; recovery takes it
+   from the history keys, never reading the rows themselves. *)
 let load_committed inst ~read ~keys =
   let decode = Wstate.decode inst.iid ~read in
-  List.iter (fun key -> match decode key with Some row -> apply inst row | None -> ()) keys
+  let history_index = Wstate.history_index inst.iid in
+  List.iter
+    (fun key ->
+      match history_index key with
+      | Some n -> inst.hseq <- max inst.hseq (n + 1)
+      | None -> ( match decode key with Some row -> apply inst row | None -> ()))
+    keys
 
 (* --- queued timers (volatile) --- *)
 

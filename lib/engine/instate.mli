@@ -85,10 +85,10 @@ val pending_backoffs : t -> (Wstate.path * int * Sim.time) list
 
 val apply : t -> Wstate.row -> unit
 (** The one writer of the mirror tables: a put replaces and a delete
-    removes the field's entry; {!Wstate.Meta} sets [status],
-    {!Wstate.Reconf} [script_text] and {!Wstate.History} advances
-    [hseq] past its index. {!Wstate.Dir} is the engine's, not the
-    instance's. *)
+    removes the field's entry; {!Wstate.Meta} sets [status] and
+    {!Wstate.Reconf} [script_text]. A {!Wstate.History} row changes
+    nothing: {!history_row} consumed its index when it built the row.
+    {!Wstate.Dir} is the engine's, not the instance's. *)
 
 val stage : t -> Wstate.row list -> Wstate.row list
 (** [stage inst rows] is [rows], recorded as persisted and not yet
@@ -103,7 +103,8 @@ val applied : t -> Wstate.row list -> unit
 val load_committed : t -> read:(string -> string option) -> keys:string list -> unit
 (** Recovery: {!apply} the decoded row of each committed key of the
     instance ([read] fetches a committed value; keys of other instances
-    are ignored) — the rows a live commit applied. *)
+    are ignored) — the rows a live commit applied. History keys only
+    advance [hseq]; their values are never read. *)
 
 val history_row : t -> now:Sim.time -> kind:string -> detail:string -> Wstate.row
 (** The next persistent history row (consumes [hseq]). *)

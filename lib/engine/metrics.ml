@@ -1,7 +1,6 @@
 type t = {
   counters : (string, int ref) Hashtbl.t;
   histograms : (string, int list ref) Hashtbl.t;  (* samples, newest first *)
-  gauges : (string, int ref) Hashtbl.t;
   event_names : (string, int ref) Hashtbl.t;  (* Event.name -> "events."-prefixed counter *)
 }
 
@@ -9,7 +8,6 @@ let create () =
   {
     counters = Hashtbl.create 32;
     histograms = Hashtbl.create 8;
-    gauges = Hashtbl.create 8;
     event_names = Hashtbl.create 16;
   }
 
@@ -24,20 +22,6 @@ let observe t name v =
   | None -> Hashtbl.replace t.histograms name (ref [ v ])
 
 let value t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
-
-(* Gauges are last-write-wins point-in-time observations (resident
-   words, ready-queue length) — the caller samples them explicitly,
-   unlike counters/histograms which accumulate from the event bus. *)
-let set t name v =
-  match Hashtbl.find_opt t.gauges name with
-  | Some r -> r := v
-  | None -> Hashtbl.replace t.gauges name (ref v)
-
-let gauge t name = match Hashtbl.find_opt t.gauges name with Some r -> Some !r | None -> None
-
-let gauges t =
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.gauges []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let counters t =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []

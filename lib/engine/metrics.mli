@@ -31,19 +31,7 @@ val observe : t -> string -> int -> unit
 val value : t -> string -> int
 (** Current counter value; 0 if never incremented. *)
 
-val set : t -> string -> int -> unit
-(** Set a gauge: a last-write-wins point-in-time observation, sampled
-    explicitly by the owner rather than accumulated from the bus. The
-    engine publishes [engine.resident_words] and
-    [engine.ready_queue_len] this way (see [Engine.observe_residency]). *)
-
-val gauge : t -> string -> int option
-(** Current gauge value; [None] if never set. *)
-
 val counters : t -> (string * int) list
-(** Sorted by name. *)
-
-val gauges : t -> (string * int) list
 (** Sorted by name. *)
 
 val samples : t -> string -> int list

@@ -193,6 +193,14 @@ let task_prefix iid = instance_key iid ":"
 
 let history_prefix iid = instance_key iid ":h:"
 
+let history_index iid =
+  let prefix = history_prefix iid in
+  let from = String.length prefix in
+  fun k ->
+    if String.starts_with ~prefix k then
+      int_of_string_opt (String.sub k from (String.length k - from))
+    else None
+
 let key : type a. string -> a field -> string =
  fun iid -> function
   | Dir -> dir_prefix ^ iid
@@ -295,8 +303,6 @@ let decode iid ~read =
             let set = String.sub tail (j + 1) (String.length tail - j - 1) in
             if tag = "timer" then Some (Put (Timer_fired (path, set), ()))
             else decoded (Timer_armed (path, set)) read k)
-        | "h" -> (
-          match int_of_string_opt tail with Some n -> decoded (History n) read k | None -> None)
         | _ -> None)
 
 let pp_task_state ppf = function

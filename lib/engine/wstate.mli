@@ -96,8 +96,9 @@ val encode : string -> row -> string * string option
 val decode : string -> read:(string -> string option) -> string -> row option
 (** [decode iid ~read key] is the row that the committed [key] of
     instance [iid] and its value ([read key]) hold; [None] for a key of
-    another instance, a {!Dir} key, a key of no known kind or one [read]
-    finds no value for. A field whose value is [()] is not read. Raises
+    another instance, a {!Dir} or {!History} key (see {!history_index}),
+    a key of no known kind or one [read] finds no value for. A field
+    whose value is [()] is not read. Raises
     [Wire.Malformed] on a malformed value. Apply it to [iid] and [read]
     once to decode many keys. *)
 
@@ -118,6 +119,12 @@ val history_prefix : string -> string
 
 val key_history : string -> int -> string
 (** [key iid (History n)]. *)
+
+val history_index : string -> string -> int option
+(** [history_index iid key] is [Some n] when [key] is
+    [key_history iid n], else [None]: the index is in the key, so
+    counting history rows reads no value. Apply it to [iid] once to test
+    many keys. *)
 
 val encode_history : Sim.time * string * string -> string
 (** An audit row's value: at, kind, detail. *)

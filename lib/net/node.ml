@@ -2,18 +2,20 @@ type handler = src:string -> string -> string
 
 type t = {
   id : string;
-  mutable is_up : bool;
+  mutable incarnation : int;  (* even while up: crash and recover each add one *)
   services : (string, handler) Hashtbl.t;
   mutable crash_hooks : (unit -> unit) list;
   mutable recover_hooks : (unit -> unit) list;
 }
 
 let create ~id =
-  { id; is_up = true; services = Hashtbl.create 8; crash_hooks = []; recover_hooks = [] }
+  { id; incarnation = 0; services = Hashtbl.create 8; crash_hooks = []; recover_hooks = [] }
 
 let id t = t.id
 
-let up t = t.is_up
+let up t = t.incarnation land 1 = 0
+
+let incarnation t = t.incarnation
 
 let serve t ~service handler = Hashtbl.replace t.services service handler
 
@@ -26,13 +28,13 @@ let on_crash t hook = t.crash_hooks <- t.crash_hooks @ [ hook ]
 let on_recover t hook = t.recover_hooks <- t.recover_hooks @ [ hook ]
 
 let crash t =
-  if t.is_up then begin
-    t.is_up <- false;
+  if up t then begin
+    t.incarnation <- t.incarnation + 1;
     List.iter (fun hook -> hook ()) t.crash_hooks
   end
 
 let recover t =
-  if not t.is_up then begin
-    t.is_up <- true;
+  if not (up t) then begin
+    t.incarnation <- t.incarnation + 1;
     List.iter (fun hook -> hook ()) t.recover_hooks
   end

@@ -26,8 +26,6 @@ type endpoint = {
       (** request ids whose async handler is running but has not replied
           yet — duplicates arriving in the window are dropped (volatile,
           so a crash re-admits the retry after recovery) *)
-  mutable epoch : int;
-      (** bumped on every crash; fences stale deferred replies *)
 }
 
 type t = {
@@ -37,7 +35,6 @@ type t = {
   mutable next_req : int;
   mutable calls : int;
   mutable retries : int;
-  mutable dedup_hits : int;
   mutable reply_evictions : int;
   mutable loopbacks : int;
 }
@@ -51,7 +48,6 @@ let create ?(reply_cache_cap = 1024) net =
     next_req = 0;
     calls = 0;
     retries = 0;
-    dedup_hits = 0;
     reply_evictions = 0;
     loopbacks = 0;
   }
@@ -100,25 +96,22 @@ let handle_request t node ~src body =
     Network.send t.net ~src:(Node.id node) ~dst:src ~service:rsp_service ~body:encoded
   in
   (match Hashtbl.find_opt ep.replies_cache req_id with
-  | Some cached ->
-    t.dedup_hits <- t.dedup_hits + 1;
-    send cached
+  | Some cached -> send cached
   | None -> (
     match Hashtbl.find_opt ep.async_services service with
     | Some h ->
       (* Deferred reply: the handler completes later via [reply]. A
          duplicate arriving while the first invocation is still running
          is dropped — the eventual reply answers the request id, which
-         every retry shares, so the caller still gets it. The epoch
-         fence suppresses replies produced by an invocation that
+         every retry shares, so the caller still gets it. The node's
+         incarnation fences replies produced by an invocation that
          started before a crash: after recovery the retry re-runs the
          handler, and only the fresh invocation may answer. *)
-      if Hashtbl.mem ep.inflight req_id then t.dedup_hits <- t.dedup_hits + 1
-      else begin
+      if not (Hashtbl.mem ep.inflight req_id) then begin
         Hashtbl.replace ep.inflight req_id ();
-        let epoch = ep.epoch in
+        let inc = Node.incarnation node in
         let reply outcome =
-          if ep.epoch = epoch && Node.up node && Hashtbl.mem ep.inflight req_id then begin
+          if Node.incarnation node = inc && Hashtbl.mem ep.inflight req_id then begin
             Hashtbl.remove ep.inflight req_id;
             let encoded = encode_rsp (req_id, outcome) in
             cache_reply t ep ~node encoded req_id;
@@ -159,7 +152,6 @@ let attach t node =
         reply_order = Queue.create ();
         async_services = Hashtbl.create 4;
         inflight = Hashtbl.create 4;
-        epoch = 0;
       }
     in
     Hashtbl.replace t.endpoints id ep;
@@ -175,8 +167,7 @@ let attach t node =
         Hashtbl.reset ep.pending_calls;
         Hashtbl.reset ep.replies_cache;
         Queue.clear ep.reply_order;
-        Hashtbl.reset ep.inflight;
-        ep.epoch <- ep.epoch + 1)
+        Hashtbl.reset ep.inflight)
   end
 
 let serve_async t node ~service handler =
@@ -264,8 +255,6 @@ let call t ~src ~dst ~service ~body ?(timeout = Sim.ms 10) ?(retries = 8) callba
 let calls_total t = t.calls
 
 let retries_total t = t.retries
-
-let dedup_hits_total t = t.dedup_hits
 
 let reply_evictions_total t = t.reply_evictions
 

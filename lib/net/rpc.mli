@@ -74,8 +74,6 @@ val calls_total : t -> int
 
 val retries_total : t -> int
 
-val dedup_hits_total : t -> int
-
 val reply_evictions_total : t -> int
 (** Replies dropped from bounded dedup caches (lifetime, all nodes). *)
 

@@ -65,7 +65,11 @@ let rec poll_status t txid =
     Rpc.call t.rpc ~src:(node_id t) ~dst:prep.coordinator ~service:Txrecord.service_status
       ~body:(Txrecord.enc_txid txid) handle_reply
 
-and schedule_poll t txid = ignore (Sim.schedule t.sim ~delay:poll_period (fun () -> poll_status t txid))
+and schedule_poll t txid =
+  let inc = Node.incarnation t.node in
+  ignore
+    (Sim.schedule t.sim ~delay:poll_period (fun () ->
+         if Node.incarnation t.node = inc then poll_status t txid))
 
 let handle_read t ~src:_ body =
   let txid, key = Txrecord.dec_read_req body in

@@ -33,6 +33,8 @@ type manager = {
   finished : (string, unit) Hashtbl.t;  (* C_done seen *)
   active : (string, unit) Hashtbl.t;  (* undecided top-level txns started here *)
   mutable incarnation : int;
+      (* durable, one [C_incarnation] record per life: the part of each
+         txid that keeps it unique across crashes *)
   mutable seq : int;
   mutable committed_total : int;
   mutable resumed_total : int;
@@ -66,7 +68,7 @@ let commit_retry_cap = Sim.ms 500
 (* Push the commit decision to every participant until each one acks.
    Retries survive participant crashes; [on_done] fires once all acked. *)
 let push_commits mgr txid participants on_done =
-  let epoch = mgr.incarnation in
+  let inc = Node.incarnation mgr.node in
   let remaining = ref (List.length participants) in
   if !remaining = 0 then on_done ()
   else begin
@@ -83,9 +85,9 @@ let push_commits mgr txid participants on_done =
     let rec push node delay =
       (* A coordinator crash obsoletes this loop: recovery starts a fresh
          one for every undecided commit, so stale loops must die. *)
-      if mgr.incarnation = epoch then begin
+      if Node.incarnation mgr.node = inc then begin
         let handle = function
-          | Ok _ -> if mgr.incarnation = epoch then finish_one ()
+          | Ok _ -> finish_one ()
           | Error _ ->
             let delay = min commit_retry_cap (delay * 2) in
             let jitter = Rng.int mgr.rng (max 1 (delay / 4)) in
@@ -331,8 +333,8 @@ let commit_top (t : t) : unit io =
     in
     if node = manager_node mgr && Node.up mgr.node then begin
       (* coordinator-local: decide synchronously against the co-hosted
-         participant, defer only the continuation. The epoch guard kills
-         the continuation if the node crashes in between — the commit
+         participant, defer only the continuation. The node's incarnation
+         kills the continuation if the node crashes in between — the commit
          itself is already durable, exactly as if the reply were lost.
          [t.id] is fresh from [begin_] and this is its only commit, which
          is the once-per-txid contract of [commit_local]. Only a down
@@ -342,10 +344,10 @@ let commit_top (t : t) : unit io =
         try Participant.commit_local mgr.participant ~txid:t.id ~read_keys ~writes
         with Kvstore.Unavailable _ -> false
       in
-      let epoch = mgr.incarnation in
+      let inc = Node.incarnation mgr.node in
       ignore
         (Sim.schedule mgr.sim ~delay:0 (fun () ->
-             if mgr.incarnation = epoch && Node.up mgr.node then finish ~local:true vote))
+             if Node.incarnation mgr.node = inc then finish ~local:true vote))
     end
     else
       let body = Txrecord.enc_commit_one ~txid:t.id ~read_keys ~writes in
@@ -432,7 +434,10 @@ let run mgr ?(max_attempts = 16) body : 'a io =
       | (`Conflict _ | `Timeout) when n < max_attempts ->
         let backoff = Sim.ms 5 * n in
         let jitter = Rng.int mgr.rng (Sim.ms 5) in
-        ignore (Sim.schedule mgr.sim ~delay:(backoff + jitter) (fun () -> attempt (n + 1)))
+        let inc = Node.incarnation mgr.node in
+        ignore
+          (Sim.schedule mgr.sim ~delay:(backoff + jitter) (fun () ->
+               if Node.incarnation mgr.node = inc then attempt (n + 1)))
       | _ -> k (Error e)
     in
     let finish = function
@@ -449,7 +454,7 @@ let run mgr ?(max_attempts = 16) body : 'a io =
   attempt 1
 
 let compact mgr =
-  (* keep: one incarnation record per epoch, plus committed-but-not-done
+  (* keep: one incarnation record per life, plus committed-but-not-done
      transactions (their commit push must resume after a crash) *)
   let live =
     List.filter

@@ -92,7 +92,8 @@ val run : manager -> ?max_attempts:int -> (t -> 'a io) -> 'a io
     transaction on [`Conflict] (with linear backoff and jitter) up to
     [max_attempts] (default 16) times. A body failure aborts the
     transaction; [`Conflict]/[`Timeout] failures are retried, any other
-    failure is final. *)
+    failure is final. A crash of the manager's node ends the run: no
+    later attempt begins and the continuation never runs. *)
 
 val compact : manager -> unit
 (** Compact the coordinator's decision log: drop records of transactions

@@ -514,6 +514,29 @@ let test_mirror_timers () =
         ~inputs:request_input ~output ())
     [ (Sim.ms 5, "finished"); (Sim.ms 500, "expired") ]
 
+(* Recovery takes the next history index from the history keys: a
+   [read] that fails on any history row still rebuilds the same [hseq]. *)
+let test_recovery_reads_no_history () =
+  let tb, iid, status = run_timeout (Sim.ms 5) in
+  ignore (expect_done ~output:"finished" status);
+  let participant = Testbed.participant tb "n0" in
+  let history = Wstate.history_prefix iid in
+  let read key =
+    if String.starts_with ~prefix:history key then Alcotest.failf "recovery read %s" key
+    else Participant.committed_value participant ~key
+  in
+  let live = Option.get (Engine.mirror tb.Testbed.engine iid) in
+  let rebuilt =
+    Instate.create ~iid ~script_text:live.Instate.script_text ~schema:live.Instate.schema
+      ~status:Wstate.Wf_running ~external_inputs:[]
+  in
+  Instate.load_committed rebuilt ~read
+    ~keys:
+      (Kvstore.keys_with_prefix (Participant.store participant) ~prefix:(Wstate.task_prefix iid));
+  check "history rows written" true (live.Instate.hseq > 0);
+  check_int "hseq from the keys" live.Instate.hseq rebuilt.Instate.hseq;
+  check "status from the meta row" true (rebuilt.Instate.status = status)
+
 (* --- fault tolerance --- *)
 
 let fast_engine =
@@ -861,8 +884,9 @@ let test_collected_instances_leave_no_timers () =
   Testbed.run ~until:(Sim.sec 2) tb;
   check_int "queue back at its pre-launch length" before (Sim.pending tb.Testbed.sim)
 
-(* A crash cancels the old epoch's watchdogs at once (their epoch fence
-   made them no-ops already); recovery arms one for the running leaf. *)
+(* A crash cancels the old life's watchdogs at once (the node's
+   incarnation made them no-ops already); recovery arms one for the
+   running leaf. *)
 let test_crash_cancels_watchdogs () =
   let tb = Testbed.make ~nodes:[ "n0"; "n1" ] () in
   Workloads.register ~work:(Sim.sec 5) tb.Testbed.registry;
@@ -2174,5 +2198,6 @@ let () =
           Alcotest.test_case "compound marks released in one pass" `Quick
             test_mirror_compound_marks_together;
           Alcotest.test_case "repeat deletes staged rows" `Quick test_repeat_deletes_staged_rows;
+          Alcotest.test_case "recovery reads no history" `Quick test_recovery_reads_no_history;
         ] );
     ]

@@ -964,6 +964,167 @@ let test_local_lane_observer_exception_propagates () =
                 return ()))));
   check_int "no retry began" 1 (Txn.active_count mgr)
 
+(* --- the crash fence: nothing a node scheduled runs after its crash --- *)
+
+let at c ms f = ignore (Sim.schedule c.Harness.sim ~delay:(Sim.ms ms) f)
+
+(* A conflict retry is a timer of the coordinator: a crash before it
+   fires ends the transaction, and recovery does not resume it. *)
+let test_run_retry_dies_with_coordinator () =
+  let c = Harness.cluster [ "a" ] in
+  let attempts = ref 0 and finished = ref false in
+  (Txn.run (Harness.manager c "a") (fun t ->
+       incr attempts;
+       if !attempts = 1 then fail (`Conflict "forced")
+       else begin
+         write t ~node:"a" ~key:"x" ~value:"late";
+         return ()
+       end))
+    (fun _ -> finished := true);
+  at c 1 (fun () -> Harness.crash c "a");
+  at c 2 (fun () -> Harness.recover c "a");
+  Harness.run c;
+  check_int "one attempt" 1 !attempts;
+  check "no continuation" false !finished;
+  check_str_opt "nothing committed" None
+    (Participant.committed_value (Harness.participant c "a") ~key:"x")
+
+(* A commit push retrying against a crashed participant is a timer of
+   the coordinator too: while the coordinator is down it sends nothing,
+   and its recovery starts the one loop that finishes the commit. *)
+let test_commit_push_silent_while_down () =
+  List.iter
+    (fun crash_at ->
+      let c = Harness.cluster [ "a"; "b"; "c" ] in
+      let down_sends = ref 0 in
+      Event.subscribe (Sim.events c.Harness.sim) (fun ~at:_ ~src:_ -> function
+        | Event.Rpc_sent { src = "a"; _ } when not (Node.up (Harness.node c "a")) ->
+          incr down_sends
+        | _ -> ());
+      (Txn.run (Harness.manager c "a") (fun t ->
+           write t ~node:"b" ~key:"y" ~value:"v";
+           write t ~node:"c" ~key:"z" ~value:"v";
+           return ()))
+        ignore;
+      at c 3 (fun () -> Harness.crash c "b");
+      at c crash_at (fun () -> Harness.crash c "a");
+      at c 1500 (fun () ->
+          Harness.recover c "a";
+          Harness.recover c "b");
+      Sim.run ~until:(Sim.sec 3) c.Harness.sim;
+      check_int (Printf.sprintf "sends while down (crash at %d ms)" crash_at) 0 !down_sends;
+      check_str_opt "commit finished after recovery" (Some "v")
+        (Participant.committed_value (Harness.participant c "b") ~key:"y"))
+    [ 100; 110; 120; 130 ]
+
+(* A prepared participant polls its crashed coordinator. Each of its own
+   recoveries starts a poll loop; the loops of earlier lives must end
+   with them, leaving one. *)
+let test_one_poll_loop_per_life () =
+  let c = Harness.cluster [ "a"; "b"; "c" ] in
+  let polls = ref 0 in
+  Event.subscribe (Sim.events c.Harness.sim) (fun ~at:_ ~src:_ -> function
+    | Event.Rpc_sent { src = "b"; service; _ } when service = Txrecord.service_status -> incr polls
+    | _ -> ());
+  (Txn.run (Harness.manager c "a") (fun t ->
+       write t ~node:"b" ~key:"y" ~value:"v";
+       write t ~node:"c" ~key:"z" ~value:"v";
+       return ()))
+    ignore;
+  at c 1 (fun () -> Harness.crash c "a");
+  List.iter
+    (fun (down, up) ->
+      at c down (fun () -> Harness.crash c "b");
+      at c up (fun () -> Harness.recover c "b"))
+    [ (10, 11); (12, 13) ];
+  Sim.run ~until:(Sim.sec 2) c.Harness.sim;
+  check "b is still prepared" true (Participant.prepared_txids (Harness.participant c "b") <> []);
+  check_int "status polls of one loop" 14 !polls
+
+type fence_txn = { coord : int; start_ms : int; conflict_first : bool }
+
+type fence_case = { crashes : (int * int * int) list; txns : fence_txn list }
+
+let fence_nodes = [| "a"; "b"; "c" |]
+
+let print_fence_case { crashes; txns } =
+  String.concat "; "
+    (List.map
+       (fun (n, at, down) -> Printf.sprintf "crash %s@%d+%d" fence_nodes.(n) at down)
+       crashes
+    @ List.map
+        (fun t ->
+          Printf.sprintf "txn %s@%d%s" fence_nodes.(t.coord) t.start_ms
+            (if t.conflict_first then " conflict-first" else ""))
+        txns)
+
+let fence_case_gen =
+  QCheck.Gen.(
+    let crash = triple (int_bound 2) (int_bound 80) (int_range 1 30) in
+    let txn =
+      map3
+        (fun coord start_ms conflict_first -> { coord; start_ms; conflict_first })
+        (int_bound 2) (int_bound 60) bool
+    in
+    map2
+      (fun crashes txns -> { crashes; txns })
+      (list_size (int_range 1 4) crash)
+      (list_size (int_range 1 6) txn))
+
+(* Random crash schedules over three coordinators whose transactions
+   conflict on their first attempt and write to both other nodes (2PC):
+   no node sends while down, and no transaction's continuation runs
+   once its coordinator has crashed since the transaction began. *)
+let crash_schedule_respects_fence { crashes; txns } =
+  let c = Harness.cluster (Array.to_list fence_nodes) in
+  let lives = Array.make (Array.length fence_nodes) 0 in
+  let violations = ref [] in
+  let violation fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
+  Event.subscribe (Sim.events c.Harness.sim) (fun ~at ~src:_ -> function
+    | Event.Rpc_sent { src; service; _ } when not (Node.up (Harness.node c src)) ->
+      violation "%s sent %s at %d us while down" src service at
+    | _ -> ());
+  List.iter
+    (fun (n, start, down) ->
+      let id = fence_nodes.(n) in
+      at c start (fun () ->
+          if Node.up (Harness.node c id) then lives.(n) <- lives.(n) + 1;
+          Harness.crash c id);
+      at c (start + down) (fun () -> Harness.recover c id))
+    crashes;
+  List.iteri
+    (fun i { coord; start_ms; conflict_first } ->
+      let id = fence_nodes.(coord) in
+      let others = List.filter (fun o -> o <> id) (Array.to_list fence_nodes) in
+      at c start_ms (fun () ->
+          if Node.up (Harness.node c id) then begin
+            let life = lives.(coord) and attempts = ref 0 in
+            (Txn.run (Harness.manager c id) (fun t ->
+                 incr attempts;
+                 if conflict_first && !attempts = 1 then fail (`Conflict "forced")
+                 else begin
+                   List.iter
+                     (fun node ->
+                       write t ~node ~key:(Printf.sprintf "k%d" i) ~value:(string_of_int !attempts))
+                     others;
+                   return ()
+                 end))
+              (fun _ ->
+                if lives.(coord) <> life then
+                  violation "txn %d continued at %d us after %s crashed" i
+                    (Sim.now c.Harness.sim) id)
+          end))
+    txns;
+  Sim.run ~until:(Sim.sec 3) c.Harness.sim;
+  match !violations with
+  | [] -> true
+  | vs -> QCheck.Test.fail_report (String.concat "\n" (List.rev vs))
+
+let prop_crash_schedules_respect_fence =
+  QCheck.Test.make ~name:"crash schedules: nothing runs on a down or restarted node" ~count:200
+    (QCheck.make ~print:print_fence_case fence_case_gen)
+    crash_schedule_respects_fence
+
 let () =
   Alcotest.run "tx"
     [
@@ -1033,5 +1194,14 @@ let () =
             test_checkpoint_then_crash_recovers_exact_state;
           Alcotest.test_case "coordinator log compaction" `Quick
             test_compact_bounds_coordinator_log;
+        ] );
+      ( "crash fence",
+        [
+          Alcotest.test_case "run retry dies with its coordinator" `Quick
+            test_run_retry_dies_with_coordinator;
+          Alcotest.test_case "commit push silent while down" `Quick
+            test_commit_push_silent_while_down;
+          Alcotest.test_case "one poll loop per life" `Quick test_one_poll_loop_per_life;
+          QCheck_alcotest.to_alcotest prop_crash_schedules_respect_fence;
         ] );
     ]
