@@ -20,6 +20,10 @@ type t = {
 }
 
 let create ?(overhead = 0) ~rpc ~node ~mgr ~participant () =
+  (* every persist is then a write set on the manager's own node, which
+     commits on the local one-phase lane inside the flush *)
+  if Txn.manager_node mgr <> Node.id node then
+    invalid_arg "Dispatch.create: the transaction manager lives on another node";
   let t =
     {
       rpc;
@@ -175,8 +179,6 @@ let history_in t keys ~iid = history_of t (key_slice keys ~prefix:(Wstate.histor
 
 let committed_history t ~iid =
   history_of t (committed_keys_with_prefix t ~prefix:(Wstate.history_prefix iid))
-
-let on_apply t f = Participant.on_apply t.participant f
 
 let compact t =
   Participant.checkpoint t.participant;

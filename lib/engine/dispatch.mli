@@ -21,7 +21,11 @@ val create :
     dispatches are serialised through a busy cursor, each occupying the
     engine for [overhead] virtual time before its RPC leaves the node.
     Default 0 (dispatch is free, the historical behaviour); the cluster
-    scaling bench sets it to expose the single-engine bottleneck. *)
+    scaling bench sets it to expose the single-engine bottleneck.
+
+    Raises [Invalid_argument] if [mgr] lives on another node than
+    [node]: every persist must be a write set on the manager's own node
+    (see {!persist}). *)
 
 val persist : t -> (string * string option) list -> (unit -> unit) -> unit
 (** Apply a write set ([Some] = put, [None] = delete) on the engine
@@ -36,7 +40,12 @@ val persist : t -> (string * string option) list -> (unit -> unit) -> unit
     flush combining two or more requests emits [Persist_batched]. A
     crash before the flush drops the whole batch (no partial commit),
     and the queued continuations die with it, exactly like an
-    individual persist that never reached its commit. *)
+    individual persist that never reached its commit.
+
+    The write set lives on the engine's own node only, so it commits on
+    the local one-phase lane ({!Participant.commit_local}) and is never
+    left prepared: after a crash it is either in the committed store or
+    lost. Recovery relies on this. *)
 
 val send_exec : t -> host:string -> retries:int -> Wfmsg.exec_req -> ((string, string) result -> unit) -> unit
 (** Dispatch one implementation execution to a task host (emits
@@ -69,10 +78,6 @@ val history_in : t -> string array -> iid:string -> (Sim.time * string * string)
 val committed_history : t -> iid:string -> (Sim.time * string * string) list
 (** An instance's persistent audit rows (at, kind, detail) from the
     committed store, sorted by time then sequence. *)
-
-val on_apply : t -> (Txrecord.write list -> unit) -> unit
-(** Observe committed writes applied on the engine node (including by
-    the recovery termination protocol). *)
 
 val compact : t -> unit
 (** Compact the participant's intentions log and the coordinator's

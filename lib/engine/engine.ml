@@ -57,9 +57,9 @@ type t = {
          instances share one schema tree *)
   mutable seq : int;
   mutable orphans : Instate.t list;
-      (* running instances held in memory when the node crashed; any
-         whose launch transaction presumed-aborted are re-persisted
-         after recovery (an accepted launch must survive) *)
+      (* running instances held in memory when the node crashed; the
+         next recovery launches again any whose launch rows were lost
+         (an accepted launch must survive), then empties the list *)
 }
 
 let node t = t.node
@@ -596,50 +596,19 @@ let rebuild_instance t ~keys iid =
       if inst.Instate.status = Wstate.Wf_running then mark_dirty t inst
       else Instate.trim_concluded inst)
 
-(* A commit finished by the recovery termination protocol can add an
-   instance to the store after [recover] already scanned it: reconcile
-   exactly the iids named by the commit's directory rows, O(writes). *)
-let reconcile_one t iid =
-  if not (Hashtbl.mem t.insts iid) then begin
-    rebuild_instance t ~keys:(own_keys t iid) iid;
-    if Hashtbl.mem t.insts iid && not (List.mem iid t.inst_rev) then
-      t.inst_rev <- iid :: t.inst_rev
-  end
-
-(* Re-persist an instance whose launch transaction was lost to a crash
-   before its decision. A committed-but-unapplied launch is instead
-   picked up by [reconcile] once the termination protocol applies it, so
-   wait one poll period before concluding the launch is really gone.
-   The orphan stays in [t.orphans] until this attempt actually runs —
-   another crash before the timer fires must not lose it (each recovery
-   re-schedules the survivors). *)
+(* Launch again an instance whose launch write set a crash lost. It
+   keeps its iid and takes a fresh directory sequence number; its
+   scheduling restarts once the new launch rows commit. *)
 let relaunch_orphan t (orphan : Instate.t) =
-  let inc = Node.incarnation t.node in
-  let retry_delay = Sim.ms 120 in
-  let forget () =
-    t.orphans <- List.filter (fun (o : Instate.t) -> o.Instate.iid <> orphan.Instate.iid) t.orphans
-  in
-  let attempt () =
-    if Node.incarnation t.node = inc then
-      if
-        Hashtbl.mem t.insts orphan.Instate.iid
-        || Dispatch.committed_value t.disp ~key:(Wstate.key orphan.Instate.iid Wstate.Meta) <> None
-      then forget () (* became durable after all; reconcile covers it *)
-      else begin
-        forget ();
-        let inst = Instate.reset orphan in
-        let meta = Instate.meta inst ~status:Wstate.Wf_running in
-        if not (List.mem inst.Instate.iid t.inst_rev) then
-          t.inst_rev <- inst.Instate.iid :: t.inst_rev;
-        Hashtbl.replace t.insts inst.Instate.iid inst;
-        emit t (Event.Wf_relaunched { iid = inst.Instate.iid });
-        t.seq <- t.seq + 1;
-        persist_rows t inst
-          [ Wstate.Put (Wstate.Dir, t.seq); Wstate.Put (Wstate.Meta, meta) ]
-          (fun () -> mark_dirty t inst)
-      end
-  in
-  ignore (Sim.schedule t.sim ~delay:retry_delay attempt)
+  let inst = Instate.reset orphan in
+  let meta = Instate.meta inst ~status:Wstate.Wf_running in
+  t.inst_rev <- inst.Instate.iid :: t.inst_rev;
+  Hashtbl.replace t.insts inst.Instate.iid inst;
+  emit t (Event.Wf_relaunched { iid = inst.Instate.iid });
+  t.seq <- t.seq + 1;
+  persist_rows t inst
+    [ Wstate.Put (Wstate.Dir, t.seq); Wstate.Put (Wstate.Meta, meta) ]
+    (fun () -> mark_dirty t inst)
 
 let recover t () =
   Hashtbl.reset t.insts;
@@ -658,9 +627,17 @@ let recover t () =
   in
   t.inst_rev <- List.rev iids;
   List.iter (fun iid -> rebuild_instance t iid ~keys:(instance_keys keys iid)) iids;
-  t.orphans <- List.filter (fun (o : Instate.t) -> not (Hashtbl.mem t.insts o.Instate.iid)) t.orphans;
-  List.iter (relaunch_orphan t) t.orphans;
-  emit t (Event.Recovery_replayed { instances = List.length t.inst_rev })
+  emit t (Event.Recovery_replayed { instances = List.length t.inst_rev });
+  (* Every engine write set commits on the local lane (see
+     {!Dispatch.persist}), so no launch can still be deciding now: an
+     orphan whose meta row is not in the store was lost, and is launched
+     again at this instant. *)
+  List.iter
+    (fun (o : Instate.t) ->
+      if Dispatch.committed_value t.disp ~key:(Wstate.key o.Instate.iid Wstate.Meta) = None then
+        relaunch_orphan t o)
+    t.orphans;
+  t.orphans <- []
 
 (* --- construction and public API --- *)
 
@@ -710,16 +687,9 @@ let create ?(config = default_config) ~rpc ~node ~mgr ~participant ~registry:reg
             if inst.Instate.status = Wstate.Wf_running then inst :: acc else acc)
           t.insts []
       in
-      t.orphans <- running @ t.orphans);
+      (* recovery empties the list, and a crash follows a recovery *)
+      t.orphans <- running);
   Node.on_recover node (recover t);
-  Dispatch.on_apply t.disp (fun writes ->
-      let dir_iids = List.filter_map (fun (key, _) -> Wstate.dir_iid key) writes in
-      if dir_iids <> [] then begin
-        let inc = Node.incarnation node in
-        ignore
-          (Sim.schedule sim ~delay:0 (fun () ->
-               if Node.incarnation node = inc then List.iter (reconcile_one t) dir_iids))
-      end);
   ignore (attach_host t node);
   t
 

@@ -33,24 +33,11 @@ type t = {
   endpoints : (string, endpoint) Hashtbl.t;
   reply_cache_cap : int;
   mutable next_req : int;
-  mutable calls : int;
-  mutable retries : int;
-  mutable reply_evictions : int;
-  mutable loopbacks : int;
 }
 
 let create ?(reply_cache_cap = 1024) net =
   if reply_cache_cap < 1 then invalid_arg "Rpc.create: reply_cache_cap must be >= 1";
-  {
-    net;
-    endpoints = Hashtbl.create 8;
-    reply_cache_cap;
-    next_req = 0;
-    calls = 0;
-    retries = 0;
-    reply_evictions = 0;
-    loopbacks = 0;
-  }
+  { net; endpoints = Hashtbl.create 8; reply_cache_cap; next_req = 0 }
 
 let network t = t.net
 
@@ -82,7 +69,6 @@ let cache_reply t ep ~node encoded req_id =
   while Hashtbl.length ep.replies_cache >= t.reply_cache_cap do
     let oldest = Queue.pop ep.reply_order in
     Hashtbl.remove ep.replies_cache oldest;
-    t.reply_evictions <- t.reply_evictions + 1;
     Sim.emit (Network.sim t.net) ~src:(Node.id node)
       (Event.Rpc_reply_evicted { node = Node.id node })
   done;
@@ -184,7 +170,6 @@ let rec attempt t ~src ~req_id p =
     | Some p ->
       if p.attempts_left > 0 then begin
         p.attempts_left <- p.attempts_left - 1;
-        t.retries <- t.retries + 1;
         Sim.emit (Network.sim t.net) ~src
           (Event.Rpc_retried { src; dst = p.dst; service = p.service });
         attempt t ~src ~req_id p
@@ -239,7 +224,6 @@ let request_id ~src n = String.concat "" [ src; "#"; string_of_int n ]
 
 let call t ~src ~dst ~service ~body ?(timeout = Sim.ms 10) ?(retries = 8) callback =
   let ep = endpoint t src in
-  t.calls <- t.calls + 1;
   Sim.emit (Network.sim t.net) ~src (Event.Rpc_sent { src; dst; service });
   t.next_req <- t.next_req + 1;
   let req_id = request_id ~src t.next_req in
@@ -247,15 +231,6 @@ let call t ~src ~dst ~service ~body ?(timeout = Sim.ms 10) ?(retries = 8) callba
   Hashtbl.replace ep.pending_calls req_id p;
   match Network.find_node t.net src with
   | Some node when dst = src && Node.up node ->
-    t.loopbacks <- t.loopbacks + 1;
     Sim.emit (Network.sim t.net) ~src (Event.Rpc_loopback { node = src; service });
     ignore (Sim.schedule (Network.sim t.net) ~delay:0 (fun () -> deliver_loopback t ~src ~req_id node))
   | Some _ | None -> attempt t ~src ~req_id p
-
-let calls_total t = t.calls
-
-let retries_total t = t.retries
-
-let reply_evictions_total t = t.reply_evictions
-
-let loopback_total t = t.loopbacks

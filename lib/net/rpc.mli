@@ -15,7 +15,7 @@
     first. An evicted reply demotes a late duplicate of that request to
     a re-execution — the same degradation a server crash causes, and
     safe for the same reason (handlers that matter are idempotent).
-    Evictions are counted and announced as [Rpc_reply_evicted].
+    Each eviction is announced as [Rpc_reply_evicted].
 
     Self-addressed calls ([src = dst]) on a live node take a loopback
     lane: the request is handed to the local handler on a deferred
@@ -25,7 +25,9 @@
     asynchronous, and a crash between call and delivery suppresses the
     callback just as for remote calls. If the node is down at call time
     the normal network path (and its drop-to-timeout semantics) is used.
-    Loopback hits are counted and announced as [Rpc_loopback]. *)
+    Each loopback hit is announced as [Rpc_loopback]; a call is
+    announced as [Rpc_sent] and a resend as [Rpc_retried]. The event bus
+    is the only count of them. *)
 
 type t
 
@@ -69,14 +71,3 @@ val call :
 val request_id : src:string -> int -> string
 (** [src#n], the id of [src]'s [n]-th call: the key of its pending entry
     and of the callee's reply cache. *)
-
-val calls_total : t -> int
-
-val retries_total : t -> int
-
-val reply_evictions_total : t -> int
-(** Replies dropped from bounded dedup caches (lifetime, all nodes). *)
-
-val loopback_total : t -> int
-(** Self-addressed calls delivered locally without touching the
-    network. *)

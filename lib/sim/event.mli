@@ -18,8 +18,8 @@ type t =
       (** [status] pre-rendered with [Wstate.pp_status]. *)
   | Wf_cancelled of { iid : string; reason : string }
   | Wf_relaunched of { iid : string }
-      (** A launch lost to a crash before its commit decision was
-          re-persisted by recovery. *)
+      (** A launch whose rows a crash lost before they committed was
+          persisted again by recovery, at the recovery instant. *)
   | Wf_reconfigured of { iid : string }
   | Wf_collected of { iid : string }  (** gc of a finished instance *)
   | Scope_opened of { path : string }  (** a compound task started *)
@@ -60,6 +60,8 @@ type t =
           after an abort outcome (once per aborted scope). *)
   | User_aborted of { path : string }
   | Recovery_replayed of { instances : int }
+      (** Recovery replayed the [instances] of the committed
+          directory; it comes before that recovery's [Wf_relaunched]. *)
   | Recovery_error of { detail : string }
   | Txn_failed of { detail : string }  (** an engine persist gave up *)
   | Txn_resolved of { txid : string; committed : bool }

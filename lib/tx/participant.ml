@@ -9,7 +9,6 @@ type t = {
   locks : Lock.t;
   prepared : (string, prep) Hashtbl.t;  (* undecided, volatile *)
   decided : (string, [ `Committed | `Aborted ]) Hashtbl.t;  (* volatile cache of the log *)
-  mutable observers : (Txrecord.write list -> unit) list;
 }
 
 let poll_period = Sim.ms 50
@@ -35,8 +34,7 @@ let decide_commit t txid =
     Wal.append t.plog (Txrecord.P_committed txid);
     Hashtbl.remove t.prepared txid;
     Hashtbl.replace t.decided txid `Committed;
-    Lock.release_all t.locks ~txid;
-    List.iter (fun observe -> observe prep.writes) t.observers
+    Lock.release_all t.locks ~txid
 
 let decide_abort t txid =
   (match Hashtbl.find_opt t.prepared txid with
@@ -110,8 +108,8 @@ let handle_prepare t ~src:_ body =
    release whatever the transaction held. No coordinator decision record
    exists anywhere; if a reply is lost the coordinator presumes abort,
    which is safe because a refused one-phase commit changes nothing.
-   [remember] runs once the vote is known and before the observers; only
-   the wire lane needs it (below). *)
+   [remember] runs once the vote is known; only the wire lane needs it
+   (below). *)
 let decide_one t ~txid ~read_keys ~writes ~remember =
   let read_ok key = Lock.holds_read t.locks ~key ~txid in
   let write_ok (key, _) = Lock.write_free t.locks ~key ~txid in
@@ -119,7 +117,6 @@ let decide_one t ~txid ~read_keys ~writes ~remember =
   if vote then apply_writes t writes;
   remember t txid vote;
   Lock.release_all t.locks ~txid;
-  if vote then List.iter (fun observe -> observe writes) t.observers;
   vote
 
 let forget _ _ _ = ()
@@ -204,7 +201,6 @@ let create ~rpc ~node =
       locks = Lock.create ();
       prepared = Hashtbl.create 16;
       decided = Hashtbl.create 16;
-      observers = [];
     }
   in
   Node.serve node ~service:Txrecord.service_read (handle_read t);
@@ -216,8 +212,6 @@ let create ~rpc ~node =
   Node.on_crash node (on_crash t);
   Node.on_recover node (on_recover t);
   t
-
-let on_apply t observe = t.observers <- t.observers @ [ observe ]
 
 let committed_value t ~key = Kvstore.get t.store key
 

@@ -16,13 +16,6 @@ val create : rpc:Rpc.t -> node:Node.t -> t
 
 val node_id : t -> string
 
-val on_apply : t -> (Txrecord.write list -> unit) -> unit
-(** Observer invoked after a committed transaction's writes have been
-    applied to the store — including commits finished by the recovery
-    termination protocol. Lets co-located services (the workflow engine)
-    react to state that became durable while their volatile view was
-    being rebuilt. *)
-
 val commit_local :
   t -> txid:string -> read_keys:string list -> writes:Txrecord.write list -> bool
 (** The one-phase decision, for the co-located coordinator: this node is
@@ -38,16 +31,14 @@ val commit_local :
     no cached decision. A txid that may arrive again must go through
     {!handle_commit_one}.
 
-    Observers run before it returns, and their exceptions propagate.
     Raises {!Kvstore.Unavailable} when the node is down. *)
 
 val handle_commit_one : t -> src:string -> string -> string
 (** The [tx.commit1] service: the same decision as {!commit_local}, plus
     the duplicate memory a message needs. A txid already decided here
     gets that decision again and changes nothing. Otherwise a commit
-    appends one [P_one_phase] record, and either outcome is cached before
-    the observers run, so a redelivered request can never commit a
-    refused transaction later. *)
+    appends one [P_one_phase] record, and either outcome is cached, so a
+    redelivered request can never commit a refused transaction later. *)
 
 val committed_value : t -> key:string -> string option
 (** Directly inspect the committed store (testing / local fast reads

@@ -1467,9 +1467,8 @@ compoundtask admin of taskclass Admin {
 
 
 let test_crash_during_launch_commit () =
-  (* Regression (found by fault_grid): a crash 2ms after launch lands
-     while the launch transaction is undecided; presumed abort kills it,
-     and the engine must re-persist the accepted launch at recovery. *)
+  (* Regression (found by fault_grid): after a crash 2ms after launch,
+     recovery must replay the accepted launch from the store. *)
   let tb = Testbed.make ~engine_config:fast_engine () in
   Impls.register_process_order ~scenario:Impls.order_ok tb.Testbed.registry;
   ignore (Sim.schedule tb.Testbed.sim ~delay:(Sim.ms 2) (fun () -> Testbed.crash tb "n0"));
@@ -1480,6 +1479,16 @@ let test_crash_during_launch_commit () =
   with
   | Ok (_, status) -> ignore (expect_done ~output:"orderCompleted" status)
   | Error e -> Alcotest.failf "launch: %s" e
+
+(* An engine's persists must commit on the local lane, which recovery
+   relies on (Dispatch.persist): a manager on another node is refused. *)
+let test_dispatch_refuses_remote_manager () =
+  let tb = Testbed.make ~nodes:[ "n0"; "n1" ] () in
+  Alcotest.check_raises "refused"
+    (Invalid_argument "Dispatch.create: the transaction manager lives on another node") (fun () ->
+      ignore
+        (Dispatch.create ~rpc:tb.Testbed.rpc ~node:(Testbed.node tb "n0")
+           ~mgr:(Testbed.manager tb "n1") ~participant:(Testbed.participant tb "n0") ()))
 
 let test_partition_between_engine_and_host () =
   (* dispatch crosses a partition that heals later: RPC retries and the
@@ -2185,6 +2194,8 @@ let () =
           Alcotest.test_case "batched persistence crash equivalence" `Quick
             test_batched_persistence_crash_equivalence;
           Alcotest.test_case "same-poll persists coalesced" `Quick test_persist_batching_counted;
+          Alcotest.test_case "dispatch refuses a remote manager" `Quick
+            test_dispatch_refuses_remote_manager;
           Alcotest.test_case "scope/task histograms split" `Quick
             test_scope_and_task_histograms_split;
         ] );

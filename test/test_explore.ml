@@ -207,11 +207,43 @@ let count_effects rows =
     rows;
   tally
 
+(* Every transaction an engine starts must resolve on the local
+   one-phase lane: as many local one-phase commits as resolutions, and
+   no engine node sends a one-phase or prepare message. Recovery rests
+   on it (Dispatch.persist): at a restart a launch is in the store or
+   lost, never still deciding. *)
+type lanes = { mutable local : int; mutable resolved : int; mutable wire : string list }
+
+let watch_lanes sim ~engines =
+  let l = { local = 0; resolved = 0; wire = [] } in
+  Event.subscribe (Sim.events sim) (fun ~at:_ ~src ev ->
+      if List.mem src engines then
+        match ev with
+        | Event.Txn_one_phase { local = true; _ } -> l.local <- l.local + 1
+        | Event.Txn_resolved _ -> l.resolved <- l.resolved + 1
+        | Event.Rpc_sent { service; _ }
+          when service = Txrecord.service_commit_one || service = Txrecord.service_prepare ->
+          l.wire <- service :: l.wire
+        | _ -> ());
+  l
+
+let check_local_lane name l =
+  check (name ^ ": engine transactions ran") true (l.resolved > 0);
+  check_int (name ^ ": every resolution is a local one-phase commit") l.resolved l.local;
+  Alcotest.(check (list string)) (name ^ ": no engine sends a commit message") [] l.wire
+
+(* what a pinned run published, in virtual time *)
+type pinned = { relaunched_at : Sim.time list; concluded_at : Sim.time list; lanes : lanes }
+
 let run_pinned plan =
   let tb = Testbed.make ~engine_config:Scenario.engine_config () in
-  let relaunched = ref 0 in
-  Event.subscribe (Sim.events tb.Testbed.sim) (fun ~at:_ ~src:_ ev ->
-      match ev with Event.Wf_relaunched _ -> incr relaunched | _ -> ());
+  let relaunched = ref [] and concluded = ref [] in
+  Event.subscribe (Sim.events tb.Testbed.sim) (fun ~at ~src:_ ev ->
+      match ev with
+      | Event.Wf_relaunched _ -> relaunched := at :: !relaunched
+      | Event.Wf_concluded _ -> concluded := at :: !concluded
+      | _ -> ());
+  let lanes = watch_lanes tb.Testbed.sim ~engines:[ "n0" ] in
   Workloads.register ~work:(Sim.ms 5) tb.Testbed.registry;
   Testbed.apply_faults tb plan;
   let script, root = Workloads.chain ~n:6 in
@@ -229,30 +261,79 @@ let run_pinned plan =
       "nothing left prepared" []
       (Participant.prepared_txids (Testbed.participant tb "n0"));
     check_int "no orphaned locks" 0 (Participant.locks_held (Testbed.participant tb "n0"));
-    !relaunched
+    { relaunched_at = List.rev !relaunched; concluded_at = List.rev !concluded; lanes }
   | Ok (_, s) -> Alcotest.failf "unexpected status %a" Wstate.pp_status s
   | Error e -> Alcotest.fail e
 
-let test_pinned_relaunch_orphan_race () =
+(* A crash in the same instant as the launch (the fault, planted at
+   setup, wins the same-time tie) loses the launch's persist flush. *)
+let orphan_race = Fault.crash_restart ~node:"n0" ~at:0 ~down_for:(Sim.ms 10)
+
+(* Back-to-back crash/restart cycles mid-run (fault_grid's pair grid):
+   the second crash lands while recovery work from the first is still
+   settling. *)
+let crash_pair =
+  Fault.(
+    crash_restart ~node:"n0" ~at:(Sim.ms 7) ~down_for:(Sim.ms 10)
+    @+ crash_restart ~node:"n0" ~at:(Sim.ms 20) ~down_for:(Sim.ms 10))
+
+(* The orphan race, then a second crash at the instant of the first
+   recovery, before its persist flush runs. *)
+let crash_at_recovery =
+  Fault.(
+    orphan_race @+ crash_restart ~node:"n0" ~at:(Sim.ms 10) ~down_for:(Sim.ms 10))
+
+let test_pinned_orphan_relaunched_at_recovery () =
   (* The schedule that found the launch-transaction/crash race fixed by
-     Engine.relaunch_orphan: a crash in the same instant as the launch
-     (the fault, planted at setup, wins the same-time tie) loses the
-     launch's persist flush; the orphan must be re-persisted after the
-     restart and the chain must still run to exactly-once completion. *)
-  let relaunches = run_pinned (Fault.crash_restart ~node:"n0" ~at:0 ~down_for:(Sim.ms 10)) in
-  check "orphan relaunch path exercised" true (relaunches > 0)
+     Engine.relaunch_orphan: recovery re-persists the orphan at the
+     restart, and the chain's six 5 ms steps run to exactly-once
+     completion from there. *)
+  let r = run_pinned orphan_race in
+  Alcotest.(check (list int)) "relaunched at the restart" [ Sim.ms 10 ] r.relaunched_at;
+  Alcotest.(check (list int)) "concluded" [ Sim.ms 40 ] r.concluded_at
+
+let test_pinned_crash_at_recovery_instant () =
+  (* the relaunch's rows die in the second crash's cleared batch; the
+     second recovery launches the orphan again *)
+  let r = run_pinned crash_at_recovery in
+  Alcotest.(check (list int)) "relaunched at each restart" [ Sim.ms 10; Sim.ms 20 ]
+    r.relaunched_at;
+  Alcotest.(check (list int)) "concluded" [ Sim.ms 50 ] r.concluded_at
 
 let test_pinned_crash_pair () =
-  (* Back-to-back crash/restart cycles mid-run (fault_grid's pair grid):
-     the second crash lands while recovery work from the first is still
-     settling. *)
-  let _ =
-    run_pinned
-      Fault.(
-        crash_restart ~node:"n0" ~at:(Sim.ms 7) ~down_for:(Sim.ms 10)
-        @+ crash_restart ~node:"n0" ~at:(Sim.ms 20) ~down_for:(Sim.ms 10))
-  in
+  let _ = run_pinned crash_pair in
   ()
+
+let test_engine_commits_stay_local () =
+  List.iter
+    (fun (name, plan) -> check_local_lane name (run_pinned plan).lanes)
+    [ ("orphan race", orphan_race); ("crash pair", crash_pair);
+      ("crash at recovery", crash_at_recovery) ];
+  (* three engines sharing a fabric, one of which crashes and recovers
+     mid-run *)
+  let engines = [ "e1"; "e2"; "e3" ] in
+  let c =
+    Cluster.make ~engines
+      ~engine_config:{ Engine.default_config with Engine.default_deadline = Sim.ms 150 } ()
+  in
+  Workloads.register ~work:(Sim.ms 25) (Cluster.registry c);
+  let lanes = watch_lanes (Cluster.sim c) ~engines in
+  let script, root = Workloads.chain ~n:4 in
+  let placed =
+    List.init 6 (fun _ ->
+        match Cluster.launch c ~script ~root ~inputs:Workloads.seed_inputs with
+        | Ok (iid, _) -> iid
+        | Error e -> Alcotest.fail e)
+  in
+  Cluster.apply_faults c (Fault.crash_restart ~node:"e2" ~at:(Sim.ms 40) ~down_for:(Sim.ms 100));
+  Cluster.run c;
+  List.iter
+    (fun iid ->
+      check (iid ^ " done") true
+        (match Cluster.status c iid with Some (Wstate.Wf_done _) -> true | _ -> false))
+    placed;
+  check "e2 recovered" true (Engine.recoveries_total (Cluster.engine c "e2") >= 1);
+  check_local_lane "cluster" lanes
 
 (* --- declarative-recovery conformance (pinned) --- *)
 
@@ -461,8 +542,13 @@ let () =
         ] );
       ( "pinned",
         [
-          Alcotest.test_case "relaunch-orphan race" `Quick test_pinned_relaunch_orphan_race;
+          Alcotest.test_case "orphan relaunched at recovery" `Quick
+            test_pinned_orphan_relaunched_at_recovery;
+          Alcotest.test_case "crash at the recovery instant" `Quick
+            test_pinned_crash_at_recovery_instant;
           Alcotest.test_case "crash pair" `Quick test_pinned_crash_pair;
+          Alcotest.test_case "engine commits stay on the local lane" `Quick
+            test_engine_commits_stay_local;
           Alcotest.test_case "repo leader crash" `Quick test_pinned_repo_leader_crash;
           Alcotest.test_case "repo election in reference" `Quick
             test_repo_election_reference_has_election;

@@ -277,6 +277,8 @@ let test_rpc_retries_through_loss_execute_once () =
      the handler execution count at one per call. *)
   let config = { Network.default_config with loss = 0.6 } in
   let sim, net, rpc = make_rpc ~config ~seed:9L [ "a"; "b" ] in
+  let m = Metrics.create () in
+  Metrics.attach m (Sim.events sim);
   let executions = ref 0 in
   Node.serve (Network.node net "b") ~service:"inc" (fun ~src:_ _ ->
       incr executions;
@@ -289,7 +291,7 @@ let test_rpc_retries_through_loss_execute_once () =
   Sim.run sim;
   check_int "all calls eventually succeed" 10 !oks;
   check_int "handler ran exactly once per call" 10 !executions;
-  check "retries actually happened" true (Rpc.retries_total rpc > 0)
+  check "retries actually happened" true (Metrics.value m "events.rpc-retried" > 0)
 
 let test_rpc_caller_crash_suppresses_callback () =
   let sim, net, rpc = make_rpc [ "a"; "b" ] in
@@ -328,8 +330,7 @@ let test_rpc_reply_cache_bounded () =
   let m = Metrics.create () in
   Metrics.attach m (Sim.events sim);
   Sim.run sim;
-  check_int "six evictions" 6 (Rpc.reply_evictions_total rpc);
-  check_int "evictions surfaced through metrics" 6 (Metrics.value m "rpc.reply_evictions")
+  check_int "six evictions" 6 (Metrics.value m "rpc.reply_evictions")
 
 let test_rpc_dedup_survives_small_cache () =
   (* retries under loss with a small-but-sufficient cache: dedup still
@@ -363,8 +364,7 @@ let test_rpc_loopback_skips_network () =
   check "reply delivered" true (!result = Some (Ok "lolo"));
   check_int "no network traffic" 0 (Network.sent_total net);
   check_int "zero virtual latency" 0 (Sim.now sim);
-  check_int "counted" 1 (Rpc.loopback_total rpc);
-  check_int "rpc.loopback metric" 1 (Metrics.value m "rpc.loopback");
+  check_int "counted" 1 (Metrics.value m "rpc.loopback");
   check_int "still announced as rpc-sent" 1 (Metrics.value m "events.rpc-sent")
 
 let test_rpc_loopback_on_partitioned_self () =
@@ -384,6 +384,8 @@ let test_rpc_loopback_crashed_self_times_out () =
      whose send is suppressed at the crashed source, and times out
      without ever executing the handler *)
   let sim, net, rpc = make_rpc [ "a" ] in
+  let m = Metrics.create () in
+  Metrics.attach m (Sim.events sim);
   let executed = ref false in
   Node.serve (Network.node net "a") ~service:"s" (fun ~src:_ _ ->
       executed := true;
@@ -395,7 +397,7 @@ let test_rpc_loopback_crashed_self_times_out () =
   Sim.run sim;
   check "handler never ran" false !executed;
   check "timed out" true (!result = Some (Error "timeout"));
-  check_int "no loopback counted" 0 (Rpc.loopback_total rpc)
+  check_int "no loopback counted" 0 (Metrics.value m "rpc.loopback")
 
 let test_rpc_loopback_crash_before_delivery_suppresses_callback () =
   (* the loopback delivery is deferred; a crash in the same instant

@@ -233,7 +233,7 @@ let test_one_phase_local_no_rpc () =
     (Participant.committed_value (Harness.participant c "a") ~key:"x");
   check_int "one-phase lane taken" 1 (Txn.one_phase_commits mgr);
   check_int "no network traffic at all" 0 (Network.sent_total c.Harness.net);
-  check_int "no rpc calls" 0 (Rpc.calls_total c.Harness.rpc);
+  check_int "no rpc calls" 0 (Metrics.value m "events.rpc-sent");
   check_int "no log record" 0 (Participant.log_length (Harness.participant c "a"));
   check_int "no cached decision" 0 (Participant.decided_count (Harness.participant c "a"));
   check_int "txn.one_phase metric" 1 (Metrics.value m "txn.one_phase")
@@ -639,9 +639,9 @@ let test_compact_bounds_coordinator_log () =
    buffered writes; the remote lane sends the same request encoded as
    [tx.commit1]. Twin participants, one per lane, fed the same steps
    with distinct txids must vote alike and end with the same store, lock
-   count and observed writes. Only the wire lane keeps an intentions-log
-   record and a cached decision, for a repeat the local lane never sees;
-   repeated txids are a wire-lane case. *)
+   count and number of store writes. Only the wire lane keeps an
+   intentions-log record and a cached decision, for a repeat the local
+   lane never sees; repeated txids are a wire-lane case. *)
 
 type holder = Reader of string | Writer of string
 
@@ -654,13 +654,11 @@ type lane_step = {
 
 let serve node ~service body = (Option.get (Node.handler node ~service)) ~src:"z" body
 
-(* ((votes, store, locks held, observed writes), (log, decided count)) *)
+(* ((votes, store, locks held, store writes), (log, decided count)) *)
 let run_lane ~local ~initial ~holders steps =
   let c = Harness.cluster [ "a" ] in
   let node = Harness.node c "a" and p = Harness.participant c "a" in
   List.iter (fun (k, v) -> Kvstore.put (Participant.store p) k v) initial;
-  let observed = ref [] in
-  Participant.on_apply p (fun writes -> observed := writes :: !observed);
   List.iter
     (function
       | Reader key ->
@@ -684,7 +682,7 @@ let run_lane ~local ~initial ~holders steps =
   in
   let votes = List.map vote steps in
   let store = Kvstore.fold (Participant.store p) ~init:[] ~f:(fun acc k v -> (k, v) :: acc) in
-  ( (votes, store, Participant.locks_held p, List.rev !observed),
+  ( (votes, store, Participant.locks_held p, Kvstore.writes_total (Participant.store p)),
     (Participant.log p, Participant.decided_count p) )
 
 let lanes_agree ~initial ~holders steps =
@@ -739,15 +737,16 @@ let test_one_phase_lanes_agree_cases () =
   and t3 = { txid = "t3"; locks = []; read_keys = [ "k2" ]; writes = [ ("k2", Some "e") ] } in
   let initial = [ ("k1", "init") ] and holders = [ Writer "k4" ] in
   let steps = [ t1; t2; t3 ] in
-  let (votes, store, locks, observed), (log, decided) =
+  let (votes, store, locks, store_writes), (log, decided) =
     run_lane ~local:true ~initial ~holders steps
   in
+  let one_apply = List.length initial + List.length t1.writes in
   Alcotest.(check (list bool)) "votes" [ true; false; false ] votes;
   Alcotest.(check (list (pair string string))) "store" [ ("k2", "b") ] store;
   check_int "only the holder's prepare is logged" 1 (List.length log);
   check_int "no cached decision" 0 decided;
   check_int "only the holder's lock remains" 1 locks;
-  check_int "one apply observed" 1 (List.length observed);
+  check_int "one apply" one_apply store_writes;
   check "the wire lane agrees" true (lanes_agree ~initial ~holders steps);
   let _, (wire_log, wire_decided) = run_lane ~local:false ~initial ~holders steps in
   check "the wire lane logs its commit" true
@@ -757,14 +756,14 @@ let test_one_phase_lanes_agree_cases () =
      refusal gets the first decision again and changes nothing *)
   let dup1 = { t1 with locks = []; read_keys = []; writes = [ ("k3", Some "dup") ] }
   and dup2 = { t2 with writes = [ ("k0", Some "d") ] } in
-  let (votes, store, locks, observed), (log, _) =
+  let (votes, store, locks, store_writes), (log, _) =
     run_lane ~local:false ~initial ~holders [ t1; dup1; t2; dup2; t3 ]
   in
   Alcotest.(check (list bool)) "wire votes" [ true; true; false; false; false ] votes;
   Alcotest.(check (list (pair string string))) "wire store" [ ("k2", "b") ] store;
   check_int "one prepare (the holder) and one one-phase record" 2 (List.length log);
   check_int "wire: only the holder's lock remains" 1 locks;
-  check_int "wire: one apply observed" 1 (List.length observed)
+  check_int "wire: one apply" one_apply store_writes
 
 (* --- A local commit leaves nothing behind --- *)
 
@@ -908,12 +907,6 @@ let test_local_lane_txids_never_repeat () =
    bytes. *)
 let test_wal_order_with_merged_child () =
   let c = Harness.cluster [ "a"; "b" ] in
-  let applied = Hashtbl.create 2 in
-  List.iter
-    (fun id ->
-      Participant.on_apply (Harness.participant c id) (fun writes ->
-          Hashtbl.replace applied id writes))
-    [ "a"; "b" ];
   let prepared id =
     List.filter_map
       (function Txrecord.P_prepared { writes; _ } -> Some writes | _ -> None)
@@ -935,9 +928,7 @@ let test_wal_order_with_merged_child () =
   let at_b = [ ("j3", Some "c3"); ("j2", None); ("j1", Some "c1") ] in
   Alcotest.check Alcotest.(list writes) "a's prepare record" [ at_a ] (prepared "a");
   Alcotest.check Alcotest.(list writes) "b's prepare record" [ at_b ] (prepared "b");
-  Alcotest.check writes "a applied" at_a (Hashtbl.find applied "a");
-  Alcotest.check writes "b applied" at_b (Hashtbl.find applied "b");
-  (* the local one-phase lane hands over the same order *)
+  (* the local one-phase lane applies the merged writes *)
   Harness.exec_ok c
     (Txn.run (Harness.manager c "a") (fun t ->
          write t ~node:"a" ~key:"m1" ~value:"r1";
@@ -946,23 +937,11 @@ let test_wal_order_with_merged_child () =
          write child ~node:"a" ~key:"m0" ~value:"c0";
          commit child));
   check_int "local one-phase lane" 1 (Txn.one_phase_commits (Harness.manager c "a"));
-  Alcotest.check writes "a applied, one-phase"
-    [ ("m2", Some "c2"); ("m1", Some "r1"); ("m0", Some "c0") ]
-    (Hashtbl.find applied "a")
-
-(* The local lane refuses only when the store is down; a bug in an
-   observer is not a refused commit to retry under a new txid. *)
-let test_local_lane_observer_exception_propagates () =
-  let c = Harness.cluster [ "a" ] in
-  Participant.on_apply (Harness.participant c "a") (fun _ -> failwith "observer bug");
-  let mgr = Harness.manager c "a" in
-  Alcotest.check_raises "raised to the caller" (Failure "observer bug") (fun () ->
-      ignore
-        (Harness.exec c
-           (Txn.run mgr (fun t ->
-                write t ~node:"a" ~key:"x" ~value:"1";
-                return ()))));
-  check_int "no retry began" 1 (Txn.active_count mgr)
+  List.iter
+    (fun (key, value) ->
+      check_str_opt ("a stores " ^ key) (Some value)
+        (Participant.committed_value (Harness.participant c "a") ~key))
+    [ ("m0", "c0"); ("m1", "r1"); ("m2", "c2") ]
 
 (* --- the crash fence: nothing a node scheduled runs after its crash --- *)
 
@@ -1178,8 +1157,6 @@ let () =
             test_local_lane_txids_never_repeat;
           Alcotest.test_case "wal order with merged child" `Quick
             test_wal_order_with_merged_child;
-          Alcotest.test_case "observer exception propagates" `Quick
-            test_local_lane_observer_exception_propagates;
         ] );
       ( "recovery",
         [
