@@ -75,58 +75,64 @@ let cache_reply t ep ~node encoded req_id =
   Hashtbl.replace ep.replies_cache req_id encoded;
   Queue.add req_id ep.reply_order
 
+(* A frame that does not decode is dropped, as the fabric drops a lost
+   one: its sender's timeout covers both. *)
 let handle_request t node ~src body =
-  let req_id, service, payload = decode_req body in
-  let ep = endpoint t (Node.id node) in
-  let send encoded =
-    Network.send t.net ~src:(Node.id node) ~dst:src ~service:rsp_service ~body:encoded
-  in
-  (match Hashtbl.find_opt ep.replies_cache req_id with
-  | Some cached -> send cached
-  | None -> (
-    match Hashtbl.find_opt ep.async_services service with
-    | Some h ->
-      (* Deferred reply: the handler completes later via [reply]. A
-         duplicate arriving while the first invocation is still running
-         is dropped — the eventual reply answers the request id, which
-         every retry shares, so the caller still gets it. The node's
-         incarnation fences replies produced by an invocation that
-         started before a crash: after recovery the retry re-runs the
-         handler, and only the fresh invocation may answer. *)
-      if not (Hashtbl.mem ep.inflight req_id) then begin
-        Hashtbl.replace ep.inflight req_id ();
-        let inc = Node.incarnation node in
-        let reply outcome =
-          if Node.incarnation node = inc && Hashtbl.mem ep.inflight req_id then begin
-            Hashtbl.remove ep.inflight req_id;
-            let encoded = encode_rsp (req_id, outcome) in
-            cache_reply t ep ~node encoded req_id;
-            send encoded
-          end
+  match decode_req body with
+  | exception Wire.Malformed _ -> ""
+  | req_id, service, payload ->
+    let ep = endpoint t (Node.id node) in
+    let send encoded =
+      Network.send t.net ~src:(Node.id node) ~dst:src ~service:rsp_service ~body:encoded
+    in
+    (match Hashtbl.find_opt ep.replies_cache req_id with
+    | Some cached -> send cached
+    | None -> (
+      match Hashtbl.find_opt ep.async_services service with
+      | Some h ->
+        (* Deferred reply: the handler completes later via [reply]. A
+           duplicate arriving while the first invocation is still running
+           is dropped — the eventual reply answers the request id, which
+           every retry shares, so the caller still gets it. The node's
+           incarnation fences replies produced by an invocation that
+           started before a crash: after recovery the retry re-runs the
+           handler, and only the fresh invocation may answer. *)
+        if not (Hashtbl.mem ep.inflight req_id) then begin
+          Hashtbl.replace ep.inflight req_id ();
+          let inc = Node.incarnation node in
+          let reply outcome =
+            if Node.incarnation node = inc && Hashtbl.mem ep.inflight req_id then begin
+              Hashtbl.remove ep.inflight req_id;
+              let encoded = encode_rsp (req_id, outcome) in
+              cache_reply t ep ~node encoded req_id;
+              send encoded
+            end
+          in
+          try h ~src payload ~reply with exn -> reply (Error (Printexc.to_string exn))
+        end
+      | None ->
+        let outcome =
+          match Node.handler node ~service with
+          | None -> Error ("no such service: " ^ service)
+          | Some h -> ( try Ok (h ~src payload) with exn -> Error (Printexc.to_string exn))
         in
-        try h ~src payload ~reply with exn -> reply (Error (Printexc.to_string exn))
-      end
-    | None ->
-      let outcome =
-        match Node.handler node ~service with
-        | None -> Error ("no such service: " ^ service)
-        | Some h -> ( try Ok (h ~src payload) with exn -> Error (Printexc.to_string exn))
-      in
-      let encoded = encode_rsp (req_id, outcome) in
-      cache_reply t ep ~node encoded req_id;
-      send encoded));
-  ""
+        let encoded = encode_rsp (req_id, outcome) in
+        cache_reply t ep ~node encoded req_id;
+        send encoded));
+    ""
 
 let handle_response t node ~src:_ body =
-  let req_id, result = decode_rsp body in
-  let ep = endpoint t (Node.id node) in
-  (match Hashtbl.find_opt ep.pending_calls req_id with
-  | None -> () (* late duplicate, or caller crashed since *)
-  | Some p ->
-    Hashtbl.remove ep.pending_calls req_id;
-    (match p.timer with Some h -> Sim.cancel (Network.sim t.net) h | None -> ());
-    p.callback result);
-  ""
+  match decode_rsp body with
+  | exception Wire.Malformed _ -> ""
+  | req_id, result ->
+    let ep = endpoint t (Node.id node) in
+    (match Hashtbl.find_opt ep.pending_calls req_id with
+    | None -> () (* late duplicate, or caller crashed since *)
+    | Some p ->
+      Hashtbl.remove ep.pending_calls req_id;
+      (match p.timer with Some h -> Sim.cancel (Network.sim t.net) h | None -> ());
+      p.callback result);
+    ""
 
 let attach t node =
   let id = Node.id node in

@@ -7,15 +7,24 @@
     at-most-once execution — the CORBA-ish contract the paper's
     execution environment assumes). The dedup cache is volatile: a
     server crash may re-execute a request after recovery, so handlers
-    that survive crashes must themselves be idempotent, which the
-    transaction layer's log records guarantee.
+    that survive crashes must themselves be idempotent.
 
     The dedup cache is bounded: each server endpoint keeps at most
     [reply_cache_cap] replies (default 1024) and evicts the oldest
     first. An evicted reply demotes a late duplicate of that request to
-    a re-execution — the same degradation a server crash causes, and
-    safe for the same reason (handlers that matter are idempotent).
+    a re-execution — the same degradation a server crash causes.
     Each eviction is announced as [Rpc_reply_evicted].
+
+    Not every handler is idempotent under re-execution. The transaction
+    participant recognises a repeated [tx.prepare] only by its
+    intentions-log records, and [Participant.checkpoint] drops the
+    records of decided transactions. A [tx.prepare] redelivered after a
+    checkpoint and a crash is therefore prepared again, and the
+    coordinator's [tx.status] answer can commit its writes a second
+    time, over later ones.
+
+    A frame on the envelope services that does not decode is dropped,
+    as a lost frame is; the caller's timeout covers both.
 
     Self-addressed calls ([src = dst]) on a live node take a loopback
     lane: the request is handed to the local handler on a deferred

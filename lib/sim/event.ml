@@ -31,7 +31,7 @@ type t =
   | Recovery_error of { detail : string }
   | Txn_failed of { detail : string }
   | Txn_resolved of { txid : string; committed : bool }
-  | Txn_one_phase of { txid : string; local : bool }
+  | Txn_one_phase of { txid : string }
   | Txn_readonly_elided of { txid : string; node : string }
   | Rpc_sent of { src : string; dst : string; service : string }
   | Rpc_retried of { src : string; dst : string; service : string }
@@ -124,7 +124,7 @@ let pp ppf ev =
     | Recovery_replayed { instances } -> [ ("instances", i instances) ]
     | Recovery_error { detail } | Txn_failed { detail } -> [ ("detail", detail) ]
     | Txn_resolved { txid; committed } -> [ ("txid", txid); ("committed", b committed) ]
-    | Txn_one_phase { txid; local } -> [ ("txid", txid); ("local", b local) ]
+    | Txn_one_phase { txid } -> [ ("txid", txid) ]
     | Txn_readonly_elided { txid; node } -> [ ("txid", txid); ("node", node) ]
     | Rpc_sent { src; dst; service }
     | Rpc_retried { src; dst; service }

@@ -66,10 +66,9 @@ type t =
   | Txn_failed of { detail : string }  (** an engine persist gave up *)
   | Txn_resolved of { txid : string; committed : bool }
       (** Top-level commit decision (2PC) or abort. *)
-  | Txn_one_phase of { txid : string; local : bool }
-      (** A single-participant transaction committed via the combined
-          prepare+commit fast lane; [local] when the sole participant was
-          the coordinator's own node and no RPC was needed at all. *)
+  | Txn_one_phase of { txid : string }
+      (** A transaction whose only participant was the coordinator's own
+          node committed in one phase, with no RPC at all. *)
   | Txn_readonly_elided of { txid : string; node : string }
       (** [node] held only read locks for the committing transaction: it
           validated and released in phase 1 and was excluded from the

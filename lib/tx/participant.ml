@@ -8,7 +8,7 @@ type t = {
   plog : Txrecord.precord Wal.t;
   locks : Lock.t;
   prepared : (string, prep) Hashtbl.t;  (* undecided, volatile *)
-  decided : (string, [ `Committed | `Aborted ]) Hashtbl.t;  (* volatile cache of the log *)
+  decided : (string, [ `Committed | `Aborted ]) Hashtbl.t;  (* 2PC: volatile cache of the log *)
 }
 
 let poll_period = Sim.ms 50
@@ -52,13 +52,11 @@ let rec poll_status t txid =
   match Hashtbl.find_opt t.prepared txid with
   | None -> ()
   | Some prep ->
-    let handle_reply = function
-      | Ok body ->
-        (match Txrecord.dec_status_reply body with
-        | `Committed -> decide_commit t txid
-        | `Aborted -> decide_abort t txid
-        | `Pending -> schedule_poll t txid)
-      | Error _ -> schedule_poll t txid
+    let handle_reply reply =
+      match Result.map Txrecord.dec_status_reply reply with
+      | Ok `Committed -> decide_commit t txid
+      | Ok `Aborted -> decide_abort t txid
+      | Ok `Pending | Error _ | (exception Wire.Malformed _) -> schedule_poll t txid
     in
     Rpc.call t.rpc ~src:(node_id t) ~dst:prep.coordinator ~service:Txrecord.service_status
       ~body:(Txrecord.enc_txid txid) handle_reply
@@ -101,49 +99,20 @@ let handle_prepare t ~src:_ body =
       Txrecord.enc_vote false
     end
 
-(* The one-phase decision: this node is the transaction's only
-   participant, so prepare and commit collapse into one step here —
-   validate the read locks, check that every write lock would be granted
-   (it is not taken: it would be released within this call), apply, and
-   release whatever the transaction held. No coordinator decision record
-   exists anywhere; if a reply is lost the coordinator presumes abort,
-   which is safe because a refused one-phase commit changes nothing.
-   [remember] runs once the vote is known; only the wire lane needs it
-   (below). *)
-let decide_one t ~txid ~read_keys ~writes ~remember =
+(* The one-phase decision, for the co-located coordinator: this node is
+   the transaction's only participant, so prepare and commit collapse
+   into one step here — validate the read locks, check that every write
+   lock would be granted (it is not taken: it would be released within
+   this call), apply, and release whatever the transaction held. No
+   record is logged and no decision cached: a direct call happens once
+   per txid, so there is no repeat to recognise. *)
+let commit_local t ~txid ~read_keys ~writes =
   let read_ok key = Lock.holds_read t.locks ~key ~txid in
   let write_ok (key, _) = Lock.write_free t.locks ~key ~txid in
   let vote = List.for_all read_ok read_keys && List.for_all write_ok writes in
   if vote then apply_writes t writes;
-  remember t txid vote;
   Lock.release_all t.locks ~txid;
   vote
-
-let forget _ _ _ = ()
-
-(* A direct call from the co-located coordinator happens once per txid,
-   so it keeps nothing to recognise a repeat by. *)
-let commit_local t ~txid ~read_keys ~writes =
-  decide_one t ~txid ~read_keys ~writes ~remember:forget
-
-(* The duplicate memory of the wire lane: a [tx.commit1] message can be
-   delivered again (a retry whose reply was evicted), so a commit is
-   logged and both outcomes are cached. A remembered refusal keeps a
-   re-executed duplicate from committing a transaction the coordinator
-   already gave up on. *)
-let remember_one t txid vote =
-  if vote then Wal.append t.plog (Txrecord.P_one_phase txid);
-  Hashtbl.replace t.decided txid (if vote then `Committed else `Aborted)
-
-let commit_one t ~txid ~read_keys ~writes =
-  match Hashtbl.find_opt t.decided txid with
-  | Some `Committed -> true (* duplicate *)
-  | Some `Aborted -> false
-  | None -> decide_one t ~txid ~read_keys ~writes ~remember:remember_one
-
-let handle_commit_one t ~src:_ body =
-  let txid, read_keys, writes = Txrecord.dec_commit_one body in
-  Txrecord.enc_vote (commit_one t ~txid ~read_keys ~writes)
 
 (* Read-only elision: the participant holds no writes for this
    transaction, so its vote is pure validation — do the read locks still
@@ -178,7 +147,6 @@ let replay_record t = function
   | Txrecord.P_aborted txid ->
     Hashtbl.remove t.prepared txid;
     Hashtbl.replace t.decided txid `Aborted
-  | Txrecord.P_one_phase txid -> Hashtbl.replace t.decided txid `Committed
 
 let on_recover t () =
   Kvstore.recover t.store;
@@ -206,7 +174,6 @@ let create ~rpc ~node =
   Node.serve node ~service:Txrecord.service_read (handle_read t);
   Node.serve node ~service:Txrecord.service_prepare (handle_prepare t);
   Node.serve node ~service:Txrecord.service_commit (handle_commit t);
-  Node.serve node ~service:Txrecord.service_commit_one (handle_commit_one t);
   Node.serve node ~service:Txrecord.service_prepare_ro (handle_prepare_ro t);
   Node.serve node ~service:Txrecord.service_abort (handle_abort t);
   Node.on_crash node (on_crash t);
@@ -230,7 +197,7 @@ let checkpoint t =
     List.filter
       (function
         | Txrecord.P_prepared { txid; _ } -> Hashtbl.mem t.prepared txid
-        | Txrecord.P_committed _ | Txrecord.P_aborted _ | Txrecord.P_one_phase _ -> false)
+        | Txrecord.P_committed _ | Txrecord.P_aborted _ -> false)
       (Wal.records t.plog)
   in
   Wal.rewrite t.plog live

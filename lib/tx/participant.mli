@@ -2,7 +2,8 @@
 
     Owns the node's transactional objects: a persistent {!Kvstore}
     holding committed values, an intentions log, and the lock table.
-    Serves [tx.read] / [tx.prepare] / [tx.commit] / [tx.abort].
+    Serves [tx.read] / [tx.prepare] / [tx.prepare-ro] / [tx.commit] /
+    [tx.abort]; the co-located coordinator also calls {!commit_local}.
 
     Recovery re-acquires the write locks of prepared-but-undecided
     transactions from the intentions log and polls the coordinator's
@@ -28,17 +29,10 @@ val commit_local :
     on this node, whose txids never repeat (they carry its incarnation
     and a sequence number). A direct call cannot be delivered twice, so
     nothing is kept to recognise a repeat: no intentions-log record and
-    no cached decision. A txid that may arrive again must go through
-    {!handle_commit_one}.
+    no cached decision. This is the only one-phase lane: a writer on
+    another node takes [tx.prepare] and [tx.commit].
 
     Raises {!Kvstore.Unavailable} when the node is down. *)
-
-val handle_commit_one : t -> src:string -> string -> string
-(** The [tx.commit1] service: the same decision as {!commit_local}, plus
-    the duplicate memory a message needs. A txid already decided here
-    gets that decision again and changes nothing. Otherwise a commit
-    appends one [P_one_phase] record, and either outcome is cached, so a
-    redelivered request can never commit a refused transaction later. *)
 
 val committed_value : t -> key:string -> string option
 (** Directly inspect the committed store (testing / local fast reads
@@ -55,8 +49,8 @@ val locks_held : t -> int
     none; leftovers are orphaned locks (fault-exploration oracle). *)
 
 val decided_count : t -> int
-(** Decisions cached for duplicate detection (tests). Only the wire lanes
-    add to it. *)
+(** 2PC decisions cached for duplicate detection (tests). The local
+    lane adds nothing to it. *)
 
 val store : t -> Kvstore.t
 

@@ -36,10 +36,6 @@ type manager = {
       (* durable, one [C_incarnation] record per life: the part of each
          txid that keeps it unique across crashes *)
   mutable seq : int;
-  mutable committed_total : int;
-  mutable resumed_total : int;
-  mutable one_phase_total : int;
-  mutable readonly_elided_total : int;
 }
 
 type t = {
@@ -124,10 +120,7 @@ let on_manager_recover mgr () =
   mgr.incarnation <- mgr.incarnation + 1;
   mgr.seq <- 0;
   let resume txid participants =
-    if not (Hashtbl.mem mgr.finished txid) then begin
-      mgr.resumed_total <- mgr.resumed_total + 1;
-      push_commits mgr txid participants (fun () -> ())
-    end
+    if not (Hashtbl.mem mgr.finished txid) then push_commits mgr txid participants (fun () -> ())
   in
   Hashtbl.iter resume mgr.committed
 
@@ -148,10 +141,6 @@ let manager ~rpc ~node ~participant =
       active = Hashtbl.create 16;
       incarnation = 1;
       seq = 0;
-      committed_total = 0;
-      resumed_total = 0;
-      one_phase_total = 0;
-      readonly_elided_total = 0;
     }
   in
   Wal.append mgr.clog Txrecord.C_incarnation;
@@ -216,14 +205,13 @@ let read t ~node ~key : string option io =
   | None ->
     let r = root t in
     let mgr = t.mgr in
-    let handle = function
-      | Ok body -> (
-        match Txrecord.dec_read_reply body with
-        | Ok v ->
-          add_read_lock r ~node ~key;
-          k (Ok v)
-        | Error reason -> k (Error (`Conflict reason)))
-      | Error _ -> k (Error `Timeout)
+    let handle reply =
+      match Result.map Txrecord.dec_read_reply reply with
+      | Ok (Ok v) ->
+        add_read_lock r ~node ~key;
+        k (Ok v)
+      | Ok (Error reason) -> k (Error (`Conflict reason))
+      | Error _ | (exception Wire.Malformed _) -> k (Error `Timeout)
     in
     Rpc.call mgr.rpc ~src:(manager_node mgr) ~dst:node ~service:Txrecord.service_read
       ~body:(Txrecord.enc_read_req (t.id, key))
@@ -253,25 +241,24 @@ let abort_at_participants mgr txid nodes =
   in
   List.iter tell nodes
 
-(* Top-level commit, with three fast lanes in front of classic 2PC:
+(* Top-level commit, with two fast lanes in front of classic 2PC:
 
    - read-only transaction: every participant validates-and-releases in
      a single round ([tx.prepare-ro]); nothing is logged anywhere.
-   - one-phase commit: exactly one participant with writes and no
-     read-only participants — prepare and commit collapse into one
-     [tx.commit1] message decided at the participant. When that sole
-     participant is the coordinator's own node, the writes go straight
-     to {!Participant.commit_local} as they are (no RPC, no encoding, no
-     duplicate memory: a txid reaches it once) and only the completion is
-     deferred to a simulation event, preserving the asynchronous callback
-     contract.
-   - 2PC with read-only elision: participants holding only read locks
-     vote via [tx.prepare-ro] and are excluded from the decision record
-     and the commit fan-out.
+   - local one-phase commit: the only participant is the coordinator's
+     own live node, with writes. The writes go straight to
+     {!Participant.commit_local} as they are (no RPC, no encoding, no
+     duplicate memory: a txid reaches it once) and only the completion
+     is deferred to a simulation event, preserving the asynchronous
+     callback contract.
+   - 2PC with read-only elision: every other shape, a single writer on
+     another node included. Participants holding only read locks vote
+     via [tx.prepare-ro] and are excluded from the decision record and
+     the commit fan-out.
 
    All lanes presume abort: only a [C_committed] record (written by the
    2PC lane alone) obligates recovery to push commits; everything else
-   aborts by default, and one-phase participants decide locally. *)
+   aborts by default. *)
 let commit_top (t : t) : unit io =
  fun k ->
   let mgr = t.mgr in
@@ -287,7 +274,6 @@ let commit_top (t : t) : unit io =
       (Event.Txn_resolved { txid = t.id; committed })
   in
   let elide_ro () =
-    mgr.readonly_elided_total <- mgr.readonly_elided_total + List.length ro_nodes;
     List.iter
       (fun node ->
         Sim.emit mgr.sim ~src:(manager_node mgr)
@@ -302,7 +288,6 @@ let commit_top (t : t) : unit io =
       Hashtbl.replace mgr.committed t.id participants
     end;
     resolve true;
-    mgr.committed_total <- mgr.committed_total + 1;
     elide_ro ();
     if participants = [] then k (Ok ())
     else push_commits mgr t.id participants (fun () -> k (Ok ()))
@@ -315,51 +300,31 @@ let commit_top (t : t) : unit io =
   match (rw, ro) with
   | [], [] ->
     resolve true;
-    mgr.committed_total <- mgr.committed_total + 1;
     k (Ok ())
-  | [ (node, (read_keys, writes)) ], [] ->
-    (* one-phase lane *)
-    let finish ~local vote =
-      if vote then begin
-        mgr.one_phase_total <- mgr.one_phase_total + 1;
-        Sim.emit mgr.sim ~src:(manager_node mgr)
-          (Event.Txn_one_phase { txid = t.id; local });
-        conclude_commit ~participants:[] ()
-      end
-      else
-        (* a refused one-phase commit already released everything at the
-           participant; no abort message needed *)
-        conclude_abort ~notify:[] (`Conflict "one-phase commit refused")
+  | [ (node, (read_keys, writes)) ], [] when node = manager_node mgr && Node.up mgr.node ->
+    (* local one-phase lane: decide synchronously against the co-hosted
+       participant, defer only the continuation. The node's incarnation
+       kills the continuation if the node crashes in between — the commit
+       itself is already durable, exactly as if the reply were lost.
+       [t.id] is fresh from [begin_] and this is its only commit, which
+       is the once-per-txid contract of [commit_local]. Only a down
+       store refuses here; any other exception is a bug and propagates. *)
+    let vote =
+      try Participant.commit_local mgr.participant ~txid:t.id ~read_keys ~writes
+      with Kvstore.Unavailable _ -> false
     in
-    if node = manager_node mgr && Node.up mgr.node then begin
-      (* coordinator-local: decide synchronously against the co-hosted
-         participant, defer only the continuation. The node's incarnation
-         kills the continuation if the node crashes in between — the commit
-         itself is already durable, exactly as if the reply were lost.
-         [t.id] is fresh from [begin_] and this is its only commit, which
-         is the once-per-txid contract of [commit_local]. Only a down
-         store refuses here; any other exception is a bug and
-         propagates. *)
-      let vote =
-        try Participant.commit_local mgr.participant ~txid:t.id ~read_keys ~writes
-        with Kvstore.Unavailable _ -> false
-      in
-      let inc = Node.incarnation mgr.node in
-      ignore
-        (Sim.schedule mgr.sim ~delay:0 (fun () ->
-             if Node.incarnation mgr.node = inc then finish ~local:true vote))
-    end
-    else
-      let body = Txrecord.enc_commit_one ~txid:t.id ~read_keys ~writes in
-      Rpc.call mgr.rpc ~src:(manager_node mgr) ~dst:node ~service:Txrecord.service_commit_one
-        ~body (function
-        | Ok vote -> finish ~local:false (try Txrecord.dec_vote vote with _ -> false)
-        | Error _ ->
-          (* outcome unknown at the participant (presumed abort there if
-             unprepared; committed if the reply was lost — [run] retries
-           with a fresh txid, and the engine's writes are absolute, so
-           re-execution converges) *)
-          conclude_abort `Timeout)
+    let inc = Node.incarnation mgr.node in
+    ignore
+      (Sim.schedule mgr.sim ~delay:0 (fun () ->
+           if Node.incarnation mgr.node = inc then
+             if vote then begin
+               Sim.emit mgr.sim ~src:(manager_node mgr) (Event.Txn_one_phase { txid = t.id });
+               conclude_commit ~participants:[] ()
+             end
+             else
+               (* a refused one-phase commit already released everything
+                  at the participant; no abort message needed *)
+               conclude_abort ~notify:[] (`Conflict "one-phase commit refused")))
   | _ ->
     (* 2PC over write participants, read-only participants elided *)
     let votes_left = ref (List.length bindings) in
@@ -466,17 +431,9 @@ let compact mgr =
   in
   Wal.rewrite mgr.clog live
 
-let committed_count mgr = mgr.committed_total
-
 let active_count mgr = Hashtbl.length mgr.active
 
 let undecided_commits mgr =
   Hashtbl.fold
     (fun txid _ acc -> if Hashtbl.mem mgr.finished txid then acc else acc + 1)
     mgr.committed 0
-
-let resumed_commits mgr = mgr.resumed_total
-
-let one_phase_commits mgr = mgr.one_phase_total
-
-let readonly_elisions mgr = mgr.readonly_elided_total

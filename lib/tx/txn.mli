@@ -11,15 +11,14 @@
 
     Commit takes a fast lane when the transaction's shape allows it:
     read-only transactions validate-and-release in one round with no
-    logging; single-participant transactions use one-phase commit (a
-    combined prepare+commit decided at the participant; when that
-    participant is the coordinator's own node, the buffered writes are
-    passed as they are to {!Participant.commit_local}, with no RPC, no
-    encoding and nothing logged or remembered, since a direct call cannot
-    repeat); and in general 2PC, read-only participants
-    vote and release in phase 1 and are excluded from the commit
-    fan-out. Remote fault semantics are unchanged: every lane presumes
-    abort, and only a logged [C_committed] obligates recovery.
+    logging; a transaction whose only participant is the coordinator's
+    own node commits in one phase, its buffered writes passed as they are
+    to {!Participant.commit_local}, with no RPC, no encoding and nothing
+    logged or remembered, since a direct call cannot repeat. Every other
+    transaction, a single writer on another node included, runs 2PC, in
+    which read-only participants vote and release in phase 1 and are
+    excluded from the commit fan-out. Every lane presumes abort, and only
+    a logged [C_committed] obligates recovery.
 
     Everything is continuation-passing (the simulator is event-driven);
     the ['a io] monad keeps call sites readable. Nested transactions are
@@ -52,8 +51,8 @@ val manager : rpc:Rpc.t -> node:Node.t -> participant:Participant.t -> manager
 (** One per node; installs the [tx.status] service and crash/recovery
     hooks. The node must already be RPC-attached. [participant] is the
     one hosted on [node]: one-phase commits whose only writer is this
-    node call it directly. Raises [Invalid_argument] if it lives on
-    another node. *)
+    node call it directly; a writer elsewhere takes 2PC. Raises
+    [Invalid_argument] if it lives on another node. *)
 
 val manager_node : manager -> string
 
@@ -103,9 +102,6 @@ val compact : manager -> unit
 
 (** {1 Introspection} *)
 
-val committed_count : manager -> int
-(** Transactions this coordinator decided to commit (lifetime). *)
-
 val active_count : manager -> int
 (** Top-level transactions begun here and not yet resolved. A quiescent
     coordinator has none; leftovers are stuck transactions
@@ -115,14 +111,3 @@ val undecided_commits : manager -> int
 (** Committed decisions whose commit phase has not finished pushing to
     every participant. Non-zero at quiescence means a commit push is
     stuck. *)
-
-val resumed_commits : manager -> int
-(** Commit phases resumed by recovery. *)
-
-val one_phase_commits : manager -> int
-(** Transactions committed through the single-participant one-phase
-    lane (lifetime). *)
-
-val readonly_elisions : manager -> int
-(** Read-only participants released in phase 1 and excluded from the
-    commit fan-out, summed over committed transactions (lifetime). *)

@@ -4,7 +4,6 @@ type precord =
   | P_prepared of { txid : string; coordinator : string; writes : write list }
   | P_committed of string
   | P_aborted of string
-  | P_one_phase of string
 
 type crecord =
   | C_incarnation
@@ -20,8 +19,6 @@ let service_commit = "tx.commit"
 let service_abort = "tx.abort"
 
 let service_status = "tx.status"
-
-let service_commit_one = "tx.commit1"
 
 let service_prepare_ro = "tx.prepare-ro"
 
@@ -59,24 +56,6 @@ let dec_prepare_req body =
       let read_keys = d_list d_string d in
       let writes = d_list (d_pair d_string (d_option d_string)) d in
       (txid, coordinator, read_keys, writes))
-    body
-
-let enc_commit_one ~txid ~read_keys ~writes =
-  Wire.run
-    (fun buf () ->
-      Wire.b_string buf txid;
-      Wire.(b_list b_string) buf read_keys;
-      b_writes buf writes)
-    ()
-
-let dec_commit_one body =
-  let open Wire in
-  decode
-    (fun d ->
-      let txid = d_string d in
-      let read_keys = d_list d_string d in
-      let writes = d_list (d_pair d_string (d_option d_string)) d in
-      (txid, read_keys, writes))
     body
 
 let enc_prepare_ro ~txid ~read_keys =

@@ -4,16 +4,12 @@
 type write = string * string option
 (** key, value; [None] deletes the key at commit *)
 
-(** Participant intentions-log records. [P_one_phase] is the combined
-    prepare+commit record of the single-participant fast lane: the
-    participant decides and commits in one append, with no coordinator
-    decision record anywhere (presumed abort covers the failure
-    cases). *)
+(** Participant intentions-log records, written by 2PC alone: the
+    local one-phase lane ({!Participant.commit_local}) logs nothing. *)
 type precord =
   | P_prepared of { txid : string; coordinator : string; writes : write list }
   | P_committed of string
   | P_aborted of string
-  | P_one_phase of string
 
 (** Coordinator decision-log records. *)
 type crecord =
@@ -26,10 +22,6 @@ val service_prepare : string
 val service_commit : string
 val service_abort : string
 val service_status : string
-
-val service_commit_one : string
-(** Combined prepare+commit for a transaction whose only participant is
-    the destination node (one-phase commit). *)
 
 val service_prepare_ro : string
 (** Phase-1 validate-and-release for a participant holding only read
@@ -49,11 +41,6 @@ val enc_prepare_req :
 
 val dec_prepare_req : string -> string * string * string list * write list
 (** txid, coordinator, read_keys, writes *)
-
-val enc_commit_one : txid:string -> read_keys:string list -> writes:write list -> string
-
-val dec_commit_one : string -> string * string list * write list
-(** txid, read_keys, writes *)
 
 val enc_prepare_ro : txid:string -> read_keys:string list -> string
 

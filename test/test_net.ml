@@ -413,6 +413,28 @@ let test_rpc_loopback_crash_before_delivery_suppresses_callback () =
   check "handler never ran" false !executed;
   check "callback suppressed" false !fired
 
+(* A frame on an RPC envelope service that does not decode is dropped,
+   as a lost frame is: nothing escapes the simulator, and the endpoint
+   goes on serving calls. *)
+let garbage_frame_dropped ~service ~src ~dst =
+  let sim, net, rpc = make_rpc [ "a"; "b" ] in
+  Node.serve (Network.node net "b") ~service:"double" (fun ~src:_ body -> body ^ body);
+  Network.send net ~src ~dst ~service ~body:"garbage";
+  (match Sim.run sim with
+  | exception e ->
+    Alcotest.failf "a garbage %s frame escaped Sim.run: %s" service (Printexc.to_string e)
+  | () -> ());
+  let result = ref None in
+  Rpc.call rpc ~src:"a" ~dst:"b" ~service:"double" ~body:"xy" (fun r -> result := Some r);
+  Sim.run sim;
+  check "the next call is answered" true (!result = Some (Ok "xyxy"))
+
+let test_rpc_garbage_request_dropped () =
+  garbage_frame_dropped ~service:"$rpc.req" ~src:"a" ~dst:"b"
+
+let test_rpc_garbage_response_dropped () =
+  garbage_frame_dropped ~service:"$rpc.rsp" ~src:"b" ~dst:"a"
+
 let test_rpc_invalid_cache_cap_rejected () =
   let sim = Sim.create ~seed:1L () in
   let net = Network.create sim in
@@ -470,6 +492,10 @@ let () =
           Alcotest.test_case "reply cache bounded" `Quick test_rpc_reply_cache_bounded;
           Alcotest.test_case "dedup with small cache" `Quick test_rpc_dedup_survives_small_cache;
           Alcotest.test_case "invalid cache cap" `Quick test_rpc_invalid_cache_cap_rejected;
+          Alcotest.test_case "garbage request frame dropped" `Quick
+            test_rpc_garbage_request_dropped;
+          Alcotest.test_case "garbage response frame dropped" `Quick
+            test_rpc_garbage_response_dropped;
           Alcotest.test_case "loopback skips network" `Quick test_rpc_loopback_skips_network;
           Alcotest.test_case "loopback through partition" `Quick
             test_rpc_loopback_on_partitioned_self;

@@ -8,6 +8,12 @@ let check_int = Alcotest.(check int)
 
 let check_str_opt = Alcotest.(check (option string))
 
+(* a registry counting the events the cluster publishes from now on *)
+let metrics c =
+  let m = Metrics.create () in
+  Metrics.attach m (Sim.events c.Harness.sim);
+  m
+
 open Txn
 
 (* --- Lock table --- *)
@@ -223,49 +229,74 @@ let test_one_phase_local_no_rpc () =
      to detect a duplicate, since a direct call cannot repeat *)
   let c = Harness.cluster [ "a" ] in
   let mgr = Harness.manager c "a" in
-  let m = Metrics.create () in
-  Metrics.attach m (Sim.events c.Harness.sim);
+  let m = metrics c in
   Harness.exec_ok c
     (Txn.run mgr (fun t ->
          write t ~node:"a" ~key:"x" ~value:"42";
          return ()));
   check_str_opt "committed" (Some "42")
     (Participant.committed_value (Harness.participant c "a") ~key:"x");
-  check_int "one-phase lane taken" 1 (Txn.one_phase_commits mgr);
   check_int "no network traffic at all" 0 (Network.sent_total c.Harness.net);
   check_int "no rpc calls" 0 (Metrics.value m "events.rpc-sent");
   check_int "no log record" 0 (Participant.log_length (Harness.participant c "a"));
   check_int "no cached decision" 0 (Participant.decided_count (Harness.participant c "a"));
   check_int "txn.one_phase metric" 1 (Metrics.value m "txn.one_phase")
 
-let test_one_phase_remote_commit () =
+(* A single writer on another node commits through 2PC, the only
+   protocol a message-borne commit has: one [tx.prepare] and one
+   [tx.commit], both logged at the participant. A partition opens just
+   as the prepare would cross the a->b link; the RPC layer retries
+   through the outage and the commit resolves after the heal with its
+   effect applied once, nothing left prepared and no locks. *)
+let test_remote_single_writer_two_phase () =
   let c = Harness.cluster [ "a"; "b" ] in
   let mgr = Harness.manager c "a" in
-  Harness.exec_ok c
-    (Txn.run mgr (fun t ->
-         write t ~node:"b" ~key:"y" ~value:"v";
-         return ()));
-  check_str_opt "applied at b" (Some "v")
-    (Participant.committed_value (Harness.participant c "b") ~key:"y");
-  check_int "one-phase lane taken" 1 (Txn.one_phase_commits mgr);
-  check_int "single combined log record at b" 1
-    (Participant.log_length (Harness.participant c "b"));
+  let p_b = Harness.participant c "b" in
+  let sent = ref [] in
+  Event.subscribe (Sim.events c.Harness.sim) (fun ~at:_ ~src:_ -> function
+    | Event.Rpc_sent { src = "a"; service; _ } -> sent := service :: !sent
+    | _ -> ());
+  let m = metrics c in
+  Network.partition_on c.Harness.net "a" "b";
+  ignore
+    (Sim.schedule c.Harness.sim ~delay:(Sim.ms 30) (fun () ->
+         Network.partition_off c.Harness.net "a" "b"));
+  let t = Txn.begin_ mgr in
+  let txid = Txn.txid t in
+  write t ~node:"b" ~key:"y" ~value:"v";
+  (match Harness.exec c (Txn.commit t) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "remote commit failed: %s" (Txn.error_to_string e));
+  check_str_opt "applied at b after the heal" (Some "v") (Participant.committed_value p_b ~key:"y");
   Alcotest.(check (list string))
-    "nothing left prepared at b" []
-    (Participant.prepared_txids (Harness.participant c "b"))
+    "one prepare, one commit"
+    [ Txrecord.service_prepare; Txrecord.service_commit ]
+    (List.rev !sent);
+  check_int "no one-phase commit" 0 (Metrics.value m "txn.one_phase");
+  check "prepared and committed records at b" true
+    (Participant.log p_b
+    = [ Txrecord.P_prepared { txid; coordinator = "a"; writes = [ ("y", Some "v") ] };
+        Txrecord.P_committed txid ]);
+  Alcotest.(check (list string)) "nothing left prepared" [] (Participant.prepared_txids p_b);
+  check_int "no orphaned locks" 0 (Participant.locks_held p_b);
+  check_int "commit phase finished" 0 (Txn.undecided_commits mgr);
+  (* the retired one-phase service was [tx.commit] with a "1" suffix *)
+  check "no one-phase service" true
+    (Option.is_none (Node.handler (Harness.node c "b") ~service:(Txrecord.service_commit ^ "1")))
 
 let test_one_phase_refused_on_conflict () =
-  (* the combined prepare+commit must refuse when the participant's
-     locks are taken, and the refusal aborts cleanly *)
+  (* the local one-phase commit must refuse when the participant's
+     locks are taken by a remote reader, and the refusal aborts
+     cleanly *)
   let c = Harness.cluster [ "a"; "b" ] in
-  let blocker = Txn.begin_ (Harness.manager c "b") in
+  let blocker = Txn.begin_ (Harness.manager c "a") in
   let ok = ref false in
   (read blocker ~node:"b" ~key:"y") (fun r -> ok := (r = Ok None));
   Harness.run c;
   check "blocker locked y" true !ok;
   let result =
     Harness.exec c
-      (Txn.run (Harness.manager c "a") ~max_attempts:1 (fun t ->
+      (Txn.run (Harness.manager c "b") ~max_attempts:1 (fun t ->
            write t ~node:"b" ~key:"y" ~value:"2";
            return ()))
   in
@@ -275,7 +306,7 @@ let test_one_phase_refused_on_conflict () =
   Txn.abort blocker;
   Harness.run c;
   Harness.exec_ok c
-    (Txn.run (Harness.manager c "a") (fun t ->
+    (Txn.run (Harness.manager c "b") (fun t ->
          write t ~node:"b" ~key:"y" ~value:"3";
          return ()));
   check_str_opt "unblocked after abort" (Some "3")
@@ -291,8 +322,7 @@ let test_readonly_txn_elided () =
          write t ~node:"b" ~key:"x" ~value:"seed";
          return ()));
   let log_after_seed = Participant.log_length (Harness.participant c "b") in
-  let m = Metrics.create () in
-  Metrics.attach m (Sim.events c.Harness.sim);
+  let m = metrics c in
   let seen =
     Harness.exec_ok c
       (Txn.run mgr (fun t ->
@@ -300,8 +330,7 @@ let test_readonly_txn_elided () =
            return v))
   in
   check_str_opt "read the committed value" (Some "seed") seen;
-  check_int "participant elided" 1 (Txn.readonly_elisions mgr);
-  check_int "txn.readonly_elided metric" 1 (Metrics.value m "txn.readonly_elided");
+  check_int "participant elided" 1 (Metrics.value m "txn.readonly_elided");
   check_int "no new participant log record" log_after_seed
     (Participant.log_length (Harness.participant c "b"));
   (* the read locks are gone: an immediate writer must not conflict *)
@@ -317,6 +346,7 @@ let test_readonly_elision_under_conflict () =
      crash reset its lock table): stale reads cannot commit *)
   let c = Harness.cluster [ "a"; "b" ] in
   let mgr = Harness.manager c "a" in
+  let m = metrics c in
   let t = Txn.begin_ mgr in
   let got = ref false in
   (read t ~node:"b" ~key:"x") (fun r -> got := (r = Ok None));
@@ -328,13 +358,14 @@ let test_readonly_elision_under_conflict () =
   let result = Harness.exec c (Txn.commit t) in
   check "stale read-only commit refused" true
     (match result with Error (`Conflict _) -> true | _ -> false);
-  check_int "no elision counted on abort" 0 (Txn.readonly_elisions mgr)
+  check_int "no elision counted on abort" 0 (Metrics.value m "txn.readonly_elided")
 
 let test_mixed_readonly_elided_from_fanout () =
   (* read one node, write another: the reader votes in phase 1 and is
      excluded from the decision record and the commit push *)
   let c = Harness.cluster [ "a"; "b"; "cc" ] in
   let mgr = Harness.manager c "a" in
+  let m = metrics c in
   Harness.exec_ok c
     (Txn.run mgr (fun t ->
          write t ~node:"b" ~key:"x" ~value:"seed";
@@ -350,35 +381,11 @@ let test_mixed_readonly_elided_from_fanout () =
          | None -> fail (`Aborted "seed missing")));
   check_str_opt "writer side committed" (Some "seed")
     (Participant.committed_value (Harness.participant c "cc") ~key:"y");
-  check_int "reader elided" 1 (Txn.readonly_elisions mgr);
+  check_int "reader elided" 1 (Metrics.value m "txn.readonly_elided");
   check_int "reader logged nothing" b_log (Participant.log_length (Harness.participant c "b"));
   Alcotest.(check (list string))
     "reader holds no prepared state" []
     (Participant.prepared_txids (Harness.participant c "b"))
-
-let test_one_phase_commit_through_partition () =
-  (* a partition opens just as the combined prepare+commit ([tx.commit1])
-     would cross the a->b link; the RPC layer retries through the outage
-     and the commit must resolve after the heal with the effect applied
-     exactly once — one combined log record, nothing prepared, no locks *)
-  let c = Harness.cluster [ "a"; "b" ] in
-  let mgr = Harness.manager c "a" in
-  let p_b = Harness.participant c "b" in
-  Network.partition_on c.Harness.net "a" "b";
-  ignore
-    (Sim.schedule c.Harness.sim ~delay:(Sim.ms 30) (fun () ->
-         Network.partition_off c.Harness.net "a" "b"));
-  Harness.exec_ok c
-    (Txn.run mgr (fun t ->
-         write t ~node:"b" ~key:"y" ~value:"v";
-         return ()));
-  check_str_opt "committed after the heal" (Some "v")
-    (Participant.committed_value p_b ~key:"y");
-  check_int "one-phase lane still taken" 1 (Txn.one_phase_commits mgr);
-  check_int "applied exactly once (single log record)" 1 (Participant.log_length p_b);
-  Alcotest.(check (list string))
-    "nothing left prepared" [] (Participant.prepared_txids p_b);
-  check_int "no orphaned locks" 0 (Participant.locks_held p_b)
 
 let test_readonly_elision_through_partition () =
   (* same, for the read-only fast lane: the [tx.prepare-ro] validation
@@ -392,6 +399,7 @@ let test_readonly_elision_through_partition () =
          return ()));
   let p_b = Harness.participant c "b" in
   let log_before = Participant.log_length p_b in
+  let m = metrics c in
   let t = Txn.begin_ mgr in
   let got = ref None in
   (read t ~node:"b" ~key:"x") (fun r -> got := Some r);
@@ -404,7 +412,7 @@ let test_readonly_elision_through_partition () =
   (match Harness.exec c (Txn.commit t) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "read-only commit failed: %s" (Txn.error_to_string e));
-  check_int "elision resolved through the outage" 1 (Txn.readonly_elisions mgr);
+  check_int "elision resolved through the outage" 1 (Metrics.value m "txn.readonly_elided");
   check_int "still logged nothing" log_before (Participant.log_length p_b);
   check_int "read locks released" 0 (Participant.locks_held p_b);
   (* exactly-once, observable side: an immediate writer is not blocked
@@ -472,9 +480,8 @@ let test_participant_crash_after_prepare_commits_eventually () =
     (Participant.committed_value (Harness.participant c "b") ~key:"y")
 
 let test_coordinator_crash_before_decision_presumed_abort () =
-  (* Two remote participants keep this on the classic 2PC path (a single
-     remote write would take the one-phase lane, where the participant
-     itself decides). *)
+  (* Two remote participants: the coordinator's crash leaves both
+     prepared. *)
   let c = Harness.cluster [ "a"; "b"; "cc" ] in
   let mgr = Harness.manager c "a" in
   let result = ref None in
@@ -502,8 +509,8 @@ let test_coordinator_crash_before_decision_presumed_abort () =
     (Participant.committed_value (Harness.participant c "b") ~key:"y")
 
 let test_coordinator_crash_after_decision_resumes_commit () =
-  (* Two remote participants force the decision through the logged 2PC
-     lane (a single remote write would one-phase and log nothing). *)
+  (* Two remote participants, so the commit phase pushes to more than
+     one node. *)
   let c = Harness.cluster [ "a"; "b"; "cc" ] in
   let mgr = Harness.manager c "a" in
   (* Delay b's application by partitioning it right after prepare, so the
@@ -516,23 +523,25 @@ let test_coordinator_crash_after_decision_resumes_commit () =
        return ()))
     (fun r -> result := Some r);
   (* Cut the link the moment the decision is logged at a: the commit
-     messages are in flight and get dropped at delivery time, leaving b
-     prepared and the commit phase unfinished. *)
-  let rec sever_on_decision () =
-    if Txn.committed_count mgr >= 1 then Network.partition_on c.Harness.net "a" "b"
-    else ignore (Sim.schedule c.Harness.sim ~delay:50 sever_on_decision)
-  in
-  ignore (Sim.schedule c.Harness.sim ~delay:50 sever_on_decision);
+     messages to b are dropped, leaving b prepared and the commit phase
+     unfinished. Count the commit messages a sends once recovered. *)
+  let recovered = ref false and resumed = ref 0 in
+  Event.subscribe (Sim.events c.Harness.sim) (fun ~at:_ ~src:_ -> function
+    | Event.Txn_resolved { committed = true; _ } -> Network.partition_on c.Harness.net "a" "b"
+    | Event.Rpc_sent { src = "a"; service; _ } ->
+      if !recovered && service = Txrecord.service_commit then incr resumed
+    | _ -> ());
   ignore (Sim.schedule c.Harness.sim ~delay:(Sim.ms 60) (fun () -> Harness.crash c "a"));
   ignore
     (Sim.schedule c.Harness.sim ~delay:(Sim.ms 120)
        (fun () ->
          Network.partition_off c.Harness.net "a" "b";
+         recovered := true;
          Harness.recover c "a"));
   Sim.run ~until:(Sim.sec 10) c.Harness.sim;
   check_str_opt "decision reached b after coordinator recovery" (Some "decided")
     (Participant.committed_value (Harness.participant c "b") ~key:"y");
-  check "recovery resumed a commit" true (Txn.resumed_commits (Harness.manager c "a") >= 1)
+  check "recovery resumed a commit" true (!resumed >= 1)
 
 let test_commit_survives_lossy_network () =
   let config = { Network.default_config with loss = 0.4 } in
@@ -577,7 +586,7 @@ let test_checkpoint_compacts_logs () =
   done;
   let p = Harness.participant c "b" in
   let before = Participant.log_length p in
-  check_int "one record per wire commit" 20 before;
+  check_int "a prepare and a commit record per remote commit" 40 before;
   Participant.checkpoint p;
   check "intentions log compacted" true (Participant.log_length p < before);
   Harness.crash c "b";
@@ -633,15 +642,15 @@ let test_compact_bounds_coordinator_log () =
   check_str_opt "state correct after compaction + crash" (Some "after")
     (Participant.committed_value (Harness.participant c "b") ~key:"x")
 
-(* --- The two one-phase lanes agree --- *)
+(* --- The local lane agrees with 2PC --- *)
 
 (* The coordinator-local lane calls [Participant.commit_local] with the
-   buffered writes; the remote lane sends the same request encoded as
-   [tx.commit1]. Twin participants, one per lane, fed the same steps
-   with distinct txids must vote alike and end with the same store, lock
-   count and number of store writes. Only the wire lane keeps an
-   intentions-log record and a cached decision, for a repeat the local
-   lane never sees; repeated txids are a wire-lane case. *)
+   buffered writes; a writer elsewhere gets the same writes as
+   [tx.prepare] and, on a yes vote, [tx.commit]. Twin participants, one
+   per path, fed the same steps with distinct txids must vote alike and
+   end with the same store, lock count and number of store writes. Only
+   2PC keeps intentions-log records and a cached decision, for a repeat
+   the local lane never sees; repeated txids are a 2PC case. *)
 
 type holder = Reader of string | Writer of string
 
@@ -676,9 +685,13 @@ let run_lane ~local ~initial ~holders steps =
       locks;
     if local then Participant.commit_local p ~txid ~read_keys ~writes
     else
-      Txrecord.dec_vote
-        (Participant.handle_commit_one p ~src:"z"
-           (Txrecord.enc_commit_one ~txid ~read_keys ~writes))
+      let vote =
+        Txrecord.dec_vote
+          (serve node ~service:Txrecord.service_prepare
+             (Txrecord.enc_prepare_req ~txid ~coordinator:"z" ~read_keys ~writes))
+      in
+      if vote then ignore (serve node ~service:Txrecord.service_commit (Txrecord.enc_txid txid));
+      vote
   in
   let votes = List.map vote steps in
   let store = Kvstore.fold (Participant.store p) ~init:[] ~f:(fun acc k v -> (k, v) :: acc) in
@@ -722,12 +735,12 @@ let print_lane_case (initial, holders, steps) =
     (String.concat "," (List.map holder holders))
     (String.concat "\n" (List.map step steps))
 
-let prop_one_phase_lanes_agree =
-  QCheck.Test.make ~name:"local and wire one-phase lanes agree" ~count:300
+let prop_local_lane_agrees_with_2pc =
+  QCheck.Test.make ~name:"local lane agrees with prepare+commit" ~count:300
     (QCheck.make ~print:print_lane_case lane_case_gen)
     (fun (initial, holders, steps) -> lanes_agree ~initial ~holders steps)
 
-let test_one_phase_lanes_agree_cases () =
+let test_local_lane_agrees_with_2pc_cases () =
   (* a commit, a commit refused by a conflicting holder, and a commit
      refused because a reported read lock was never taken *)
   let t1 =
@@ -747,23 +760,22 @@ let test_one_phase_lanes_agree_cases () =
   check_int "no cached decision" 0 decided;
   check_int "only the holder's lock remains" 1 locks;
   check_int "one apply" one_apply store_writes;
-  check "the wire lane agrees" true (lanes_agree ~initial ~holders steps);
-  let _, (wire_log, wire_decided) = run_lane ~local:false ~initial ~holders steps in
-  check "the wire lane logs its commit" true
-    (List.mem (Txrecord.P_one_phase "t1") wire_log && List.length wire_log = 2);
-  check_int "the wire lane caches all three decisions" 3 wire_decided;
-  (* on the wire, a duplicate of the commit (with other writes) and of a
-     refusal gets the first decision again and changes nothing *)
-  let dup1 = { t1 with locks = []; read_keys = []; writes = [ ("k3", Some "dup") ] }
-  and dup2 = { t2 with writes = [ ("k0", Some "d") ] } in
+  check "2PC agrees" true (lanes_agree ~initial ~holders steps);
+  let _, (log_2pc, decided_2pc) = run_lane ~local:false ~initial ~holders steps in
+  check "2PC logs its prepare and its commit" true
+    (List.mem (Txrecord.P_committed "t1") log_2pc && List.length log_2pc = 3);
+  check_int "2PC caches the commit; a refused prepare leaves nothing" 1 decided_2pc;
+  (* a duplicate of the committed prepare (with other writes) and of
+     its commit gets the first decision again and changes nothing *)
+  let dup1 = { t1 with locks = []; read_keys = []; writes = [ ("k3", Some "dup") ] } in
   let (votes, store, locks, store_writes), (log, _) =
-    run_lane ~local:false ~initial ~holders [ t1; dup1; t2; dup2; t3 ]
+    run_lane ~local:false ~initial ~holders [ t1; dup1; t2; t3 ]
   in
-  Alcotest.(check (list bool)) "wire votes" [ true; true; false; false; false ] votes;
-  Alcotest.(check (list (pair string string))) "wire store" [ ("k2", "b") ] store;
-  check_int "one prepare (the holder) and one one-phase record" 2 (List.length log);
-  check_int "wire: only the holder's lock remains" 1 locks;
-  check_int "wire: one apply" one_apply store_writes
+  Alcotest.(check (list bool)) "2PC votes" [ true; true; false; false ] votes;
+  Alcotest.(check (list (pair string string))) "2PC store" [ ("k2", "b") ] store;
+  check_int "the holder's prepare, t1's prepare and commit" 3 (List.length log);
+  check_int "2PC: only the holder's lock remains" 1 locks;
+  check_int "2PC: one apply" one_apply store_writes
 
 (* --- A local commit leaves nothing behind --- *)
 
@@ -864,7 +876,7 @@ let test_local_lane_txids_never_repeat () =
   let sim = c.Harness.sim and mgr = Harness.manager c "a" in
   let seen = Hashtbl.create 64 and repeats = ref [] and refused = ref 0 in
   Event.subscribe (Sim.events sim) (fun ~at:_ ~src:_ -> function
-    | Event.Txn_one_phase { txid; local = true } ->
+    | Event.Txn_one_phase { txid } ->
       if Hashtbl.mem seen txid then repeats := txid :: !repeats else Hashtbl.add seen txid ()
     | Event.Txn_resolved { committed = false; _ } -> incr refused
     | _ -> ());
@@ -929,6 +941,7 @@ let test_wal_order_with_merged_child () =
   Alcotest.check Alcotest.(list writes) "a's prepare record" [ at_a ] (prepared "a");
   Alcotest.check Alcotest.(list writes) "b's prepare record" [ at_b ] (prepared "b");
   (* the local one-phase lane applies the merged writes *)
+  let m = metrics c in
   Harness.exec_ok c
     (Txn.run (Harness.manager c "a") (fun t ->
          write t ~node:"a" ~key:"m1" ~value:"r1";
@@ -936,7 +949,7 @@ let test_wal_order_with_merged_child () =
          write child ~node:"a" ~key:"m2" ~value:"c2";
          write child ~node:"a" ~key:"m0" ~value:"c0";
          commit child));
-  check_int "local one-phase lane" 1 (Txn.one_phase_commits (Harness.manager c "a"));
+  check_int "local one-phase lane" 1 (Metrics.value m "txn.one_phase");
   List.iter
     (fun (key, value) ->
       check_str_opt ("a stores " ^ key) (Some value)
@@ -1104,6 +1117,173 @@ let prop_crash_schedules_respect_fence =
     (QCheck.make ~print:print_fence_case fence_case_gen)
     crash_schedule_respects_fence
 
+(* --- untrusted bytes at the tx.* services --- *)
+
+let escaped_run ?until c =
+  match Harness.run ?until c with
+  | exception e -> Alcotest.failf "escaped Sim.run: %s" (Printexc.to_string e)
+  | () -> ()
+
+(* A coordinator's status reply that does not decode is no answer: the
+   prepared participant polls again, and the next, readable reply
+   decides. *)
+let test_undecodable_status_reply_polls_again () =
+  let c = Harness.cluster [ "a"; "b" ] in
+  let p_b = Harness.participant c "b" in
+  let replies = ref [ "garbage" ] and polls = ref 0 in
+  Node.serve (Harness.node c "a") ~service:Txrecord.service_status (fun ~src:_ _ ->
+      incr polls;
+      match !replies with
+      | r :: rest ->
+        replies := rest;
+        r
+      | [] -> Txrecord.enc_status_reply `Committed);
+  ignore
+    (serve (Harness.node c "b") ~service:Txrecord.service_prepare
+       (Txrecord.enc_prepare_req ~txid:"tz" ~coordinator:"a" ~read_keys:[]
+          ~writes:[ ("y", Some "v") ]));
+  escaped_run ~until:(Sim.sec 1) c;
+  check_int "polled again after the garbage" 2 !polls;
+  check_str_opt "the readable reply committed" (Some "v")
+    (Participant.committed_value p_b ~key:"y");
+  Alcotest.(check (list string)) "nothing left prepared" [] (Participant.prepared_txids p_b)
+
+(* A read reply that does not decode is a lost reply: the read times
+   out. *)
+let test_undecodable_read_reply_times_out () =
+  let c = Harness.cluster [ "a"; "b" ] in
+  Node.serve (Harness.node c "b") ~service:Txrecord.service_read (fun ~src:_ _ -> "garbage");
+  let result = ref None in
+  (Txn.run (Harness.manager c "a") ~max_attempts:1 (fun t -> read t ~node:"b" ~key:"x"))
+    (fun r -> result := Some r);
+  escaped_run c;
+  check "the read timed out" true (!result = Some (Error `Timeout))
+
+let tx_services =
+  Txrecord.
+    [ service_read; service_prepare; service_prepare_ro; service_commit; service_abort;
+      service_status ]
+
+(* whether [body] is a request of [service]: only [Malformed] counts as
+   "does not decode", any other exception fails the property *)
+let tx_decodes service body =
+  let ok dec = match dec body with exception Wire.Malformed _ -> false | _ -> true in
+  if service = Txrecord.service_read then ok Txrecord.dec_read_req
+  else if service = Txrecord.service_prepare then ok Txrecord.dec_prepare_req
+  else if service = Txrecord.service_prepare_ro then ok Txrecord.dec_prepare_ro
+  else ok Txrecord.dec_txid
+
+let tx_reply_well_formed service reply =
+  let ok dec = match dec reply with exception Wire.Malformed _ -> false | _ -> true in
+  if service = Txrecord.service_read then ok Txrecord.dec_read_reply
+  else if service = Txrecord.service_prepare || service = Txrecord.service_prepare_ro then
+    ok Txrecord.dec_vote
+  else if service = Txrecord.service_status then ok Txrecord.dec_status_reply
+  else reply = "ack"
+
+(* the txids of the fuzz cluster's committed and pending transactions *)
+let committed_txid = "t:a:1:1"
+
+let pending_txid = "t:a:1:2"
+
+let gen_tx_fuzz_case =
+  let open QCheck.Gen in
+  let txid = oneofl [ committed_txid; pending_txid; "r1"; "t9"; "" ] in
+  let key = oneofl [ "x"; "y"; "k0"; "k1" ] in
+  let keys = list_size (int_bound 2) key in
+  let writes = list_size (int_bound 2) (pair key (opt (oneofl [ "v"; "" ]))) in
+  let well_formed service =
+    if service = Txrecord.service_read then map Txrecord.enc_read_req (pair txid key)
+    else if service = Txrecord.service_prepare then
+      map
+        (fun (txid, coordinator, read_keys, writes) ->
+          Txrecord.enc_prepare_req ~txid ~coordinator ~read_keys ~writes)
+        (quad txid (oneofl [ "a"; "b"; "zz" ]) keys writes)
+    else if service = Txrecord.service_prepare_ro then
+      map (fun (txid, read_keys) -> Txrecord.enc_prepare_ro ~txid ~read_keys) (pair txid keys)
+    else map Txrecord.enc_txid txid
+  in
+  let flip body =
+    map
+      (fun flips ->
+        let b = Bytes.of_string body in
+        List.iter
+          (fun (pos, bit) ->
+            if Bytes.length b > 0 then begin
+              let i = pos mod Bytes.length b in
+              Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)))
+            end)
+          flips;
+        Bytes.to_string b)
+      (list_size (int_range 1 4) (pair nat (int_bound 7)))
+  in
+  let mutate body =
+    frequency
+      [
+        (2, return body);
+        (3, map (fun k -> String.sub body 0 (k mod (String.length body + 1))) nat);
+        (3, flip body);
+        (2, string_size (int_bound 40));
+        ( 1,
+          map
+            (fun h -> h ^ ":" ^ body)
+            (oneofl [ "4611686018427387903"; "13835058055282163700" ]) );
+      ]
+  in
+  oneofl tx_services >>= fun service ->
+  well_formed service >>= mutate >|= fun body -> (service, body)
+
+(* A cluster with state at b for a stray request to disturb: a committed
+   2PC write, a read lock, and a prepared transaction whose coordinator
+   keeps it pending. *)
+let fuzz_cluster () =
+  let c = Harness.cluster [ "a"; "b" ] in
+  let mgr = Harness.manager c "a" and b = Harness.node c "b" in
+  Harness.exec_ok c
+    (Txn.run mgr (fun t ->
+         write t ~node:"b" ~key:"x" ~value:"1";
+         return ()));
+  let pending = Txn.begin_ mgr in
+  assert (Txn.txid pending = pending_txid);
+  ignore (serve b ~service:Txrecord.service_read (Txrecord.enc_read_req ("r1", "k0")));
+  ignore
+    (serve b ~service:Txrecord.service_prepare
+       (Txrecord.enc_prepare_req ~txid:pending_txid ~coordinator:"a" ~read_keys:[]
+          ~writes:[ ("y", Some "p") ]));
+  c
+
+let prop_tx_services_survive_mutated_bodies =
+  QCheck.Test.make ~name:"tx.* survive mutated bodies" ~count:300
+    (QCheck.make gen_tx_fuzz_case ~print:(fun (service, body) ->
+         Printf.sprintf "%s: %S" service body))
+    (fun (service, body) ->
+      let c = fuzz_cluster () in
+      let p = Harness.participant c "b" and mgr = Harness.manager c "a" in
+      let state () =
+        ( List.sort compare
+            (Kvstore.fold (Participant.store p) ~init:[] ~f:(fun acc k v -> (k, v) :: acc)),
+          Participant.log p,
+          Participant.locks_held p,
+          Participant.prepared_txids p,
+          Participant.decided_count p,
+          Txn.active_count mgr,
+          Txn.undecided_commits mgr )
+      in
+      let before = state () in
+      let decodes = tx_decodes service body in
+      let src, dst = if service = Txrecord.service_status then ("b", "a") else ("a", "b") in
+      let result = ref None in
+      Rpc.call c.Harness.rpc ~src ~dst ~service ~body (fun r -> result := Some r);
+      (match Harness.run ~until:(Sim.now c.Harness.sim + Sim.sec 1) c with
+      | exception e -> QCheck.Test.fail_reportf "escaped Sim.run: %s" (Printexc.to_string e)
+      | () -> ());
+      match !result with
+      | None -> QCheck.Test.fail_report "call never completed"
+      | Some (Ok reply) when decodes -> tx_reply_well_formed service reply
+      | Some (Ok _) -> QCheck.Test.fail_report "undecodable body got a reply"
+      | Some (Error e) when decodes -> QCheck.Test.fail_reportf "decodable body failed: %s" e
+      | Some (Error _) -> state () = before)
+
 let () =
   Alcotest.run "tx"
     [
@@ -1140,18 +1320,18 @@ let () =
       ( "fast lanes",
         [
           Alcotest.test_case "one-phase local, no rpc" `Quick test_one_phase_local_no_rpc;
-          Alcotest.test_case "one-phase remote" `Quick test_one_phase_remote_commit;
+          Alcotest.test_case "remote single writer by 2PC" `Quick
+            test_remote_single_writer_two_phase;
           Alcotest.test_case "one-phase refused" `Quick test_one_phase_refused_on_conflict;
           Alcotest.test_case "read-only elided" `Quick test_readonly_txn_elided;
           Alcotest.test_case "read-only conflict" `Quick test_readonly_elision_under_conflict;
-          Alcotest.test_case "one-phase through partition" `Quick
-            test_one_phase_commit_through_partition;
           Alcotest.test_case "read-only elision through partition" `Quick
             test_readonly_elision_through_partition;
           Alcotest.test_case "mixed fan-out elision" `Quick
             test_mixed_readonly_elided_from_fanout;
-          Alcotest.test_case "one-phase lanes agree" `Quick test_one_phase_lanes_agree_cases;
-          QCheck_alcotest.to_alcotest prop_one_phase_lanes_agree;
+          Alcotest.test_case "local lane agrees with 2PC" `Quick
+            test_local_lane_agrees_with_2pc_cases;
+          QCheck_alcotest.to_alcotest prop_local_lane_agrees_with_2pc;
           QCheck_alcotest.to_alcotest prop_local_commits_flat;
           Alcotest.test_case "local-lane txids never repeat" `Quick
             test_local_lane_txids_never_repeat;
@@ -1180,5 +1360,13 @@ let () =
             test_commit_push_silent_while_down;
           Alcotest.test_case "one poll loop per life" `Quick test_one_poll_loop_per_life;
           QCheck_alcotest.to_alcotest prop_crash_schedules_respect_fence;
+        ] );
+      ( "malformed",
+        [
+          Alcotest.test_case "status reply: polls again" `Quick
+            test_undecodable_status_reply_polls_again;
+          Alcotest.test_case "read reply: times out" `Quick
+            test_undecodable_read_reply_times_out;
+          QCheck_alcotest.to_alcotest prop_tx_services_survive_mutated_bodies;
         ] );
     ]
