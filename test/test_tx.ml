@@ -242,13 +242,14 @@ let test_one_phase_local_no_rpc () =
   check_int "no cached decision" 0 (Participant.decided_count (Harness.participant c "a"));
   check_int "txn.one_phase metric" 1 (Metrics.value m "txn.one_phase")
 
-(* A single writer on another node commits through 2PC, the only
-   protocol a message-borne commit has: one [tx.prepare] and one
-   [tx.commit], both logged at the participant. A partition opens just
-   as the prepare would cross the a->b link; the RPC layer retries
-   through the outage and the commit resolves after the heal with its
-   effect applied once, nothing left prepared and no locks. *)
-let test_remote_single_writer_two_phase () =
+(* A single writer on another node, the case a one-phase lane would
+   serve, commits through 2PC, the only protocol a message-borne commit
+   has: one [tx.prepare] and one [tx.commit], both logged at the
+   participant, and no one-phase commit. With [~partition] a partition
+   opens just as the prepare would cross the a->b link; the RPC layer
+   retries through the outage and the commit resolves after the heal
+   with its effect applied once, nothing left prepared and no locks. *)
+let remote_single_writer ~partition () =
   let c = Harness.cluster [ "a"; "b" ] in
   let mgr = Harness.manager c "a" in
   let p_b = Harness.participant c "b" in
@@ -257,17 +258,19 @@ let test_remote_single_writer_two_phase () =
     | Event.Rpc_sent { src = "a"; service; _ } -> sent := service :: !sent
     | _ -> ());
   let m = metrics c in
-  Network.partition_on c.Harness.net "a" "b";
-  ignore
-    (Sim.schedule c.Harness.sim ~delay:(Sim.ms 30) (fun () ->
-         Network.partition_off c.Harness.net "a" "b"));
+  if partition then begin
+    Network.partition_on c.Harness.net "a" "b";
+    ignore
+      (Sim.schedule c.Harness.sim ~delay:(Sim.ms 30) (fun () ->
+           Network.partition_off c.Harness.net "a" "b"))
+  end;
   let t = Txn.begin_ mgr in
   let txid = Txn.txid t in
   write t ~node:"b" ~key:"y" ~value:"v";
   (match Harness.exec c (Txn.commit t) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "remote commit failed: %s" (Txn.error_to_string e));
-  check_str_opt "applied at b after the heal" (Some "v") (Participant.committed_value p_b ~key:"y");
+  check_str_opt "applied at b" (Some "v") (Participant.committed_value p_b ~key:"y");
   Alcotest.(check (list string))
     "one prepare, one commit"
     [ Txrecord.service_prepare; Txrecord.service_commit ]
@@ -283,6 +286,9 @@ let test_remote_single_writer_two_phase () =
   (* the retired one-phase service was [tx.commit] with a "1" suffix *)
   check "no one-phase service" true
     (Option.is_none (Node.handler (Harness.node c "b") ~service:(Txrecord.service_commit ^ "1")))
+
+let test_one_phase_remote_commit = remote_single_writer ~partition:false
+let test_one_phase_through_partition = remote_single_writer ~partition:true
 
 let test_one_phase_refused_on_conflict () =
   (* the local one-phase commit must refuse when the participant's
@@ -1320,11 +1326,12 @@ let () =
       ( "fast lanes",
         [
           Alcotest.test_case "one-phase local, no rpc" `Quick test_one_phase_local_no_rpc;
-          Alcotest.test_case "remote single writer by 2PC" `Quick
-            test_remote_single_writer_two_phase;
+          Alcotest.test_case "one-phase remote" `Quick test_one_phase_remote_commit;
           Alcotest.test_case "one-phase refused" `Quick test_one_phase_refused_on_conflict;
           Alcotest.test_case "read-only elided" `Quick test_readonly_txn_elided;
           Alcotest.test_case "read-only conflict" `Quick test_readonly_elision_under_conflict;
+          Alcotest.test_case "one-phase through partition" `Quick
+            test_one_phase_through_partition;
           Alcotest.test_case "read-only elision through partition" `Quick
             test_readonly_elision_through_partition;
           Alcotest.test_case "mixed fan-out elision" `Quick
