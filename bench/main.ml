@@ -426,9 +426,8 @@ let holds name ok = { name; value = (if ok then 1. else 0.); bound = 1.; ok }
 
 let engine_gates () =
   header "GATES: engine — 128-task chain";
-  (* one chain run, then a transactional read-back audit of the final
-     state — a pure read-only transaction, which exercises the read-only
-     elision lane on the same metrics registry *)
+  (* one chain run, then a read-back audit of the final state: the
+     instance's meta row must be in n0's committed store *)
   let chain_run () =
     let script, root = Workloads.chain ~n:128 in
     let tb = Testbed.make () in
@@ -440,14 +439,10 @@ let engine_gates () =
     (match status with
     | Wstate.Wf_done _ -> ()
     | Wstate.Wf_running | Wstate.Wf_failed _ -> failwith "engine gates: chain did not complete");
-    let audit = ref None in
-    (Txn.run (Testbed.manager tb "n0") (fun t ->
-         let open Txn in
-         let* meta = Txn.read t ~node:"n0" ~key:(Wstate.key iid Wstate.Meta) in
-         return meta))
-      (fun r -> audit := Some r);
-    Testbed.run tb;
-    let audited = match !audit with Some (Ok (Some _)) -> true | _ -> false in
+    let audited =
+      Participant.committed_value (Testbed.participant tb "n0") ~key:(Wstate.key iid Wstate.Meta)
+      <> None
+    in
     (Engine.metrics tb.Testbed.engine, words, audited)
   in
   (* the warm-up run doubles as the first half of the determinism pair *)

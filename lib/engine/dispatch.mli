@@ -29,10 +29,10 @@ val create :
 
 val persist : t -> (string * string option) list -> (unit -> unit) -> unit
 (** Apply a write set ([Some] = put, [None] = delete) on the engine
-    node under one top-level transaction (retried on conflict/timeout by
-    {!Txn.run}); the continuation runs only on commit. A final failure
-    emits [Txn_failed] and drops the continuation — the evaluation pump
-    re-derives the actions on its next pass.
+    node under one flat transaction ({!Txn.run}, which does not retry);
+    the continuation runs only on commit. A failure emits [Txn_failed]
+    and drops the continuation — the evaluation pump re-derives the
+    actions on its next pass.
 
     Persists are batched: every write set issued within one simulation
     timestep joins that timestep's batch and commits with it as one

@@ -73,7 +73,6 @@ let record t ev =
   | Event.Rpc_reply_evicted _ -> incr t "rpc.reply_evictions"
   | Event.Rpc_loopback _ -> incr t "rpc.loopback"
   | Event.Txn_one_phase _ -> incr t "txn.one_phase"
-  | Event.Txn_readonly_elided _ -> incr t "txn.readonly_elided"
   | Event.Persist_batched _ -> incr t "engine.persist_batched"
   | Event.Task_completed { duration; scope; _ } ->
     observe t (if scope then "engine.scope_duration_us" else "engine.task_duration_us") duration

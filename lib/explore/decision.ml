@@ -32,7 +32,6 @@ let classify ~src ev =
   match ev with
   | Event.Txn_resolved { txid; committed = true } -> Some ("commit", txid, None)
   | Event.Txn_one_phase { txid; _ } -> Some ("one-phase", txid, None)
-  | Event.Txn_readonly_elided { txid; node } -> Some ("ro-elide", txid, Some node)
   | Event.Persist_batched _ -> Some ("batch-flush", src, None)
   | Event.Task_dispatched { path; host; _ } -> Some ("dispatch", path, Some host)
   | Event.Impl_completed { path; _ } -> Some ("impl-complete", path, None)

@@ -12,9 +12,9 @@ type point = {
   p_at : Sim.time;  (** virtual instant of the decision *)
   p_node : string;  (** node making the decision (event source label) *)
   p_kind : string;
-      (** classification: ["commit"], ["one-phase"], ["ro-elide"],
-          ["batch-flush"], ["dispatch"], ["impl-complete"], ["timer"],
-          ["launch"], ["relaunch"], ["conclude"], ["rpc:<service>"] or
+      (** classification: ["commit"], ["one-phase"], ["batch-flush"],
+          ["dispatch"], ["impl-complete"], ["timer"], ["launch"],
+          ["relaunch"], ["conclude"], ["rpc:<service>"] or
           ["loopback:<service>"] *)
   p_label : string;  (** what was decided: txid, task path or iid *)
   p_peer : string option;

@@ -36,7 +36,7 @@ val chain : t
 
 val supply : t
 (** The supply-chain case study (smooth scenario) on a single node —
-    one-phase and read-only-elision fast lanes dominate. *)
+    the local one-phase lane carries every commit. *)
 
 val cluster3 : t
 (** Three engines + repository, six 4-step chains placed round-robin —

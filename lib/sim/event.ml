@@ -33,6 +33,7 @@ type t =
   | Txn_resolved of { txid : string; committed : bool }
   | Txn_one_phase of { txid : string }
   | Txn_readonly_elided of { txid : string; node : string }
+      (* never emitted; [rdalbench/tracer.ml] still names it *)
   | Rpc_sent of { src : string; dst : string; service : string }
   | Rpc_retried of { src : string; dst : string; service : string }
   | Rpc_timed_out of { src : string; dst : string; service : string }

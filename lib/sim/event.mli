@@ -70,9 +70,9 @@ type t =
       (** A transaction whose only participant was the coordinator's own
           node committed in one phase, with no RPC at all. *)
   | Txn_readonly_elided of { txid : string; node : string }
-      (** [node] held only read locks for the committing transaction: it
-          validated and released in phase 1 and was excluded from the
-          commit fan-out. *)
+      (** Nothing emits it: transactions are write-only, so no
+          participant is read-only. It stays while the benchmark's
+          tracer ([rdalbench/tracer.ml]) still names it. *)
   | Rpc_sent of { src : string; dst : string; service : string }
   | Rpc_retried of { src : string; dst : string; service : string }
   | Rpc_timed_out of { src : string; dst : string; service : string }

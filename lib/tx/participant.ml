@@ -37,14 +37,13 @@ let decide_commit t txid =
     Lock.release_all t.locks ~txid
 
 let decide_abort t txid =
-  (match Hashtbl.find_opt t.prepared txid with
+  match Hashtbl.find_opt t.prepared txid with
   | None -> ()
   | Some _ ->
     Wal.append t.plog (Txrecord.P_aborted txid);
     Hashtbl.remove t.prepared txid;
-    Hashtbl.replace t.decided txid `Aborted);
-  (* An unprepared transaction may still hold read locks here. *)
-  Lock.release_all t.locks ~txid
+    Hashtbl.replace t.decided txid `Aborted;
+    Lock.release_all t.locks ~txid
 
 (* Presumed-abort termination protocol: a recovered participant polls
    the coordinator about each undecided prepared transaction. *)
@@ -67,25 +66,17 @@ and schedule_poll t txid =
     (Sim.schedule t.sim ~delay:poll_period (fun () ->
          if Node.incarnation t.node = inc then poll_status t txid))
 
-let handle_read t ~src:_ body =
-  let txid, key = Txrecord.dec_read_req body in
-  match Lock.read t.locks ~key ~txid with
-  | Lock.Conflict holder -> Txrecord.enc_read_reply (Error ("conflict with " ^ holder))
-  | Lock.Granted -> Txrecord.enc_read_reply (Ok (Kvstore.get t.store key))
-
-let prepare_locks t ~txid ~read_keys ~writes =
-  let read_ok key = Lock.holds_read t.locks ~key ~txid in
-  let acquire_write key = Lock.write t.locks ~key ~txid = Lock.Granted in
-  List.for_all read_ok read_keys && List.for_all (fun (k, _) -> acquire_write k) writes
+let prepare_locks t ~txid ~writes =
+  List.for_all (fun (key, _) -> Lock.write t.locks ~key ~txid = Lock.Granted) writes
 
 let handle_prepare t ~src:_ body =
-  let txid, coordinator, read_keys, writes = Txrecord.dec_prepare_req body in
+  let txid, coordinator, writes = Txrecord.dec_prepare_req body in
   match Hashtbl.find_opt t.decided txid with
   | Some `Committed -> Txrecord.enc_vote true
   | Some `Aborted -> Txrecord.enc_vote false
   | None ->
     if Hashtbl.mem t.prepared txid then Txrecord.enc_vote true (* duplicate prepare *)
-    else if prepare_locks t ~txid ~read_keys ~writes then begin
+    else if prepare_locks t ~txid ~writes then begin
       Wal.append t.plog (Txrecord.P_prepared { txid; coordinator; writes });
       Hashtbl.replace t.prepared txid { coordinator; writes };
       (* If the decision does not arrive (coordinator crashed), the
@@ -94,35 +85,21 @@ let handle_prepare t ~src:_ body =
       Txrecord.enc_vote true
     end
     else begin
-      (* vote no: this transaction is dead here; drop whatever it held *)
+      (* vote no: drop the locks taken before the conflict *)
       Lock.release_all t.locks ~txid;
       Txrecord.enc_vote false
     end
 
 (* The one-phase decision, for the co-located coordinator: this node is
    the transaction's only participant, so prepare and commit collapse
-   into one step here — validate the read locks, check that every write
-   lock would be granted (it is not taken: it would be released within
-   this call), apply, and release whatever the transaction held. No
-   record is logged and no decision cached: a direct call happens once
-   per txid, so there is no repeat to recognise. *)
-let commit_local t ~txid ~read_keys ~writes =
-  let read_ok key = Lock.holds_read t.locks ~key ~txid in
-  let write_ok (key, _) = Lock.write_free t.locks ~key ~txid in
-  let vote = List.for_all read_ok read_keys && List.for_all write_ok writes in
+   into one step here — check that every write lock would be granted
+   and apply. No lock is taken, since nothing else runs within this
+   call. Nothing is logged and no decision cached: a direct call
+   happens once per txid, so there is no repeat to recognise. *)
+let commit_local t ~txid ~writes =
+  let vote = List.for_all (fun (key, _) -> Lock.write_free t.locks ~key ~txid) writes in
   if vote then apply_writes t writes;
-  Lock.release_all t.locks ~txid;
   vote
-
-(* Read-only elision: the participant holds no writes for this
-   transaction, so its vote is pure validation — do the read locks still
-   stand? Either way it releases and forgets the transaction in phase 1;
-   the coordinator never includes it in the commit fan-out. *)
-let handle_prepare_ro t ~src:_ body =
-  let txid, read_keys = Txrecord.dec_prepare_ro body in
-  let ok = List.for_all (fun key -> Lock.holds_read t.locks ~key ~txid) read_keys in
-  Lock.release_all t.locks ~txid;
-  Txrecord.enc_vote ok
 
 let handle_commit t ~src:_ body =
   decide_commit t (Txrecord.dec_txid body);
@@ -171,10 +148,8 @@ let create ~rpc ~node =
       decided = Hashtbl.create 16;
     }
   in
-  Node.serve node ~service:Txrecord.service_read (handle_read t);
   Node.serve node ~service:Txrecord.service_prepare (handle_prepare t);
   Node.serve node ~service:Txrecord.service_commit (handle_commit t);
-  Node.serve node ~service:Txrecord.service_prepare_ro (handle_prepare_ro t);
   Node.serve node ~service:Txrecord.service_abort (handle_abort t);
   Node.on_crash node (on_crash t);
   Node.on_recover node (on_recover t);

@@ -1,9 +1,11 @@
 (** Transaction participant (resource manager) hosted on a node.
 
     Owns the node's transactional objects: a persistent {!Kvstore}
-    holding committed values, an intentions log, and the lock table.
-    Serves [tx.read] / [tx.prepare] / [tx.prepare-ro] / [tx.commit] /
-    [tx.abort]; the co-located coordinator also calls {!commit_local}.
+    holding committed values, an intentions log, and the lock table of
+    write locks. Serves [tx.prepare] / [tx.commit] / [tx.abort]; the
+    co-located coordinator also calls {!commit_local}. Transactions are
+    flat and write-only: nothing reads through a participant, so a
+    transaction holds locks here only while it is prepared.
 
     Recovery re-acquires the write locks of prepared-but-undecided
     transactions from the intentions log and polls the coordinator's
@@ -17,13 +19,13 @@ val create : rpc:Rpc.t -> node:Node.t -> t
 
 val node_id : t -> string
 
-val commit_local :
-  t -> txid:string -> read_keys:string list -> writes:Txrecord.write list -> bool
+val commit_local : t -> txid:string -> writes:Txrecord.write list -> bool
 (** The one-phase decision, for the co-located coordinator: this node is
-    the transaction's only participant, so validating the read locks,
-    checking the write locks, applying the writes and releasing every
-    lock the transaction held happen here in one step. Returns the vote;
-    a refusal changes nothing but the released locks.
+    the transaction's only participant, so checking the write locks and
+    applying the writes happen here in one step. Returns the vote: a
+    refusal (a prepared 2PC transaction holds one of the keys) changes
+    nothing. The transaction takes no lock, so there is none to
+    release.
 
     Contract: called at most once per txid, and only by the coordinator
     on this node, whose txids never repeat (they carry its incarnation

@@ -1,33 +1,28 @@
 (** Transactions: the client API and the per-node coordinator.
 
-    The programming model mirrors what the paper takes from OTSArjuna:
-    top-level atomic actions over persistent objects living on arbitrary
-    nodes, with nested actions inside. Commit runs presumed-abort
-    two-phase commit; the decision is logged before the commit phase and
-    a recovered coordinator finishes the commit phase, while recovered
-    participants poll [tx.status], so a committed transaction's effects
-    eventually reach every participant despite a finite number of
-    crashes and message losses.
+    The programming model keeps what the paper needs from OTSArjuna:
+    flat, top-level atomic actions whose writes land on persistent
+    objects, all or none, despite crashes. A transaction only buffers
+    writes; it never reads through the transaction layer and never
+    nests. Commit runs presumed-abort two-phase commit; the decision is
+    logged before the commit phase and a recovered coordinator finishes
+    the commit phase, while recovered participants poll [tx.status], so
+    a committed transaction's effects eventually reach every participant
+    despite a finite number of crashes and message losses.
 
-    Commit takes a fast lane when the transaction's shape allows it:
-    read-only transactions validate-and-release in one round with no
-    logging; a transaction whose only participant is the coordinator's
-    own node commits in one phase, its buffered writes passed as they are
-    to {!Participant.commit_local}, with no RPC, no encoding and nothing
-    logged or remembered, since a direct call cannot repeat. Every other
-    transaction, a single writer on another node included, runs 2PC, in
-    which read-only participants vote and release in phase 1 and are
-    excluded from the commit fan-out. Every lane presumes abort, and only
+    Commit takes a fast lane when the transaction's only participant is
+    the coordinator's own node: it commits in one phase, its buffered
+    writes passed as they are to {!Participant.commit_local}, with no
+    RPC, no encoding and nothing logged or remembered, since a direct
+    call cannot repeat. Every other transaction, a single writer on
+    another node included, runs 2PC. Both lanes presume abort, and only
     a logged [C_committed] obligates recovery.
 
     Everything is continuation-passing (the simulator is event-driven);
-    the ['a io] monad keeps call sites readable. Nested transactions are
-    coordinator-local: children buffer writes and merge them into the
-    parent on child commit, share the root's locks, and vanish on child
-    abort. *)
+    the ['a io] monad keeps call sites readable. *)
 
 type error =
-  [ `Conflict of string  (** lock conflict, holder's txid *)
+  [ `Conflict of string  (** a participant refused: a prepared transaction holds a key *)
   | `Timeout  (** a participant stayed unreachable *)
   | `Aborted of string ]
 
@@ -62,37 +57,29 @@ type t
 
 val begin_ : manager -> t
 
-val begin_child : t -> t
-(** Nested transaction. *)
-
 val txid : t -> string
 
-val read : t -> node:string -> key:string -> string option io
-(** Sees this transaction's (and its ancestors') buffered writes first;
-    otherwise read-locks and fetches the committed value. *)
-
 val write : t -> node:string -> key:string -> value:string -> unit
-(** Buffered locally; made visible at top-level commit. *)
+(** Buffered locally; made visible at commit. *)
 
 val delete : t -> node:string -> key:string -> unit
-(** Buffered deletion; the key disappears at top-level commit. *)
+(** Buffered deletion; the key disappears at commit. *)
 
 val commit : t -> unit io
-(** For a child: merge into parent (never fails). For a top-level
-    transaction: two-phase commit; [Ok ()] means the decision is logged
-    durably {e and} every participant has applied it. *)
+(** Atomic commit of the buffered writes: [Ok ()] means the decision is
+    made durable {e and} every participant has applied it. Fails with
+    [`Conflict] when a participant refuses (a prepared transaction holds
+    one of the keys) and with [`Timeout] when one stays unreachable. *)
 
 val abort : t -> unit
-(** Child: discard. Top-level: release locks everywhere (best effort;
-    presumed abort makes stragglers clean up on their own). *)
+(** Discard the buffered writes. No participant has seen them (locks
+    are taken at prepare), so nothing is sent. *)
 
-val run : manager -> ?max_attempts:int -> (t -> 'a io) -> 'a io
-(** [run mgr body] wraps begin/body/commit and retries the whole
-    transaction on [`Conflict] (with linear backoff and jitter) up to
-    [max_attempts] (default 16) times. A body failure aborts the
-    transaction; [`Conflict]/[`Timeout] failures are retried, any other
-    failure is final. A crash of the manager's node ends the run: no
-    later attempt begins and the continuation never runs. *)
+val run : manager -> (t -> 'a io) -> 'a io
+(** [run mgr body] is begin, body, then commit, once: there is no retry.
+    A body failure aborts the transaction and is the result. A crash of
+    the manager's node during the commit ends the run: its continuation
+    never runs. *)
 
 val compact : manager -> unit
 (** Compact the coordinator's decision log: drop records of transactions
