@@ -220,7 +220,7 @@ let cmd_run path root inputs forced seed show_trace show_gantt until_ms =
     Format.printf "instance %s: %a@." iid Wstate.pp_status status;
     List.iter
       (fun (p, s) -> Format.printf "  %-40s %a@." p Wstate.pp_task_state s)
-      (Engine.task_states tb.Testbed.engine iid);
+      (Option.fold ~none:[] ~some:Instate.task_states (Engine.mirror tb.Testbed.engine iid));
     (match status with
     | Wstate.Wf_done { objects; _ } ->
       List.iter

@@ -30,7 +30,10 @@ let run label scenario =
   | Ok (iid, Wstate.Wf_done { output; objects }) ->
     Format.printf "outcome: %s@." output;
     List.iter (fun (name, obj) -> Format.printf "  %s = %a@." name Value.pp_obj obj) objects;
-    let marks = Engine.marks_of tb.Testbed.engine iid ~path:[ "tripReservation" ] in
+    let marks =
+      Option.fold ~none:[] (Engine.mirror tb.Testbed.engine iid)
+        ~some:(fun m -> Instate.get_marks m [ "tripReservation" ])
+    in
     List.iter
       (fun (name, objects) ->
         Format.printf "mark %s released early:@." name;

@@ -161,8 +161,6 @@ let participants t = t.tb.Testbed.participants
 
 let managers t = t.tb.Testbed.managers
 
-let node_ids t = Testbed.node_ids t.tb
-
 let engine_ids t = List.map fst (engines t)
 
 let engine t id =
@@ -245,8 +243,8 @@ let cancel t iid ~reason k =
   | Some eid -> Engine.cancel (engine t eid) iid ~reason k
 
 let policy_budgets t iid =
-  match with_owner t iid (fun e -> Engine.policy_budgets e iid) with
-  | Some budgets -> budgets
+  match Option.join (with_owner t iid (fun e -> Engine.mirror e iid)) with
+  | Some inst -> Instate.policy_budgets inst ~now:(Sim.now (sim t))
   | None -> []
 
 let policy_budgets_rpc t ~src ~iid k =

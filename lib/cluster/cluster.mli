@@ -71,9 +71,6 @@ val participants : t -> (string * Participant.t) list
 
 val managers : t -> (string * Txn.manager) list
 
-val node_ids : t -> string list
-(** Every node id on the fabric, including hosts and the repository. *)
-
 val engine : t -> string -> Engine.t
 
 (** {1 Placement and launch} *)
@@ -110,7 +107,7 @@ val on_complete : t -> string -> (Wstate.status -> unit) -> unit
 
 val cancel : t -> string -> reason:string -> ((unit, string) result -> unit) -> unit
 
-val policy_budgets : t -> string -> Engine.policy_budget list
+val policy_budgets : t -> string -> Instate.policy_budget list
 (** Recovery-policy budget counters of the owning engine's instance
     (attempts used, backoff remaining, compensations fired); empty when
     the instance is unknown. *)
@@ -119,7 +116,7 @@ val policy_budgets_rpc :
   t ->
   src:string ->
   iid:string ->
-  ((Engine.policy_budget list, string) result -> unit) ->
+  ((Instate.policy_budget list, string) result -> unit) ->
   unit
 (** The same counters resolved entirely over the fabric: the owner is
     looked up in the repository's placement directory, then the owning

@@ -69,8 +69,6 @@ let election_rounds = 6
 
 let sim t = Network.sim (Rpc.network t.rpc)
 
-let node_id t = t.self
-
 let peers t = t.peers
 
 let role t = t.role

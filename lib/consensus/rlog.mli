@@ -54,8 +54,6 @@ val create :
     [cons.*] services and crash/recovery hooks on [node]; the
     lowest-ranked replica schedules the bootstrap election. *)
 
-val node_id : t -> string
-
 val peers : t -> string list
 (** Sorted group membership. *)
 

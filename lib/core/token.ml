@@ -84,5 +84,3 @@ let to_string = function
     match List.find_opt (fun (_, t) -> t = kw) keywords with
     | Some (name, _) -> Printf.sprintf "keyword '%s'" name
     | None -> "unknown token")
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -38,6 +38,4 @@ type t =
 
 val keyword_of_string : string -> t option
 
-val pp : Format.formatter -> t -> unit
-
 val to_string : t -> string

@@ -44,25 +44,24 @@ let serve engine =
       let states =
         List.map
           (fun (path, state) -> (path, Format.asprintf "%a" Wstate.pp_task_state state))
-          (Engine.task_states engine iid)
+          (match Engine.mirror engine iid with Some inst -> Instate.task_states inst | None -> [])
       in
       Wire.(list (pair string string)) states);
   Node.serve node ~service:service_history (fun ~src:_ body ->
       let iid = Wire.(decode d_string) body in
-      let rows =
-        List.map (fun (at, kind, detail) -> ((at, kind), detail)) (Engine.history engine iid)
-      in
       Wire.(list (pair (pair int string) string))
-        (List.map (fun ((at, kind), detail) -> ((at, kind), detail)) rows));
+        (List.map (fun (at, kind, detail) -> ((at, kind), detail)) (Engine.history engine iid)));
   Node.serve node ~service:service_policy (fun ~src:_ body ->
       let iid = Wire.(decode d_string) body in
       let rows =
         List.map
           (fun b ->
-            Engine.
+            Instate.
               ( b.pb_path,
                 (b.pb_attempts, (b.pb_backoff_remaining, b.pb_compensated)) ))
-          (Engine.policy_budgets engine iid)
+          (match Engine.mirror engine iid with
+          | Some inst -> Instate.policy_budgets inst ~now:(Engine.now engine)
+          | None -> [])
       in
       Wire.(list (pair string (pair int (pair int bool)))) rows);
   Node.serve node ~service:service_cancel (fun ~src:_ body ->
@@ -119,7 +118,7 @@ module Client = struct
                  let path, (attempts, (backoff, comp)) =
                    d_pair d_string (d_pair d_int (d_pair d_int d_bool)) d
                  in
-                 { Engine.pb_path = path; pb_attempts = attempts;
+                 { Instate.pb_path = path; pb_attempts = attempts;
                    pb_backoff_remaining = backoff; pb_compensated = comp })))
       k
 

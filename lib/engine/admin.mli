@@ -27,8 +27,8 @@ module Client : sig
   (** (path, printed state) pairs, sorted by path. *)
 
   val policy_budgets :
-    t -> iid:string -> ((Engine.policy_budget list, string) result -> unit) -> unit
-  (** Per-task recovery-policy budget counters ({!Engine.policy_budgets})
+    t -> iid:string -> ((Instate.policy_budget list, string) result -> unit) -> unit
+  (** Per-task recovery-policy budget counters ({!Instate.policy_budgets})
       over RPC: attempts used, backoff remaining, compensations fired. *)
 
   val cancel : t -> iid:string -> reason:string -> ((unit, string) result -> unit) -> unit

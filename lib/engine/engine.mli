@@ -1,23 +1,18 @@
-(** The workflow execution service (paper §3, Fig 4).
+(** The workflow execution service (paper §3, Fig 4): its client API.
 
     One engine runs on a node of the simulated cluster and coordinates
-    workflow instances: it records inter-task dependencies and task
-    results in persistent objects updated under atomic transactions,
-    schedules tasks whose input sets become satisfied (ordered
-    alternatives, first-available wins; first-declared input set wins),
-    dispatches implementations to task hosts, enforces the task
-    transition rules of Fig 3 (outcome / abort outcome / repeat outcome
-    / mark), expands compound tasks into nested scopes, retries tasks a
-    bounded number of times on system failures, fires input-set
-    timeouts, and applies dynamic reconfiguration atomically.
+    workflow instances. Their dependencies and task results live in
+    persistent objects updated under atomic transactions. {!Pump}, the
+    evaluation loop, schedules tasks whose input sets become satisfied,
+    dispatches implementations to task hosts and enforces the transition
+    rules of Fig 3, with retries, timeouts and compensation. After a
+    crash, {!Recovery} rebuilds every instance from the store, and
+    completions that raced the crash are re-obtained by re-dispatching
+    (task hosts are at-least-once; atomic tasks make that safe). This
+    module holds the client operations, the crash and recover hooks and
+    introspection. *)
 
-    Fault tolerance: if the engine's node crashes, recovery rebuilds all
-    instance state from the store and resumes — completions that raced
-    the crash are re-obtained by re-dispatching the task (task hosts are
-    at-least-once; atomic tasks make that safe). If a task host crashes
-    mid-execution, the per-dispatch watchdog re-dispatches. *)
-
-type config = {
+type config = Pump.config = {
   default_deadline : Sim.time;
       (** dispatch-to-completion watchdog of a task without a declared
           [timeout]; a declared [recovery] section overrides it per task.
@@ -64,6 +59,9 @@ val create :
     hooks, and attaches a task host on the engine node itself. *)
 
 val node : t -> Node.t
+
+val now : t -> Sim.time
+(** The engine's virtual clock. *)
 
 val trace : t -> (Sim.time * Event.t) list
 (** The events this engine published itself, stamped with their virtual
@@ -113,40 +111,15 @@ val on_complete : t -> string -> (Wstate.status -> unit) -> unit
     finished. *)
 
 val instances : t -> string list
-
-val task_state : t -> string -> path:string list -> Wstate.task_state option
-(** [path] is the chain of task names from the root, e.g.
-    [["processOrderApplication"; "dispatch"]]. *)
-
-val task_states : t -> string -> (string * Wstate.task_state) list
-(** All task records of an instance, sorted by path. *)
-
-val marks_of : t -> string -> path:string list -> (string * (string * Value.obj) list) list
-(** Marks emitted so far by the task at [path]. *)
+(** Every instance of the engine's directory, in launch order; a launch
+    that recovery repeats goes last, and one whose stored script no
+    longer compiles stays listed. *)
 
 val mirror : t -> string -> Instate.t option
-(** The instance's live in-memory mirror, for tests that compare it
-    with what recovery rebuilds from the committed store. *)
-
-val queued_watchdogs : t -> string -> (string * int) list
-(** The instance's watchdogs still in the simulator queue, as ("/"-joined
-    path, attempt guarded), sorted: at most one per running leaf, and
-    none once the instance has concluded. *)
-
-type policy_budget = {
-  pb_path : string;  (** "/"-joined task path *)
-  pb_attempts : int;  (** execution attempts used so far *)
-  pb_backoff_remaining : Sim.time;
-      (** µs until the pending policy retry fires; [0] when no backoff
-          is pending *)
-  pb_compensated : bool;  (** the compensation handler has fired *)
-}
-
-val policy_budgets : t -> string -> policy_budget list
-(** Per-task recovery-policy budget counters for one instance, sorted
-    by path: how much of each [retry]/[backoff] budget is spent and
-    which compensations have fired. Served remotely by
-    [Admin.service_policy]. *)
+(** The instance's live in-memory mirror; read it with the {!Instate}
+    accessors ([get_state], [task_states], [get_marks],
+    [queued_watchdogs], [policy_budgets]). [None] for an unknown or
+    collected instance. *)
 
 val history : t -> string -> (Sim.time * string * string) list
 (** The instance's {e persistent} audit log (at, kind, detail), written

@@ -90,6 +90,37 @@ let timer_fired inst path ~set = Hashtbl.mem inst.timers (pkey path, set)
 
 let is_compensated inst path = Hashtbl.mem inst.compensated (pkey path)
 
+let task_states inst =
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) inst.states []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+type policy_budget = {
+  pb_path : string;
+  pb_attempts : int;
+  pb_backoff_remaining : Sim.time;
+  pb_compensated : bool;
+}
+
+let policy_budgets inst ~now =
+  let budget key =
+    let attempts =
+      match Hashtbl.find_opt inst.states key with
+      | Some (Wstate.Waiting { attempt } | Wstate.Running { attempt; _ } | Wstate.Done { attempt; _ }) ->
+        attempt
+      | Some _ | None -> 0
+    in
+    let backoff_remaining =
+      match Hashtbl.find_opt inst.backoffs key with Some (_, fire_at) -> max 0 (fire_at - now) | None -> 0
+    in
+    { pb_path = key; pb_attempts = attempts; pb_backoff_remaining = backoff_remaining;
+      pb_compensated = Hashtbl.mem inst.compensated key }
+  in
+  (* every path the policy machinery has touched: task states (attempt
+     counters), pending backoffs, recorded compensations *)
+  let keys tbl = List.of_seq (Hashtbl.to_seq_keys tbl) in
+  List.sort_uniq String.compare (keys inst.states @ keys inst.backoffs @ keys inst.compensated)
+  |> List.map budget
+
 (* --- applying rows: the only writer of the mirror tables --- *)
 
 let put : type a. t -> a Wstate.field -> a -> unit =

@@ -77,6 +77,23 @@ val get_marks : t -> Wstate.path -> Wstate.marks
 
 val is_compensated : t -> Wstate.path -> bool
 
+val task_states : t -> (string * Wstate.task_state) list
+(** Every task record, as ("/"-joined path, state), sorted by path. *)
+
+type policy_budget = {
+  pb_path : string;  (** "/"-joined task path *)
+  pb_attempts : int;  (** execution attempts used so far *)
+  pb_backoff_remaining : Sim.time;
+      (** µs until the pending policy retry fires; [0] when no backoff
+          is pending *)
+  pb_compensated : bool;  (** the compensation handler has fired *)
+}
+
+val policy_budgets : t -> now:Sim.time -> policy_budget list
+(** Per-task recovery-policy budget counters, sorted by path: how much
+    of each [retry]/[backoff] budget is spent and which compensations
+    have fired. Served remotely by [Admin.service_policy]. *)
+
 val pending_backoffs : t -> (Wstate.path * int * Sim.time) list
 (** All pending policy backoffs — recovery resumes each one's remaining
     wait against the persisted attempt counter. *)

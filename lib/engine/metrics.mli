@@ -25,9 +25,6 @@ val attach_labelled : t -> Event.bus -> unit
 
 val incr : ?by:int -> t -> string -> unit
 
-val observe : t -> string -> int -> unit
-(** Record one histogram sample. *)
-
 val value : t -> string -> int
 (** Current counter value; 0 if never incremented. *)
 

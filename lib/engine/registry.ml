@@ -32,9 +32,6 @@ let bind_script t ~code schema = Hashtbl.replace t.bindings code (Sub_workflow s
 
 let find t ~code = Hashtbl.find_opt t.bindings code
 
-let names t =
-  List.sort String.compare (Hashtbl.fold (fun name _ acc -> name :: acc) t.bindings [])
-
 let finish ?(work = Sim.ms 1) output objects = { steps = [ Work work ]; finish = { output; objects } }
 
 let const ?work output objects _ctx = finish ?work output objects

@@ -52,9 +52,6 @@ val bind_script : t -> code:string -> Schema.task -> unit
 
 val find : t -> code:string -> impl option
 
-val names : t -> string list
-(** Sorted. *)
-
 (** {1 Plan helpers} *)
 
 val finish : ?work:Sim.time -> string -> (string * Value.t) list -> plan

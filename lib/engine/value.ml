@@ -67,5 +67,3 @@ let rec pp ppf = function
   | Pair (a, b) -> Format.fprintf ppf "(%a, %a)" pp a pp b
 
 let pp_obj ppf o = Format.fprintf ppf "%s%a" o.cls pp o.payload
-
-let equal = ( = )

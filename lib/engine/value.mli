@@ -36,5 +36,3 @@ val decode_bindings : string -> (string * obj) list
 val pp : Format.formatter -> t -> unit
 
 val pp_obj : Format.formatter -> obj -> unit
-
-val equal : t -> t -> bool

@@ -51,10 +51,6 @@ let node t id = Hashtbl.find t.nodes_tbl id
 
 let find_node t id = Hashtbl.find_opt t.nodes_tbl id
 
-let nodes t =
-  let all = Hashtbl.fold (fun _ n acc -> n :: acc) t.nodes_tbl [] in
-  List.sort (fun a b -> String.compare (Node.id a) (Node.id b)) all
-
 let link a b = if String.compare a b <= 0 then (a, b) else (b, a)
 
 let partition_on t a b = t.cut_links <- Pair_set.add (link a b) t.cut_links

@@ -31,9 +31,6 @@ val node : t -> string -> Node.t
 
 val find_node : t -> string -> Node.t option
 
-val nodes : t -> Node.t list
-(** In id order. *)
-
 val partition_on : t -> string -> string -> unit
 (** Sever two-way connectivity between the named nodes. *)
 

@@ -32,8 +32,6 @@ let service_owner = "repo.owner"
 
 let service_placements = "repo.placements"
 
-let node_id t = Node.id t.node
-
 let internal_store t = t.store
 
 let key_head name = "head:" ^ name

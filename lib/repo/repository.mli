@@ -45,8 +45,6 @@ val cmd_assign : cid:string -> iid:string -> engine:string -> string
 
 val cmd_assign_batch : cid:string -> pairs:(string * string) list -> string
 
-val node_id : t -> string
-
 (** {1 Local (in-process) operations — the service's own logic} *)
 
 type version = int

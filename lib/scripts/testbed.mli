@@ -31,10 +31,6 @@ val make :
 
 val node : t -> string -> Node.t
 
-val node_ids : t -> string list
-(** All node ids, in creation order (the population fault plans may
-    legally name). *)
-
 val engine_on : t -> string -> Engine.t
 (** The engine living on the given node id. *)
 

@@ -112,7 +112,3 @@ let filter_inplace t keep =
   for i = (!kept / 2) - 1 downto 0 do
     sift_down t i (Array.unsafe_get data i)
   done
-
-let to_list t =
-  let rec collect i acc = if i < 0 then acc else collect (i - 1) (t.data.(i) :: acc) in
-  collect (t.size - 1) []

@@ -40,6 +40,3 @@ val filter_inplace : 'a t -> ('a -> bool) -> unit
     false, in one O(n) pass without allocating. Vacated slots get the
     filler of a {!create_filled} heap. Pop order of the kept elements is
     unchanged when [cmp] is a total order. *)
-
-val to_list : 'a t -> 'a list
-(** Snapshot of the contents in heap (not sorted) order. *)

@@ -7,8 +7,6 @@ type 'a io = (('a, error) result -> unit) -> unit
 
 let return v k = k (Ok v)
 
-let fail e k = k (Error e)
-
 let ( let* ) (m : 'a io) (f : 'a -> 'b io) : 'b io =
  fun k -> m (function Ok v -> f v k | Error e -> k (Error e))
 

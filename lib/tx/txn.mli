@@ -30,8 +30,6 @@ type 'a io = (('a, error) result -> unit) -> unit
 
 val return : 'a -> 'a io
 
-val fail : error -> 'a io
-
 val ( let* ) : 'a io -> ('a -> 'b io) -> 'b io
 
 val pp_error : Format.formatter -> error -> unit

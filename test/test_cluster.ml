@@ -245,10 +245,10 @@ let test_policy_budgets_over_rpc () =
   let local = Cluster.policy_budgets c iid in
   check "counters non-empty" true (local <> []);
   check "a completed step records its one attempt" true
-    (List.exists (fun b -> b.Engine.pb_attempts = 1) local);
+    (List.exists (fun b -> b.Instate.pb_attempts = 1) local);
   check "no backoff pending, nothing compensated" true
     (List.for_all
-       (fun b -> b.Engine.pb_backoff_remaining = 0 && not b.Engine.pb_compensated)
+       (fun b -> b.Instate.pb_backoff_remaining = 0 && not b.Instate.pb_compensated)
        local);
   (* the same rows, resolved entirely over the fabric from a node that
      runs no engine: directory lookup, then the owner's admin service *)

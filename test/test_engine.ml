@@ -152,7 +152,7 @@ let test_order_cancelled_dispatch_aborts () =
   ignore (expect_done ~output:"orderCancelled" status);
   (* dispatchFailed is an abort outcome: recorded as such on the task *)
   match
-    Engine.task_state tb.Testbed.engine iid ~path:[ "processOrderApplication"; "dispatch" ]
+    Harness.task_state tb.Testbed.engine iid [ "processOrderApplication"; "dispatch" ]
   with
   | Some (Wstate.Done { kind = Ast.Abort_outcome; output; _ }) ->
     check_str "abort outcome name" "dispatchFailed" output
@@ -165,8 +165,8 @@ let test_order_cancelled_dispatch_aborts () =
 let test_order_payment_capture_never_runs_when_cancelled () =
   let tb, iid, _ = run_order { Impls.order_ok with Impls.authorised = false } in
   check "paymentCapture never started" true
-    (Engine.task_state tb.Testbed.engine iid
-       ~path:[ "processOrderApplication"; "paymentCapture" ]
+    (Harness.task_state tb.Testbed.engine iid
+       [ "processOrderApplication"; "paymentCapture" ]
     = None)
 
 (* --- §5.3 business trip --- *)
@@ -185,7 +185,7 @@ let test_trip_smooth () =
   check_str "tickets carry plane and hotel" "tickets[seat-12A@flight-klm, hotel-county]"
     (obj_str objects "tickets");
   (* the toPay mark was released during the run *)
-  let marks = Engine.marks_of tb.Testbed.engine iid ~path:[ "tripReservation" ] in
+  let marks = Instate.get_marks (Option.get (Engine.mirror tb.Testbed.engine iid)) [ "tripReservation" ] in
   check "toPay mark fired" true (List.mem_assoc "toPay" marks)
 
 let test_trip_mark_before_completion () =
@@ -212,7 +212,7 @@ let test_trip_compensation_and_retry_loop () =
   check_int "businessReservation retried twice" 2
     (count_events tb (function Event.Task_repeated _ -> true | _ -> false));
   (* final incarnation recorded attempt 3 *)
-  match Engine.task_state tb.Testbed.engine iid ~path:[ "tripReservation"; "businessReservation" ] with
+  match Harness.task_state tb.Testbed.engine iid [ "tripReservation"; "businessReservation" ] with
   | Some (Wstate.Done { attempt; output; _ }) ->
     check_str "final outcome" "success" output;
     check_int "third attempt succeeded" 3 attempt
@@ -757,7 +757,7 @@ let test_timeout_then_abort () =
   check_int "one watchdog fired" 1 (watchdogs_fired tb);
   (* Step declares no abort outcome, so the task fails outright *)
   check "work failed with the timeout reason" true
-    (Engine.task_state tb.Testbed.engine iid ~path:[ "flow"; "work" ]
+    (Harness.task_state tb.Testbed.engine iid [ "flow"; "work" ]
     = Some (Wstate.Failed "recovery timeout"));
   check_rows "history"
     [
@@ -776,7 +776,7 @@ let test_timeout_alternatives_exhausted () =
      the last base band, which has no band after it *)
   check_int "each attempt's watchdog fired" 2 (watchdogs_fired tb);
   check "work failed: alternatives exhausted" true
-    (Engine.task_state tb.Testbed.engine iid ~path:[ "flow"; "work" ]
+    (Harness.task_state tb.Testbed.engine iid [ "flow"; "work" ]
     = Some (Wstate.Failed "recovery alternatives exhausted"));
   check_rows "history"
     [
@@ -812,7 +812,7 @@ let check_watchdog_probes ~recovery ~bind probes =
   List.iter
     (fun (at, _) ->
       ignore
-        (Sim.at tb.Testbed.sim ~time:at (fun () -> seen := Engine.queued_watchdogs e iid :: !seen)))
+        (Sim.at tb.Testbed.sim ~time:at (fun () -> seen := Harness.queued_watchdogs e iid :: !seen)))
     probes;
   Testbed.run tb;
   List.iter2
@@ -820,7 +820,7 @@ let check_watchdog_probes ~recovery ~bind probes =
       Alcotest.(check (list (pair string int))) (Printf.sprintf "queued at %dus" at) expected got)
     probes (List.rev !seen);
   Alcotest.(check (list (pair string int)))
-    "none after conclusion" [] (Engine.queued_watchdogs e iid);
+    "none after conclusion" [] (Harness.queued_watchdogs e iid);
   tb
 
 let test_timeout_retry_keeps_one_watchdog () =
@@ -855,7 +855,7 @@ let test_completion_and_cancel_drop_watchdogs () =
   Workloads.register ~work:(Sim.ms 50) tb.Testbed.registry;
   let e = tb.Testbed.engine in
   let done_ = launch_chain tb ~n:2 and cancelled = launch_chain tb ~n:2 in
-  let queued iid = Engine.queued_watchdogs e iid in
+  let queued iid = Harness.queued_watchdogs e iid in
   Testbed.run ~until:(Sim.ms 75) tb;
   Alcotest.(check (list (pair string int)))
     "only the running task's" [ ("chain/s2", 1) ] (queued done_);
@@ -894,7 +894,7 @@ let test_crash_cancels_watchdogs () =
   let script, root = Workloads.chain_remote ~n:1 ~host:"n1" in
   let iid = launch_ok tb ~script ~root in
   let queued what expected =
-    Alcotest.(check (list (pair string int))) what expected (Engine.queued_watchdogs e iid)
+    Alcotest.(check (list (pair string int))) what expected (Harness.queued_watchdogs e iid)
   in
   Testbed.run ~until:(Sim.sec 1) tb;
   queued "the running leaf's watchdog" [ ("chain/s1", 1) ];
@@ -998,7 +998,7 @@ compoundtask root of taskclass Root {
   with
   | Ok (iid, status) -> (
     check "instance cannot complete" true (status = Wstate.Wf_running);
-    match Engine.task_state tb.Testbed.engine iid ~path:[ "root"; "leaky" ] with
+    match Harness.task_state tb.Testbed.engine iid [ "root"; "leaky" ] with
     | Some (Wstate.Failed _) -> ()
     | other ->
       Alcotest.failf "expected failed task, got %s"
@@ -1062,7 +1062,7 @@ compoundtask root of taskclass Root {
     (* the compound reached its outcome while the producer was still
        executing: the producer is abandoned, exactly the early-release
        point of Fig 2/3 *)
-    (match Engine.task_state tb.Testbed.engine iid ~path:[ "root"; "producer" ] with
+    (match Harness.task_state tb.Testbed.engine iid [ "root"; "producer" ] with
     | Some (Wstate.Running _) -> ()
     | other ->
       Alcotest.failf "expected producer still running, got %s"
@@ -1158,7 +1158,7 @@ task t5 of taskclass Audit {
       | Ok ast -> Reconfig.add_constituent ~scope:[ "diamond" ] ~decl:audit_decl ast
       | Error e -> Error e);
   Testbed.run tb;
-  (match Engine.task_state tb.Testbed.engine iid ~path:[ "diamond"; "t5" ] with
+  (match Harness.task_state tb.Testbed.engine iid [ "diamond"; "t5" ] with
   | Some (Wstate.Done { output; _ }) -> check_str "t5 ran" "audited" output
   | other ->
     Alcotest.failf "t5 state: %s"
@@ -1459,7 +1459,7 @@ compoundtask admin of taskclass Admin {
   | Ok (_, status) -> ignore (expect_done ~output:"done" status)
   | Error e -> Alcotest.failf "admin launch: %s" e);
   check "reconfiguration applied by the admin workflow" true (!outcome = Some (Ok ()));
-  match Engine.task_state tb.Testbed.engine target ~path:[ "diamond"; "t5" ] with
+  match Harness.task_state tb.Testbed.engine target [ "diamond"; "t5" ] with
   | Some (Wstate.Done _) -> ()
   | other ->
     Alcotest.failf "t5: %s"
@@ -1479,6 +1479,63 @@ let test_crash_during_launch_commit () =
   with
   | Ok (_, status) -> ignore (expect_done ~output:"orderCompleted" status)
   | Error e -> Alcotest.failf "launch: %s" e
+
+(* [Engine.instances] lists the directory in launch order through a gc,
+   a recovery that finds a stored script it can no longer compile, and a
+   launch lost to the crash, which recovery repeats and lists last. *)
+let test_instance_listing_across_recovery () =
+  let tb = Testbed.make () in
+  Impls.register_quickstart ~work:(Sim.ms 5) tb.Testbed.registry;
+  let e = tb.Testbed.engine in
+  let launch iid =
+    match
+      Engine.launch e ~iid ~script:Paper_scripts.quickstart ~root:Paper_scripts.quickstart_root
+        ~inputs:(seed_input 1)
+    with
+    | Ok _ -> ()
+    | Error m -> Alcotest.failf "launch %s: %s" iid m
+  in
+  List.iter launch [ "a"; "b"; "c" ];
+  Testbed.run tb;
+  Engine.gc e "b" (fun r -> check "gc of b" true (r = Ok ()));
+  Testbed.run tb;
+  (* "c"'s reconfigured script, written straight into the store, does
+     not compile *)
+  (match Wstate.encode "c" (Wstate.Put (Wstate.Reconf, "class ;")) with
+  | key, Some value -> Kvstore.put (Participant.store (Testbed.participant tb "n0")) key value
+  | _, None -> Alcotest.fail "reconf row has no value");
+  (* "e" is durable and running at the crash; "d"'s launch write set is
+     still queued when the node goes down *)
+  launch "e";
+  Testbed.run ~until:(Sim.now tb.Testbed.sim + Sim.ms 1) tb;
+  launch "d";
+  Testbed.crash tb "n0";
+  Alcotest.(check (list string)) "listed while down" [ "a"; "c"; "e"; "d" ] (Engine.instances e);
+  Testbed.recover tb "n0";
+  Alcotest.(check (list string)) "after recovery" [ "a"; "c"; "e"; "d" ] (Engine.instances e);
+  let recovery_events =
+    List.filter_map
+      (fun (_, ev) ->
+        match ev with
+        | Event.Recovery_error { detail } -> Some ("error " ^ detail)
+        | Event.Recovery_replayed { instances } -> Some (Printf.sprintf "replayed %d" instances)
+        | Event.Wf_relaunched { iid } -> Some ("relaunched " ^ iid)
+        | _ -> None)
+      (Engine.trace e)
+  in
+  Alcotest.(check (list string))
+    "recovery events"
+    [ "error c: stored script no longer parses"; "replayed 3"; "relaunched d" ]
+    recovery_events;
+  check "broken instance has no status" true (Engine.status e "c" = None);
+  Testbed.run tb;
+  List.iter
+    (fun iid ->
+      match Engine.status e iid with
+      | Some status -> ignore (expect_done ~output:"finished" status)
+      | None -> Alcotest.failf "%s lost" iid)
+    [ "a"; "e"; "d" ];
+  Alcotest.(check (list string)) "at the end" [ "a"; "c"; "e"; "d" ] (Engine.instances e)
 
 (* An engine's persists must commit on the local lane, which recovery
    relies on (Dispatch.persist): a manager on another node is refused. *)
@@ -1578,7 +1635,11 @@ let test_recovery_equivalence_at_scale () =
   let durable () =
     List.map
       (fun (iid, _) ->
-        (iid, Engine.status e iid, Engine.task_states e iid, Engine.policy_budgets e iid))
+        let budgets =
+          Option.fold ~none:[] (Engine.mirror e iid)
+            ~some:(Instate.policy_budgets ~now:(Sim.now tb.Testbed.sim))
+        in
+        (iid, Engine.status e iid, Harness.task_states e iid, budgets))
       expected
   in
   Testbed.run ~until:(Sim.ms 110) tb;
@@ -1675,12 +1736,12 @@ let test_cancel_concludes_like_finalize () =
     | Error e -> Alcotest.failf "launch: %s" e
   in
   Sim.run ~until:(Sim.ms 20) tb.Testbed.sim;
-  check "mirror resident while running" true (Engine.task_states tb.Testbed.engine iid <> []);
+  check "mirror resident while running" true (Harness.task_states tb.Testbed.engine iid <> []);
   let result = ref None in
   Engine.cancel tb.Testbed.engine iid ~reason:"operator request" (fun r -> result := Some r);
   Testbed.run tb;
   check "cancel accepted" true (!result = Some (Ok ()));
-  check "mirror released" true (Engine.task_states tb.Testbed.engine iid = []);
+  check "mirror released" true (Harness.task_states tb.Testbed.engine iid = []);
   match List.rev (Engine.history tb.Testbed.engine iid) with
   | (_, kind, detail) :: _ ->
     check_str "last history row" "instance failed(cancelled: operator request)"
@@ -1999,7 +2060,7 @@ let process_order_run ?faults () =
   with
   | Ok (iid, status) ->
     ignore (expect_done ~output:"orderCompleted" status);
-    (status, Harness.task_outcomes (Engine.task_states tb.Testbed.engine iid))
+    (status, Harness.task_outcomes (Harness.task_states tb.Testbed.engine iid))
   | Error e -> Alcotest.failf "launch: %s" e
 
 let test_batched_persistence_crash_equivalence () =
@@ -2117,6 +2178,8 @@ let () =
           Alcotest.test_case "lossy network" `Quick test_lossy_network_still_completes;
           Alcotest.test_case "abort auto-retry" `Quick test_abort_auto_retry;
           Alcotest.test_case "crash during launch commit" `Quick test_crash_during_launch_commit;
+          Alcotest.test_case "instance listing across recovery" `Quick
+            test_instance_listing_across_recovery;
           Alcotest.test_case "partition engine/host" `Quick test_partition_between_engine_and_host;
           Alcotest.test_case "forty concurrent instances" `Quick test_many_concurrent_instances;
           Alcotest.test_case "recovery equivalence at scale" `Quick

@@ -147,7 +147,7 @@ let engine_run ?faults (script, root) =
     Testbed.launch_and_run ~until:(Sim.sec 120) tb ~script ~root ~inputs:Workloads.seed_inputs
   with
   | Error e -> Alcotest.failf "launch failed: %s" e
-  | Ok (iid, status) -> (status, Engine.task_states tb.Testbed.engine iid)
+  | Ok (iid, status) -> (status, Harness.task_states tb.Testbed.engine iid)
 
 let baseline_status (script, root) =
   let sim = Sim.create () in

@@ -44,10 +44,10 @@ let test_fulfilled_path () =
     | Some { Value.payload = Value.Str s; _ } -> s
     | _ -> "?");
   (* templates ran: both expanded query tasks completed *)
-  (match Engine.task_state tb.Testbed.engine iid ~path:[ "fulfillment"; "quoteA" ] with
+  (match Harness.task_state tb.Testbed.engine iid [ "fulfillment"; "quoteA" ] with
   | Some (Wstate.Done { output = "quoted"; _ }) -> ()
   | _ -> Alcotest.fail "quoteA (template instance) did not run");
-  match Engine.task_state tb.Testbed.engine iid ~path:[ "fulfillment"; "quoteB" ] with
+  match Harness.task_state tb.Testbed.engine iid [ "fulfillment"; "quoteB" ] with
   | Some (Wstate.Done _) -> ()
   | _ -> Alcotest.fail "quoteB (template instance) did not run"
 
@@ -79,7 +79,7 @@ let test_reserve_auto_restart () =
   let scenario = { Supply_chain.smooth with Supply_chain.reserve_aborts = 2 } in
   let tb, iid, status = run scenario in
   ignore (expect_done ~output:"fulfilled" status);
-  match Engine.task_state tb.Testbed.engine iid ~path:[ "fulfillment"; "reserve" ] with
+  match Harness.task_state tb.Testbed.engine iid [ "fulfillment"; "reserve" ] with
   | Some (Wstate.Done { attempt; output = "reserved"; _ }) ->
     Alcotest.(check int) "third attempt reserved" 3 attempt
   | other ->
@@ -92,7 +92,7 @@ let test_no_suppliers_times_out () =
   in
   let tb, iid, status = run scenario in
   ignore (expect_done ~output:"rejected" status);
-  match Engine.task_state tb.Testbed.engine iid ~path:[ "fulfillment"; "selectQuote" ] with
+  match Harness.task_state tb.Testbed.engine iid [ "fulfillment"; "selectQuote" ] with
   | Some (Wstate.Done { output = "noQuote"; _ }) -> ()
   | other ->
     Alcotest.failf "selectQuote: %s"
@@ -112,7 +112,7 @@ let test_failed_shipping_compensates () =
   let scenario = { Supply_chain.smooth with Supply_chain.ship_ok = false } in
   let tb, iid, status = run scenario in
   ignore (expect_done ~output:"failed" status);
-  match Engine.task_state tb.Testbed.engine iid ~path:[ "fulfillment"; "releaseInventory" ] with
+  match Harness.task_state tb.Testbed.engine iid [ "fulfillment"; "releaseInventory" ] with
   | Some (Wstate.Done { output = "released"; _ }) -> ()
   | other ->
     Alcotest.failf "releaseInventory: %s"
