@@ -13,6 +13,7 @@ type inst = {
   marks : (string, (string * (string * Value.obj) list) list) Hashtbl.t;
   repeats : (string, string * (string * Value.obj) list) Hashtbl.t;
   mutable status : Wstate.status;
+  mutable queued : bool;  (* an evaluation is settled for this instant *)
 }
 
 type t = {
@@ -202,7 +203,7 @@ and run_impl t inst ~path ~task ~attempt ~set ~values =
                let objects = wrap task ~output:m.Registry.output m.Registry.objects in
                Hashtbl.replace inst.marks (pkey path)
                  (marks_of inst path @ [ (m.Registry.output, objects) ]);
-               evaluate t inst
+               settle_evaluation t inst
              end))
     in
     List.iter fire_mark (List.rev timed_marks);
@@ -210,10 +211,22 @@ and run_impl t inst ~path ~task ~attempt ~set ~values =
       (Sim.schedule t.sim ~delay:total (fun () ->
            if Node.incarnation t.node = inc then begin
              finish_task t inst ~path ~task ~attempt plan.Registry.finish;
-             evaluate t inst
+             settle_evaluation t inst
            end))
   | Some (Registry.Sub_workflow _) | None ->
     Hashtbl.replace inst.states (pkey path) (Failed ("no implementation for " ^ code))
+
+(* Readiness is judged once per virtual instant, after every event at
+   that instant (the same-instant rule, {!Sim.settle}), as the engine
+   judges it. *)
+and settle_evaluation t inst =
+  if not inst.queued then begin
+    inst.queued <- true;
+    let inc = Node.incarnation t.node in
+    Sim.settle t.sim (fun () ->
+        inst.queued <- false;
+        if Node.incarnation t.node = inc then evaluate t inst)
+  end
 
 and finish_task _t inst ~path ~task ~attempt (outcome : Registry.outcome) =
   match Schema.output_named task outcome.Registry.output with
@@ -322,12 +335,13 @@ let fresh_inst iid schema inputs =
     marks = Hashtbl.create 8;
     repeats = Hashtbl.create 8;
     status = Wstate.Wf_running;
+    queued = false;
   }
 
 let start t iid schema inputs =
   let inst = fresh_inst iid schema inputs in
   Hashtbl.replace t.insts iid inst;
-  ignore (Sim.schedule t.sim ~delay:0 (fun () -> evaluate t inst))
+  settle_evaluation t inst
 
 let create ~sim ~node ~registry =
   let t =

@@ -65,9 +65,10 @@ let persist_now t writes k =
     | Error e ->
       Sim.emit t.sim ~src:(node_id t) (Event.Txn_failed { detail = Txn.error_to_string e }))
 
-(* Batched persistence: requests issued within one simulation timestep
-   (one evaluation-pump pass, plus whatever else fires at that instant)
-   coalesce into a single transaction. Later writes to the same key win,
+(* Batched persistence: requests issued within one virtual instant (its
+   events and the evaluation passes settled after them) coalesce into a
+   single transaction, flushed once the instant's earlier settled work
+   has run ({!Sim.settle}). Later writes to the same key win,
    matching the order the requests would have committed individually;
    the continuations run in request order after the one commit. *)
 let flush t =
@@ -88,11 +89,10 @@ let persist t writes k =
   if not t.flush_armed then begin
     t.flush_armed <- true;
     let inc = Node.incarnation t.node in
-    ignore
-      (Sim.schedule t.sim ~delay:0 (fun () ->
-           (* a crash in between cleared the queue; this stale flush
-              must not touch the queue refilled after recovery *)
-           if Node.incarnation t.node = inc then flush t))
+    Sim.settle t.sim (fun () ->
+        (* a crash in between cleared the queue; this stale flush must
+           not touch the queue refilled after recovery *)
+        if Node.incarnation t.node = inc then flush t)
   end
 
 (* The intrusive ready deque: enqueues are O(1); one drain event is in

@@ -34,9 +34,10 @@ val persist : t -> (string * string option) list -> (unit -> unit) -> unit
     and drops the continuation — the evaluation pump re-derives the
     actions on its next pass.
 
-    Persists are batched: every write set issued within one simulation
-    timestep joins that timestep's batch and commits with it as one
-    transaction on the deferred flush (later writes to a key win); a
+    Persists are batched: every write set issued within one virtual
+    instant joins that instant's batch and commits with it as one
+    transaction on the flush settled for the instant ({!Sim.settle};
+    later writes to a key win); a
     flush combining two or more requests emits [Persist_batched]. A
     crash before the flush drops the whole batch (no partial commit),
     and the queued continuations die with it, exactly like an

@@ -211,10 +211,8 @@ let rec mark_dirty ?paths t inst =
   if not inst.Instate.inflight then begin
     inst.Instate.inflight <- true;
     let inc = Node.incarnation t.node in
-    ignore
-      (Sim.schedule t.sim ~delay:0 (fun () ->
-           if Node.incarnation t.node = inc then pump t inst
-           else inst.Instate.inflight <- false))
+    Sim.settle t.sim (fun () ->
+        if Node.incarnation t.node = inc then pump t inst else inst.Instate.inflight <- false)
   end
 
 and pump t inst =

@@ -14,6 +14,7 @@ type t = {
   mutable next_seq : int;
   queue : event Heap.t;
   mutable dead_queued : int;  (* cancelled events still in [queue] *)
+  settled : (unit -> unit) Queue.t;  (* thunks of the current instant, run after its events *)
   root_rng : Rng.t;
   events : Event.bus;
 }
@@ -38,6 +39,7 @@ let create ?(seed = 1L) () =
     next_seq = 0;
     queue = Heap.create_filled ~cmp:compare_event ~filler:no_event;
     dead_queued = 0;
+    settled = Queue.create ();
     root_rng = Rng.create seed;
     events = Event.bus ();
   }
@@ -59,6 +61,8 @@ let at t ~time action =
 
 let schedule t ~delay action = at t ~time:(t.clock + max 0 delay) action
 
+let settle t action = Queue.add action t.settled
+
 (* The closure goes at once, so whatever it captured is garbage before
    the event's time arrives. The dead slot stays queued until it is
    popped or, once dead slots outnumber live ones, one O(n) compaction
@@ -75,7 +79,7 @@ let cancel t ev =
     end
   end
 
-let pending t = Heap.length t.queue - t.dead_queued
+let pending t = Heap.length t.queue - t.dead_queued + Queue.length t.settled
 
 let is_live ev = not ev.dead
 
@@ -91,8 +95,17 @@ let fire t ev =
     ev.action ()
   end
 
+(* A settled thunk runs once no event at the current instant is left,
+   before the clock moves on. *)
+let settling t =
+  (not (Queue.is_empty t.settled)) && (Heap.is_empty t.queue || (Heap.top t.queue).at > t.clock)
+
 let rec step t =
-  if Heap.is_empty t.queue then false
+  if settling t then begin
+    Queue.take t.settled ();
+    true
+  end
+  else if Heap.is_empty t.queue then false
   else begin
     let ev = Heap.pop_exn t.queue in
     if ev.dead then begin
@@ -109,11 +122,15 @@ let rec step t =
    option boxing, and the common no-limit case skips the bound check. *)
 let run ?until t =
   (match until with
-  | None -> while not (Heap.is_empty t.queue) do fire t (Heap.pop_exn t.queue) done
+  | None ->
+    while not (Heap.is_empty t.queue && Queue.is_empty t.settled) do
+      if settling t then Queue.take t.settled () else fire t (Heap.pop_exn t.queue)
+    done
   | Some limit ->
     let continue = ref true in
     while !continue do
-      if Heap.is_empty t.queue || (Heap.top t.queue).at > limit then continue := false
+      if settling t && t.clock <= limit then Queue.take t.settled ()
+      else if Heap.is_empty t.queue || (Heap.top t.queue).at > limit then continue := false
       else fire t (Heap.pop_exn t.queue)
     done);
   match until with Some limit when limit > t.clock -> t.clock <- limit | _ -> ()

@@ -2,7 +2,14 @@
 
     Virtual time is an integer number of microseconds. Events scheduled
     at equal times fire in scheduling order (a monotonically increasing
-    sequence number breaks ties), so a whole run is reproducible. *)
+    sequence number breaks ties), so a whole run is reproducible.
+
+    The same-instant rule: work {!settle}d at an instant runs after
+    every event of that instant, including those the events themselves
+    schedule there, and before the clock moves on. The engine and the
+    baseline judge an instance's readiness this way, once per instant,
+    so which of several same-instant completions was delivered first
+    does not decide anything: declaration order does. *)
 
 type time = int
 (** Virtual microseconds since the start of the run. *)
@@ -45,6 +52,13 @@ val schedule : t -> delay:time -> (unit -> unit) -> handle
 val at : t -> time:time -> (unit -> unit) -> handle
 (** [at t ~time f] runs [f] at absolute virtual [time]; clamped to now. *)
 
+val settle : t -> (unit -> unit) -> unit
+(** [settle t f] runs [f] at the current instant once no event at that
+    instant is left; settled thunks run in the order they were settled,
+    and an event that a thunk schedules at the instant runs before the
+    next thunk. A settled thunk cannot be cancelled: fence it as any
+    other continuation. *)
+
 val cancel : t -> handle -> unit
 (** [cancel t h] drops [h]'s action at once, so whatever its closure
     captured can be collected before the event's time arrives; the
@@ -58,12 +72,13 @@ val is_live : handle -> bool
 (** [true] until the event fires or is cancelled. *)
 
 val pending : t -> int
-(** Number of live events: scheduled and neither fired nor cancelled. *)
+(** Number of live events: scheduled and neither fired nor cancelled,
+    plus the settled thunks not yet run. *)
 
 val run : ?until:time -> t -> unit
 (** Executes events in time order until the queue drains, or virtual
     time would exceed [until] (events after [until] stay queued). *)
 
 val step : t -> bool
-(** Executes exactly one event. Returns [false] when the queue is
-    empty. *)
+(** Executes exactly one event or settled thunk. Returns [false] when
+    nothing is left. *)

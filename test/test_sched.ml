@@ -315,6 +315,24 @@ let prop_engine_baseline =
       | Some baseline -> Alcotest.fail (status_diff engine baseline)
       | None -> Alcotest.fail "baseline lost the instance")
 
+(* The shape QCHECK_SEED 35 drew: t8 takes data from t3, else t5, else
+   t6, and all three finish at one instant. Readiness is judged after
+   every event of that instant, so declaration order decides, in the
+   engine and in the baseline alike: t3, whose join says "joined". *)
+let test_same_instant_alternatives () =
+  let one = Join [ 1 ] in
+  let workload =
+    dag_script [| From_root; From_root; Join [ 1; 2 ]; one; one; one; one; Alternatives [ 3; 5; 6 ] |]
+  in
+  let data = function
+    | Some (Wstate.Wf_done { objects; _ }) ->
+      Option.fold ~none:"absent" ~some:(Format.asprintf "%a" Value.pp_obj) (List.assoc_opt "data" objects)
+    | Some status -> status_string status
+    | None -> "lost"
+  in
+  Alcotest.(check string) "engine picks t3" {|Data"joined"|} (data (Some (fst (engine_run workload))));
+  Alcotest.(check string) "baseline picks t3" {|Data"joined"|} (data (baseline_status workload))
+
 let prop_mirror =
   QCheck.Test.make ~name:"live mirror = committed store on random DAGs" ~count:40 arb_dag
     (fun (nodes, _) ->
@@ -736,6 +754,7 @@ let () =
           Alcotest.test_case "workload families" `Quick test_families;
           Alcotest.test_case "crash recovery" `Quick test_crash_recovery;
           Alcotest.test_case "pointwise scan_from" `Quick test_pointwise;
+          Alcotest.test_case "same-instant alternatives" `Quick test_same_instant_alternatives;
         ] );
       ( "readiness",
         [ Alcotest.test_case "timers around a missing object" `Quick test_short_circuit_timers ] );
