@@ -176,7 +176,9 @@ let launch ?iid (t : t) ~script ~root ~inputs =
   else
     match compile_cached t ~script ~root with
     | Error e -> Error (Frontend.error_to_string e)
-    | Ok _ when (match iid with Some i -> Hashtbl.mem t.insts i | None -> false) ->
+    (* the directory, not the mirror table: an instance whose stored
+       script no longer compiles has no mirror but still owns its rows *)
+    | Ok _ when (match iid with Some i -> Hashtbl.mem t.dir i | None -> false) ->
       Error ("duplicate instance id " ^ Option.get iid)
     | Ok _ when (match iid with Some i -> reserved_iid i | None -> false) ->
       Error ("reserved instance id " ^ Option.get iid ^ " (ids may not contain ':' or be \"dir\")")

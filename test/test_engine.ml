@@ -1528,6 +1528,11 @@ let test_instance_listing_across_recovery () =
     [ "error c: stored script no longer parses"; "replayed 3"; "relaunched d" ]
     recovery_events;
   check "broken instance has no status" true (Engine.status e "c" = None);
+  (* its rows are still in the store, so its id is still taken *)
+  check "broken instance's id refused" true
+    (Result.is_error
+       (Engine.launch e ~iid:"c" ~script:Paper_scripts.quickstart ~root:Paper_scripts.quickstart_root
+          ~inputs:(seed_input 1)));
   Testbed.run tb;
   List.iter
     (fun iid ->
