@@ -105,7 +105,10 @@ let fig2 () =
     (status_output status);
   match Engine.instances tb.Testbed.engine with
   | [ iid ] -> (
-    match Option.bind (Engine.mirror tb.Testbed.engine iid) (fun m -> Instate.get_state m [ "alt"; "consumer" ]) with
+    match
+      Option.bind (Engine.mirror tb.Testbed.engine iid) (fun m ->
+          Instate.get_state m [ "alt"; "consumer" ])
+    with
     | Some (Wstate.Done _) ->
       print_endline "consumer ran from the only live alternative (3rd in the list)"
     | _ -> print_endline "consumer did not run (unexpected)")
@@ -392,7 +395,9 @@ let a2_reconfig () =
       (at - before)
   | Some (Error e, _) -> Printf.printf "failed: %s\n" e
   | None -> print_endline "never completed");
-  match Option.bind (Engine.mirror tb.Testbed.engine iid) (fun m -> Instate.get_state m [ "diamond"; "t5" ]) with
+  match
+    Option.bind (Engine.mirror tb.Testbed.engine iid) (fun m -> Instate.get_state m [ "diamond"; "t5" ])
+  with
   | Some (Wstate.Done _) -> print_endline "t5 (added mid-run) executed and completed"
   | _ -> print_endline "t5 did not run"
 

@@ -79,7 +79,10 @@ task t5 of taskclass Audit {
     List.iter (fun (name, obj) -> Format.printf "  %s = %a@." name Value.pp_obj obj) objects
   | Some s -> Format.printf "status: %a@." Wstate.pp_status s
   | None -> print_endline "instance lost");
-  (match Option.bind (Engine.mirror tb.Testbed.engine !iid) (fun m -> Instate.get_state m [ "diamond"; "t5" ]) with
+  (match
+     Option.bind (Engine.mirror tb.Testbed.engine !iid) (fun m ->
+         Instate.get_state m [ "diamond"; "t5" ])
+   with
   | Some s -> Format.printf "t5 (added mid-run): %a@." Wstate.pp_task_state s
   | None -> print_endline "t5 never recorded");
   Format.printf "reconfigurations applied: %d@." (Engine.reconfigs_total tb.Testbed.engine);

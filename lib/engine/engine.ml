@@ -69,8 +69,9 @@ let start (t : t) (inst : Instate.t) ev rows =
   Hashtbl.replace t.dir iid t.seq;
   Hashtbl.replace t.insts iid inst;
   emit t ev;
+  let meta = Instate.meta inst ~status:Wstate.Wf_running in
   Pump.persist_rows t inst
-    (Wstate.Put (Wstate.Dir, t.seq) :: Wstate.Put (Wstate.Meta, Instate.meta inst ~status:Wstate.Wf_running) :: rows)
+    (Wstate.Put (Wstate.Dir, t.seq) :: Wstate.Put (Wstate.Meta, meta) :: rows)
     (fun () -> Pump.mark_dirty t inst)
 
 (* Nothing changes the mirror table while the node is down: client
@@ -80,7 +81,8 @@ let start (t : t) (inst : Instate.t) ev rows =
 let recover (t : t) () =
   let running =
     Hashtbl.fold
-      (fun _ (inst : Instate.t) acc -> if inst.Instate.status = Wstate.Wf_running then inst :: acc else acc)
+      (fun _ (inst : Instate.t) acc ->
+        if inst.Instate.status = Wstate.Wf_running then inst :: acc else acc)
       t.insts []
   in
   Hashtbl.reset t.insts;
@@ -104,7 +106,8 @@ let recover (t : t) () =
      sequence number. *)
   List.iter
     (fun (o : Instate.t) ->
-      if Dispatch.committed_value t.disp ~key:(Wstate.key o.Instate.iid Wstate.Meta) = None then begin
+      let meta_key = Wstate.key o.Instate.iid Wstate.Meta in
+      if Dispatch.committed_value t.disp ~key:meta_key = None then begin
         t.seq <- t.seq + 1;
         start t (Instate.reset o) (Event.Wf_relaunched { iid = o.Instate.iid }) []
       end)
@@ -149,7 +152,8 @@ let create ?(config = default_config) ~rpc ~node ~mgr ~participant ~registry:reg
   Node.serve node ~service:(Wfmsg.service_mark ~engine:own) (Pump.handle_report t ~is_mark:true);
   (* the incarnation fence already makes the timers no-ops; cancelling
      frees the old mirrors now rather than at each timer's deadline *)
-  Node.on_crash node (fun () -> Hashtbl.iter (fun _ inst -> Instate.cancel_timers inst sim) t.insts);
+  Node.on_crash node (fun () ->
+      Hashtbl.iter (fun _ inst -> Instate.cancel_timers inst sim) t.insts);
   Node.on_recover node (recover t);
   ignore (attach_host t node);
   t
@@ -169,7 +173,10 @@ let down_error (t : t) = Error ("engine " ^ Node.id t.node ^ " is down")
 
 let with_instance (t : t) iid k f =
   if not (Node.up t.node) then k (down_error t)
-  else match Hashtbl.find_opt t.insts iid with None -> k (Error ("no such instance " ^ iid)) | Some inst -> f inst
+  else
+    match Hashtbl.find_opt t.insts iid with
+    | None -> k (Error ("no such instance " ^ iid))
+    | Some inst -> f inst
 
 let launch ?iid (t : t) ~script ~root ~inputs =
   if not (Node.up t.node) then down_error t
@@ -208,7 +215,8 @@ let on_complete (t : t) iid cb =
 
 let cancel t iid ~reason k =
   with_instance t iid k @@ fun inst ->
-  if inst.Instate.status <> Wstate.Wf_running then k (Error ("instance " ^ iid ^ " already finished"))
+  if inst.Instate.status <> Wstate.Wf_running then
+    k (Error ("instance " ^ iid ^ " already finished"))
   else
     Pump.conclude t inst
       (Wstate.Wf_failed ("cancelled: " ^ reason))
@@ -234,7 +242,8 @@ let compact (t : t) = Dispatch.compact t.disp
 
 let gc (t : t) iid k =
   with_instance t iid k @@ fun inst ->
-  if inst.Instate.status = Wstate.Wf_running then k (Error ("instance " ^ iid ^ " is still running"))
+  if inst.Instate.status = Wstate.Wf_running then
+    k (Error ("instance " ^ iid ^ " is still running"))
   else
     let doomed = Dispatch.committed_keys_with_prefix t.disp ~prefix:(Wstate.task_prefix iid) in
     let writes =

@@ -105,12 +105,16 @@ let policy_budgets inst ~now =
   let budget key =
     let attempts =
       match Hashtbl.find_opt inst.states key with
-      | Some (Wstate.Waiting { attempt } | Wstate.Running { attempt; _ } | Wstate.Done { attempt; _ }) ->
+      | Some (Wstate.Waiting { attempt })
+      | Some (Wstate.Running { attempt; _ })
+      | Some (Wstate.Done { attempt; _ }) ->
         attempt
       | Some _ | None -> 0
     in
     let backoff_remaining =
-      match Hashtbl.find_opt inst.backoffs key with Some (_, fire_at) -> max 0 (fire_at - now) | None -> 0
+      match Hashtbl.find_opt inst.backoffs key with
+      | Some (_, fire_at) -> max 0 (fire_at - now)
+      | None -> 0
     in
     { pb_path = key; pb_attempts = attempts; pb_backoff_remaining = backoff_remaining;
       pb_compensated = Hashtbl.mem inst.compensated key }

@@ -13,7 +13,9 @@ type entry = {
 }
 
 val replay :
-  Dispatch.t -> compile:(script:string -> root:string -> (Schema.task, Frontend.error) result) -> entry list
+  Dispatch.t ->
+  compile:(script:string -> root:string -> (Schema.task, Frontend.error) result) ->
+  entry list
 (** One entry per directory row, in launch order (sequence number, then
     iid). Each mirror loads its instance's committed rows in sorted key
     order ({!Instate.load_committed}); its script is the reconfigured

@@ -72,9 +72,14 @@ let task_outcomes states =
     states
 
 (* Reads of an instance's live mirror; empty for an unknown instance. *)
-let task_state engine iid path = Option.bind (Engine.mirror engine iid) (fun m -> Instate.get_state m path)
-let task_states engine iid = Option.fold ~none:[] ~some:Instate.task_states (Engine.mirror engine iid)
-let queued_watchdogs engine iid = Option.fold ~none:[] ~some:Instate.queued_watchdogs (Engine.mirror engine iid)
+let task_state engine iid path =
+  Option.bind (Engine.mirror engine iid) (fun m -> Instate.get_state m path)
+
+let task_states engine iid =
+  Option.fold ~none:[] ~some:Instate.task_states (Engine.mirror engine iid)
+
+let queued_watchdogs engine iid =
+  Option.fold ~none:[] ~some:Instate.queued_watchdogs (Engine.mirror engine iid)
 
 (* The engine's live mirror of an instance against the one recovery
    rebuilds from the participant's committed store: [None] when they

@@ -185,7 +185,9 @@ let test_trip_smooth () =
   check_str "tickets carry plane and hotel" "tickets[seat-12A@flight-klm, hotel-county]"
     (obj_str objects "tickets");
   (* the toPay mark was released during the run *)
-  let marks = Instate.get_marks (Option.get (Engine.mirror tb.Testbed.engine iid)) [ "tripReservation" ] in
+  let marks =
+    Instate.get_marks (Option.get (Engine.mirror tb.Testbed.engine iid)) [ "tripReservation" ]
+  in
   check "toPay mark fired" true (List.mem_assoc "toPay" marks)
 
 let test_trip_mark_before_completion () =
@@ -812,7 +814,8 @@ let check_watchdog_probes ~recovery ~bind probes =
   List.iter
     (fun (at, _) ->
       ignore
-        (Sim.at tb.Testbed.sim ~time:at (fun () -> seen := Harness.queued_watchdogs e iid :: !seen)))
+        (Sim.at tb.Testbed.sim ~time:at (fun () ->
+             seen := Harness.queued_watchdogs e iid :: !seen)))
     probes;
   Testbed.run tb;
   List.iter2
@@ -1531,8 +1534,8 @@ let test_instance_listing_across_recovery () =
   (* its rows are still in the store, so its id is still taken *)
   check "broken instance's id refused" true
     (Result.is_error
-       (Engine.launch e ~iid:"c" ~script:Paper_scripts.quickstart ~root:Paper_scripts.quickstart_root
-          ~inputs:(seed_input 1)));
+       (Engine.launch e ~iid:"c" ~script:Paper_scripts.quickstart
+          ~root:Paper_scripts.quickstart_root ~inputs:(seed_input 1)));
   Testbed.run tb;
   List.iter
     (fun iid ->

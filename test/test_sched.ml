@@ -322,15 +322,20 @@ let prop_engine_baseline =
 let test_same_instant_alternatives () =
   let one = Join [ 1 ] in
   let workload =
-    dag_script [| From_root; From_root; Join [ 1; 2 ]; one; one; one; one; Alternatives [ 3; 5; 6 ] |]
+    dag_script
+      [| From_root; From_root; Join [ 1; 2 ]; one; one; one; one; Alternatives [ 3; 5; 6 ] |]
   in
   let data = function
     | Some (Wstate.Wf_done { objects; _ }) ->
-      Option.fold ~none:"absent" ~some:(Format.asprintf "%a" Value.pp_obj) (List.assoc_opt "data" objects)
+      Option.fold ~none:"absent"
+        ~some:(Format.asprintf "%a" Value.pp_obj)
+        (List.assoc_opt "data" objects)
     | Some status -> status_string status
     | None -> "lost"
   in
-  Alcotest.(check string) "engine picks t3" {|Data"joined"|} (data (Some (fst (engine_run workload))));
+  Alcotest.(check string)
+    "engine picks t3" {|Data"joined"|}
+    (data (Some (fst (engine_run workload))));
   Alcotest.(check string) "baseline picks t3" {|Data"joined"|} (data (baseline_status workload))
 
 let prop_mirror =
