@@ -284,8 +284,8 @@ let crash_at_recovery =
 
 let test_pinned_orphan_relaunched_at_recovery () =
   (* The schedule that found the launch-transaction/crash race fixed by
-     Engine.relaunch_orphan: recovery re-persists the orphan at the
-     restart, and the chain's six 5 ms steps run to exactly-once
+     relaunching lost launches at recovery: recovery re-persists the
+     orphan at the restart, and the chain's six 5 ms steps run to exactly-once
      completion from there. *)
   let r = run_pinned orphan_race in
   Alcotest.(check (list int)) "relaunched at the restart" [ Sim.ms 10 ] r.relaunched_at;
