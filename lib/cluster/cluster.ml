@@ -237,11 +237,6 @@ let status t iid = Option.join (with_owner t iid (fun e -> Engine.status e iid))
 let on_complete t iid cb =
   ignore (with_owner t iid (fun e -> Engine.on_complete e iid cb))
 
-let cancel t iid ~reason k =
-  match owner t iid with
-  | None -> k (Error ("no such instance " ^ iid))
-  | Some eid -> Engine.cancel (engine t eid) iid ~reason k
-
 let policy_budgets t iid =
   match Option.join (with_owner t iid (fun e -> Engine.mirror e iid)) with
   | Some inst -> Instate.policy_budgets inst ~now:(Sim.now (sim t))

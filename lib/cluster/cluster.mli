@@ -105,8 +105,6 @@ val status : t -> string -> Wstate.status option
 
 val on_complete : t -> string -> (Wstate.status -> unit) -> unit
 
-val cancel : t -> string -> reason:string -> ((unit, string) result -> unit) -> unit
-
 val policy_budgets : t -> string -> Instate.policy_budget list
 (** Recovery-policy budget counters of the owning engine's instance
     (attempts used, backoff remaining, compensations fired); empty when

@@ -9,7 +9,6 @@ type t = {
   rpc : Rpc.t;
   node : Node.t;
   self : string;
-  peers : string list;  (* sorted; includes self *)
   others : string list;
   quorum : int;
   rank : int;
@@ -68,8 +67,6 @@ let election_stagger = Sim.ms 10
 let election_rounds = 6
 
 let sim t = Network.sim (Rpc.network t.rpc)
-
-let peers t = t.peers
 
 let role t = t.role
 
@@ -532,7 +529,6 @@ let create ~rpc ~node ~peers ~apply ~reset () =
       rpc;
       node;
       self;
-      peers;
       others = List.filter (fun p -> p <> self) peers;
       quorum = (List.length peers / 2) + 1;
       rank = !rank;

@@ -54,9 +54,6 @@ val create :
     [cons.*] services and crash/recovery hooks on [node]; the
     lowest-ranked replica schedules the bootstrap election. *)
 
-val peers : t -> string list
-(** Sorted group membership. *)
-
 val role : t -> role
 
 val current_term : t -> int

@@ -20,10 +20,6 @@ let create ~rpc ~src ~replicas ?(max_steps = 16) ?(retry_delay = Sim.ms 5) () =
     cursor = 0;
   }
 
-let replicas t = t.replicas
-
-let leader_guess t = t.leader
-
 let invalidate t = t.leader <- None
 
 let sim t = Network.sim (Rpc.network t.rpc)

@@ -17,10 +17,6 @@ val create :
     one operation; [retry_delay] (default 5ms) is the wait after an
     ["electing"]/["noleader"] reply. *)
 
-val replicas : t -> string list
-
-val leader_guess : t -> string option
-
 val invalidate : t -> unit
 (** Drop the cached leader (e.g. after an out-of-band failure). *)
 

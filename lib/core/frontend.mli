@@ -6,8 +6,6 @@
 
 type error = { stage : string; msg : string; loc : Loc.t option }
 
-val pp_error : Format.formatter -> error -> unit
-
 val error_to_string : error -> string
 
 val load : string -> (Ast.script, error) result

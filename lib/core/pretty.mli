@@ -6,10 +6,6 @@
     printed verbatim between ASCII quotes, as the lexer has no escape
     syntax; the round trip holds when {!unreadable_literal} is [None]. *)
 
-val pp_script : Format.formatter -> Ast.script -> unit
-
-val pp_decl : Format.formatter -> Ast.decl -> unit
-
 val to_string : Ast.script -> string
 
 val unreadable_literal : Ast.script -> string option

@@ -65,8 +65,6 @@ type policy = {
 val no_policy : policy
 (** The compiled form of "no recovery section". *)
 
-val policy_of_recovery : Ast.recovery -> policy
-
 type task = {
   name : string;
   klass : string;

@@ -66,14 +66,11 @@ let serve engine =
       Wire.(list (pair string (pair int (pair int bool)))) rows);
   Node.serve node ~service:service_cancel (fun ~src:_ body ->
       let iid, reason = Wire.(decode (d_pair d_string d_string)) body in
-      (* the cancel transaction is asynchronous; the remote caller gets
-         an accepted/refused answer synchronously, the durable state
-         change follows (poll status to confirm) *)
-      let accepted = ref (Error "cancel not attempted") in
-      Engine.cancel engine iid ~reason (fun r -> accepted := r);
-      (match (!accepted, Engine.status engine iid) with
-      | Error _, Some Wstate.Wf_running -> accepted := Ok () (* txn in flight *)
-      | _ -> ());
+      (* the cancel transaction is asynchronous: a cancel is accepted
+         unless [Engine.cancel] refuses it synchronously, and the durable
+         state change follows (poll status to confirm) *)
+      let accepted = ref (Ok ()) in
+      Engine.cancel engine iid ~reason (function Error _ as e -> accepted := e | Ok () -> ());
       enc_result (fun () -> "") !accepted)
 
 module Client = struct

@@ -49,7 +49,34 @@ let create ?(overhead = 0) ~rpc ~node ~mgr ~participant () =
 
 let node_id t = Node.id t.node
 
-let persist_now t writes k =
+(* A refused write set waits this long before its queue flushes again:
+   the status-poll period of a participant holding a prepared lock, so
+   the next try follows the poll that can release it. *)
+let refused_retry = Sim.ms 50
+
+(* Batched persistence: requests issued within one virtual instant (its
+   events and the evaluation passes settled after them) coalesce into a
+   single transaction, flushed once the instant's earlier settled work
+   has run ({!Sim.settle}). Later writes to the same key win,
+   matching the order the requests would have committed individually;
+   the continuations run in request order after the one commit. *)
+let rec flush t =
+  t.flush_armed <- false;
+  let requests = List.rev t.pending in
+  t.pending <- [];
+  match requests with
+  | [] -> ()
+  | [ (writes, k) ] -> commit t requests writes k
+  | _ ->
+    let writes = List.concat_map fst requests in
+    Sim.emit t.sim ~src:(node_id t)
+      (Event.Persist_batched { requests = List.length requests; writes = List.length writes });
+    commit t requests writes (fun () -> List.iter (fun (_, k) -> k ()) requests)
+
+(* A refused write set is not dropped: its requests go back to the head
+   of the queue, so write sets still commit in the order they were
+   requested and a decided row is never lost. *)
+and commit t requests writes k =
   let node = node_id t in
   let io =
     Txn.run t.mgr (fun txn ->
@@ -63,37 +90,26 @@ let persist_now t writes k =
   io (function
     | Ok () -> k ()
     | Error e ->
-      Sim.emit t.sim ~src:(node_id t) (Event.Txn_failed { detail = Txn.error_to_string e }))
+      Sim.emit t.sim ~src:(node_id t) (Event.Txn_failed { detail = Txn.error_to_string e });
+      t.pending <- t.pending @ List.rev requests;
+      arm_flush t ~after:refused_retry)
 
-(* Batched persistence: requests issued within one virtual instant (its
-   events and the evaluation passes settled after them) coalesce into a
-   single transaction, flushed once the instant's earlier settled work
-   has run ({!Sim.settle}). Later writes to the same key win,
-   matching the order the requests would have committed individually;
-   the continuations run in request order after the one commit. *)
-let flush t =
-  t.flush_armed <- false;
-  let requests = List.rev t.pending in
-  t.pending <- [];
-  match requests with
-  | [] -> ()
-  | [ (writes, k) ] -> persist_now t writes k
-  | _ ->
-    let writes = List.concat_map fst requests in
-    Sim.emit t.sim ~src:(node_id t)
-      (Event.Persist_batched { requests = List.length requests; writes = List.length writes });
-    persist_now t writes (fun () -> List.iter (fun (_, k) -> k ()) requests)
-
-let persist t writes k =
-  t.pending <- (writes, k) :: t.pending;
+(* The next flush: settled for the current instant, or [after] later. *)
+and arm_flush t ~after =
   if not t.flush_armed then begin
     t.flush_armed <- true;
     let inc = Node.incarnation t.node in
-    Sim.settle t.sim (fun () ->
-        (* a crash in between cleared the queue; this stale flush must
-           not touch the queue refilled after recovery *)
-        if Node.incarnation t.node = inc then flush t)
+    let fire () =
+      (* a crash in between cleared the queue; this stale flush must not
+         touch the queue refilled after recovery *)
+      if Node.incarnation t.node = inc then flush t
+    in
+    if after = 0 then Sim.settle t.sim fire else ignore (Sim.schedule t.sim ~delay:after fire)
   end
+
+let persist t writes k =
+  t.pending <- (writes, k) :: t.pending;
+  arm_flush t ~after:0
 
 (* The intrusive ready deque: enqueues are O(1); one drain event is in
    flight at a time, popping the head every [overhead] — timing is

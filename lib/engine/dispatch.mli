@@ -30,9 +30,11 @@ val create :
 val persist : t -> (string * string option) list -> (unit -> unit) -> unit
 (** Apply a write set ([Some] = put, [None] = delete) on the engine
     node under one flat transaction ({!Txn.run}, which does not retry);
-    the continuation runs only on commit. A failure emits [Txn_failed]
-    and drops the continuation — the evaluation pump re-derives the
-    actions on its next pass.
+    the continuation runs only on commit. A refused write set emits
+    [Txn_failed] and waits: its requests go back to the head of the
+    queue, which flushes again 50 ms later (a participant's
+    status-poll period), so write sets commit in the order they were
+    requested and no continuation is dropped.
 
     Persists are batched: every write set issued within one virtual
     instant joins that instant's batch and commits with it as one

@@ -6,7 +6,7 @@
    - Dispatch — effects: transactions, RPC dispatch, committed reads
    - Sched    — pure scheduling core (readiness, selection, Fig 3 rules)
    - Policy   — pure recovery decisions (attempt bands, backoff, timeouts)
-   - Instate  — per-instance mirrors, applied rows + action -> rows
+   - Instate  — per-instance mirrors, decided rows + action -> rows
    - Event/Metrics — typed observability spine (Sim.events) *)
 
 type config = Pump.config = {
@@ -50,7 +50,7 @@ let emit = Pump.emit
    domain and needs no lock. Any future cross-domain schema sharing must
    either keep per-domain caches or add a mutex here. *)
 let compile_cached (t : t) ~script ~root =
-  let key = root ^ "\x00" ^ script in
+  let key = (root, script) in
   match Hashtbl.find_opt t.compiled key with
   | Some schema -> Ok schema
   | None ->
@@ -76,15 +76,11 @@ let start (t : t) (inst : Instate.t) ev rows =
 
 (* Nothing changes the mirror table while the node is down: client
    operations refuse, reports are not delivered and every continuation
-   is fenced. So it still holds what the crash left, and its running
-   instances are the launches to check. *)
+   is fenced. So it still holds what the crash left, and its instances
+   are the launches to check: a mirror holds decided rows, so one whose
+   launch was lost may already show its conclusion. *)
 let recover (t : t) () =
-  let running =
-    Hashtbl.fold
-      (fun _ (inst : Instate.t) acc ->
-        if inst.Instate.status = Wstate.Wf_running then inst :: acc else acc)
-      t.insts []
-  in
+  let launched = Hashtbl.fold (fun _ inst acc -> inst :: acc) t.insts [] in
   Hashtbl.reset t.insts;
   Hashtbl.reset t.dir;
   let entries = Recovery.replay t.disp ~compile:(compile_cached t) in
@@ -100,8 +96,8 @@ let recover (t : t) () =
     entries;
   emit t (Event.Recovery_replayed { instances = List.length entries });
   (* Every engine write set commits on the local lane (see
-     {!Dispatch.persist}), so no launch can still be deciding now: a
-     running instance whose meta row is not in the store was lost, and is
+     {!Dispatch.persist}), so no launch can still be deciding now: an
+     instance whose meta row is not in the store was lost, and is
      launched again at this instant, keeping its iid under a fresh
      sequence number. *)
   List.iter
@@ -111,7 +107,7 @@ let recover (t : t) () =
         t.seq <- t.seq + 1;
         start t (Instate.reset o) (Event.Wf_relaunched { iid = o.Instate.iid }) []
       end)
-    running
+    launched
 
 (* --- construction --- *)
 
@@ -208,10 +204,10 @@ let launch ?iid (t : t) ~script ~root ~inputs =
 let on_complete (t : t) iid cb =
   match Hashtbl.find_opt t.insts iid with
   | None -> ()
-  | Some inst -> (
-    match inst.Instate.status with
-    | Wstate.Wf_running -> inst.Instate.callbacks <- inst.Instate.callbacks @ [ cb ]
-    | done_or_failed -> cb done_or_failed)
+  (* a conclusion is announced once it has committed *)
+  | Some inst when inst.Instate.status = Wstate.Wf_running || inst.Instate.concluding ->
+    inst.Instate.callbacks <- inst.Instate.callbacks @ [ cb ]
+  | Some inst -> cb inst.Instate.status
 
 let cancel t iid ~reason k =
   with_instance t iid k @@ fun inst ->
@@ -242,7 +238,8 @@ let compact (t : t) = Dispatch.compact t.disp
 
 let gc (t : t) iid k =
   with_instance t iid k @@ fun inst ->
-  if inst.Instate.status = Wstate.Wf_running then
+  (* a conclusion still in flight would leave its history row behind *)
+  if inst.Instate.status = Wstate.Wf_running || inst.Instate.concluding then
     k (Error ("instance " ^ iid ^ " is still running"))
   else
     let doomed = Dispatch.committed_keys_with_prefix t.disp ~prefix:(Wstate.task_prefix iid) in
@@ -263,13 +260,13 @@ let reconfigure t iid ~transform k =
   with
   | Error msg -> k (Error msg)
   | Ok (text, schema) ->
+    inst.Instate.schema <- schema;
+    (* the reverse-dependency index was built against the old tree;
+       drop it so the next pump rebuilds from the new one *)
+    inst.Instate.index <- None;
     Pump.persist_rows t inst
       [ Wstate.Put (Wstate.Reconf, text) ]
       (fun () ->
-        inst.Instate.schema <- schema;
-        (* the reverse-dependency index was built against the old tree;
-           drop it so the next pump rebuilds from the new one *)
-        inst.Instate.index <- None;
         emit t (Event.Wf_reconfigured { iid });
         Pump.mark_dirty t inst;
         k (Ok ()))

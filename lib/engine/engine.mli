@@ -144,7 +144,8 @@ val cancel : t -> string -> reason:string -> ((unit, string) result -> unit) -> 
     abandoned (their scopes are closed, so watchdogs and late reports are
     ignored). It concludes exactly like a finished instance: an
     [instance] history row, the completion callbacks, and the
-    [retain_concluded] memory bound. *)
+    [retain_concluded] memory bound. Refused once the instance's
+    conclusion is decided, even before it commits. *)
 
 val abort_task : t -> string -> path:string list -> ((unit, string) result -> unit) -> unit
 (** User-forced abort of one waiting or running task: it terminates in
@@ -161,7 +162,8 @@ val compact : t -> unit
 
 val gc : t -> string -> ((unit, string) result -> unit) -> unit
 (** Remove a {e finished} instance's persistent records (one
-    transaction) and forget it. Refused while the instance is running.
+    transaction) and forget it. Refused while the instance is running
+    or its conclusion has not committed.
     Pair with {!compact} to keep the transaction logs bounded in
     long-lived deployments. *)
 

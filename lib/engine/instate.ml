@@ -1,7 +1,3 @@
-(* Write sets staged and not yet applied, as a queue: [oldest] first,
-   then [newest] reversed. *)
-type staged = Idle | Staged of { oldest : Wstate.row list list; newest : Wstate.row list list }
-
 (* A queued timer that captures the instance. *)
 type alarm =
   | Watchdog of int * Sim.handle  (* the attempt it guards *)
@@ -27,13 +23,12 @@ type t = {
   mutable callbacks : (Wstate.status -> unit) list;
   mutable hseq : int;  (* next persistent-history index *)
   mutable inflight : bool;
-  mutable concluding : bool;
+  mutable concluding : bool;  (* the conclusion is decided, not yet committed *)
   mutable pending : Sched.dirty;
       (* paths whose records changed since the last evaluation pass;
          the incremental pump consumes this as the scan_from seed *)
   mutable index : Sched.index option;
       (* cached reverse-dependency index; invalidated by reconfigure *)
-  mutable staged : staged;  (* volatile; write sets persisted, not yet applied *)
 }
 
 let pkey = Wstate.path_to_string
@@ -61,7 +56,6 @@ let create ~iid ~script_text ~schema ~status ~external_inputs =
     concluding = false;
     pending = Sched.All;  (* the first pass after (re)build is a full one *)
     index = None;
-    staged = Idle;
   }
 
 (* Same identity and script, empty mirrors — for re-persisting a launch
@@ -157,44 +151,6 @@ let delete : type a. t -> a Wstate.field -> unit =
 let apply inst = function
   | Wstate.Put (field, value) -> put inst field value
   | Wstate.Delete field -> delete inst field
-
-(* --- rows in flight --- *)
-
-(* A row is built against the mirror, but the mirror changes only when a
-   write set commits: a row built while an earlier one of the instance
-   is still in flight must also see that one, or the later write would
-   undo it. *)
-let stage inst rows =
-  (match (rows, inst.staged) with
-  | [], _ -> ()
-  | _, Idle -> inst.staged <- Staged { oldest = [ rows ]; newest = [] }
-  | _, Staged q -> inst.staged <- Staged { q with newest = rows :: q.newest });
-  rows
-
-let queue oldest newest = if oldest = [] && newest = [] then Idle else Staged { oldest; newest }
-
-(* Write sets commit in the order they were staged, so the one applied
-   is normally the oldest. *)
-let rec unstage inst rows =
-  match inst.staged with
-  | Idle -> ()
-  | Staged { oldest = r :: oldest; newest } when r == rows -> inst.staged <- queue oldest newest
-  | Staged { oldest = []; newest } ->
-    inst.staged <- queue (List.rev newest) [];
-    unstage inst rows
-  | Staged { oldest; newest } ->
-    let others = List.filter (fun r -> r != rows) in
-    inst.staged <- queue (others oldest) (others newest)
-
-let applied inst rows =
-  List.iter (apply inst) rows;
-  unstage inst rows
-
-(* [f] folded over the staged write sets, oldest first. *)
-let fold_staged f init inst =
-  match inst.staged with
-  | Idle -> init
-  | Staged { oldest; newest } -> List.fold_left f (List.fold_left f init oldest) (List.rev newest)
 
 (* [history_row] consumes [hseq] when it builds a row; recovery takes it
    from the history keys, never reading the rows themselves. *)
@@ -366,7 +322,7 @@ let running_leaves inst ~effective =
 
 (* Deletions of every record strictly below [path], plus [path]'s own
    backoff, compensation and timer records (a compound repeat wipes its
-   scope), whether already in the mirror or still in flight. *)
+   scope). *)
 let subtree_rows inst path =
   let p = pkey path in
   let prefix = p ^ "/" in
@@ -385,34 +341,14 @@ let subtree_rows inst path =
         if in_scope f then Wstate.Delete f :: acc else acc)
       tbl acc
   in
-  let mirrored =
-    collect inst.states (fun k -> Wstate.Task k) []
-    |> collect inst.chosen (fun k -> Wstate.Chosen k)
-    |> collect inst.marks (fun k -> Wstate.Marks k)
-    |> collect inst.repeats (fun k -> Wstate.Repeat k)
-    |> collect inst.backoffs (fun k -> Wstate.Backoff k)
-    |> collect inst.compensated (fun k -> Wstate.Compensated k)
-    |> collect inst.timers (fun (path, set) -> Wstate.Timer_fired (path, set))
-    |> collect inst.timer_arms (fun (path, set) -> Wstate.Timer_armed (path, set))
-  in
-  let in_flight acc = function
-    | Wstate.Put (f, _) when in_scope f && not (List.mem (Wstate.Delete f) acc) ->
-      Wstate.Delete f :: acc
-    | Wstate.Put _ | Wstate.Delete _ -> acc
-  in
-  fold_staged (List.fold_left in_flight) mirrored inst
-
-(* A task's marks once every staged row has committed. *)
-let staged_marks inst path =
-  let p = pkey path in
-  let last acc : Wstate.row -> Wstate.marks option = function
-    | Wstate.Put (Wstate.Marks q, marks) when String.equal q p -> Some marks
-    | Wstate.Delete (Wstate.Marks q) when String.equal q p -> Some []
-    | Wstate.Put _ | Wstate.Delete _ -> acc
-  in
-  match fold_staged (List.fold_left last) None inst with
-  | Some marks -> marks
-  | None -> get_marks inst path
+  collect inst.states (fun k -> Wstate.Task k) []
+  |> collect inst.chosen (fun k -> Wstate.Chosen k)
+  |> collect inst.marks (fun k -> Wstate.Marks k)
+  |> collect inst.repeats (fun k -> Wstate.Repeat k)
+  |> collect inst.backoffs (fun k -> Wstate.Backoff k)
+  |> collect inst.compensated (fun k -> Wstate.Compensated k)
+  |> collect inst.timers (fun (path, set) -> Wstate.Timer_fired (path, set))
+  |> collect inst.timer_arms (fun (path, set) -> Wstate.Timer_armed (path, set))
 
 (* every effectful action also appends one persistent history row in
    the same transaction — the durable audit log behind Fig 4's
@@ -439,7 +375,7 @@ let action_rows inst ~now ~deadline_of action =
          (String.concat "" [ p; " (attempt "; string_of_int a_attempt; ")" ])
   | Sched.Fire_mark { a_path; a_name; a_objects } ->
     let p = pkey a_path in
-    Wstate.Put (Wstate.Marks p, staged_marks inst a_path @ [ (a_name, a_objects) ])
+    Wstate.Put (Wstate.Marks p, get_marks inst a_path @ [ (a_name, a_objects) ])
     :: history inst ~now "mark" (p ^ " " ^ a_name)
   | Sched.Do_repeat { a_path; a_name; a_objects; a_attempt } ->
     let p = pkey a_path in

@@ -3,20 +3,19 @@
     evaluation pump.
 
     The mirror tables change only through {!apply}, which applies one
-    {!Wstate.row}: the engine applies the typed rows of a write set once
-    it commits, and recovery ({!load_committed}) applies the decoded
-    committed rows to a fresh instance. The one other change is {!trim_concluded} (and
+    {!Wstate.row}: the engine applies the typed rows of an action when
+    it decides them, the same rows it then persists, and recovery
+    ({!load_committed}) applies the decoded committed rows to a fresh
+    instance. The one other change is {!trim_concluded} (and
     {!release}) dropping a concluded instance's tables, which recovery
-    does too. So the live mirror is, by construction, what recovery
-    rebuilds from the committed store. The translation of a scheduler
-    {!Sched.action} into rows lives here too, so the engine proper only
-    orchestrates. The pump's own state ([timers_armed], [alarms],
-    [inflight], [pending]) and the staged write sets ([staged]) are
-    volatile and are not rows. *)
-
-(** The write sets {!stage}d and not yet {!applied}, as a queue:
-    [oldest] first, then [newest] reversed. *)
-type staged = Idle | Staged of { oldest : Wstate.row list list; newest : Wstate.row list list }
+    does too. So the mirror holds the instance's decided state: within
+    a virtual instant it is ahead of the committed store, and once the
+    instant's write set commits it is what recovery rebuilds from the
+    store. A crash drops the mirror together with the uncommitted write
+    set. The translation of a scheduler {!Sched.action} into rows lives
+    here too, so the engine proper only orchestrates. The pump's own
+    state ([timers_armed], [alarms], [inflight], [concluding],
+    [pending]) is volatile and is not rows. *)
 
 (** A queued timer that captures the instance. *)
 type alarm =
@@ -47,12 +46,12 @@ type t = {
   mutable hseq : int;  (** next persistent-history index *)
   mutable inflight : bool;
   mutable concluding : bool;
+      (** the instance's conclusion is decided and not yet committed *)
   mutable pending : Sched.dirty;
       (** paths changed since the last evaluation pass — the seed for
           the incremental {!Sched.scan_from} *)
   mutable index : Sched.index option;
       (** cached reverse-dependency index; reconfiguration resets it *)
-  mutable staged : staged;  (** volatile *)
 }
 
 val create :
@@ -107,28 +106,20 @@ val apply : t -> Wstate.row -> unit
     nothing: {!history_row} consumed its index when it built the row.
     {!Wstate.Dir} is the engine's, not the instance's. *)
 
-val stage : t -> Wstate.row list -> Wstate.row list
-(** [stage inst rows] is [rows], recorded as persisted and not yet
-    applied: until they are {!applied}, {!action_rows} builds on them as
-    on the mirror (a task's marks row extends the staged one, a compound
-    repeat deletes its scope's staged rows too). *)
-
-val applied : t -> Wstate.row list -> unit
-(** [applied inst rows] {!apply}s the committed rows of one {!stage}d
-    write set, in order, and forgets them as staged. *)
-
 val load_committed : t -> read:(string -> string option) -> keys:string list -> unit
 (** Recovery: {!apply} the decoded row of each committed key of the
     instance ([read] fetches a committed value; keys of other instances
-    are ignored) — the rows a live commit applied. History keys only
-    advance [hseq]; their values are never read. *)
+    are ignored) — the rows the engine applied when it decided them.
+    History keys only advance [hseq]; their values are never read. *)
 
 val history_row : t -> now:Sim.time -> kind:string -> detail:string -> Wstate.row
 (** The next persistent history row (consumes [hseq]). *)
 
 val action_rows :
   t -> now:Sim.time -> deadline_of:(Schema.task -> Sim.time) -> Sched.action -> Wstate.row list
-(** The rows realising one action, its history row last. [deadline_of]
+(** The rows realising one action, its history row last, built on the
+    mirror as decided so far: a task's marks row extends its marks in
+    the mirror, a compound repeat deletes its scope's rows. [deadline_of]
     gives a task's watchdog span (engine config + ["deadline"] kv). *)
 
 val view : t -> effective:(Schema.task -> Sched.effective) -> Sched.view

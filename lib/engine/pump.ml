@@ -1,7 +1,8 @@
-(* The evaluation loop: judge readiness (Sched), persist a pass's rows
-   (Dispatch), apply and announce them (Instate, Event), then run the
-   actions' effects. Every timer and deferred event it schedules is
-   fenced by the node's incarnation ({!Node.incarnation}). *)
+(* The evaluation loop: judge readiness (Sched), decide a pass's actions
+   into rows the mirror applies at once (Instate), persist the rows
+   (Dispatch), then announce the actions (Event) and run their effects.
+   Every timer and deferred event it schedules is fenced by the node's
+   incarnation ({!Node.incarnation}). *)
 
 type config = {
   default_deadline : Sim.time;
@@ -29,7 +30,7 @@ type t = {
   jitter_salt : string;
   insts : (string, Instate.t) Hashtbl.t;
   dir : (string, int) Hashtbl.t;
-  compiled : (string, Schema.task) Hashtbl.t;
+  compiled : (string * string, Schema.task) Hashtbl.t;
   mutable seq : int;
 }
 
@@ -75,12 +76,11 @@ let persist t writes k = Dispatch.persist t.disp writes k
 
 let encode_rows inst rows = List.map (Wstate.encode inst.Instate.iid) rows
 
-(* Persist an instance's rows; once they commit, the mirror applies the
-   same typed rows before [k] runs. *)
+(* The mirror applies an instance's rows as decided; the same rows are
+   then persisted, and [k] runs once they commit. *)
 let persist_rows t inst rows k =
-  persist t (encode_rows inst (Instate.stage inst rows)) (fun () ->
-      Instate.applied inst rows;
-      k ())
+  List.iter (Instate.apply inst) rows;
+  persist t (encode_rows inst rows) k
 
 (* --- compensation (declared [compensate <task>] on abort) --- *)
 
@@ -107,16 +107,6 @@ let compensation_of t inst action =
     | None -> None)
   | _ -> None
 
-let compensation_rows t inst action =
-  match compensation_of t inst action with
-  | None -> []
-  | Some (a_path, target, _, _, _) ->
-    [
-      Wstate.Put (Wstate.Compensated (pkey a_path), ());
-      Instate.history_row inst ~now:(Sim.now t.sim) ~kind:"policy-compensate"
-        ~detail:(pkey a_path ^ " -> " ^ target);
-    ]
-
 (* Post-commit side of the same decision: announce and fire the handler.
    The handler runs with the aborted task's chosen inputs; its report
    arrives for a non-Running path and is ignored (at-most-once
@@ -140,11 +130,21 @@ let run_compensation t inst compensation =
       }
       (fun _ -> ())
 
-(* --- applying scheduler actions --- *)
+(* --- deciding and announcing scheduler actions --- *)
 
-(* Apply one action's committed rows to the mirror and announce it, per
-   action, in pass order. *)
-let apply_and_announce t inst action rows =
+(* An action decided, with what its announcement reads from the mirror
+   as it was before the action, and its rows' store writes. *)
+type decision = {
+  action : Sched.action;
+  duration : Sim.time;  (* a completion's, from its start *)
+  compensation : (Wstate.path * string * Wstate.path * Schema.task * string) option;
+  writes : (string * string option) list;
+}
+
+(* Build an action's rows and apply them to the mirror. The
+   compensation's rows follow the action's, but are built first, so its
+   history row takes the lower index. *)
+let decide t inst action =
   let now = Sim.now t.sim in
   let duration =
     match action with
@@ -154,12 +154,26 @@ let apply_and_announce t inst action rows =
       | _ -> 0)
     | _ -> 0
   in
-  (* decided against the pre-commit mirror, fired after the rows below
-     (the guard row committed with this action) *)
   let compensation = compensation_of t inst action in
-  Instate.applied inst rows;
-  (* a started task waits no more; a finished or repeating one runs no
-     more, so its queued timers go *)
+  let compensation_rows =
+    match compensation with
+    | None -> []
+    | Some (a_path, target, _, _, _) ->
+      [
+        Wstate.Put (Wstate.Compensated (pkey a_path), ());
+        Instate.history_row inst ~now ~kind:"policy-compensate"
+          ~detail:(pkey a_path ^ " -> " ^ target);
+      ]
+  in
+  let rows = Instate.action_rows inst ~now ~deadline_of:(deadline_span t) action in
+  let rows = match compensation_rows with [] -> rows | _ -> rows @ compensation_rows in
+  List.iter (Instate.apply inst) rows;
+  { action; duration; compensation; writes = encode_rows inst rows }
+
+(* Once the rows have committed: a started task waits no more and a
+   finished or repeating one runs no more, so their queued timers go;
+   then the compensation fires and the action is announced. *)
+let announce t inst { action; duration; compensation; _ } =
   (match action with
   | Sched.Start { a_path; _ } | Sched.Complete { a_path; _ } | Sched.Fail_task { a_path; _ } ->
     Instate.cancel_timers_at inst t.sim a_path
@@ -191,13 +205,6 @@ let apply_and_announce t inst action rows =
          })
   | Sched.Fail_task { a_path; a_reason } ->
     emit t (Event.Task_failed { path = pkey a_path; reason = a_reason })
-
-(* The compensation's rows follow the action's, but its history row
-   takes the lower index. *)
-let action_rows t inst action =
-  let compensation = compensation_rows t inst action in
-  let rows = Instate.action_rows inst ~now:(Sim.now t.sim) ~deadline_of:(deadline_span t) action in
-  match compensation with [] -> rows | _ -> rows @ compensation
 
 (* --- the evaluation pump, dispatch, watchdog, failure handling --- *)
 
@@ -243,12 +250,10 @@ and pump t inst =
       finalize t inst
     end
     else begin
-      (* each action's rows are staged before the next one's are built *)
-      let rows =
-        List.map (fun action -> Instate.stage inst (action_rows t inst action)) effectful
-      in
-      persist t (List.concat_map (encode_rows inst) rows) (fun () ->
-          List.iter2 (apply_and_announce t inst) effectful rows;
+      (* each action is decided on the mirror its predecessors left *)
+      let decisions = List.map (decide t inst) effectful in
+      persist t (List.concat_map (fun d -> d.writes) decisions) (fun () ->
+          List.iter (announce t inst) decisions;
           List.iter (action_side_effects t inst) effectful;
           inst.Instate.inflight <- false;
           finalize t inst;
@@ -402,13 +407,13 @@ and fail_policy t inst ~path ~task ~reason =
   apply_one t inst (Sched.fail_action task ~path ~attempt ~reason)
 
 and apply_one t inst action =
-  let rows = Instate.stage inst (action_rows t inst action) in
-  persist t (encode_rows inst rows) (fun () ->
-      apply_and_announce t inst action rows;
+  let d = decide t inst action in
+  persist t d.writes (fun () ->
+      announce t inst d;
       mark_dirty ~paths:[ Sched.action_path action ] t inst)
 
 and finalize t inst =
-  if inst.Instate.status = Wstate.Wf_running && not inst.Instate.concluding then begin
+  if inst.Instate.status = Wstate.Wf_running then begin
     let concluded status =
       conclude t inst status
         (Event.Wf_concluded
@@ -435,6 +440,7 @@ and conclude t inst status ev k =
         ~detail:(Format.asprintf "%a" Wstate.pp_status status);
     ]
     (fun () ->
+      inst.Instate.concluding <- false;
       emit t ev;
       let callbacks = inst.Instate.callbacks in
       inst.Instate.callbacks <- [];

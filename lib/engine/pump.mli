@@ -1,9 +1,9 @@
 (** The evaluation loop of the execution service.
 
-    A pass judges an instance's readiness ({!Sched}), persists the rows
-    of its actions in one write set ({!Dispatch}), applies and announces
-    them once they commit ({!Instate}, {!Event}), then runs the actions'
-    effects: dispatches, watchdogs, policy retries and backoffs,
+    A pass judges an instance's readiness ({!Sched}), decides its
+    actions into rows that the mirror applies at once ({!Instate}),
+    persists those rows in one write set ({!Dispatch}) and, once they
+    commit, announces the actions ({!Event}) and runs their effects: dispatches, watchdogs, policy retries and backoffs,
     input-set timers, compensation and conclusion. Reports from task
     hosts enter here too. Every timer and deferred event this module
     schedules is fenced by the node's incarnation
@@ -38,8 +38,8 @@ type t = {
   dir : (string, int) Hashtbl.t;
       (** every instance of the directory, with its launch sequence
           number (its [wf:dir:] row): the launch order *)
-  compiled : (string, Schema.task) Hashtbl.t;
-      (** schema cache keyed by root ^ NUL ^ script *)
+  compiled : (string * string, Schema.task) Hashtbl.t;
+      (** schema cache keyed by (root, script) *)
   mutable seq : int;  (** the last launch sequence number handed out *)
 }
 
@@ -52,8 +52,8 @@ val effective_body : t -> Schema.task -> Sched.effective
 val find_task_node : t -> Instate.t -> Wstate.path -> Schema.task option
 
 val persist_rows : t -> Instate.t -> Wstate.row list -> (unit -> unit) -> unit
-(** Persist an instance's rows; once they commit, the mirror applies
-    them, then the continuation runs. *)
+(** Apply an instance's rows to its mirror, then persist them; the
+    continuation runs once they commit. *)
 
 val mark_dirty : ?paths:Wstate.path list -> t -> Instate.t -> unit
 (** Queue an evaluation pass over [paths] (all paths when omitted). *)

@@ -36,8 +36,6 @@ val partition_on : t -> string -> string -> unit
 
 val partition_off : t -> string -> string -> unit
 
-val partitioned : t -> string -> string -> bool
-
 val send : t -> src:string -> dst:string -> service:string -> body:string -> unit
 (** Fire-and-forget message. Silently dropped when the source is down,
     the link is lossy/partitioned, the destination is down at delivery

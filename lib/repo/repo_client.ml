@@ -26,13 +26,8 @@ let create_replicated ~rpc ~src ~replicas () =
   let rc = Rlog_client.create ~rpc ~src ~replicas () in
   { rpc; src; target = Group rc; cid_prefix = fresh_prefix src; cid_seq = 0 }
 
-let replicated t = match t.target with Single _ -> false | Group _ -> true
-
 let invalidate t =
   match t.target with Single _ -> () | Group rc -> Rlog_client.invalidate rc
-
-let leader_guess t =
-  match t.target with Single n -> Some n | Group rc -> Rlog_client.leader_guess rc
 
 let next_cid t =
   t.cid_seq <- t.cid_seq + 1;

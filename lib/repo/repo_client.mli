@@ -17,16 +17,10 @@ val create_replicated : rpc:Rpc.t -> src:string -> replicas:string list -> unit 
     that reaches a different leader after a crash applies exactly
     once. *)
 
-val replicated : t -> bool
-
 val invalidate : t -> unit
 (** Forget the cached leader. Connection failures already invalidate it
     internally — a dead node is never retried forever — this is the
     out-of-band hook for callers that learn about failures elsewhere. *)
-
-val leader_guess : t -> string option
-(** Where the next call will be sent first ([Some repo_node] always,
-    for a single-node client). *)
 
 val store :
   t -> name:string -> source:string -> ((Repository.version, string) result -> unit) -> unit

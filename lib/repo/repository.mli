@@ -82,12 +82,6 @@ val history : t -> name:string -> version list
 
 val assign : t -> iid:string -> engine:string -> unit
 
-val assign_many : t -> pairs:(string * string) list -> unit
-(** Record a batch of [(iid, engine)] ownerships at once — the wire
-    handler behind [repo.assign_batch], which the cluster layer uses to
-    amortise one RPC over every launch of a poll instead of one RPC per
-    instance. *)
-
 val owner : t -> iid:string -> string option
 
 val placements : t -> (string * string) list

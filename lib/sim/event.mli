@@ -63,7 +63,7 @@ type t =
       (** Recovery replayed the [instances] of the committed
           directory; it comes before that recovery's [Wf_relaunched]. *)
   | Recovery_error of { detail : string }
-  | Txn_failed of { detail : string }  (** an engine persist gave up *)
+  | Txn_failed of { detail : string }  (** an engine write set was refused; it waits to retry *)
   | Txn_resolved of { txid : string; committed : bool }
       (** Top-level commit decision (2PC) or abort. *)
   | Txn_one_phase of { txid : string }

@@ -43,7 +43,5 @@ val apply : Sim.t -> t -> on:(action -> unit) -> unit
     given — callers wanting the well-formedness guarantee run
     {!validate} first. *)
 
-val pp_action : Format.formatter -> action -> unit
-
 val to_string : t -> string
 (** One-line rendering of a whole plan, for reports and test output. *)

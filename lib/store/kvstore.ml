@@ -16,8 +16,6 @@ type t = {
 let create ~name =
   { name; wal = Wal.create ~name; cache = Hashtbl.create 64; up = true; replays = 0 }
 
-let name t = t.name
-
 let available t = t.up
 
 let check t = if not t.up then raise (Unavailable t.name)

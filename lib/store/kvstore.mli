@@ -22,8 +22,6 @@ type t
 
 val create : name:string -> t
 
-val name : t -> string
-
 val available : t -> bool
 
 val put : t -> string -> string -> unit

@@ -11,8 +11,6 @@ type 'a t = {
 
 let create ~name = { name; data = [||]; count = 0; appended_total = 0 }
 
-let name t = t.name
-
 (* A doubling repeats the log's own records in the new half, where the
    next appends overwrite them. [Array.make] of a major-heap size with a
    young record would force a minor collection (OCaml 5.1); a store that

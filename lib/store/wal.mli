@@ -9,8 +9,6 @@ type 'a t
 
 val create : name:string -> 'a t
 
-val name : 'a t -> string
-
 val append : 'a t -> 'a -> unit
 
 val records : 'a t -> 'a list

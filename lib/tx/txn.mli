@@ -32,8 +32,6 @@ val return : 'a -> 'a io
 
 val ( let* ) : 'a io -> ('a -> 'b io) -> 'b io
 
-val pp_error : Format.formatter -> error -> unit
-
 val error_to_string : error -> string
 
 (** {1 Managers} *)

@@ -123,8 +123,9 @@ let mirror_mismatch engine participant iid =
 
 (* Run the simulation to [until] one virtual instant at a time, and fail
    at the first instant after which the live mirror of [iid] differs
-   from the committed store. Within an instant they may differ: a commit
-   is durable before its continuation updates the mirror. *)
+   from the committed store. Within an instant they may differ: the
+   mirror applies rows when they are decided, ahead of the store, which
+   catches up at the instant's flush. *)
 let check_mirror_through_run ~until engine participant sim iid =
   while Sim.now sim <= until && Sim.step sim do
     Sim.run ~until:(Sim.now sim) sim;

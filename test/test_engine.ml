@@ -470,10 +470,11 @@ let test_mirror_compound_marks_together () =
           | _ -> false)))
     ()
 
-(* A compound repeat's rows delete its scope's rows whether they are in
-   the mirror or only staged: a timer armed under the scope whose row is
-   still in flight when the repeat's rows are built must not outlive the
-   round once both commit, in the order they were staged. *)
+(* A compound repeat's rows delete its scope's rows, those decided in
+   the same virtual instant too: the mirror applies a write set's rows
+   when they are decided, so a timer armed under the scope whose row is
+   still in flight when the repeat's rows are built must not outlive
+   the round once both commit. *)
 let test_repeat_deletes_staged_rows () =
   let schema =
     match Frontend.compile Paper_scripts.quickstart ~root:Paper_scripts.quickstart_root with
@@ -486,26 +487,27 @@ let test_repeat_deletes_staged_rows () =
   let armed = Wstate.Timer_armed ("loop/waiter", "timeout") in
   let backoff = Wstate.Backoff "loop/waiter" in
   let outside = Wstate.Backoff "other" in
-  Instate.applied inst (Instate.stage inst [ Wstate.Put (backoff, (2, 100)) ]);
-  let arm = Instate.stage inst [ Wstate.Put (armed, 500); Wstate.Put (outside, (2, 100)) ] in
+  List.iter (Instate.apply inst)
+    [ Wstate.Put (backoff, (2, 100)); Wstate.Put (armed, 500); Wstate.Put (outside, (2, 100)) ];
   let repeat =
-    Instate.stage inst
-      (Instate.action_rows inst ~now:0 ~deadline_of:(fun _ -> 0)
-         (Sched.Do_repeat { a_path = [ "loop" ]; a_name = "retry"; a_objects = []; a_attempt = 2 }))
+    Instate.action_rows inst ~now:0 ~deadline_of:(fun _ -> 0)
+      (Sched.Do_repeat { a_path = [ "loop" ]; a_name = "retry"; a_objects = []; a_attempt = 2 })
   in
   let deletes = List.filter (function Wstate.Delete _ -> true | Wstate.Put _ -> false) repeat in
   Alcotest.(check bool)
-    "the staged armed deadline and the mirrored backoff are deleted, nothing outside" true
+    "the in-flight armed deadline and the mirrored backoff are deleted, nothing outside" true
     (List.sort compare deletes
     = List.sort compare
         [ Wstate.Delete (Wstate.Chosen "loop"); Wstate.Delete backoff; Wstate.Delete armed ]);
-  Instate.applied inst arm;
-  Instate.applied inst repeat;
+  List.iter (Instate.apply inst) repeat;
   Alcotest.(check int) "no armed deadline left" 0 (Hashtbl.length inst.Instate.timer_arms);
   Alcotest.(check (list string))
     "only the backoff outside the scope left" [ "other" ]
     (List.of_seq (Hashtbl.to_seq_keys inst.Instate.backoffs));
-  Alcotest.(check bool) "nothing staged" true (inst.Instate.staged = Instate.Idle)
+  Alcotest.(check bool)
+    "the repeat's own rows are in the mirror" true
+    (Instate.get_state inst [ "loop" ] = Some (Wstate.Waiting { attempt = 2 })
+    && Instate.get_chosen inst [ "loop" ] = None)
 
 let test_mirror_timers () =
   List.iter
@@ -1756,6 +1758,95 @@ let test_cancel_concludes_like_finalize () =
       (kind ^ " " ^ detail)
   | [] -> Alcotest.fail "no history"
 
+(* A cancel that lands after a conclusion is decided and before it
+   commits finds the instance finished: the mirror holds the decided
+   conclusion, so the instance concludes once. *)
+let test_cancel_during_conclusion () =
+  let tb = Testbed.make () in
+  Workloads.register ~work:(Sim.ms 5) tb.Testbed.registry;
+  let engine = tb.Testbed.engine in
+  let iid = launch_chain tb ~n:2 in
+  let seen = ref [] in
+  Engine.on_complete engine iid (fun s -> seen := s :: !seen);
+  let root_completed () =
+    count_events tb (function Event.Task_completed { path = "chain"; _ } -> true | _ -> false) > 0
+  in
+  while (not (root_completed ())) && Sim.step tb.Testbed.sim do
+    ()
+  done;
+  let result = ref None in
+  Engine.cancel engine iid ~reason:"late" (fun r -> result := Some r);
+  Testbed.run tb;
+  let status = Format.asprintf "%a" Wstate.pp_status in
+  check_str "cancel refused"
+    ("instance " ^ iid ^ " already finished")
+    (match !result with
+    | Some (Error e) -> e
+    | Some (Ok ()) -> "accepted"
+    | None -> "no answer");
+  let conclusions =
+    List.filter_map
+      (fun (_, ev) ->
+        match ev with
+        | Event.Wf_concluded { status; _ } -> Some ("wf-concluded " ^ status)
+        | Event.Wf_cancelled _ -> Some "wf-cancelled"
+        | _ -> None)
+      (Engine.trace engine)
+  in
+  Alcotest.(check (list string)) "one conclusion" [ "wf-concluded done(finished)" ] conclusions;
+  check_str "status" "done(finished)"
+    (match Engine.status engine iid with Some s -> status s | None -> "none");
+  check_str "stored meta" "done(finished)"
+    (match
+       Participant.committed_value (Testbed.participant tb "n0") ~key:(Wstate.key iid Wstate.Meta)
+     with
+    | Some raw -> status (Wstate.decode_value Wstate.Meta raw).Wstate.m_status
+    | None -> "none");
+  Alcotest.(check (list string)) "on_complete saw" [ "done(finished)" ] (List.map status !seen);
+  check_int "instance history rows" 1
+    (List.length
+       (List.filter (fun (_, kind, _) -> kind = "instance") (Engine.history engine iid)))
+
+(* A write set refused because a foreign prepared transaction holds one
+   of its keys waits instead of being dropped: once the blocker is
+   presumed aborted, the engine's rows commit and the instance goes on. *)
+let test_foreign_lock_on_engine_key () =
+  let tb = Testbed.make ~nodes:[ "n0"; "cc" ] () in
+  Workloads.register ~work:(Sim.ms 5) tb.Testbed.registry;
+  let sim = tb.Testbed.sim in
+  let refused = ref [] in
+  Event.subscribe (Sim.events sim) (fun ~at ~src:_ -> function
+    | Event.Txn_failed _ -> refused := at :: !refused
+    | _ -> ());
+  let iid = launch_chain tb ~n:3 in
+  (* [cc] prepares a write of s3's state row on the engine's node, then
+     crashes, leaving the lock held until its recovered coordinator
+     answers the participant's status poll *)
+  (Txn.run (Testbed.manager tb "cc") (fun t ->
+       Txn.write t ~node:"n0" ~key:(Wstate.key iid (Wstate.Task "chain/s3")) ~value:"blocker";
+       Txn.return ()))
+    ignore;
+  ignore (Sim.at sim ~time:(Sim.ms 2) (fun () -> Testbed.crash tb "cc"));
+  ignore (Sim.at sim ~time:(Sim.ms 100) (fun () -> Testbed.recover tb "cc"));
+  Testbed.run tb;
+  let refusals = List.rev !refused in
+  check "an engine write set was refused" true (refusals <> []);
+  let status =
+    match Engine.status tb.Testbed.engine iid with
+    | Some s -> Format.asprintf "%a" Wstate.pp_status s
+    | None -> "none"
+  in
+  check_str
+    (Printf.sprintf "status after the drain at %d us (refusals at %s us)" (Sim.now sim)
+       (String.concat ", " (List.map string_of_int refusals)))
+    "done(finished)" status;
+  let s3 = started_at tb "chain/s3" in
+  check
+    (Printf.sprintf "s3 starts at %d us, after the refused write set waited" s3)
+    true
+    (s3 >= List.hd refusals + Sim.ms 50);
+  check "no lock left on n0" true (Participant.locks_held (Testbed.participant tb "n0") = 0)
+
 let test_user_abort_task_feeds_fan_in () =
   (* forcing dispatch to abort while waiting/running must produce its
      declared abort outcome, driving the orderCancelled fan-in (Fig 3's
@@ -2243,6 +2334,7 @@ let () =
           Alcotest.test_case "cancel instance" `Quick test_user_cancel_instance;
           Alcotest.test_case "cancel concludes like finalize" `Quick
             test_cancel_concludes_like_finalize;
+          Alcotest.test_case "cancel during conclusion" `Quick test_cancel_during_conclusion;
           Alcotest.test_case "user abort drives fan-in" `Quick test_user_abort_task_feeds_fan_in;
           Alcotest.test_case "admin client over rpc" `Quick test_admin_client_over_rpc;
         ] );
@@ -2265,6 +2357,7 @@ let () =
           Alcotest.test_case "batched persistence crash equivalence" `Quick
             test_batched_persistence_crash_equivalence;
           Alcotest.test_case "same-poll persists coalesced" `Quick test_persist_batching_counted;
+          Alcotest.test_case "foreign lock on an engine key" `Quick test_foreign_lock_on_engine_key;
           Alcotest.test_case "dispatch refuses a remote manager" `Quick
             test_dispatch_refuses_remote_manager;
           Alcotest.test_case "scope/task histograms split" `Quick
