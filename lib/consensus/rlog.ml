@@ -98,9 +98,11 @@ let persist_len t = Kvstore.put t.store k_len (string_of_int t.loglen)
 
 let persist_commit t = Kvstore.put t.store k_commit (string_of_int t.commit)
 
+let enc_entry = Wire.(run (b_pair b_int b_string))
+
 let persist_entry t i =
   let e = t.entries.(i - 1) in
-  Kvstore.put t.store (k_entry i) (Wire.(pair int string) (e.e_term, e.e_payload))
+  Kvstore.put t.store (k_entry i) (enc_entry (e.e_term, e.e_payload))
 
 let get_entry t i = t.entries.(i - 1)
 
@@ -171,9 +173,10 @@ let inflight t peer = Hashtbl.find_opt t.inflight peer = Some true
 
 let enc_replicate =
   Wire.(
-    pair
-      (triple int string int)
-      (triple int (list (pair int string)) int))
+    run
+      (b_pair
+         (b_triple b_int b_string b_int)
+         (b_triple b_int (b_list (b_pair b_int b_string)) b_int)))
 
 let dec_replicate =
   Wire.(
@@ -181,6 +184,9 @@ let dec_replicate =
       (d_pair
          (d_triple d_int d_string d_int)
          (d_triple d_int (d_list (d_pair d_int d_string)) d_int)))
+
+(* a replicate reply: term, accepted, the follower's log length *)
+let enc_ack = Wire.(run (b_triple b_int b_bool b_int))
 
 let rec advance_commit t =
   let n = ref t.commit in
@@ -314,7 +320,7 @@ let rec election_round t round =
     if !votes >= t.quorum then become_leader t
     else begin
       let body =
-        Wire.(pair (pair int string) (pair int int))
+        Wire.(run (b_pair (b_pair b_int b_string) (b_pair b_int b_int)))
           ((this_term, t.self), (t.loglen, last_term t))
       in
       List.iter
@@ -359,7 +365,7 @@ let start_election t =
 
 let handle_replicate t ~src:_ body =
   let (rterm, leader, prev), (prev_term, batch, lcommit) = dec_replicate body in
-  let nack () = Wire.(triple int bool int) (t.term, false, t.loglen) in
+  let nack () = enc_ack (t.term, false, t.loglen) in
   if rterm < t.term || prev < 0 then nack ()
   else begin
     if rterm > t.term then step_down t rterm;
@@ -368,7 +374,7 @@ let handle_replicate t ~src:_ body =
     t.leader_hint <- Some leader;
     if prev > t.loglen then nack ()
     else if prev >= 1 && (get_entry t prev).e_term <> prev_term then
-      Wire.(triple int bool int) (t.term, false, prev - 1)
+      enc_ack (t.term, false, prev - 1)
     else begin
       List.iteri
         (fun i (e_term, e_payload) ->
@@ -392,7 +398,7 @@ let handle_replicate t ~src:_ body =
         t.catching_up <- false;
         emit t (Event.Cons_caught_up { node = t.self; upto = t.commit })
       end;
-      Wire.(triple int bool int) (t.term, true, t.loglen)
+      enc_ack (t.term, true, t.loglen)
     end
   end
 
@@ -412,7 +418,7 @@ let handle_vote t ~src:_ body =
     t.voted_for <- Some cand;
     persist_meta t
   end;
-  Wire.(pair int bool) (t.term, grant)
+  Wire.(run (b_pair b_int b_bool)) (t.term, grant)
 
 (* A ping does two jobs: it answers "who leads, how far is the log" for
    recovering replicas and probing clients, and — when it reaches a
@@ -424,11 +430,13 @@ let handle_ping t ~src:_ body =
     Hashtbl.replace t.sync_left sender sync_retries;
     if not (inflight t sender) then send_replicate t sender
   end;
-  Wire.(triple int (option string) int) (t.term, t.leader_hint, t.commit)
+  Wire.(run (b_triple b_int (b_option b_string) b_int)) (t.term, t.leader_hint, t.commit)
+
+let enc_tagged = Wire.(run (b_pair b_string b_string))
 
 let handle_append t ~src:_ body ~reply =
   let urgent, payload = Wire.(decode (d_pair d_bool d_string)) body in
-  let tagged tag v = Wire.(pair string string) (tag, v) in
+  let tagged tag v = enc_tagged (tag, v) in
   match t.role with
   | Leader -> append_leader t payload (Some (function
       | Ok r -> reply (Ok (tagged "ok" r))
@@ -446,7 +454,7 @@ let handle_append t ~src:_ body ~reply =
          before campaigning, so a client-side partition does not depose
          a perfectly healthy leader, and a dead candidate cannot wedge
          the group *)
-      Rpc.call t.rpc ~src:t.self ~dst:l ~service:service_ping ~body:(Wire.string t.self)
+      Rpc.call t.rpc ~src:t.self ~dst:l ~service:service_ping ~body:(Wire.run Wire.b_string t.self)
         ~timeout:probe_timeout ~retries:1 (function
           | Ok _ -> reply (Ok (tagged "redirect" l))
           | Error _ ->
@@ -508,7 +516,7 @@ let recover t =
            List.iter
              (fun p ->
                Rpc.call t.rpc ~src:t.self ~dst:p ~service:service_ping
-                 ~body:(Wire.string t.self) ~timeout:probe_timeout ~retries:1 (function
+                 ~body:(Wire.run Wire.b_string t.self) ~timeout:probe_timeout ~retries:1 (function
                  | Ok rsp -> (
                    match Wire.(decode (d_triple d_int (d_option d_string) d_int)) rsp with
                    | exception Wire.Malformed _ -> ()

@@ -46,7 +46,7 @@ let append t ~payload k =
     if steps >= t.max_steps then k (Error "rlog: no leader reachable")
     else
       Rpc.call t.rpc ~src:t.src ~dst ~service:Rlog.service_append
-        ~body:(Wire.(pair bool string) (urgent, payload))
+        ~body:(Wire.(run (b_pair b_bool b_string)) (urgent, payload))
         (function
           | Error _ -> go (steps + 1) ~urgent:true (failed_over t dst)
           | Ok reply -> (

@@ -10,12 +10,16 @@ let service_policy = "wf.admin.policy"
 
 let service_history = "wf.admin.history"
 
-let enc_status_opt = function
-  | None -> Wire.string "none"
-  | Some Wstate.Wf_running -> Wire.string "running"
-  | Some (Wstate.Wf_done { output; objects }) ->
-    Wire.string "done" ^ Wire.string output ^ Wire.string (Value.encode_bindings objects)
-  | Some (Wstate.Wf_failed reason) -> Wire.string "failed" ^ Wire.string reason
+(* every field of a status reply is a string *)
+let enc_status_opt status =
+  Wire.run
+    (fun buf -> List.iter (Wire.b_string buf))
+    (match status with
+    | None -> [ "none" ]
+    | Some Wstate.Wf_running -> [ "running" ]
+    | Some (Wstate.Wf_done { output; objects }) ->
+      [ "done"; output; Value.encode_bindings objects ]
+    | Some (Wstate.Wf_failed reason) -> [ "failed"; reason ])
 
 let dec_status_opt d =
   match Wire.d_string d with
@@ -28,14 +32,10 @@ let dec_status_opt d =
   | "failed" -> Some (Wstate.Wf_failed (Wire.d_string d))
   | tag -> raise (Wire.Malformed ("bad status tag " ^ tag))
 
-let enc_result enc = function
-  | Ok v -> Wire.bool true ^ enc v
-  | Error e -> Wire.bool false ^ Wire.string e
-
 let serve engine =
   let node = Engine.node engine in
   Node.serve node ~service:service_list (fun ~src:_ _body ->
-      Wire.(list string) (Engine.instances engine));
+      Wire.(run (b_list b_string)) (Engine.instances engine));
   Node.serve node ~service:service_status (fun ~src:_ body ->
       let iid = Wire.(decode d_string) body in
       enc_status_opt (Engine.status engine iid));
@@ -46,11 +46,10 @@ let serve engine =
           (fun (path, state) -> (path, Format.asprintf "%a" Wstate.pp_task_state state))
           (match Engine.mirror engine iid with Some inst -> Instate.task_states inst | None -> [])
       in
-      Wire.(list (pair string string)) states);
+      Wire.(run (b_list (b_pair b_string b_string))) states);
   Node.serve node ~service:service_history (fun ~src:_ body ->
       let iid = Wire.(decode d_string) body in
-      Wire.(list (pair (pair int string) string))
-        (List.map (fun (at, kind, detail) -> ((at, kind), detail)) (Engine.history engine iid)));
+      Wire.(run (b_list (b_triple b_int b_string b_string))) (Engine.history engine iid));
   Node.serve node ~service:service_policy (fun ~src:_ body ->
       let iid = Wire.(decode d_string) body in
       let rows =
@@ -63,7 +62,7 @@ let serve engine =
           | Some inst -> Instate.policy_budgets inst ~now:(Engine.now engine)
           | None -> [])
       in
-      Wire.(list (pair string (pair int (pair int bool)))) rows);
+      Wire.(run (b_list (b_pair b_string (b_pair b_int (b_pair b_int b_bool))))) rows);
   Node.serve node ~service:service_cancel (fun ~src:_ body ->
       let iid, reason = Wire.(decode (d_pair d_string d_string)) body in
       (* the cancel transaction is asynchronous: a cancel is accepted
@@ -71,7 +70,7 @@ let serve engine =
          state change follows (poll status to confirm) *)
       let accepted = ref (Ok ()) in
       Engine.cancel engine iid ~reason (function Error _ as e -> accepted := e | Ok () -> ());
-      enc_result (fun () -> "") !accepted)
+      Wire.(run (b_result (fun _ () -> ()))) !accepted)
 
 module Client = struct
   type t = { rpc : Rpc.t; src : string; engine_node : string }
@@ -88,26 +87,21 @@ module Client = struct
     call t ~service:service_list ~body:"" ~dec:Wire.(decode (d_list d_string)) k
 
   let status t ~iid k =
-    call t ~service:service_status ~body:(Wire.string iid) ~dec:(Wire.decode dec_status_opt) k
+    call t ~service:service_status ~body:(Wire.run Wire.b_string iid)
+      ~dec:(Wire.decode dec_status_opt) k
 
   let task_states t ~iid k =
-    call t ~service:service_tasks ~body:(Wire.string iid)
+    call t ~service:service_tasks ~body:(Wire.run Wire.b_string iid)
       ~dec:Wire.(decode (d_list (d_pair d_string d_string)))
       k
 
   let history t ~iid k =
-    call t ~service:service_history ~body:(Wire.string iid)
-      ~dec:
-        Wire.(
-          decode
-            (d_list (fun d ->
-                 let at, kind = d_pair d_int d_string d in
-                 let detail = d_string d in
-                 (at, kind, detail))))
+    call t ~service:service_history ~body:(Wire.run Wire.b_string iid)
+      ~dec:Wire.(decode (d_list (d_triple d_int d_string d_string)))
       k
 
   let policy_budgets t ~iid k =
-    call t ~service:service_policy ~body:(Wire.string iid)
+    call t ~service:service_policy ~body:(Wire.run Wire.b_string iid)
       ~dec:
         Wire.(
           decode
@@ -120,11 +114,10 @@ module Client = struct
       k
 
   let cancel t ~iid ~reason k =
-    let dec body =
-      let d = Wire.decoder body in
-      if Wire.d_bool d then Ok () else Error (Wire.d_string d)
-    in
-    call t ~service:service_cancel ~body:(Wire.(pair string string) (iid, reason)) ~dec (function
+    call t ~service:service_cancel
+      ~body:(Wire.(run (b_pair b_string b_string)) (iid, reason))
+      ~dec:Wire.(decode (d_result (fun _ -> ())))
+      (function
       | Ok (Ok ()) -> k (Ok ())
       | Ok (Error e) -> k (Error e)
       | Error e -> k (Error e))

@@ -10,14 +10,25 @@ type obj = { cls : string; payload : t }
 
 let obj ~cls payload = { cls; payload }
 
-let rec enc v =
+let rec enc buf v =
   match v with
-  | Unit -> Wire.string "u"
-  | Bool b -> Wire.string "b" ^ Wire.bool b
-  | Int n -> Wire.string "i" ^ Wire.int n
-  | Str s -> Wire.string "s" ^ Wire.string s
-  | List items -> Wire.string "l" ^ Wire.list enc items
-  | Pair (a, b) -> Wire.string "p" ^ enc a ^ enc b
+  | Unit -> Wire.b_string buf "u"
+  | Bool b ->
+    Wire.b_string buf "b";
+    Wire.b_bool buf b
+  | Int n ->
+    Wire.b_string buf "i";
+    Wire.b_int buf n
+  | Str s ->
+    Wire.b_string buf "s";
+    Wire.b_string buf s
+  | List items ->
+    Wire.b_string buf "l";
+    Wire.b_list enc buf items
+  | Pair (a, b) ->
+    Wire.b_string buf "p";
+    enc buf a;
+    enc buf b
 
 let rec dec d =
   match Wire.d_string d with
@@ -32,22 +43,24 @@ let rec dec d =
     Pair (a, b)
   | tag -> raise (Wire.Malformed ("unknown value tag " ^ tag))
 
-let encode v = enc v
+let encode v = Wire.run enc v
 
 let decode s = Wire.decode dec s
 
-let enc_obj o = Wire.string o.cls ^ enc o.payload
+let enc_obj buf o =
+  Wire.b_string buf o.cls;
+  enc buf o.payload
 
 let dec_obj d =
   let cls = Wire.d_string d in
   let payload = dec d in
   { cls; payload }
 
-let encode_obj o = enc_obj o
+let encode_obj o = Wire.run enc_obj o
 
 let decode_obj s = Wire.decode dec_obj s
 
-let encode_bindings bindings = Wire.list (fun (name, o) -> Wire.string name ^ enc_obj o) bindings
+let encode_bindings = Wire.(run (b_list (b_pair b_string enc_obj)))
 
 let decode_bindings s =
   Wire.decode

@@ -25,11 +25,21 @@ type report = {
   r_objects : (string * Value.t) list;
 }
 
+let b_path = Wire.(b_list b_string)
+
+(* The inputs travel as one framed field, rendered before the outer
+   [run] starts so that no [run] nests. *)
 let enc_exec x =
-  Wire.string x.x_iid
-  ^ Wire.(list string) x.x_path
-  ^ Wire.int x.x_attempt ^ Wire.string x.x_code ^ Wire.string x.x_set
-  ^ Wire.string (Value.encode_bindings x.x_inputs)
+  let inputs = Value.encode_bindings x.x_inputs in
+  Wire.run
+    (fun buf x ->
+      Wire.b_string buf x.x_iid;
+      b_path buf x.x_path;
+      Wire.b_int buf x.x_attempt;
+      Wire.b_string buf x.x_code;
+      Wire.b_string buf x.x_set;
+      Wire.b_string buf inputs)
+    x
 
 let dec_exec s =
   Wire.decode
@@ -43,9 +53,6 @@ let dec_exec s =
       { x_iid; x_path; x_attempt; x_code; x_set; x_inputs })
     s
 
-let enc_value_bindings objects =
-  Wire.list (fun (name, v) -> Wire.string name ^ Wire.string (Value.encode v)) objects
-
 let dec_value_bindings d =
   Wire.d_list
     (fun d ->
@@ -54,10 +61,19 @@ let dec_value_bindings d =
       (name, v))
     d
 
+let b_named = Wire.(b_list (b_pair b_string b_string))
+
+(* each object's value is a framed field of its own *)
 let enc_report r =
-  Wire.string r.r_iid
-  ^ Wire.(list string) r.r_path
-  ^ Wire.int r.r_attempt ^ Wire.string r.r_output ^ enc_value_bindings r.r_objects
+  let objects = List.map (fun (name, v) -> (name, Value.encode v)) r.r_objects in
+  Wire.run
+    (fun buf r ->
+      Wire.b_string buf r.r_iid;
+      b_path buf r.r_path;
+      Wire.b_int buf r.r_attempt;
+      Wire.b_string buf r.r_output;
+      b_named buf objects)
+    r
 
 let dec_report s =
   Wire.decode

@@ -42,11 +42,15 @@ let zero_pad width n =
 
 (* --- codecs --- *)
 
-let enc_objects objects = Value.encode_bindings objects
-
+(* An objects field is a framed sub-encoding: every encoder renders it
+   with [Value.encode_bindings] before its outer [run] starts, so that
+   no [run] nests. *)
 let dec_objects d = Value.decode_bindings (Wire.d_string d)
 
-let enc_objects_field objects = Wire.string (enc_objects objects)
+(* a name and its objects field: an input set, a repeat, a released mark *)
+let enc_named = Wire.(run (b_pair b_string b_string))
+
+let with_objects (name, objects) = (name, Value.encode_bindings objects)
 
 let kind_tag = function
   | Ast.Outcome -> 0
@@ -61,14 +65,31 @@ let kind_of_tag = function
   | 3 -> Ast.Mark
   | n -> raise (Wire.Malformed (Printf.sprintf "bad output kind tag %d" n))
 
-let encode_task_state = function
-  | Waiting { attempt } -> Wire.string "w" ^ Wire.int attempt
+(* [objects] is a done state's objects field *)
+let b_task_state buf (state, objects) =
+  match state with
+  | Waiting { attempt } ->
+    Wire.b_string buf "w";
+    Wire.b_int buf attempt
   | Running { attempt; set; started; deadline } ->
-    Wire.string "x" ^ Wire.int attempt ^ Wire.string set ^ Wire.int started ^ Wire.int deadline
-  | Done { attempt; output; kind; objects } ->
-    Wire.string "d" ^ Wire.int attempt ^ Wire.string output ^ Wire.int (kind_tag kind)
-    ^ enc_objects_field objects
-  | Failed reason -> Wire.string "f" ^ Wire.string reason
+    Wire.b_string buf "x";
+    Wire.b_int buf attempt;
+    Wire.b_string buf set;
+    Wire.b_int buf started;
+    Wire.b_int buf deadline
+  | Done { attempt; output; kind; objects = _ } ->
+    Wire.b_string buf "d";
+    Wire.b_int buf attempt;
+    Wire.b_string buf output;
+    Wire.b_int buf (kind_tag kind);
+    Wire.b_string buf objects
+  | Failed reason ->
+    Wire.b_string buf "f";
+    Wire.b_string buf reason
+
+let encode_task_state state =
+  let objects = match state with Done { objects; _ } -> Value.encode_bindings objects | _ -> "" in
+  Wire.run b_task_state (state, objects)
 
 let decode_task_state s =
   Wire.decode
@@ -91,11 +112,6 @@ let decode_task_state s =
       | tag -> raise (Wire.Malformed ("bad task state tag " ^ tag)))
     s
 
-let enc_status = function
-  | Wf_running -> Wire.string "r"
-  | Wf_done { output; objects } -> Wire.string "d" ^ Wire.string output ^ enc_objects_field objects
-  | Wf_failed reason -> Wire.string "f" ^ Wire.string reason
-
 let dec_status d =
   match Wire.d_string d with
   | "r" -> Wf_running
@@ -106,8 +122,17 @@ let dec_status d =
   | "f" -> Wf_failed (Wire.d_string d)
   | tag -> raise (Wire.Malformed ("bad status tag " ^ tag))
 
+(* every field of a meta row is a string *)
 let encode_meta { m_script; m_root; m_inputs; m_status } =
-  Wire.string m_script ^ Wire.string m_root ^ enc_objects_field m_inputs ^ enc_status m_status
+  let status =
+    match m_status with
+    | Wf_running -> [ "r" ]
+    | Wf_done { output; objects } -> [ "d"; output; Value.encode_bindings objects ]
+    | Wf_failed reason -> [ "f"; reason ]
+  in
+  Wire.run
+    (fun buf -> List.iter (Wire.b_string buf))
+    (m_script :: m_root :: Value.encode_bindings m_inputs :: status)
 
 let decode_meta s =
   Wire.decode
@@ -119,15 +144,12 @@ let decode_meta s =
       { m_script; m_root; m_inputs; m_status })
     s
 
-(* an output name and its objects: a repeat, or one released mark *)
-let enc_output (output, objects) = Wire.string output ^ enc_objects_field objects
-
 let dec_output d =
   let output = Wire.d_string d in
   let objects = dec_objects d in
   (output, objects)
 
-let encode_history (at, kind, detail) = Wire.int at ^ Wire.string kind ^ Wire.string detail
+let encode_history = Wire.(run (b_triple b_int b_string b_string))
 
 let decode_history s =
   Wire.decode
@@ -225,12 +247,12 @@ let encode_value : type a. a field -> a -> string =
   | Meta -> encode_meta v
   | Reconf -> v
   | Task _ -> encode_task_state v
-  | Chosen _ -> Wire.string v.c_set ^ enc_objects_field v.c_inputs
-  | Marks _ -> Wire.list enc_output v
-  | Repeat _ -> enc_output v
+  | Chosen _ -> enc_named (with_objects (v.c_set, v.c_inputs))
+  | Marks _ -> Wire.(run (b_list (b_pair b_string b_string))) (List.map with_objects v)
+  | Repeat _ -> enc_named (with_objects v)
   | Timer_fired _ | Compensated _ -> "1"
   | Timer_armed _ -> string_of_int v
-  | Backoff _ -> Wire.int (fst v) ^ Wire.int (snd v)
+  | Backoff _ -> Wire.(run (b_pair b_int b_int)) v
   | History _ -> v
 
 let decode_int s =

@@ -41,24 +41,15 @@ let create ?(reply_cache_cap = 1024) net =
 
 let network t = t.net
 
-let encode_req = Wire.(triple string string string)
 (* req_id, service, body *)
+let encode_req = Wire.(run (b_triple b_string b_string b_string))
 
 let decode_req = Wire.(decode (d_triple d_string d_string d_string))
 
-let encode_rsp (req_id, result) =
-  let payload = match result with Ok r -> Wire.bool true ^ Wire.string r | Error e -> Wire.bool false ^ Wire.string e in
-  Wire.string req_id ^ payload
+(* req_id, result *)
+let encode_rsp = Wire.(run (b_pair b_string (b_result b_string)))
 
-let decode_rsp body =
-  let open Wire in
-  decode
-    (fun d ->
-      let req_id = d_string d in
-      let ok = d_bool d in
-      let payload = d_string d in
-      (req_id, if ok then Ok payload else Error payload))
-    body
+let decode_rsp = Wire.(decode (d_pair d_string (d_result d_string)))
 
 let endpoint t node_id =
   match Hashtbl.find_opt t.endpoints node_id with

@@ -1,7 +1,5 @@
 exception Malformed of string
 
-type 'a enc = 'a -> string
-
 type 'a embed = Buffer.t -> 'a -> unit
 
 type decoder = { input : string; mutable pos : int }
@@ -56,13 +54,22 @@ let b_option e buf = function
     b_bool buf true;
     e buf v
 
+let b_result e buf = function
+  | Ok v ->
+    b_bool buf true;
+    e buf v
+  | Error reason ->
+    b_bool buf false;
+    b_string buf reason
+
 (* One scratch buffer per domain, reused across [run] calls so steady-
    state encoding allocates only the final [Buffer.contents] string.
-   Legacy combinators nest [run] (e.g. [pair Wire.int Wire.int] renders
-   each element through its own [run]), so the scratch carries an
-   [in_use] guard: re-entrant calls fall back to a fresh buffer rather
-   than clobbering the outer encoder's bytes. Domain-local storage keeps
-   parallel explore workers from sharing the scratch. *)
+   The encoders of the system render each framed sub-encoding before
+   their outer [run] starts, but any embed may still call [run] inside
+   one, and that inner call would clear the bytes the outer one is
+   writing. So the scratch carries an [in_use] guard: a re-entrant call
+   falls back to a fresh buffer. Domain-local storage keeps parallel
+   explore workers from sharing the scratch. *)
 type scratch = { s_buf : Buffer.t; mutable s_in_use : bool }
 
 let scratch_key = Domain.DLS.new_key (fun () -> { s_buf = Buffer.create 256; s_in_use = false })
@@ -86,29 +93,6 @@ let run e v =
       s.s_in_use <- false;
       raise ex
   end
-
-(* Legacy string combinators, kept as thin wrappers over the buffer
-   core. [embed] can't be recovered from an opaque ['a enc], so the
-   composite wrappers append each element's rendered string — still a
-   single output buffer, no repeated concatenation. *)
-
-let frame payload = run b_frame payload
-
-let string s = frame s
-
-let int n = run b_int n
-
-let bool b = run b_bool b
-
-let lift e buf v = Buffer.add_string buf (e v)
-
-let pair ea eb v = run (b_pair (lift ea) (lift eb)) v
-
-let triple ea eb ec v = run (b_triple (lift ea) (lift eb) (lift ec)) v
-
-let list e items = run (b_list (lift e)) items
-
-let option e v = run (b_option (lift e)) v
 
 let decoder input = { input; pos = 0 }
 
@@ -216,6 +200,8 @@ let d_list da d =
   take n []
 
 let d_option da d = if d_bool d then Some (da d) else None
+
+let d_result da d = if d_bool d then Ok (da d) else Error (d_string d)
 
 let decode da input =
   let d = decoder input in

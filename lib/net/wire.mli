@@ -6,17 +6,16 @@
 
 exception Malformed of string
 
-type 'a enc = 'a -> string
-
 type 'a embed = Buffer.t -> 'a -> unit
 (** Buffer-threaded encoder: appends the framed value to a shared
-    buffer. The core representation — composing [embed]s costs one pass
-    over the data regardless of nesting depth, where the ['a enc]
-    string combinators used to re-copy every enclosed payload. *)
+    buffer. Composing [embed]s costs one pass over the data regardless
+    of nesting depth. A framed sub-encoding (a string field that holds
+    an encoding of its own) is best rendered with {!run} before the
+    outer [run] starts. *)
 
 type decoder
 
-(** {1 Buffer-threaded encoders} *)
+(** {1 Encoders} *)
 
 val b_string : string embed
 val b_int : int embed
@@ -26,22 +25,14 @@ val b_triple : 'a embed -> 'b embed -> 'c embed -> ('a * 'b * 'c) embed
 val b_list : 'a embed -> 'a list embed
 val b_option : 'a embed -> 'a option embed
 
+val b_result : 'a embed -> ('a, string) result embed
+(** [Ok v] as [true] then [v]; [Error reason] as [false] then the
+    reason. *)
+
 val run : 'a embed -> 'a -> string
-(** Render through a fresh buffer. *)
+(** Render an embed to a string, through a reused per-domain buffer. *)
 
-(** {1 String combinators (thin wrappers over the buffer core)} *)
-
-val string : string enc
-val int : int enc
-val bool : bool enc
-val pair : 'a enc -> 'b enc -> ('a * 'b) enc
-val triple : 'a enc -> 'b enc -> 'c enc -> ('a * 'b * 'c) enc
-val list : 'a enc -> 'a list enc
-val option : 'a enc -> 'a option enc
-
-val decoder : string -> decoder
-
-val at_end : decoder -> bool
+(** {1 Decoders} *)
 
 val d_string : decoder -> string
 val d_int : decoder -> int
@@ -50,6 +41,7 @@ val d_pair : (decoder -> 'a) -> (decoder -> 'b) -> decoder -> 'a * 'b
 val d_triple : (decoder -> 'a) -> (decoder -> 'b) -> (decoder -> 'c) -> decoder -> 'a * 'b * 'c
 val d_list : (decoder -> 'a) -> decoder -> 'a list
 val d_option : (decoder -> 'a) -> decoder -> 'a option
+val d_result : (decoder -> 'a) -> decoder -> ('a, string) result
 
 val decode : (decoder -> 'a) -> string -> 'a
 (** Runs the decoder and checks the whole input was consumed. *)

@@ -33,10 +33,6 @@ let next_cid t =
   t.cid_seq <- t.cid_seq + 1;
   Printf.sprintf "%s#%d" t.cid_prefix t.cid_seq
 
-let dec_result dec body =
-  let d = Wire.decoder body in
-  if Wire.d_bool d then Ok (dec d) else Error (Wire.d_string d)
-
 (* reads: plain RPC to the single node, or leader-first failover across
    the replica set *)
 let read t ~service ~body k =
@@ -56,22 +52,24 @@ let write t ~service ~body ~cmd k =
 let call_result t ~service ~body ~cmd ~dec k =
   write t ~service ~body ~cmd (function
     | Ok reply -> (
-      match dec_result dec reply with v -> k v | exception Wire.Malformed m -> k (Error m))
+      match Wire.(decode (d_result dec)) reply with
+      | v -> k v
+      | exception Wire.Malformed m -> k (Error m))
     | Error e -> k (Error e))
 
 let store t ~name ~source k =
   let cid = next_cid t in
   call_result t ~service:Repository.service_store
-    ~body:(Wire.(pair string string) (name, source))
+    ~body:(Wire.(run (b_pair b_string b_string)) (name, source))
     ~cmd:(Repository.cmd_store ~cid ~name ~source)
     ~dec:Wire.d_int k
 
 let fetch t ~name ?version k =
   read t ~service:Repository.service_fetch
-    ~body:(Wire.(pair string (option int)) (name, version))
+    ~body:(Wire.(run (b_pair b_string (b_option b_int))) (name, version))
     (function
       | Ok reply -> (
-        match dec_result Wire.d_string reply with
+        match Wire.(decode (d_result d_string)) reply with
         | v -> k v
         | exception Wire.Malformed m -> k (Error m))
       | Error e -> k (Error ("rpc: " ^ e)))
@@ -93,9 +91,9 @@ let dec_summary d =
   { Repository.s_name; s_head; s_roots; s_task_count; s_warnings }
 
 let inspect t ~name k =
-  read t ~service:Repository.service_inspect ~body:(Wire.string name) (function
+  read t ~service:Repository.service_inspect ~body:(Wire.run Wire.b_string name) (function
     | Ok reply -> (
-      match dec_result dec_summary reply with
+      match Wire.(decode (d_result dec_summary)) reply with
       | v -> k v
       | exception Wire.Malformed m -> k (Error m))
     | Error e -> k (Error ("rpc: " ^ e)))
@@ -103,19 +101,19 @@ let inspect t ~name k =
 let assign t ~iid ~engine k =
   let cid = next_cid t in
   write t ~service:Repository.service_assign
-    ~body:(Wire.(pair string string) (iid, engine))
+    ~body:(Wire.(run (b_pair b_string b_string)) (iid, engine))
     ~cmd:(Repository.cmd_assign ~cid ~iid ~engine)
     (function Ok _ -> k (Ok ()) | Error e -> k (Error e))
 
 let assign_many t ~pairs k =
   let cid = next_cid t in
   write t ~service:Repository.service_assign_batch
-    ~body:(Wire.(list (pair string string)) pairs)
+    ~body:(Wire.(run (b_list (b_pair b_string b_string))) pairs)
     ~cmd:(Repository.cmd_assign_batch ~cid ~pairs)
     (function Ok _ -> k (Ok ()) | Error e -> k (Error e))
 
 let owner t ~iid k =
-  read t ~service:Repository.service_owner ~body:(Wire.string iid) (function
+  read t ~service:Repository.service_owner ~body:(Wire.run Wire.b_string iid) (function
     | Ok reply -> (
       match Wire.(decode (d_option d_string)) reply with
       | o -> k (Ok o)

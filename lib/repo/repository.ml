@@ -141,45 +141,46 @@ let inspect t ~name =
 
 (* --- wire handlers --- *)
 
-let enc_result enc = function
-  | Ok v -> Wire.bool true ^ enc v
-  | Error e -> Wire.bool false ^ Wire.string e
+(* a store's reply: the new version, or why the script was refused *)
+let enc_stored = Wire.(run (b_result b_int))
 
 let handle_store t ~src:_ body =
   let name, source = Wire.(decode (d_pair d_string d_string)) body in
-  enc_result Wire.int (store t ~name ~source)
+  enc_stored (store t ~name ~source)
 
 let handle_fetch t ~src:_ body =
   let name, version = Wire.(decode (d_pair d_string (d_option d_int))) body in
-  enc_result Wire.string (fetch t ~name ?version ())
+  Wire.(run (b_result b_string)) (fetch t ~name ?version ())
 
-let handle_list t ~src:_ _body = Wire.(list string) (list_names t)
+let handle_list t ~src:_ _body = Wire.(run (b_list b_string)) (list_names t)
 
-let enc_summary s =
-  Wire.string s.s_name ^ Wire.int s.s_head
-  ^ Wire.(list string) s.s_roots
-  ^ Wire.int s.s_task_count ^ Wire.int s.s_warnings
+let b_summary buf s =
+  Wire.b_string buf s.s_name;
+  Wire.b_int buf s.s_head;
+  Wire.(b_list b_string) buf s.s_roots;
+  Wire.b_int buf s.s_task_count;
+  Wire.b_int buf s.s_warnings
 
 let handle_inspect t ~src:_ body =
   let name = Wire.(decode d_string) body in
-  enc_result enc_summary (inspect t ~name)
+  Wire.(run (b_result b_summary)) (inspect t ~name)
 
 let handle_assign t ~src:_ body =
   let iid, engine = Wire.(decode (d_pair d_string d_string)) body in
   assign t ~iid ~engine;
-  Wire.bool true
+  Wire.(run b_bool) true
 
 let handle_assign_batch t ~src:_ body =
   let pairs = Wire.(decode (d_list (d_pair d_string d_string))) body in
   assign_many t ~pairs;
-  Wire.int (List.length pairs)
+  Wire.(run b_int) (List.length pairs)
 
 let handle_owner t ~src:_ body =
   let iid = Wire.(decode d_string) body in
-  Wire.(option string) (owner t ~iid)
+  Wire.(run (b_option b_string)) (owner t ~iid)
 
 let handle_placements t ~src:_ _body =
-  Wire.list (fun (iid, engine) -> Wire.string iid ^ Wire.string engine) (placements t)
+  Wire.(run (b_list (b_pair b_string b_string))) (placements t)
 
 (* --- replicated command log (consensus backend) ---
 
@@ -238,21 +239,21 @@ let apply_command t cmd =
   | Error reason ->
     (* the reply depends on the bytes alone, so every replica answers
        alike; nothing is written, not even the dedup row *)
-    enc_result Wire.int (Error ("malformed repository command: " ^ reason))
+    enc_stored (Error ("malformed repository command: " ^ reason))
   | Ok (cid, command) -> (
     match Kvstore.get t.store (key_cid cid) with
     | Some cached -> cached
     | None ->
       let reply =
         match command with
-        | C_store (name, source) -> enc_result Wire.int (store t ~name ~source)
+        | C_store (name, source) -> enc_stored (store t ~name ~source)
         | C_assign (iid, engine) ->
           assign t ~iid ~engine;
-          Wire.bool true
+          Wire.(run b_bool) true
         | C_assign_batch pairs ->
           assign_many t ~pairs;
-          Wire.int (List.length pairs)
-        | C_unknown other -> enc_result Wire.int (Error ("unknown repository command: " ^ other))
+          Wire.(run b_int) (List.length pairs)
+        | C_unknown other -> enc_stored (Error ("unknown repository command: " ^ other))
       in
       Kvstore.put t.store (key_cid cid) reply;
       reply)

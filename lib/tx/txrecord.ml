@@ -38,16 +38,16 @@ let dec_prepare_req body =
       (txid, coordinator, writes))
     body
 
-let enc_vote = Wire.bool
+let enc_vote = Wire.(run b_bool)
 
 let dec_vote = Wire.(decode d_bool)
 
-let enc_txid = Wire.string
+let enc_txid = Wire.(run b_string)
 
 let dec_txid = Wire.(decode d_string)
 
 let enc_status_reply status =
-  Wire.string (match status with `Committed -> "c" | `Aborted -> "a" | `Pending -> "p")
+  Wire.(run b_string) (match status with `Committed -> "c" | `Aborted -> "a" | `Pending -> "p")
 
 let dec_status_reply body =
   match Wire.(decode d_string) body with

@@ -6,8 +6,8 @@
 #   test/check_exports.sh                                  # print `file name` lines
 #   test/check_exports.sh | diff - <(grep -v '^#' test/golden/unused-exports.txt)
 #
-# A use through a local open (`Wire.(list string)`) is not seen, so the
-# golden keeps such names with a `#` comment line saying why; lines that
+# A use through a local open (`Wire.(run (b_list b_string))`) is not seen,
+# so the golden keeps such names with a `#` comment line saying why; lines that
 # start with `#` are comments and are not compared. Values of nested
 # signatures (indented `val`s) are not checked.
 set -euo pipefail

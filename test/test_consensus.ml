@@ -257,11 +257,11 @@ let test_voter_campaigns_when_candidate_dead () =
   let t0 = Sim.now sim in
   let reply = ref None in
   Rpc.call rpc ~src:"client" ~dst:"r3" ~service:Rlog.service_append
-    ~body:(Wire.(pair bool string) (true, "x"))
+    ~body:(Wire.(run (b_pair b_bool b_string)) (true, "x"))
     (fun r -> reply := Some r);
   Sim.run sim;
   check "client told to retry" true
-    (!reply = Some (Ok (Wire.(pair string string) ("electing", ""))));
+    (!reply = Some (Ok (Wire.(run (b_pair b_string b_string)) ("electing", ""))));
   (match List.filter (fun (_, node, _) -> node = "r3") !elections with
   | [ (at, _, 3) ] ->
     check "r3 campaigned only after its probe of r2 timed out" true (at >= t0 + Sim.ms 5)
@@ -341,13 +341,19 @@ let gen_fuzz_case =
   let well_formed service =
     if service = Rlog.service_replicate then
       map
-        Wire.(pair (triple int string int) (triple int (list (pair int string)) int))
+        Wire.(
+          run
+            (b_pair
+               (b_triple b_int b_string b_int)
+               (b_triple b_int (b_list (b_pair b_int b_string)) b_int)))
         (pair (triple term id term)
            (triple term (list_size (int_bound 3) (pair term payload)) term))
     else if service = Rlog.service_vote then
-      map Wire.(pair (pair int string) (pair int int)) (pair (pair term id) (pair term term))
-    else if service = Rlog.service_ping then map Wire.string id
-    else map Wire.(pair bool string) (pair bool payload)
+      map
+        Wire.(run (b_pair (b_pair b_int b_string) (b_pair b_int b_int)))
+        (pair (pair term id) (pair term term))
+    else if service = Rlog.service_ping then map Wire.(run b_string) id
+    else map Wire.(run (b_pair b_bool b_string)) (pair bool payload)
   in
   let flip body =
     map

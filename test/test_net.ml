@@ -15,7 +15,7 @@ let make_net ?(config = Network.default_config) ?(seed = 5L) ids =
 (* --- Wire --- *)
 
 let test_wire_roundtrips () =
-  let enc = Wire.(triple string (list int) (option bool)) in
+  let enc = Wire.(run (b_triple b_string (b_list b_int) (b_option b_bool))) in
   let dec = Wire.(decode (d_triple d_string (d_list d_int) (d_option d_bool))) in
   let value = ("hello:world:3:", [ 1; -2; 30 ], Some true) in
   check "roundtrip" true (dec (enc value) = value)
@@ -39,7 +39,7 @@ let test_wire_rejects_extreme_lengths () =
     | _ -> false);
   check "empty input" true (attempt "");
   check "negative list count" true
-    (match Wire.(decode (d_list d_int)) (Wire.int (-1)) with
+    (match Wire.(decode (d_list d_int)) (Wire.(run b_int) (-1)) with
     | exception Wire.Malformed _ -> true
     | _ -> false)
 
@@ -55,11 +55,12 @@ let test_value_roundtrips () =
 
 let test_value_rejects_malformed () =
   let rejects s = match Value.decode s with exception Wire.Malformed _ -> true | _ -> false in
-  check "unknown tag" true (rejects (Wire.string "z"));
-  check "unknown tag with payload" true (rejects (Wire.string "q" ^ Wire.int 3));
-  check "int tag, truncated payload" true (rejects (Wire.string "i"));
-  check "pair tag, one element missing" true (rejects (Wire.string "p" ^ Value.encode Value.Unit));
-  check "list with short count" true (rejects (Wire.string "l" ^ Wire.int 2 ^ Value.encode Value.Unit));
+  let tag = Wire.(run b_string) and tag_int = Wire.(run (b_pair b_string b_int)) in
+  check "unknown tag" true (rejects (tag "z"));
+  check "unknown tag with payload" true (rejects (tag_int ("q", 3)));
+  check "int tag, truncated payload" true (rejects (tag "i"));
+  check "pair tag, one element missing" true (rejects (tag "p" ^ Value.encode Value.Unit));
+  check "list with short count" true (rejects (tag_int ("l", 2) ^ Value.encode Value.Unit));
   check "trailing bytes after a full value" true (rejects (Value.encode Value.Unit ^ "x"));
   (* truncating a valid frame at any byte must raise, never succeed *)
   let full = Value.encode (Value.Pair (Value.Int 7, Value.Str "hello")) in
@@ -73,46 +74,55 @@ let test_value_rejects_malformed () =
 let prop_wire_string_roundtrip =
   QCheck.Test.make ~name:"wire strings roundtrip (incl. separators)" ~count:300
     QCheck.(string)
-    (fun s -> Wire.(decode d_string) (Wire.string s) = s)
+    (fun s -> Wire.(decode d_string) (Wire.(run b_string) s) = s)
 
 let prop_wire_list_roundtrip =
   QCheck.Test.make ~name:"wire lists of pairs roundtrip" ~count:200
     QCheck.(list (pair string small_int))
     (fun l ->
-      let enc = Wire.(list (pair string int)) in
+      let enc = Wire.(run (b_list (b_pair b_string b_int))) in
       Wire.(decode (d_list (d_pair d_string d_int))) (enc l) = l)
 
 (* --- reused-buffer encoder paths --- *)
 
-(* Wire.run reuses one scratch buffer per domain. Legacy combinators
-   nest run (the in-use fallback path); consecutive calls must not leak
-   bytes from one encoding into the next; and [b_int]'s direct decimal
-   emission must agree with the historical string framing. *)
+(* Wire.run reuses one scratch buffer per domain. An embed that frames
+   a sub-encoding through run nests it (the in-use fallback path);
+   consecutive calls must not leak bytes from one encoding into the
+   next; and [b_int]'s direct decimal emission must agree with the
+   string framing. *)
 
 let test_wire_scratch_reuse_is_clean () =
   let long = String.make 300 'x' in
-  let a = Wire.string long in
-  let b = Wire.string "short" in
+  let a = Wire.(run b_string) long in
+  let b = Wire.(run b_string) "short" in
   check "second encode unpolluted by first" true (Wire.(decode d_string) b = "short");
   check "first encode intact" true (Wire.(decode d_string) a = long);
-  (* nested legacy combinators: outer run holds the scratch, inner runs
-     take the fresh-buffer fallback *)
-  let enc = Wire.(pair (list (pair string int)) (option string)) in
+  (* an embed that frames a sub-encoding inside run: the outer run
+     holds the scratch, the inner one takes the fresh-buffer fallback *)
+  let inner = Wire.(b_pair (b_list (b_pair b_string b_int)) (b_option b_string)) in
+  let enc =
+    Wire.run (fun buf v ->
+        Wire.b_string buf (Wire.run inner v);
+        Wire.b_string buf "after")
+  in
   let v = ([ ("a:b", 7); ("", -1); (long, max_int) ], Some "tail") in
-  check "nested combinators roundtrip" true
-    (Wire.(decode (d_pair (d_list (d_pair d_string d_int)) (d_option d_string))) (enc v) = v)
+  let framed, after = Wire.(decode (d_pair d_string d_string)) (enc v) in
+  check "nested embed roundtrip" true
+    (Wire.(decode (d_pair (d_list (d_pair d_string d_int)) (d_option d_string))) framed = v
+    && after = "after")
 
 let prop_wire_int_direct_decimal =
   QCheck.Test.make ~name:"b_int direct decimal matches string framing" ~count:500
     QCheck.(oneof [ int; int_range (-1000) 1000 ])
     (fun n ->
-      Wire.int n = Wire.string (string_of_int n) && Wire.(decode d_int) (Wire.int n) = n)
+      let encoded = Wire.(run b_int) n in
+      encoded = Wire.(run b_string) (string_of_int n) && Wire.(decode d_int) encoded = n)
 
 let prop_wire_repeated_runs_independent =
   QCheck.Test.make ~name:"scratch reuse: encode twice = encode once" ~count:200
     QCheck.(pair string (list small_int))
     (fun (s, l) ->
-      let enc () = Wire.(pair string (list int)) (s, l) in
+      let enc () = Wire.(run (b_pair b_string (b_list b_int))) (s, l) in
       let first = enc () in
       let second = enc () in
       first = second && Wire.(decode (d_pair d_string (d_list d_int))) second = (s, l))
@@ -123,7 +133,7 @@ let test_wire_scratch_domain_isolated () =
   let rounds = 2000 in
   let encode_round i =
     let payload = Printf.sprintf "payload-%d-%s" i (String.make (i mod 50) 'y') in
-    Wire.(decode d_string) (Wire.string payload) = payload
+    Wire.(decode d_string) (Wire.(run b_string) payload) = payload
   in
   let other = Domain.spawn (fun () ->
       let ok = ref true in

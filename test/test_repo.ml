@@ -245,11 +245,9 @@ let test_replicated_redirect_loop_bounded () =
 
 (* [Some msg] when a repository reply is the error arm of a result *)
 let reply_error reply =
-  let d = Wire.decoder reply in
-  match Wire.d_bool d with
-  | false -> Some (Wire.d_string d)
-  | true -> None
-  | exception Wire.Malformed _ -> None
+  match Wire.(decode (d_result d_int)) reply with
+  | Error e -> Some e
+  | Ok _ | (exception Wire.Malformed _) -> None
 
 let is_malformed_reply reply =
   match reply_error reply with
@@ -283,7 +281,7 @@ let test_replicated_malformed_command () =
     ~payload:(Repository.cmd_assign ~cid:"c1" ~iid:"wf-1" ~engine:"e1")
     (fun r -> assigned := Some r);
   Testbed.run tb;
-  check "valid command applied" true (!assigned = Some (Ok (Wire.bool true)));
+  check "valid command applied" true (!assigned = Some (Ok (Wire.(run b_bool) true)));
   List.iter
     (fun id ->
       check ("owner on " ^ id) true
