@@ -117,8 +117,5 @@ module Client = struct
     call t ~service:service_cancel
       ~body:(Wire.(run (b_pair b_string b_string)) (iid, reason))
       ~dec:Wire.(decode (d_result (fun _ -> ())))
-      (function
-      | Ok (Ok ()) -> k (Ok ())
-      | Ok (Error e) -> k (Error e)
-      | Error e -> k (Error e))
+      (fun r -> k (Result.join r))
 end

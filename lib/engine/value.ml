@@ -62,13 +62,7 @@ let decode_obj s = Wire.decode dec_obj s
 
 let encode_bindings = Wire.(run (b_list (b_pair b_string enc_obj)))
 
-let decode_bindings s =
-  Wire.decode
-    (Wire.d_list (fun d ->
-         let name = Wire.d_string d in
-         let o = dec_obj d in
-         (name, o)))
-    s
+let decode_bindings = Wire.(decode (d_list (d_pair d_string dec_obj)))
 
 let rec pp ppf = function
   | Unit -> Format.pp_print_string ppf "()"

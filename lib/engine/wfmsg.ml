@@ -53,13 +53,7 @@ let dec_exec s =
       { x_iid; x_path; x_attempt; x_code; x_set; x_inputs })
     s
 
-let dec_value_bindings d =
-  Wire.d_list
-    (fun d ->
-      let name = Wire.d_string d in
-      let v = Value.decode (Wire.d_string d) in
-      (name, v))
-    d
+let dec_value_bindings = Wire.(d_list (d_pair d_string (fun d -> Value.decode (d_string d))))
 
 let b_named = Wire.(b_list (b_pair b_string b_string))
 

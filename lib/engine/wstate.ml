@@ -144,21 +144,11 @@ let decode_meta s =
       { m_script; m_root; m_inputs; m_status })
     s
 
-let dec_output d =
-  let output = Wire.d_string d in
-  let objects = dec_objects d in
-  (output, objects)
+let dec_output = Wire.d_pair Wire.d_string dec_objects
 
 let encode_history = Wire.(run (b_triple b_int b_string b_string))
 
-let decode_history s =
-  Wire.decode
-    (fun d ->
-      let at = Wire.d_int d in
-      let kind = Wire.d_string d in
-      let detail = Wire.d_string d in
-      (at, kind, detail))
-    s
+let decode_history = Wire.(decode (d_triple d_int d_string d_string))
 
 (* --- rows --- *)
 
@@ -277,13 +267,7 @@ let decode_value : type a. a field -> string -> a =
   | Timer_fired _ -> ()
   | Compensated _ -> ()
   | Timer_armed _ -> decode_int s
-  | Backoff _ ->
-    Wire.decode
-      (fun d ->
-        let attempt = Wire.d_int d in
-        let fire_at = Wire.d_int d in
-        (attempt, fire_at))
-      s
+  | Backoff _ -> Wire.(decode (d_pair d_int d_int)) s
   | History _ -> s
 
 let encode iid = function

@@ -34,11 +34,15 @@ let next_cid t =
   Printf.sprintf "%s#%d" t.cid_prefix t.cid_seq
 
 (* reads: plain RPC to the single node, or leader-first failover across
-   the replica set *)
-let read t ~service ~body k =
+   the replica set; a reply [dec] cannot decode is an error *)
+let read t ~service ~body ~dec k =
+  let decoded = function
+    | Ok reply -> ( match dec reply with v -> k (Ok v) | exception Wire.Malformed m -> k (Error m))
+    | Error e -> k (Error ("rpc: " ^ e))
+  in
   match t.target with
-  | Single dst -> Rpc.call t.rpc ~src:t.src ~dst ~service ~body k
-  | Group rc -> Rlog_client.read rc ~service ~body k
+  | Single dst -> Rpc.call t.rpc ~src:t.src ~dst ~service ~body decoded
+  | Group rc -> Rlog_client.read rc ~service ~body decoded
 
 (* writes: plain RPC, or a replicated append carrying the command *)
 let write t ~service ~body ~cmd k =
@@ -49,38 +53,26 @@ let write t ~service ~body ~cmd k =
     Rlog_client.append rc ~payload:cmd (fun r ->
         k (match r with Ok reply -> Ok reply | Error e -> Error ("rlog: " ^ e)))
 
-let call_result t ~service ~body ~cmd ~dec k =
-  write t ~service ~body ~cmd (function
-    | Ok reply -> (
-      match Wire.(decode (d_result dec)) reply with
-      | v -> k v
-      | exception Wire.Malformed m -> k (Error m))
-    | Error e -> k (Error e))
-
 let store t ~name ~source k =
   let cid = next_cid t in
-  call_result t ~service:Repository.service_store
+  write t ~service:Repository.service_store
     ~body:(Wire.(run (b_pair b_string b_string)) (name, source))
     ~cmd:(Repository.cmd_store ~cid ~name ~source)
-    ~dec:Wire.d_int k
+    (function
+      | Ok reply -> (
+        match Wire.(decode (d_result d_int)) reply with
+        | v -> k v
+        | exception Wire.Malformed m -> k (Error m))
+      | Error e -> k (Error e))
 
 let fetch t ~name ?version k =
   read t ~service:Repository.service_fetch
     ~body:(Wire.(run (b_pair b_string (b_option b_int))) (name, version))
-    (function
-      | Ok reply -> (
-        match Wire.(decode (d_result d_string)) reply with
-        | v -> k v
-        | exception Wire.Malformed m -> k (Error m))
-      | Error e -> k (Error ("rpc: " ^ e)))
+    ~dec:Wire.(decode (d_result d_string))
+    (fun r -> k (Result.join r))
 
 let list_names t k =
-  read t ~service:Repository.service_list ~body:"" (function
-    | Ok reply -> (
-      match Wire.(decode (d_list d_string)) reply with
-      | names -> k (Ok names)
-      | exception Wire.Malformed m -> k (Error m))
-    | Error e -> k (Error ("rpc: " ^ e)))
+  read t ~service:Repository.service_list ~body:"" ~dec:Wire.(decode (d_list d_string)) k
 
 let dec_summary d =
   let s_name = Wire.d_string d in
@@ -91,12 +83,9 @@ let dec_summary d =
   { Repository.s_name; s_head; s_roots; s_task_count; s_warnings }
 
 let inspect t ~name k =
-  read t ~service:Repository.service_inspect ~body:(Wire.run Wire.b_string name) (function
-    | Ok reply -> (
-      match Wire.(decode (d_result dec_summary)) reply with
-      | v -> k v
-      | exception Wire.Malformed m -> k (Error m))
-    | Error e -> k (Error ("rpc: " ^ e)))
+  read t ~service:Repository.service_inspect ~body:(Wire.run Wire.b_string name)
+    ~dec:Wire.(decode (d_result dec_summary))
+    (fun r -> k (Result.join r))
 
 let assign t ~iid ~engine k =
   let cid = next_cid t in
@@ -113,20 +102,14 @@ let assign_many t ~pairs k =
     (function Ok _ -> k (Ok ()) | Error e -> k (Error e))
 
 let owner t ~iid k =
-  read t ~service:Repository.service_owner ~body:(Wire.run Wire.b_string iid) (function
-    | Ok reply -> (
-      match Wire.(decode (d_option d_string)) reply with
-      | o -> k (Ok o)
-      | exception Wire.Malformed m -> k (Error m))
-    | Error e -> k (Error ("rpc: " ^ e)))
+  read t ~service:Repository.service_owner ~body:(Wire.run Wire.b_string iid)
+    ~dec:Wire.(decode (d_option d_string))
+    k
 
 let placements t k =
-  read t ~service:Repository.service_placements ~body:"" (function
-    | Ok reply -> (
-      match Wire.(decode (d_list (d_pair d_string d_string))) reply with
-      | l -> k (Ok l)
-      | exception Wire.Malformed m -> k (Error m))
-    | Error e -> k (Error ("rpc: " ^ e)))
+  read t ~service:Repository.service_placements ~body:""
+    ~dec:Wire.(decode (d_list (d_pair d_string d_string)))
+    k
 
 let launch t ~engine ~name ?version ~root ~inputs k =
   fetch t ~name ?version (function
