@@ -85,6 +85,13 @@ let ensure_assigned t ~iid ~eid =
   t.pending_assigns <- (iid, eid) :: t.pending_assigns;
   arm_assigns t
 
+(* a client of the repository from node [src]: the single node, or the
+   replica set *)
+let repo_client ~rpc ~repo ~repo_ids src =
+  match repo with
+  | Single _ -> Repo_client.create ~rpc ~src ~repo_node:(List.hd repo_ids)
+  | Replicated _ -> Repo_client.create_replicated ~rpc ~src ~replicas:repo_ids ()
+
 let make ?config ?engine_config ?seed ?(policy = Round_robin) ?(hosts = [])
     ?(repo_node = "repo") ?(repo_replicas = 1) ~engines () =
   if engines = [] then invalid_arg "Cluster.make: need at least one engine";
@@ -110,13 +117,11 @@ let make ?config ?engine_config ?seed ?(policy = Round_robin) ?(hosts = [])
   in
   let metrics = Metrics.create () in
   Metrics.attach_labelled metrics (Sim.events tb.Testbed.sim);
-  let client_for src =
-    match repo with
-    | Single _ -> Repo_client.create ~rpc:tb.Testbed.rpc ~src ~repo_node
-    | Replicated _ ->
-      Repo_client.create_replicated ~rpc:tb.Testbed.rpc ~src ~replicas:repo_ids ()
+  let clients =
+    List.map
+      (fun (eid, _) -> (eid, repo_client ~rpc:tb.Testbed.rpc ~repo ~repo_ids eid))
+      tb.Testbed.engines
   in
-  let clients = List.map (fun (eid, _) -> (eid, client_for eid)) tb.Testbed.engines in
   let t =
     { tb; repo; repo_ids; policy; metrics; directory = Hashtbl.create 32; clients;
       owner_clients = Hashtbl.create 4; seq = 0; pending_assigns = []; assign_armed = false }
@@ -207,11 +212,7 @@ let owner_rpc t ~src ~iid k =
     match Hashtbl.find_opt t.owner_clients src with
     | Some c -> c
     | None ->
-      let c =
-        match t.repo with
-        | Single _ -> Repo_client.create ~rpc:(rpc t) ~src ~repo_node:(List.hd t.repo_ids)
-        | Replicated _ -> Repo_client.create_replicated ~rpc:(rpc t) ~src ~replicas:t.repo_ids ()
-      in
+      let c = repo_client ~rpc:(rpc t) ~repo:t.repo ~repo_ids:t.repo_ids src in
       Hashtbl.replace t.owner_clients src c;
       c
   in

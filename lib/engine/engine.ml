@@ -68,6 +68,7 @@ let start (t : t) (inst : Instate.t) ev rows =
   let iid = inst.Instate.iid in
   Hashtbl.replace t.dir iid t.seq;
   Hashtbl.replace t.insts iid inst;
+  t.dir_peak <- max t.dir_peak (Hashtbl.length t.dir);
   emit t ev;
   let meta = Instate.meta inst ~status:Wstate.Wf_running in
   Pump.persist_rows t inst
@@ -94,6 +95,7 @@ let recover (t : t) () =
         Hashtbl.replace t.insts iid inst;
         Pump.resume t inst)
     entries;
+  t.dir_peak <- Hashtbl.length t.dir;
   emit t (Event.Recovery_replayed { instances = List.length entries });
   (* Every engine write set commits on the local lane (see
      {!Dispatch.persist}), so no launch can still be deciding now: an
@@ -140,6 +142,7 @@ let create ?(config = default_config) ~rpc ~node ~mgr ~participant ~registry:reg
       jitter_salt = own ^ "#" ^ Int64.to_string (Rng.next_int64 (Rng.copy rng));
       insts = Hashtbl.create 8;
       dir = Hashtbl.create 8;
+      dir_peak = 0;
       compiled = Hashtbl.create 8;
       seq = 0;
     }
@@ -236,6 +239,13 @@ let abort_task t iid ~path k =
 
 let compact (t : t) = Dispatch.compact t.disp
 
+(* A hash table never gives back buckets: [Hashtbl.reset] returns it to
+   its initial size, and the live entries go back in. *)
+let rebuild tbl =
+  let live = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
+  Hashtbl.reset tbl;
+  List.iter (fun (k, v) -> Hashtbl.replace tbl k v) live
+
 let gc (t : t) iid k =
   with_instance t iid k @@ fun inst ->
   (* a conclusion still in flight would leave its history row behind *)
@@ -249,6 +259,14 @@ let gc (t : t) iid k =
     Dispatch.persist t.disp writes (fun () ->
         Hashtbl.remove t.dir iid;
         Hashtbl.remove t.insts iid;
+        (* once a burst is collected the tables would keep its peak size:
+           rebuild them when the directory falls below a quarter of its
+           high-water mark, which costs O(1) amortised per gc *)
+        if 4 * Hashtbl.length t.dir < t.dir_peak then begin
+          rebuild t.dir;
+          rebuild t.insts;
+          t.dir_peak <- Hashtbl.length t.dir
+        end;
         emit t (Event.Wf_collected { iid });
         k (Ok ()))
 

@@ -30,6 +30,7 @@ type t = {
   jitter_salt : string;
   insts : (string, Instate.t) Hashtbl.t;
   dir : (string, int) Hashtbl.t;
+  mutable dir_peak : int;
   compiled : (string * string, Schema.task) Hashtbl.t;
   mutable seq : int;
 }

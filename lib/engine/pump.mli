@@ -38,6 +38,10 @@ type t = {
   dir : (string, int) Hashtbl.t;
       (** every instance of the directory, with its launch sequence
           number (its [wf:dir:] row): the launch order *)
+  mutable dir_peak : int;
+      (** the most [dir] entries since [dir] and [insts] were last
+          rebuilt: {!Engine.gc} rebuilds both once the directory falls
+          below a quarter of it *)
   compiled : (string * string, Schema.task) Hashtbl.t;
       (** schema cache keyed by (root, script) *)
   mutable seq : int;  (** the last launch sequence number handed out *)

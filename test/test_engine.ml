@@ -1346,6 +1346,34 @@ let test_gc_finished_instance () =
   Testbed.run tb;
   check "stays gone after recovery" true (Engine.status tb.Testbed.engine iid = None)
 
+(* Collecting a burst must not leave the mirror table at the burst's
+   bucket count: what stays after 2,000 instances is what stays after
+   10, up to a constant. *)
+let test_gc_shrinks_tables () =
+  let residue burst =
+    let tb = Testbed.make ~engine_config:{ Engine.default_config with trace = false } () in
+    Workloads.register tb.Testbed.registry;
+    let e = tb.Testbed.engine in
+    let script, root = Workloads.chain ~n:1 in
+    let launch _ =
+      match Engine.launch e ~script ~root ~inputs:Workloads.seed_inputs with
+      | Ok iid -> iid
+      | Error m -> Alcotest.failf "launch: %s" m
+    in
+    let iids = List.init burst launch in
+    Testbed.run tb;
+    List.iter
+      (fun iid -> Engine.gc e iid (function Ok () -> () | Error m -> Alcotest.failf "gc: %s" m))
+      iids;
+    Testbed.run tb;
+    check "all collected" true (Engine.instances e = []);
+    Engine.observe_residency e
+  in
+  let small = residue 10 in
+  let large = residue 2000 in
+  check (Printf.sprintf "residue %d words after 2000, %d after 10" large small) true
+    (large <= small + 64)
+
 let test_gc_refuses_running () =
   let tb = Testbed.make () in
   Impls.register_process_order ~work:(Sim.ms 50) ~scenario:Impls.order_ok tb.Testbed.registry;
@@ -2340,6 +2368,7 @@ let () =
         ] );
       ( "gc",
         [
+          Alcotest.test_case "shrinks tables after a burst" `Quick test_gc_shrinks_tables;
           Alcotest.test_case "collect finished" `Quick test_gc_finished_instance;
           Alcotest.test_case "refuse running" `Quick test_gc_refuses_running;
           Alcotest.test_case "spares iid neighbour" `Quick test_gc_spares_iid_neighbour;
