@@ -33,37 +33,31 @@ let next_cid t =
   t.cid_seq <- t.cid_seq + 1;
   Printf.sprintf "%s#%d" t.cid_prefix t.cid_seq
 
+(* a reply [dec] cannot decode is an error, as a failed call is *)
+let decoded ~dec ~via k = function
+  | Ok reply -> ( match dec reply with v -> k (Ok v) | exception Wire.Malformed m -> k (Error m))
+  | Error e -> k (Error (via ^ ": " ^ e))
+
 (* reads: plain RPC to the single node, or leader-first failover across
-   the replica set; a reply [dec] cannot decode is an error *)
+   the replica set *)
 let read t ~service ~body ~dec k =
-  let decoded = function
-    | Ok reply -> ( match dec reply with v -> k (Ok v) | exception Wire.Malformed m -> k (Error m))
-    | Error e -> k (Error ("rpc: " ^ e))
-  in
   match t.target with
-  | Single dst -> Rpc.call t.rpc ~src:t.src ~dst ~service ~body decoded
-  | Group rc -> Rlog_client.read rc ~service ~body decoded
+  | Single dst -> Rpc.call t.rpc ~src:t.src ~dst ~service ~body (decoded ~dec ~via:"rpc" k)
+  | Group rc -> Rlog_client.read rc ~service ~body (decoded ~dec ~via:"rpc" k)
 
 (* writes: plain RPC, or a replicated append carrying the command *)
-let write t ~service ~body ~cmd k =
+let write t ~service ~body ~cmd ~dec k =
   match t.target with
-  | Single dst -> Rpc.call t.rpc ~src:t.src ~dst ~service ~body (fun r ->
-        k (match r with Ok reply -> Ok reply | Error e -> Error ("rpc: " ^ e)))
-  | Group rc ->
-    Rlog_client.append rc ~payload:cmd (fun r ->
-        k (match r with Ok reply -> Ok reply | Error e -> Error ("rlog: " ^ e)))
+  | Single dst -> Rpc.call t.rpc ~src:t.src ~dst ~service ~body (decoded ~dec ~via:"rpc" k)
+  | Group rc -> Rlog_client.append rc ~payload:cmd (decoded ~dec ~via:"rlog" k)
 
 let store t ~name ~source k =
   let cid = next_cid t in
   write t ~service:Repository.service_store
     ~body:(Wire.(run (b_pair b_string b_string)) (name, source))
     ~cmd:(Repository.cmd_store ~cid ~name ~source)
-    (function
-      | Ok reply -> (
-        match Wire.(decode (d_result d_int)) reply with
-        | v -> k v
-        | exception Wire.Malformed m -> k (Error m))
-      | Error e -> k (Error e))
+    ~dec:Wire.(decode (d_result d_int))
+    (fun r -> k (Result.join r))
 
 let fetch t ~name ?version k =
   read t ~service:Repository.service_fetch
@@ -92,14 +86,14 @@ let assign t ~iid ~engine k =
   write t ~service:Repository.service_assign
     ~body:(Wire.(run (b_pair b_string b_string)) (iid, engine))
     ~cmd:(Repository.cmd_assign ~cid ~iid ~engine)
-    (function Ok _ -> k (Ok ()) | Error e -> k (Error e))
+    ~dec:ignore k
 
 let assign_many t ~pairs k =
   let cid = next_cid t in
   write t ~service:Repository.service_assign_batch
     ~body:(Wire.(run (b_list (b_pair b_string b_string))) pairs)
     ~cmd:(Repository.cmd_assign_batch ~cid ~pairs)
-    (function Ok _ -> k (Ok ()) | Error e -> k (Error e))
+    ~dec:ignore k
 
 let owner t ~iid k =
   read t ~service:Repository.service_owner ~body:(Wire.run Wire.b_string iid)

@@ -547,7 +547,9 @@ let repository_exemplars () =
   Repo_client.placements client ignore_k;
   Sim.run sim;
   let backing = Repository.create_backing ~node:(Node.create ~id:"r") in
-  let command label cmd = [ ("cmd " ^ label, cmd); ("reply " ^ label, Repository.apply_command backing cmd) ] in
+  let command label cmd =
+    [ ("cmd " ^ label, cmd); ("reply " ^ label, Repository.apply_command backing cmd) ]
+  in
   frames ()
   @ command "store" (Repository.cmd_store ~cid:"c1" ~name:"tiny" ~source:tiny_script)
   @ command "assign" (Repository.cmd_assign ~cid:"c2" ~iid:"wf-1" ~engine:"e1")
