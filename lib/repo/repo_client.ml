@@ -41,9 +41,10 @@ let decoded ~dec ~via k = function
 (* reads: plain RPC to the single node, or leader-first failover across
    the replica set *)
 let read t ~service ~body ~dec k =
+  let k = decoded ~dec ~via:"rpc" k in
   match t.target with
-  | Single dst -> Rpc.call t.rpc ~src:t.src ~dst ~service ~body (decoded ~dec ~via:"rpc" k)
-  | Group rc -> Rlog_client.read rc ~service ~body (decoded ~dec ~via:"rpc" k)
+  | Single dst -> Rpc.call t.rpc ~src:t.src ~dst ~service ~body k
+  | Group rc -> Rlog_client.read rc ~service ~body k
 
 (* writes: plain RPC, or a replicated append carrying the command *)
 let write t ~service ~body ~cmd ~dec k =
