@@ -132,7 +132,7 @@ let fig4 () =
   header "F4 (Fig 4): architecture — repository + execution service over the ORB";
   let tb = Testbed.make ~nodes:[ "engine"; "repository" ] () in
   Impls.register_process_order ~scenario:Impls.order_ok tb.Testbed.registry;
-  let repo = Repository.create ~rpc:tb.Testbed.rpc ~node:(Testbed.node tb "repository") in
+  let repo = Repository.create ~node:(Testbed.node tb "repository") in
   let client = Repo_client.create ~rpc:tb.Testbed.rpc ~src:"engine" ~repo_node:"repository" in
   ignore (must (Repository.store repo ~name:"order" ~source:Paper_scripts.process_order));
   let result = ref None in

@@ -8,7 +8,7 @@
 let () =
   (* Repository on its own node, engine on another. *)
   let tb = Testbed.make ~nodes:[ "engine"; "repository" ] () in
-  let repo = Repository.create ~rpc:tb.Testbed.rpc ~node:(Testbed.node tb "repository") in
+  let repo = Repository.create ~node:(Testbed.node tb "repository") in
   let client = Repo_client.create ~rpc:tb.Testbed.rpc ~src:"engine" ~repo_node:"repository" in
   Impls.register_quickstart ~work:(Sim.ms 40) tb.Testbed.registry;
 

@@ -44,8 +44,10 @@ let assign_retry_period = Sim.ms 50
    owning engine. The RPC already retries transient losses; the re-queue
    on error covers a repository outage longer than the RPC budget, and
    the recovery hook installed in [make] covers the remaining hole — the
-   owning engine's node crashing while the call is outstanding (the
-   callback is then never invoked, so no loop survives to retry). *)
+   owning engine's node crashing while the call is outstanding or the
+   re-queue waits. The callback is then never invoked, and the wait is
+   fenced by the node's incarnation, so no loop survives to retry from
+   a dead node. *)
 let rec flush_assigns t =
   t.assign_armed <- false;
   let pending = List.rev t.pending_assigns in
@@ -58,8 +60,10 @@ let rec flush_assigns t =
         let pairs = List.map (fun iid -> (iid, eid)) iids in
         Metrics.incr t.metrics "cluster.assign_batches";
         Repo_client.assign_many (List.assoc eid t.clients) ~pairs (function
-          | Ok () -> ()
+          | Ok _ -> ()
           | Error _ ->
+            let node = Testbed.node t.tb eid in
+            let inc = Node.incarnation node in
             ignore
               (Sim.schedule t.tb.Testbed.sim ~delay:assign_retry_period (fun () ->
                    (* only re-push pairs the router still believes in:
@@ -69,7 +73,7 @@ let rec flush_assigns t =
                        (fun (iid, _) -> Hashtbl.find_opt t.directory iid = Some eid)
                        pairs
                    in
-                   if still <> [] then begin
+                   if still <> [] && Node.incarnation node = inc then begin
                      t.pending_assigns <- List.rev_append still t.pending_assigns;
                      arm_assigns t
                    end))))
@@ -109,7 +113,7 @@ let make ?config ?engine_config ?seed ?(policy = Round_robin) ?(hosts = [])
   let tb = Testbed.make ?config ?engine_config ?seed ~nodes ~engines () in
   let repo =
     if repo_replicas = 1 then
-      Single (Repository.create ~rpc:tb.Testbed.rpc ~node:(Testbed.node tb repo_node))
+      Single (Repository.create ~node:(Testbed.node tb repo_node))
     else
       Replicated
         (Repo_group.create ~rpc:tb.Testbed.rpc
@@ -222,7 +226,6 @@ let owner_rpc t ~src ~iid k =
       (* connection failure: drop the cached client so the next lookup
          starts from a clean leader guess instead of retrying a dead
          node forever *)
-      Repo_client.invalidate client;
       Hashtbl.remove t.owner_clients src;
       k (Error e))
 

@@ -20,8 +20,6 @@ let create ~rpc ~src ~replicas ?(max_steps = 16) ?(retry_delay = Sim.ms 5) () =
     cursor = 0;
   }
 
-let invalidate t = t.leader <- None
-
 let sim t = Network.sim (Rpc.network t.rpc)
 
 let nth_replica t i = List.nth t.replicas (i mod List.length t.replicas)
@@ -64,9 +62,14 @@ let append t ~payload k =
             | ("electing" | "noleader" | "err"), _ ->
               t.leader <- None;
               t.cursor <- t.cursor + 1;
+              (* fenced as an RPC callback is: a client that crashed in
+                 the wait drops the append *)
+              let node = Network.node (Rpc.network t.rpc) t.src in
+              let inc = Node.incarnation node in
               ignore
                 (Sim.schedule (sim t) ~delay:t.retry_delay (fun () ->
-                     go (steps + 1) ~urgent:true (nth_replica t t.cursor)))
+                     if Node.incarnation node = inc then
+                       go (steps + 1) ~urgent:true (nth_replica t t.cursor)))
             | tag, _ -> k (Error ("rlog: unexpected reply " ^ tag))))
   in
   go 0 ~urgent:false (target t)

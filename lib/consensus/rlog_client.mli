@@ -17,9 +17,6 @@ val create :
     one operation; [retry_delay] (default 5ms) is the wait after an
     ["electing"]/["noleader"] reply. *)
 
-val invalidate : t -> unit
-(** Drop the cached leader (e.g. after an out-of-band failure). *)
-
 val append : t -> payload:string -> ((string, string) result -> unit) -> unit
 (** Replicate [payload] through the current leader; the callback gets
     the state machine's reply once the entry committed. Payloads must

@@ -18,12 +18,14 @@ type t = {
 
 (* Generous retry/deadline budget: with restarts always following
    crashes, every workload should still finish — any run that does not
-   is a finding, not noise. *)
+   is a finding, not noise. The oracles judge stores, statuses and the
+   event bus, never an engine's own event log, so none is kept. *)
 let engine_config =
   {
     Engine.default_config with
     Engine.default_deadline = Sim.ms 80;
     system_max_attempts = 200;
+    trace = false;
   }
 
 let horizon = Sim.sec 240

@@ -1,7 +1,8 @@
 (** RPC client for the {!Repository} service: what administrative
     applications and remote engines use (paper Fig 4's arrows through
     the ORB). All operations are continuation-passing over the
-    simulated network. *)
+    simulated network. The client only picks the transport; every
+    request and reply is encoded by {!Repository}. *)
 
 type t
 
@@ -17,11 +18,6 @@ val create_replicated : rpc:Rpc.t -> src:string -> replicas:string list -> unit 
     that reaches a different leader after a crash applies exactly
     once. *)
 
-val invalidate : t -> unit
-(** Forget the cached leader. Connection failures already invalidate it
-    internally — a dead node is never retried forever — this is the
-    out-of-band hook for callers that learn about failures elsewhere. *)
-
 val store :
   t -> name:string -> source:string -> ((Repository.version, string) result -> unit) -> unit
 
@@ -34,14 +30,11 @@ val inspect : t -> name:string -> ((Repository.summary, string) result -> unit) 
 
 (** {1 Instance placement directory} *)
 
-val assign :
-  t -> iid:string -> engine:string -> ((unit, string) result -> unit) -> unit
-(** Record that [engine] owns instance [iid] (cluster placement). *)
-
 val assign_many :
-  t -> pairs:(string * string) list -> ((unit, string) result -> unit) -> unit
-(** Record a whole batch of ownerships in one [repo.assign_batch] RPC —
-    one directory round-trip per flush instead of one per instance. *)
+  t -> pairs:(string * string) list -> ((int, string) result -> unit) -> unit
+(** Record a whole batch of ownerships in one [repo.assign_batch] write —
+    one directory round-trip per flush instead of one per instance. The
+    callback gets the number of pairs recorded. *)
 
 val owner : t -> iid:string -> ((string option, string) result -> unit) -> unit
 (** Which engine owns [iid]? [Ok None] when the directory has no entry. *)

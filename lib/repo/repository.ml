@@ -16,29 +16,17 @@ type summary = {
   s_warnings : int;
 }
 
-let service_store = "repo.store"
-
-let service_fetch = "repo.fetch"
-
-let service_list = "repo.list"
-
-let service_inspect = "repo.inspect"
-
-let service_assign = "repo.assign"
-
-let service_assign_batch = "repo.assign_batch"
-
-let service_owner = "repo.owner"
-
-let service_placements = "repo.placements"
-
 let internal_store t = t.store
 
-let key_head name = "head:" ^ name
+let head_prefix = "head:"
+
+let place_prefix = "place:"
+
+let key_head name = head_prefix ^ name
 
 let key_version name version = Printf.sprintf "script:%s:%d" name version
 
-let key_place iid = "place:" ^ iid
+let key_place iid = place_prefix ^ iid
 
 (* A corrupt head record means the store itself is damaged — masking it
    as "no script" would silently shadow every stored version, so refuse
@@ -80,29 +68,26 @@ let fetch t ~name ?version () =
     | Some source -> Ok source
     | None -> Error (Printf.sprintf "no version %d of script %s" v name))
 
-let list_names t =
-  Kvstore.keys t.store
-  |> List.filter_map (fun key ->
-         if String.length key > 5 && String.sub key 0 5 = "head:" then
-           Some (String.sub key 5 (String.length key - 5))
-         else None)
+(* [f key rest] for each key under [prefix], in key order, where [rest]
+   follows the prefix; the bare prefix names nothing *)
+let scan t ~prefix f =
+  let n = String.length prefix in
+  List.filter_map
+    (fun key ->
+      if String.length key > n then f key (String.sub key n (String.length key - n)) else None)
+    (Kvstore.keys_with_prefix t.store ~prefix)
+
+let list_names t = scan t ~prefix:head_prefix (fun _ name -> Some name)
 
 (* --- instance placement directory (cluster layer) --- *)
 
 let assign t ~iid ~engine = Kvstore.put t.store (key_place iid) engine
 
-let assign_many t ~pairs = List.iter (fun (iid, engine) -> assign t ~iid ~engine) pairs
-
 let owner t ~iid = Kvstore.get t.store (key_place iid)
 
 let placements t =
-  Kvstore.keys t.store
-  |> List.filter_map (fun key ->
-         if String.length key > 6 && String.sub key 0 6 = "place:" then
-           let iid = String.sub key 6 (String.length key - 6) in
-           Option.map (fun engine -> (iid, engine)) (Kvstore.get t.store key)
-         else None)
-  |> List.sort compare
+  scan t ~prefix:place_prefix (fun key iid ->
+      Option.map (fun engine -> (iid, engine)) (Kvstore.get t.store key))
 
 let history t ~name =
   match head t ~name with
@@ -139,20 +124,34 @@ let inspect t ~name =
           s_warnings = warnings;
         })
 
-(* --- wire handlers --- *)
+(* --- the protocol ---
 
-(* a store's reply: the new version, or why the script was refused *)
-let enc_stored = Wire.(run (b_result b_int))
+   One record per operation: its name, the codecs of its request and of
+   its reply, and what it does. The service is ["repo." ^ name]; a
+   write's replicated command is its name, a client id and the request
+   body, in that order. A write runs through [respond] whether it
+   arrives on this node's service or as a committed log entry. *)
 
-let handle_store t ~src:_ body =
-  let name, source = Wire.(decode (d_pair d_string d_string)) body in
-  enc_stored (store t ~name ~source)
+type 'a codec = 'a Wire.embed * (Wire.decoder -> 'a)
 
-let handle_fetch t ~src:_ body =
-  let name, version = Wire.(decode (d_pair d_string (d_option d_int))) body in
-  Wire.(run (b_result b_string)) (fetch t ~name ?version ())
+type ('q, 'r) op = {
+  name : string;
+  service : string;
+  req : 'q codec;
+  rsp : 'r codec;
+  exec : t -> 'q -> 'r;
+}
 
-let handle_list t ~src:_ _body = Wire.(run (b_list b_string)) (list_names t)
+let op name ~req ~rsp exec = { name; service = "repo." ^ name; req; rsp; exec }
+
+let string_c = Wire.(b_string, d_string)
+
+let pairs_c = Wire.(b_list (b_pair b_string b_string), d_list (d_pair d_string d_string))
+
+(* an empty request body *)
+let unit_c = ((fun _ () -> ()), fun _ -> ())
+
+let result_c (b, d) = Wire.(b_result b, d_result d)
 
 let b_summary buf s =
   Wire.b_string buf s.s_name;
@@ -161,30 +160,59 @@ let b_summary buf s =
   Wire.b_int buf s.s_task_count;
   Wire.b_int buf s.s_warnings
 
-let handle_inspect t ~src:_ body =
-  let name = Wire.(decode d_string) body in
-  Wire.(run (b_result b_summary)) (inspect t ~name)
+let d_summary d =
+  let s_name = Wire.d_string d in
+  let s_head = Wire.d_int d in
+  let s_roots = Wire.(d_list d_string) d in
+  let s_task_count = Wire.d_int d in
+  let s_warnings = Wire.d_int d in
+  { s_name; s_head; s_roots; s_task_count; s_warnings }
 
-let handle_assign t ~src:_ body =
-  let iid, engine = Wire.(decode (d_pair d_string d_string)) body in
-  assign t ~iid ~engine;
-  Wire.(run b_bool) true
+let op_store =
+  op "store"
+    ~req:Wire.(b_pair b_string b_string, d_pair d_string d_string)
+    ~rsp:(result_c Wire.(b_int, d_int))
+    (fun t (name, source) -> store t ~name ~source)
 
-let handle_assign_batch t ~src:_ body =
-  let pairs = Wire.(decode (d_list (d_pair d_string d_string))) body in
-  assign_many t ~pairs;
-  Wire.(run b_int) (List.length pairs)
+let op_assign_batch =
+  op "assign_batch" ~req:pairs_c ~rsp:Wire.(b_int, d_int) (fun t pairs ->
+      List.iter (fun (iid, engine) -> assign t ~iid ~engine) pairs;
+      List.length pairs)
 
-let handle_owner t ~src:_ body =
-  let iid = Wire.(decode d_string) body in
-  Wire.(run (b_option b_string)) (owner t ~iid)
+let op_fetch =
+  op "fetch"
+    ~req:Wire.(b_pair b_string (b_option b_int), d_pair d_string (d_option d_int))
+    ~rsp:(result_c string_c)
+    (fun t (name, version) -> fetch t ~name ?version ())
 
-let handle_placements t ~src:_ _body =
-  Wire.(run (b_list (b_pair b_string b_string))) (placements t)
+let op_list = op "list" ~req:unit_c ~rsp:Wire.(b_list b_string, d_list d_string) (fun t () -> list_names t)
+
+let op_inspect =
+  op "inspect" ~req:string_c ~rsp:(result_c (b_summary, d_summary)) (fun t name -> inspect t ~name)
+
+let op_owner =
+  op "owner" ~req:string_c ~rsp:Wire.(b_option b_string, d_option d_string) (fun t iid -> owner t ~iid)
+
+let op_placements = op "placements" ~req:unit_c ~rsp:pairs_c (fun t () -> placements t)
+
+let service op = op.service
+
+let request op q = Wire.run (fst op.req) q
+
+let reply op body =
+  match Wire.decode (snd op.rsp) body with
+  | v -> Ok v
+  | exception Wire.Malformed reason -> Error reason
+
+let respond t op q = Wire.run (fst op.rsp) (op.exec t q)
+
+let serve t op =
+  Node.serve t.node ~service:op.service (fun ~src:_ body ->
+      respond t op (Wire.decode (snd op.req) body))
 
 (* --- replicated command log (consensus backend) ---
 
-   Every mutation becomes one opaque command string in the replicated
+   Every write becomes one opaque command string in the replicated
    log; [apply_command] decodes and executes it deterministically, so
    identical logs yield identical repositories on every replica. Each
    command carries a client-chosen id: a retry that lands on a new
@@ -194,88 +222,66 @@ let handle_placements t ~src:_ _body =
 
 let key_cid cid = "cid:" ^ cid
 
-let cmd_store ~cid ~name ~source =
-  Wire.(run (b_pair b_string (b_pair b_string (b_pair b_string b_string))))
-    ("store", (cid, (name, source)))
+(* each write's command decoder: the request, bound to its execution *)
+let writes =
+  let decoder op d =
+    let q = snd op.req d in
+    fun t -> respond t op q
+  in
+  [ (op_store.name, decoder op_store); (op_assign_batch.name, decoder op_assign_batch) ]
 
-let cmd_assign ~cid ~iid ~engine =
-  Wire.(run (b_pair b_string (b_pair b_string (b_pair b_string b_string))))
-    ("assign", (cid, (iid, engine)))
+let is_write op = List.mem_assoc op.name writes
 
-let cmd_assign_batch ~cid ~pairs =
-  Wire.(run (b_pair b_string (b_pair b_string (b_list (b_pair b_string b_string)))))
-    ("assign_batch", (cid, pairs))
+let command op ~cid q =
+  Wire.run
+    (fun buf q ->
+      Wire.b_string buf op.name;
+      Wire.b_string buf cid;
+      fst op.req buf q)
+    q
 
-type command =
-  | C_store of (string * string)
-  | C_assign of (string * string)
-  | C_assign_batch of (string * string) list
-  | C_unknown of string
+(* the error arm of a write's reply *)
+let error_reply reason = Wire.(run (b_result b_int)) (Error reason)
 
 (* Decode the whole command before touching the store: the log carries
    whatever bytes a client appended, and a payload that raised here
    would raise again on every replica and on every replay. *)
-let decode_command cmd =
-  let body tag d =
-    match tag with
-    | "store" -> C_store (Wire.(d_pair d_string d_string) d)
-    | "assign" -> C_assign (Wire.(d_pair d_string d_string) d)
-    | "assign_batch" -> C_assign_batch (Wire.(d_list (d_pair d_string d_string)) d)
-    | other -> C_unknown other
-  in
-  match
-    Wire.decode
-      (fun d ->
-        let tag = Wire.d_string d in
-        let cid = Wire.d_string d in
-        (cid, body tag d))
-      cmd
-  with
-  | decoded -> Ok decoded
-  | exception Wire.Malformed reason -> Error reason
+let decode_command d =
+  let tag = Wire.d_string d in
+  let cid = Wire.d_string d in
+  match List.assoc_opt tag writes with
+  | Some decoder -> (cid, decoder d)
+  | None -> (cid, fun _ -> error_reply ("unknown repository command: " ^ tag))
 
 let apply_command t cmd =
-  match decode_command cmd with
-  | Error reason ->
+  match Wire.decode decode_command cmd with
+  | exception Wire.Malformed reason ->
     (* the reply depends on the bytes alone, so every replica answers
        alike; nothing is written, not even the dedup row *)
-    enc_stored (Error ("malformed repository command: " ^ reason))
-  | Ok (cid, command) -> (
+    error_reply ("malformed repository command: " ^ reason)
+  | cid, run -> (
     match Kvstore.get t.store (key_cid cid) with
     | Some cached -> cached
     | None ->
-      let reply =
-        match command with
-        | C_store (name, source) -> enc_stored (store t ~name ~source)
-        | C_assign (iid, engine) ->
-          assign t ~iid ~engine;
-          Wire.(run b_bool) true
-        | C_assign_batch pairs ->
-          assign_many t ~pairs;
-          Wire.(run b_int) (List.length pairs)
-        | C_unknown other -> enc_stored (Error ("unknown repository command: " ^ other))
-      in
+      let reply = run t in
       Kvstore.put t.store (key_cid cid) reply;
       reply)
 
 let install_read_services t =
-  let node = t.node in
-  Node.serve node ~service:service_fetch (handle_fetch t);
-  Node.serve node ~service:service_list (handle_list t);
-  Node.serve node ~service:service_inspect (handle_inspect t);
-  Node.serve node ~service:service_owner (handle_owner t);
-  Node.serve node ~service:service_placements (handle_placements t)
+  serve t op_fetch;
+  serve t op_list;
+  serve t op_inspect;
+  serve t op_owner;
+  serve t op_placements
 
 let create_backing ~node = { node; store = Kvstore.create ~name:("repo@" ^ Node.id node) }
 
 let reset_state t = t.store <- Kvstore.create ~name:("repo@" ^ Node.id t.node)
 
-let create ~rpc ~node =
-  ignore rpc;
+let create ~node =
   let t = create_backing ~node in
-  Node.serve node ~service:service_store (handle_store t);
-  Node.serve node ~service:service_assign (handle_assign t);
-  Node.serve node ~service:service_assign_batch (handle_assign_batch t);
+  serve t op_store;
+  serve t op_assign_batch;
   install_read_services t;
   Node.on_crash node (fun () -> Kvstore.crash t.store);
   Node.on_recover node (fun () -> Kvstore.recover t.store);

@@ -10,7 +10,7 @@
 
 type t
 
-val create : rpc:Rpc.t -> node:Node.t -> t
+val create : node:Node.t -> t
 (** Installs the [repo.*] services and crash/recovery hooks — the
     single-node flavour, where this store {e is} the repository. *)
 
@@ -31,19 +31,13 @@ val reset_state : t -> unit
     the fresh one). Single-node repositories never call this. *)
 
 val apply_command : t -> string -> string
-(** Execute one replicated command ({!cmd_store} & co.) and return the
+(** Execute one replicated command ({!command}) and return the
     wire-encoded reply. Deterministic, and deduplicated by the client
     id embedded in the command: re-applying a command whose id was
     already applied returns the original reply without re-executing.
     Never raises on the command's bytes: one that does not decode gets
     an error reply that depends only on those bytes, and leaves the
     store untouched. *)
-
-val cmd_store : cid:string -> name:string -> source:string -> string
-
-val cmd_assign : cid:string -> iid:string -> engine:string -> string
-
-val cmd_assign_batch : cid:string -> pairs:(string * string) list -> string
 
 (** {1 Local (in-process) operations — the service's own logic} *)
 
@@ -87,23 +81,47 @@ val owner : t -> iid:string -> string option
 val placements : t -> (string * string) list
 (** All [(iid, engine)] assignments, sorted by instance id. *)
 
-(** {1 Service names (for clients)} *)
+(** {1 The protocol}
 
-val service_store : string
+    Every operation, its request and reply codecs, and its execution
+    live here; {!Repo_client} only picks the transport. *)
 
-val service_fetch : string
+type ('q, 'r) op
+(** An operation taking a request ['q] and answering ['r]. *)
 
-val service_list : string
+val op_store : (string * string, (version, string) result) op
+(** [(name, source)]: the new version, or why the script was refused. *)
 
-val service_inspect : string
+val op_assign_batch : ((string * string) list, int) op
+(** [(iid, engine)] pairs: the number recorded. *)
 
-val service_assign : string
+val op_fetch : (string * version option, (string, string) result) op
 
-val service_assign_batch : string
+val op_list : (unit, string list) op
 
-val service_owner : string
+val op_inspect : (string, (summary, string) result) op
 
-val service_placements : string
+val op_owner : (string, string option) op
+
+val op_placements : (unit, (string * string) list) op
+
+val service : (_, _) op -> string
+(** ["repo." ^] the operation's name. *)
+
+val is_write : (_, _) op -> bool
+(** Served on the single node only: on a replica set a write travels
+    through the log as a {!command}. *)
+
+val request : ('q, _) op -> 'q -> string
+(** The request body of the operation's service. *)
+
+val command : ('q, _) op -> cid:string -> 'q -> string
+(** A write as a replicated command: its name, the client id [cid]
+    (unique per command, the dedup key of {!apply_command}) and its
+    request body. *)
+
+val reply : (_, 'r) op -> string -> ('r, string) result
+(** Decode a reply of the operation; [Error] when it does not decode. *)
 
 (**/**)
 

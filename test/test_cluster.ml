@@ -177,6 +177,37 @@ let test_launch_into_down_engine_refused () =
   check_int "one launch row" 1 (List.length launches);
   check_int "one dispatch per task" 4 (Engine.dispatches_total e1)
 
+let test_placement_retry_fenced_by_engine_crash () =
+  (* e1 is cut off from the repository, so its placement batch
+     exhausts the RPC budget and the retry is scheduled 50 ms out. e1
+     crashing inside that window ends the retry: nothing may leave e1
+     while it is down, and its recovery hook alone re-asserts the
+     placement once the cut heals *)
+  let c = make_cluster ~engines:[ "e1"; "e2" ] () in
+  let net = Cluster.net c and sim = Cluster.sim c in
+  let e1 = Network.node net "e1" in
+  Network.partition_on net "e1" "repo";
+  let timed_out = ref false and sent_while_down = ref 0 in
+  Event.subscribe (Sim.events sim) (fun ~at:_ ~src:_ -> function
+    | Event.Rpc_timed_out { src = "e1"; service; _ }
+      when service = Repository.service Repository.op_assign_batch && not !timed_out ->
+      timed_out := true;
+      ignore (Sim.schedule sim ~delay:(Sim.ms 10) (fun () -> Cluster.crash c "e1"));
+      ignore
+        (Sim.schedule sim ~delay:(Sim.ms 510) (fun () ->
+             Network.partition_off net "e1" "repo";
+             Cluster.recover c "e1"))
+    | Event.Rpc_sent { src = "e1"; _ } when not (Node.up e1) -> incr sent_while_down
+    | _ -> ());
+  let iid, eid = launch_chain c in
+  check_str "placed on e1" "e1" eid;
+  Cluster.run c;
+  check "the batch exhausted its budget" true !timed_out;
+  check_int "no call from the crashed engine" 0 !sent_while_down;
+  check "placement re-asserted after recovery" true
+    (Repository.owner (Cluster.repository c) ~iid = Some "e1");
+  check "instance done" true (is_done (Cluster.status c iid))
+
 let test_shard_crash_recovery_isolated () =
   let c =
     make_cluster ~work:(Sim.ms 25) ~engines:[ "e1"; "e2"; "e3" ]
@@ -299,6 +330,8 @@ let () =
             test_shard_crash_recovery_isolated;
           Alcotest.test_case "launch into down engine refused" `Quick
             test_launch_into_down_engine_refused;
+          Alcotest.test_case "placement retry fenced by an engine crash" `Quick
+            test_placement_retry_fenced_by_engine_crash;
           Alcotest.test_case "supply chain sharded" `Quick test_supply_chain_on_cluster;
         ] );
       ( "replicated",

@@ -146,6 +146,43 @@ let test_no_quorum_append_bounded () =
   check "append failed" true (match !result with Some (Error _) -> true | _ -> false);
   check_int "simulator drained" 0 (Sim.pending sim)
 
+let test_retry_fenced_by_client_crash () =
+  (* a replica that never knows a leader answers "noleader", so the
+     client waits [retry_delay] and tries again. The client node
+     crashing inside that wait ends the append, as a crashed caller's
+     RPC callback never runs: nothing may leave the node while it is
+     down, and the callback never fires *)
+  let sim = Sim.create ~seed:11L () in
+  let net = Network.create ~config:Network.default_config sim in
+  let rpc = Rpc.create net in
+  let replica = Network.add_node net ~id:"r1" and client = Network.add_node net ~id:"client" in
+  List.iter (Rpc.attach rpc) [ replica; client ];
+  Node.serve replica ~service:Rlog.service_append (fun ~src:_ _ ->
+      Wire.(run (b_pair b_string b_string)) ("noleader", ""));
+  (* crash the client 1 ms after its first reply: the retry is pending *)
+  let on_reply = Option.get (Node.handler client ~service:"$rpc.rsp") in
+  let replies = ref 0 in
+  Node.serve client ~service:"$rpc.rsp" (fun ~src body ->
+      let r = on_reply ~src body in
+      incr replies;
+      if !replies = 1 then begin
+        ignore (Sim.schedule sim ~delay:(Sim.ms 1) (fun () -> Node.crash client));
+        ignore (Sim.schedule sim ~delay:(Sim.ms 500) (fun () -> Node.recover client))
+      end;
+      r);
+  let sent_while_down = ref 0 in
+  Event.subscribe (Sim.events sim) (fun ~at:_ ~src:_ -> function
+    | Event.Rpc_sent { src = "client"; _ } when not (Node.up client) -> incr sent_while_down
+    | _ -> ());
+  let rc = Rlog_client.create ~rpc ~src:"client" ~replicas:[ "r1" ] () in
+  let result = ref None in
+  Rlog_client.append rc ~payload:"x" (fun r -> result := Some r);
+  Sim.run sim;
+  check_int "no call from the crashed client" 0 !sent_while_down;
+  check_int "one reply, before the crash" 1 !replies;
+  check "the crashed client's append never answers" true (!result = None);
+  check_int "simulator drained" 0 (Sim.pending sim)
+
 let test_duplicate_cid_applies_once () =
   (* the state-machine-level dedup lives in Repository.apply_command;
      here we check the log level: the same payload appended twice *is*
@@ -425,6 +462,8 @@ let () =
             test_partitioned_leader_deposed_and_truncated;
           Alcotest.test_case "no electable leader: bounded, drains" `Quick
             test_no_quorum_append_bounded;
+          Alcotest.test_case "append retry fenced by a client crash" `Quick
+            test_retry_fenced_by_client_crash;
           Alcotest.test_case "same payload twice = two entries" `Quick
             test_duplicate_cid_applies_once;
           Alcotest.test_case "single-replica group" `Quick test_single_replica_group;

@@ -528,7 +528,7 @@ let repository_exemplars () =
   let rpc = Rpc.create net in
   List.iter (fun id -> Rpc.attach rpc (Network.node net id)) [ "repo"; "c" ];
   let repo = Network.node net "repo" in
-  ignore (Repository.create ~rpc ~node:repo);
+  let repository = Repository.create ~node:repo in
   let frames = tap_frames [ repo; Network.node net "c" ] in
   let client = Repo_client.create ~rpc ~src:"c" ~repo_node:"repo" in
   let ignore_k _ = () in
@@ -539,7 +539,7 @@ let repository_exemplars () =
   Repo_client.fetch client ~name:"none" ~version:3 ignore_k;
   Repo_client.list_names client ignore_k;
   Repo_client.inspect client ~name:"tiny" ignore_k;
-  Repo_client.assign client ~iid:"wf-1" ~engine:"e1" ignore_k;
+  Repository.assign repository ~iid:"wf-1" ~engine:"e1";
   Repo_client.assign_many client ~pairs:[ ("wf-2", "e1"); ("wf-3", "e2") ] ignore_k;
   Sim.run sim;
   Repo_client.owner client ~iid:"wf-1" ignore_k;
@@ -551,10 +551,9 @@ let repository_exemplars () =
     [ ("cmd " ^ label, cmd); ("reply " ^ label, Repository.apply_command backing cmd) ]
   in
   frames ()
-  @ command "store" (Repository.cmd_store ~cid:"c1" ~name:"tiny" ~source:tiny_script)
-  @ command "assign" (Repository.cmd_assign ~cid:"c2" ~iid:"wf-1" ~engine:"e1")
+  @ command "store" (Repository.command Repository.op_store ~cid:"c1" ("tiny", tiny_script))
   @ command "assign_batch"
-      (Repository.cmd_assign_batch ~cid:"c3" ~pairs:[ ("wf-2", "e1"); ("wf-3", "e2") ])
+      (Repository.command Repository.op_assign_batch ~cid:"c3" [ ("wf-2", "e1"); ("wf-3", "e2") ])
   @ command "unknown" (Wire.run Wire.(b_pair b_string b_string) ("drop", "c4"))
 
 let rlog_exemplars () =
@@ -749,52 +748,44 @@ let wire_golden =
      "3:c#11:t6:1:t1:1");
     ("repo req repo.inspect",
      "3:c#612:repo.inspect6:4:tiny");
-    ("repo req repo.assign",
-     "3:c#711:repo.assign10:4:wf-12:e1");
+    ("repo req repo.assign_batch",
+     "3:c#717:repo.assign_batch23:1:24:wf-22:e14:wf-32:e2");
     ("repo req repo.store",
      "3:c#210:repo.store12:3:bad5:class");
     ("repo req repo.list",
      "3:c#59:repo.list0:");
     ("repo req repo.fetch",
      "3:c#410:repo.fetch12:4:none1:t1:3");
-    ("repo req repo.assign_batch",
-     "3:c#817:repo.assign_batch23:1:24:wf-22:e14:wf-32:e2");
     ("repo req repo.fetch",
      "3:c#310:repo.fetch9:4:tiny1:f");
-    ("repo rsp repo.inspect",
-     "3:c#61:t24:1:t4:tiny1:11:11:a1:11:0");
-    ("repo rsp repo.store",
-     "3:c#21:t80:1:f74:parse error: expected an identifier, found end of input (line 1, column 6)");
     ("repo rsp repo.assign_batch",
-     "3:c#81:t3:1:2");
+     "3:c#71:t3:1:2");
     ("repo rsp repo.list",
      "3:c#51:t9:1:14:tiny");
+    ("repo rsp repo.inspect",
+     "3:c#61:t24:1:t4:tiny1:11:11:a1:11:0");
     ("repo rsp repo.fetch",
      "3:c#41:t33:1:f27:no version 3 of script none");
-    ("repo rsp repo.assign",
-     "3:c#71:t3:1:t");
     ("repo rsp repo.fetch",
      "3:c#31:t133:1:t126:class D;\ntaskclass P { outputs { outcome ok { o of class D } } };\ntask a of taskclass P { implementation { \"code\" is \"p\" } };\n");
-    ("repo req repo.owner",
-     "3:c#910:repo.owner6:4:wf-1");
+    ("repo rsp repo.store",
+     "3:c#21:t80:1:f74:parse error: expected an identifier, found end of input (line 1, column 6)");
     ("repo req repo.placements",
-     "4:c#1115:repo.placements0:");
+     "4:c#1015:repo.placements0:");
     ("repo req repo.owner",
-     "4:c#1010:repo.owner6:4:wf-9");
+     "3:c#810:repo.owner6:4:wf-1");
+    ("repo req repo.owner",
+     "3:c#910:repo.owner6:4:wf-9");
     ("repo rsp repo.owner",
-     "3:c#91:t7:1:t2:e1");
-    ("repo rsp repo.owner",
-     "4:c#101:t3:1:f");
+     "3:c#81:t7:1:t2:e1");
     ("repo rsp repo.placements",
-     "4:c#111:t33:1:34:wf-12:e14:wf-22:e14:wf-32:e2");
+     "4:c#101:t33:1:34:wf-12:e14:wf-22:e14:wf-32:e2");
+    ("repo rsp repo.owner",
+     "3:c#91:t3:1:f");
     ("repo cmd store",
      "5:store2:c14:tiny126:class D;\ntaskclass P { outputs { outcome ok { o of class D } } };\ntask a of taskclass P { implementation { \"code\" is \"p\" } };\n");
     ("repo reply store",
      "1:t1:1");
-    ("repo cmd assign",
-     "6:assign2:c24:wf-12:e1");
-    ("repo reply assign",
-     "1:t");
     ("repo cmd assign_batch",
      "12:assign_batch2:c31:24:wf-22:e14:wf-32:e2");
     ("repo reply assign_batch",

@@ -8,7 +8,7 @@ let check_int = Alcotest.(check int)
 
 let make () =
   let tb = Testbed.make ~nodes:[ "n0"; "repo" ] () in
-  let repo = Repository.create ~rpc:tb.Testbed.rpc ~node:(Testbed.node tb "repo") in
+  let repo = Repository.create ~node:(Testbed.node tb "repo") in
   let client = Repo_client.create ~rpc:tb.Testbed.rpc ~src:"n0" ~repo_node:"repo" in
   (tb, repo, client)
 
@@ -102,9 +102,9 @@ let test_placement_directory () =
   check "reassigned" true (Repository.owner repo ~iid:"wf-1" = Some "e3");
   (* the same directory, over RPC from another node *)
   let assigned = ref None in
-  Repo_client.assign client ~iid:"wf-3" ~engine:"e1" (fun r -> assigned := Some r);
+  Repo_client.assign_many client ~pairs:[ ("wf-3", "e1") ] (fun r -> assigned := Some r);
   Testbed.run tb;
-  check "assign over rpc" true (!assigned = Some (Ok ()));
+  check "assign over rpc" true (!assigned = Some (Ok 1));
   let owner = ref None in
   Repo_client.owner client ~iid:"wf-3" (fun r -> owner := Some r);
   let missing = ref None in
@@ -229,7 +229,7 @@ let test_replicated_redirect_loop_bounded () =
   Testbed.crash tb "r1";
   Testbed.crash tb "r2";
   let assigned = ref None in
-  Repo_client.assign client ~iid:"wf-1" ~engine:"e1" (fun r -> assigned := Some r);
+  Repo_client.assign_many client ~pairs:[ ("wf-1", "e1") ] (fun r -> assigned := Some r);
   Testbed.run tb;
   check "mutation bounded with an error" true
     (match !assigned with Some (Error _) -> true | _ -> false);
@@ -278,10 +278,10 @@ let test_replicated_malformed_command () =
   (* the log keeps going: a valid command after it commits and applies *)
   let assigned = ref None in
   Rlog_client.append rc
-    ~payload:(Repository.cmd_assign ~cid:"c1" ~iid:"wf-1" ~engine:"e1")
+    ~payload:(Repository.command Repository.op_assign_batch ~cid:"c1" [ ("wf-1", "e1") ])
     (fun r -> assigned := Some r);
   Testbed.run tb;
-  check "valid command applied" true (!assigned = Some (Ok (Wire.(run b_bool) true)));
+  check "valid command applied" true (!assigned = Some (Ok (Wire.(run b_int) 1)));
   List.iter
     (fun id ->
       check ("owner on " ^ id) true
@@ -294,9 +294,9 @@ let test_replicated_malformed_command () =
    decode leaves the store exactly as it was. *)
 let commands =
   [|
-    Repository.cmd_store ~cid:"c1" ~name:"quick" ~source:Paper_scripts.quickstart;
-    Repository.cmd_assign ~cid:"c2" ~iid:"wf-1" ~engine:"e1";
-    Repository.cmd_assign_batch ~cid:"c3" ~pairs:[ ("wf-2", "e1"); ("wf-3", "e2") ];
+    Repository.command Repository.op_store ~cid:"c1" ("quick", Paper_scripts.quickstart);
+    Repository.command Repository.op_assign_batch ~cid:"c2" [ ("wf-1", "e1") ];
+    Repository.command Repository.op_assign_batch ~cid:"c3" [ ("wf-2", "e1"); ("wf-3", "e2") ];
   |]
 
 let mutate ((which, other), (pos, arg, kind)) =
