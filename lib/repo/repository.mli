@@ -109,8 +109,9 @@ val service : (_, _) op -> string
 (** ["repo." ^] the operation's name. *)
 
 val is_write : (_, _) op -> bool
-(** Served on the single node only: on a replica set a write travels
-    through the log as a {!command}. *)
+(** [true] for {!op_store} and {!op_assign_batch}. A single node serves
+    them as services; on a replica set they travel through the log as
+    a {!command}. *)
 
 val request : ('q, _) op -> 'q -> string
 (** The request body of the operation's service. *)

@@ -539,6 +539,7 @@ let repository_exemplars () =
   Repo_client.fetch client ~name:"none" ~version:3 ignore_k;
   Repo_client.list_names client ignore_k;
   Repo_client.inspect client ~name:"tiny" ignore_k;
+  (* recorded in-process: the owner and placements replies carry it *)
   Repository.assign repository ~iid:"wf-1" ~engine:"e1";
   Repo_client.assign_many client ~pairs:[ ("wf-2", "e1"); ("wf-3", "e2") ] ignore_k;
   Sim.run sim;
